@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "common/bitset.h"
+#include "common/pair_map.h"
 
 namespace decseq::membership {
 
@@ -14,77 +15,6 @@ namespace {
 /// Threshold above which a group's member list is worth compiling into a
 /// rank/select row for O(1) probing (instead of per-pair binary searches).
 constexpr std::size_t kProbeRowThreshold = 512;
-
-/// splitmix64 finalizer — the accumulator's hash.
-std::uint64_t mix(std::uint64_t z) {
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
-/// Flat open-addressing accumulator for packed (groupA << 32 | groupB) pair
-/// counts. The streaming build increments it O(Σ_node k_node²) times; a
-/// node/bucket map would pay an allocation and a pointer chase per distinct
-/// pair, this pays one mixed probe into two flat arrays.
-class PairCountMap {
- public:
-  /// Keys are packed pairs of valid GroupIds, so all-ones can't occur.
-  static constexpr std::uint64_t kEmpty =
-      std::numeric_limits<std::uint64_t>::max();
-
-  explicit PairCountMap(std::size_t expected) {
-    std::size_t cap = 64;
-    while (cap < expected * 2) cap <<= 1;
-    keys_.assign(cap, kEmpty);
-    counts_.assign(cap, 0);
-  }
-
-  void increment(std::uint64_t key) {
-    if ((size_ + 1) * 4 > keys_.size() * 3) grow();
-    const std::size_t slot = find(key);
-    if (keys_[slot] == kEmpty) {
-      keys_[slot] = key;
-      ++size_;
-    }
-    ++counts_[slot];
-  }
-
-  [[nodiscard]] std::size_t size() const { return size_; }
-
-  template <typename Fn>
-  void for_each(Fn&& fn) const {
-    for (std::size_t i = 0; i < keys_.size(); ++i) {
-      if (keys_[i] != kEmpty) fn(keys_[i], counts_[i]);
-    }
-  }
-
- private:
-  [[nodiscard]] std::size_t find(std::uint64_t key) const {
-    const std::size_t mask = keys_.size() - 1;
-    std::size_t slot = mix(key) & mask;
-    while (keys_[slot] != kEmpty && keys_[slot] != key) {
-      slot = (slot + 1) & mask;
-    }
-    return slot;
-  }
-
-  void grow() {
-    std::vector<std::uint64_t> old_keys = std::move(keys_);
-    std::vector<std::uint32_t> old_counts = std::move(counts_);
-    keys_.assign(old_keys.size() * 2, kEmpty);
-    counts_.assign(old_counts.size() * 2, 0);
-    for (std::size_t i = 0; i < old_keys.size(); ++i) {
-      if (old_keys[i] == kEmpty) continue;
-      const std::size_t slot = find(old_keys[i]);
-      keys_[slot] = old_keys[i];
-      counts_[slot] = old_counts[i];
-    }
-  }
-
-  std::vector<std::uint64_t> keys_;
-  std::vector<std::uint32_t> counts_;
-  std::size_t size_ = 0;
-};
 
 }  // namespace
 
@@ -167,7 +97,7 @@ void OverlapIndex::build_streaming(const GroupMembership& membership) {
   // co-subscription pairs into the flat accumulator. Total work is
   // O(Σ_node k_node²) on the inverted index, independent of how many hosts
   // exist or how many group pairs *don't* co-occur anywhere.
-  PairCountMap counts(membership.num_groups() * 2);
+  common::PairCountMap counts(membership.num_groups() * 2);
   for (std::size_t n = 0; n < membership.num_nodes(); ++n) {
     const auto& subs =
         membership.subscriptions(NodeId(static_cast<NodeId::underlying_type>(n)));
@@ -177,7 +107,7 @@ void OverlapIndex::build_streaming(const GroupMembership& membership) {
     for (std::size_t i = 0; i + 1 < k; ++i) {
       const std::uint64_t hi = std::uint64_t{subs[i].value()} << 32;
       for (std::size_t j = i + 1; j < k; ++j) {
-        counts.increment(hi | subs[j].value());
+        ++counts[hi | subs[j].value()];
       }
     }
   }

@@ -95,7 +95,7 @@ std::vector<std::size_t> colocate_overlaps(const OverlapIndex& overlaps,
   std::optional<MemberIndex> index;
   if (need_index) index.emplace(overlaps);
 
-  if (options.mode == ColocationMode::kNone) {
+  if (!need_index) {  // kNone, or no overlaps to cluster
     for (const std::size_t oi : order) clusters.push_back({{oi}, false});
   } else {
     // --- Step 1: subset rule. A subset of the seed contains only seed

@@ -318,10 +318,9 @@ RouterId SequencingNetwork::machine_of_atom(AtomId a) const {
 double SequencingNetwork::machine_distance(AtomId a, AtomId b) {
   const RouterId ra = machine_of_atom(a), rb = machine_of_atom(b);
   if (ra == rb) return 0.0;
-  // Channel delays are compiled once per channel and stored; distance_once
-  // answers a cold machine pair with an early-terminating point query
-  // instead of caching a full row nothing will read again.
-  return oracle_->distance_once(ra, rb);
+  // Channel delays are compiled once per channel and stored; a cold machine
+  // pair costs the oracle one pruned point query, not a full row.
+  return oracle_->distance(ra, rb);
 }
 
 MsgId SequencingNetwork::publish(NodeId sender, GroupId group,

@@ -28,11 +28,11 @@ PubSubSystem::PubSubSystem(const SystemConfig& config)
       break;
     }
   }
-  // Paper-scale topologies keep the oracle's legacy unbounded-cache mode
-  // (steady-state publishes are then pure row lookups — allocation-free);
-  // larger topologies switch to the bounded/point-query mode so the compile
-  // never accumulates dense all-pairs state. Distances are bit-identical
-  // either way.
+  // Paper-scale topologies keep the oracle's unbounded cache (steady-state
+  // publishes are then memo or row lookups — allocation-free); larger
+  // topologies bound rows and memo together so the compile never
+  // accumulates dense all-pairs state. Distances are bit-identical either
+  // way.
   const topology::DistanceOracleOptions oracle_options =
       net_graph_.num_routers() > kScaledOracleRouterThreshold
           ? topology::DistanceOracleOptions::scaled()

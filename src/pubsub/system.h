@@ -272,9 +272,9 @@ class PubSubSystem {
   }
 
  private:
-  /// Router count above which the oracle switches from the unbounded
-  /// legacy cache to the bounded/point-query scaled mode (bit-identical
-  /// distances; see DistanceOracleOptions::scaled). Paper-scale transit-stub
+  /// Router count above which the oracle switches from its unbounded cache
+  /// to the byte-budgeted scaled mode (bit-identical distances; see
+  /// DistanceOracleOptions::scaled). Paper-scale transit-stub
   /// topologies (10k routers) stay below it.
   static constexpr std::size_t kScaledOracleRouterThreshold = 20'000;
 

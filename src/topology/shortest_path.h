@@ -5,20 +5,31 @@
 // workspace (versioned visited stamps, a reusable 4-ary heap — no per-query
 // allocation):
 //
-//   - Full per-source rows are cached in a flat slot table under a byte
-//     budget (LRU eviction), so a large topology never accumulates dense
-//     all-pairs state. At paper scale (10k routers) the default budget
-//     never evicts and behavior matches the original unbounded cache.
-//   - Point queries from a cold source run an early-terminating Dijkstra
-//     that stops once the endpoint settles — the settled distance is exactly
-//     the full row's value — and the source is promoted to a cached full
-//     row only after repeated misses. closest() and the batched
-//     distances_between() settle a whole target set in one such run.
+//   - Pendant pruning. Construction finds the graph's bridges with one
+//     linear-time DFS (a doubled link is no bridge). The far side of a
+//     bridge, seen from the DFS root, is a pendant subtree; a transit-stub
+//     topology hangs each stub domain off one uplink. A point query
+//     (distance, distances_between, closest) opens the pendants holding its
+//     source or a target and never descends a bridge into a closed one: a
+//     path into it could only leave by the same bridge.
+//   - Point queries stop once their targets settle. distance() keeps each
+//     answer in a flat pair memo, so a repeated pair costs one probe.
+//   - Measured promotion. A source whose point queries have settled as
+//     many routers as the graph has gets a full row; an evicted source
+//     earns its next row afresh. Rows thus never cost more than the point
+//     queries before them: on a graph without bridges a source costs at
+//     most about twice its one row, while on the transit-stub tier only a
+//     source queried hundreds of times earns one.
+//   - Full rows (distances_from, promoted sources) sit in a flat slot table.
+//     Rows and memo share one byte budget: the least-recently-used row is
+//     evicted, and a memo that would outgrow the budget is emptied instead.
 //
-// Every query is bit-identical to the original full-row implementation:
-// a settled Dijkstra distance does not depend on when the run stops or on
-// heap tie order, and distance(a, b) keeps its canonical lower-id
-// orientation (see the comment in distance()).
+// Every answer is bit-identical to dijkstra(g, lo)[hi]. A settled distance
+// is the minimum over the router's neighbours of their settled distance
+// plus the edge delay; that fixed point depends neither on when the run
+// stops, nor on heap tie order, nor on routers in a pruned pendant (they
+// can improve no router outside it). distance(a, b) keeps its canonical
+// lower-id orientation (see the comment in distance()).
 #pragma once
 
 #include <cstdint>
@@ -27,6 +38,7 @@
 #include <vector>
 
 #include "common/ids.h"
+#include "common/pair_map.h"
 #include "topology/graph.h"
 
 namespace decseq::topology {
@@ -36,25 +48,18 @@ namespace decseq::topology {
 [[nodiscard]] std::vector<double> dijkstra(const Graph& g, RouterId source);
 
 struct DistanceOracleOptions {
-  /// Byte budget for cached full rows (8 bytes per router per row). The
-  /// least-recently-used row is evicted when exceeded; one row is always
-  /// allowed so distances_from() works under any budget. The default is
-  /// unbounded — the original behavior, and what paper-scale simulations
-  /// rely on for their steady-state allocation discipline (a cached row is
-  /// never silently dropped and recomputed mid-measurement).
+  /// Byte budget for cached full rows (8 bytes per router per row) and the
+  /// pair memo together. Past it the least-recently-used row is evicted,
+  /// and a memo that would grow past it is emptied instead; one row is
+  /// always allowed so distances_from() works under any budget. The default
+  /// is unbounded, so a paper-scale simulation never drops and recomputes
+  /// state mid-measurement (its steady state stays allocation-free).
   std::size_t max_cache_bytes = static_cast<std::size_t>(-1);
-  /// Point-query misses from one source before it is promoted to a cached
-  /// full row. 0 = promote immediately: every query computes (and caches)
-  /// the source's full row, the original behavior. Nonzero defers the O(V)
-  /// row to sources that are actually hot, so a cold source costs one
-  /// early-terminating Dijkstra instead of a full row.
-  std::uint32_t promote_after = 0;
 
-  /// Preset for large topologies (the 100k+ control-plane compile): bounded
-  /// row cache, point queries promoted after repeated misses. Distances are
-  /// bit-identical to the default — only memory and work scheduling differ.
+  /// Preset for large topologies (the 100k+ control-plane compile): a
+  /// bounded cache. Distances are bit-identical to the default.
   [[nodiscard]] static DistanceOracleOptions scaled() {
-    return {/*max_cache_bytes=*/128ull << 20, /*promote_after=*/4};
+    return {/*max_cache_bytes=*/128ull << 20};
   }
 };
 
@@ -67,20 +72,10 @@ class DistanceOracle {
   /// Distance in ms from `a` to `b` (symmetric).
   [[nodiscard]] double distance(RouterId a, RouterId b);
 
-  /// distance() for one-shot compile queries (channel delays: each pair is
-  /// asked exactly once, at span-compile time). Bit-identical value, same
-  /// canonical orientation, and a cached row is still used when present —
-  /// but a cold source runs one early-terminating Dijkstra and is neither
-  /// cached nor advanced toward promotion, so compiling a transition's new
-  /// channels costs settled-prefix work instead of one full O(V log V) row
-  /// per previously-unseen machine (the 10k-router cold-reconfigure spike).
-  [[nodiscard]] double distance_once(RouterId a, RouterId b);
-
   /// Full distance vector from a source, computed by one Dijkstra and
   /// cached. The reference stays valid until the row is evicted by a later
-  /// query past the cache budget (never, under the default budget, for
-  /// paper-scale topologies); do not hold it across other oracle calls on
-  /// budget-constrained oracles.
+  /// query past the cache budget (never, under the default budget); do not
+  /// hold it across other oracle calls on budget-constrained oracles.
   [[nodiscard]] const std::vector<double>& distances_from(RouterId source);
 
   /// Among `candidates`, the one closest to `target` (ties: first). Runs
@@ -91,31 +86,32 @@ class DistanceOracle {
 
   /// Batched pairwise queries: fills out[i] = distance(common, targets[i]),
   /// bit-identical to individual calls, settling all targets on `common`'s
-  /// canonical side in a single early-terminating run instead of one
-  /// Dijkstra per pair (the fan-out compile's per-member loop).
+  /// canonical side in a single pruned run instead of one Dijkstra per pair
+  /// (the fan-out compile's per-member loop).
   void distances_between(RouterId common, const std::vector<RouterId>& targets,
                          std::vector<double>& out);
 
-  /// Precompute rows for a known hot source set (e.g. every host attachment
-  /// router) in id order, so later queries never interleave Dijkstra runs.
-  void prime(const std::vector<RouterId>& sources);
-
   [[nodiscard]] std::size_t cached_sources() const { return rows_.size(); }
+  /// Bytes held by cached rows and the pair memo (the budgeted state).
   [[nodiscard]] std::size_t cache_bytes() const {
-    return rows_.size() * row_bytes();
+    return rows_.size() * row_bytes() + memo_.memory_bytes();
+  }
+  /// Bridges found at construction (each roots one prunable pendant).
+  [[nodiscard]] std::size_t num_bridges() const {
+    return pendant_parent_.size();
   }
 
   /// Query-mix instrumentation (bench/telemetry).
   struct Stats {
     std::uint64_t full_rows = 0;      ///< full Dijkstra rows computed
-    std::uint64_t point_queries = 0;  ///< early-terminating runs
-    std::uint64_t settled = 0;        ///< nodes settled by point queries
+    std::uint64_t point_queries = 0;  ///< pruned early-terminating runs
+    std::uint64_t settled = 0;        ///< routers settled by point queries
     std::uint64_t evictions = 0;      ///< rows evicted under the budget
   };
   [[nodiscard]] const Stats& stats() const { return stats_; }
 
  private:
-  static constexpr std::uint32_t kNoSlot = 0xffffffffu;
+  static constexpr std::uint32_t kNone = 0xffffffffu;
   static constexpr double kInf = std::numeric_limits<double>::infinity();
 
   struct HeapEntry {
@@ -126,20 +122,32 @@ class DistanceOracle {
   [[nodiscard]] std::size_t row_bytes() const {
     return num_routers_ * sizeof(double) + sizeof(std::vector<double>);
   }
+  /// Tarjan's bridge search (iterative, linear time) over the CSR; fills
+  /// pendant_of_ and pendant_parent_.
+  void find_pendants();
   /// Dijkstra from `source` on the pooled workspace. With `row` non-null,
-  /// runs to completion and fills the complete distance vector. Otherwise
-  /// stops once `pending` marked targets (target_stamp_ == target_gen_)
-  /// have settled; callers read settled values out of dist_ before the next
-  /// run. Returns the number of marked targets left unsettled (unreachable).
-  std::size_t run_dijkstra(std::uint32_t source, std::vector<double>* row,
-                           std::size_t pending);
+  /// runs to completion, unpruned, and fills the complete distance vector.
+  /// Otherwise it is a point query: it stops once `pending` marked targets
+  /// have settled and skips pendants holding none; callers read settled
+  /// values out of dist_ before the next run.
+  void run_dijkstra(std::uint32_t source, std::vector<double>* row,
+                    std::size_t pending);
   void heap_push(double dist, std::uint32_t node);
   [[nodiscard]] HeapEntry heap_pop();
   /// Compute-and-cache `source`'s full row, evicting LRU rows past the
   /// budget. Returns the cached row.
   const std::vector<double>& cache_row(std::uint32_t source);
-  /// Mark `node` as a pending target for the next run; returns true if it
-  /// was not already marked (distinct-target accounting).
+  /// `source`'s cached row, or null.
+  [[nodiscard]] const double* cached_row(std::uint32_t source);
+  /// Cache `source`'s row if its point queries have earned one. Call after
+  /// reading the last run's values: the row reuses the workspace.
+  void promote_if_hot(std::uint32_t source);
+  /// Start a new target set (invalidates every target and pendant mark).
+  void begin_targets();
+  /// Open every pendant enclosing `node` for the next run.
+  void open_pendants(std::uint32_t node);
+  /// Mark `node` as a target and open its pendants; returns true if it was
+  /// not already marked (distinct-target accounting).
   bool mark_target(std::uint32_t node);
   /// dist_ value of `node` after a run: settled distance or +inf.
   [[nodiscard]] double settled_dist(std::uint32_t node) const {
@@ -155,18 +163,23 @@ class DistanceOracle {
   std::vector<std::uint32_t> adj_offset_;
   std::vector<std::uint32_t> adj_target_;
   std::vector<double> adj_delay_;
+  /// Innermost pendant holding each router (kNone: the root side), and
+  /// each pendant's enclosing pendant.
+  std::vector<std::uint32_t> pendant_of_;
+  std::vector<std::uint32_t> pendant_parent_;
 
   // Pooled Dijkstra workspace. dist_[v] is valid iff dist_stamp_[v] ==
   // stamp_; bumping stamp_ resets the whole workspace in O(1).
   std::vector<double> dist_;
   std::vector<std::uint32_t> dist_stamp_;
-  std::vector<char> settled_;  ///< valid under the same stamp
   std::uint32_t stamp_ = 0;
   std::vector<HeapEntry> heap_;  ///< reusable 4-ary heap, lazy deletion
-  std::vector<std::uint32_t> target_stamp_;  ///< multi-target marks
+  /// Target and pendant marks of the current target set: == target_gen_.
+  std::vector<std::uint32_t> target_stamp_;
+  std::vector<std::uint32_t> pendant_mark_;
   std::uint32_t target_gen_ = 0;
 
-  /// Router id -> index into rows_, kNoSlot when not cached. A flat
+  /// Router id -> index into rows_, kNone when not cached. A flat
   /// 4-byte-per-router table: O(1) lookups with no hashing.
   std::vector<std::uint32_t> slot_of_;
   struct Row {
@@ -178,8 +191,10 @@ class DistanceOracle {
   };
   std::vector<Row> rows_;
   std::uint64_t use_tick_ = 0;
-  /// Point-query misses per source, for promotion to a full row.
-  std::vector<std::uint16_t> miss_count_;
+  /// Routers settled by point queries from each source: the promotion rule.
+  std::vector<std::uint32_t> settled_by_;
+  /// distance() answers keyed (lo << 32 | hi).
+  common::PairMap<double> memo_;
 
   Stats stats_;
 };

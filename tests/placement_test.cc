@@ -119,6 +119,20 @@ TEST(Colocation, IngressOnlyAtomsGetOwnNodes) {
   EXPECT_EQ(c.num_overlap_nodes(b.graph), 0u);
 }
 
+TEST(Colocation, NoOverlapsInEveryMode) {
+  // Groups sharing at most one member: the index holds no double overlaps,
+  // which is what every PubSubSystem constructor's empty epoch compiles.
+  const OverlapIndex idx(test::make_membership(6, {{0, 1, 2}, {2, 3}, {4, 5}}));
+  ASSERT_EQ(idx.num_overlaps(), 0u);
+  for (const ColocationMode mode :
+       {ColocationMode::kNone, ColocationMode::kSubsetOnly,
+        ColocationMode::kFull}) {
+    Rng rng(9), untouched(9);
+    EXPECT_TRUE(colocate_overlaps(idx, {.mode = mode}, rng).empty());
+    EXPECT_EQ(rng(), untouched()) << "an empty epoch drew from the RNG";
+  }
+}
+
 class AssignmentTest : public ::testing::Test {
  protected:
   void SetUp() override {

@@ -37,7 +37,7 @@ TEST(SystemAlloc, SteadyStatePublishDeliverIsAllocationFree) {
   const std::vector<GroupId> groups = system.create_groups(members);
 
   // One precomputed schedule, replayed identically for every pass so the
-  // warm passes touch exactly the state (oracle rows, fan-out plans,
+  // warm passes touch exactly the state (oracle memo, fan-out plans,
   // channel rings, receiver slabs, pools) the measured pass needs.
   struct Publish {
     NodeId sender;
@@ -67,7 +67,7 @@ TEST(SystemAlloc, SteadyStatePublishDeliverIsAllocationFree) {
   // front so the warm passes also warm the vectors' final capacity.
   system.reserve(3 * schedule.size(), 3 * deliveries_per_pass);
 
-  run_pass();  // cold: builds pools, slabs, rings, oracle rows
+  run_pass();  // cold: builds pools, slabs, rings, oracle memo
   run_pass();  // confirms the high-water marks
   ASSERT_EQ(system.deliveries().size(), 2 * deliveries_per_pass);
 

@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
 #include <limits>
+#include <map>
 #include <set>
+#include <string>
 
 #include "common/rng.h"
 #include "tests/test_util.h"
@@ -9,6 +13,7 @@
 #include "topology/hosts.h"
 #include "topology/shortest_path.h"
 #include "topology/transit_stub.h"
+#include "topology/waxman.h"
 
 namespace decseq::topology {
 namespace {
@@ -77,6 +82,226 @@ TEST(DistanceOracle, ClosestCandidate) {
   DistanceOracle oracle(g);
   EXPECT_EQ(oracle.closest({a, c}, b), a);  // tie broken by first
   EXPECT_EQ(oracle.closest({c}, a), c);
+}
+
+// --- DistanceOracle against the reference dijkstra(), bit for bit -------
+
+/// Same double, bit for bit (+inf included).
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+/// The option sets every differential check runs under: unbounded rows and
+/// memo, the large-topology preset, and a budget of exactly one row (every
+/// new row evicts the last; the memo is emptied whenever it would outgrow
+/// what is left).
+std::vector<std::pair<std::string, DistanceOracleOptions>> option_sets(
+    const Graph& g) {
+  return {{"defaults", {}},
+          {"scaled", DistanceOracleOptions::scaled()},
+          {"one_row",
+           {g.num_routers() * sizeof(double) + sizeof(std::vector<double>)}}};
+}
+
+/// Runs every query kind over `routers` and compares each answer with the
+/// reference dijkstra(g, lo)[hi]; reference rows are computed on demand.
+class Differential {
+ public:
+  explicit Differential(const Graph& g) : g_(g) {}
+
+  void check(const std::vector<RouterId>& routers) {
+    for (const auto& [name, options] : option_sets(g_)) {
+      SCOPED_TRACE(name);
+      check_point_queries(options, routers);
+      check_batched(options, routers);
+      check_rows(options, routers);
+    }
+  }
+
+ private:
+  const std::vector<double>& ref(RouterId source) {
+    auto [it, inserted] = ref_.try_emplace(source.value());
+    if (inserted) it->second = dijkstra(g_, source);
+    return it->second;
+  }
+  double ref(RouterId a, RouterId b) {
+    return ref(std::min(a, b))[std::max(a, b).value()];
+  }
+
+  // Source-major order, so a one-row budget still promotes each source
+  // once instead of trading its row back and forth.
+  void check_point_queries(const DistanceOracleOptions& options,
+                           const std::vector<RouterId>& routers) {
+    DistanceOracle oracle(g_, options);
+    for (const RouterId a : routers) {
+      for (const RouterId b : routers) {
+        if (b < a) continue;
+        const double want = ref(a, b);
+        ASSERT_TRUE(same_bits(oracle.distance(a, b), want))
+            << a << " -> " << b;
+        ASSERT_TRUE(same_bits(oracle.distance(b, a), want))
+            << b << " -> " << a;
+        // Twice: the second answer comes from the memo or a row.
+        ASSERT_TRUE(same_bits(oracle.distance(a, b), want))
+            << a << " -> " << b << " (repeat)";
+      }
+    }
+  }
+
+  // distances_between over a target list holding both sides of the
+  // canonical orientation, a duplicate and the common router itself; and
+  // closest() from every router to the same candidates.
+  void check_batched(const DistanceOracleOptions& options,
+                     const std::vector<RouterId>& routers) {
+    DistanceOracle oracle(g_, options);
+    std::vector<RouterId> targets;
+    for (std::size_t i = 0; i < routers.size(); i += 7) {
+      targets.push_back(routers[i]);
+    }
+    targets.push_back(targets.front());
+    std::vector<double> out;
+    for (const RouterId common : routers) {
+      std::vector<RouterId> with_self = targets;
+      with_self.push_back(common);
+      oracle.distances_between(common, with_self, out);
+      ASSERT_EQ(out.size(), with_self.size());
+      for (std::size_t i = 0; i < with_self.size(); ++i) {
+        ASSERT_TRUE(same_bits(out[i], ref(common, with_self[i])))
+            << common << " -> " << with_self[i];
+      }
+      const std::vector<double>& row = ref(common);
+      RouterId want = targets.front();
+      for (const RouterId c : targets) {
+        if (row[c.value()] < row[want.value()]) want = c;
+      }
+      ASSERT_EQ(oracle.closest(targets, common), want) << "to " << common;
+    }
+  }
+
+  // Every third router: a full row is the same unpruned run every time.
+  void check_rows(const DistanceOracleOptions& options,
+                  const std::vector<RouterId>& routers) {
+    DistanceOracle oracle(g_, options);
+    for (std::size_t i = 0; i < routers.size(); i += 3) {
+      const RouterId s = routers[i];
+      const std::vector<double>& got = oracle.distances_from(s);
+      const std::vector<double>& want = ref(s);
+      ASSERT_EQ(got.size(), want.size());
+      ASSERT_EQ(std::memcmp(got.data(), want.data(),
+                            want.size() * sizeof(double)),
+                0)
+          << "row of " << s;
+      ASSERT_TRUE(same_bits(oracle.distance(s, routers.front()),
+                            ref(s, routers.front())));
+    }
+  }
+
+  const Graph& g_;
+  std::map<std::uint32_t, std::vector<double>> ref_;
+};
+
+TEST(DistanceOracleDifferential, DeploymentTopology) {
+  // The paper deployment: 10k transit-stub routers, 128 hosts in 32
+  // clusters. Every host router and its cheapest neighbour: cross-stub
+  // pairs through the pruned core, and same-stub pairs one hop apart.
+  Rng rng(20060101);
+  const auto topo = generate_transit_stub(TransitStubParams{}, rng);
+  const HostMap hosts =
+      attach_hosts(topo, {.num_hosts = 128, .num_clusters = 32}, rng);
+  std::set<RouterId> routers;
+  for (const RouterId r : hosts.attachment_routers()) {
+    routers.insert(r);
+    const auto& edges = topo.graph.neighbors(r);
+    const auto cheapest = std::min_element(
+        edges.begin(), edges.end(), [](const Edge& x, const Edge& y) {
+          return x.delay_ms < y.delay_ms;
+        });
+    routers.insert(cheapest->to);
+  }
+  // Each stub domain hangs off the transit core by one uplink.
+  EXPECT_GE(DistanceOracle(topo.graph).num_bridges(), topo.num_stub_domains);
+  Differential(topo.graph).check({routers.begin(), routers.end()});
+}
+
+TEST(DistanceOracleDifferential, WaxmanTopology) {
+  Rng rng(11);
+  const auto topo = generate_waxman({.num_routers = 600}, rng);
+  std::vector<RouterId> routers;
+  for (std::uint32_t r = 0; r < 600; r += 9) routers.push_back(RouterId(r));
+  Differential(topo.graph).check(routers);
+}
+
+/// Hand-built: a core cycle {0,1,2}; behind bridge 2-3 a cycle {3,4,5};
+/// behind bridge 5-6 (a bridge behind a bridge) a cycle {6,7,8}; router 9
+/// on a doubled uplink to 1 (two parallel links: no bridge) with leaf 10
+/// behind bridge 9-10; isolated router 11; a separate component 12-13.
+Graph pendant_graph() {
+  Graph g(14);
+  const auto link = [&](unsigned a, unsigned b, double d) {
+    g.add_edge(RouterId(a), RouterId(b), d);
+  };
+  link(0, 1, 1.0), link(1, 2, 1.0), link(2, 0, 1.5);
+  link(2, 3, 2.0);
+  link(3, 4, 1.0), link(4, 5, 1.0), link(5, 3, 1.0);
+  link(5, 6, 0.5);
+  link(6, 7, 1.0), link(7, 8, 1.0), link(8, 6, 2.5);
+  link(1, 9, 3.0), link(1, 9, 2.0);
+  link(9, 10, 1.0);
+  link(12, 13, 4.0);
+  return g;
+}
+
+TEST(DistanceOracleDifferential, HandBuiltPendants) {
+  const Graph g = pendant_graph();
+  // 2-3, 5-6, 9-10 and 12-13; the doubled 1-9 uplink is no bridge.
+  EXPECT_EQ(DistanceOracle(g).num_bridges(), 4u);
+  std::vector<RouterId> routers;
+  for (std::uint32_t r = 0; r < g.num_routers(); ++r) {
+    routers.push_back(RouterId(r));
+  }
+  Differential(g).check(routers);
+
+  DistanceOracle oracle(g);
+  // Unreachable: an isolated router and another component.
+  EXPECT_EQ(oracle.distance(RouterId(0), RouterId(11)),
+            std::numeric_limits<double>::infinity());
+  EXPECT_EQ(oracle.distance(RouterId(13), RouterId(3)),
+            std::numeric_limits<double>::infinity());
+  // A target inside the source's own pendant: 4 -> 7 stays behind 2-3.
+  EXPECT_DOUBLE_EQ(oracle.distance(RouterId(4), RouterId(7)), 2.5);
+}
+
+TEST(DistanceOracle, PointQuerySkipsPendantsWithoutTargets) {
+  // From 2 to leaf 10 (4.0 away via the doubled uplink), an unpruned run
+  // settles the 3-4-5-6 pendant (2.0-3.5 away) first. Pruned, it settles
+  // only 2, 1, 0, 9 and 10.
+  const Graph g = pendant_graph();
+  DistanceOracle oracle(g);
+  EXPECT_DOUBLE_EQ(oracle.distance(RouterId(2), RouterId(10)), 4.0);
+  EXPECT_EQ(oracle.stats().point_queries, 1u);
+  EXPECT_EQ(oracle.stats().settled, 5u);
+  EXPECT_EQ(oracle.stats().full_rows, 0u);
+}
+
+TEST(DistanceOracle, PromotesASourceOnceItSettledTheGraph) {
+  // Waxman has few bridges: each point query settles a large share of the
+  // graph, so a source queried repeatedly earns its full row, and every
+  // later answer from it is a row lookup.
+  Rng rng(12);
+  const auto topo = generate_waxman({.num_routers = 300}, rng);
+  DistanceOracle oracle(topo.graph);
+  const RouterId source(0);
+  std::uint32_t target = 1;
+  while (oracle.cached_sources() == 0) {
+    ASSERT_LT(oracle.stats().settled, 2 * topo.graph.num_routers())
+        << "no row after a graph's worth of settled routers";
+    (void)oracle.distance(source, RouterId(target++));
+  }
+  EXPECT_EQ(oracle.stats().full_rows, 1u);
+  EXPECT_GE(oracle.stats().settled, topo.graph.num_routers());
+  const auto queries = oracle.stats().point_queries;
+  (void)oracle.distance(source, RouterId(target));
+  EXPECT_EQ(oracle.stats().point_queries, queries);
 }
 
 TEST(TransitStub, DefaultParamsProduceTenThousandRouters) {
