@@ -964,9 +964,7 @@ ReconfigureReport SequencingNetwork::begin_reconfigure(
       if (receivers_[nv] != nullptr) {
         // Newly relevant atoms (appended by the delta rebuild) need fresh
         // counters; a new receiver below gets them from its constructor.
-        for (const AtomId a : relevant_atoms_for(node, *graph_)) {
-          if (a.value() >= old_num_atoms) rc.new_atoms.push_back(a);
-        }
+        rc.new_atoms = relevant_atoms_for(node, *graph_, old_num_atoms);
         receivers_[nv]->apply_reconfigure(rc);
       } else {
         DECSEQ_CHECK(rc.awaited_fences.empty());
@@ -1033,8 +1031,8 @@ ReconfigureReport SequencingNetwork::begin_reconfigure(
       }
       auto& sub = shard_receivers_[s][nv];
       if (sub != nullptr) {
-        for (const AtomId a : relevant_atoms_for(node, *graph_)) {
-          if (a.value() < old_num_atoms) continue;
+        for (const AtomId a :
+             relevant_atoms_for(node, *graph_, old_num_atoms)) {
           const std::uint32_t unit = plan.unit_of_atom[a.value()];
           DECSEQ_CHECK(unit != runtime::kNoUnit);
           if (plan.shard_of_unit[unit] == s) rc.new_atoms.push_back(a);

@@ -259,9 +259,12 @@ void Receiver::process_ready(sim::Time now) {
 }
 
 std::vector<AtomId> relevant_atoms_for(NodeId node,
-                                       const seqgraph::SequencingGraph& graph) {
+                                       const seqgraph::SequencingGraph& graph,
+                                       std::size_t first_atom) {
   std::vector<AtomId> relevant;
-  for (const seqgraph::Atom& atom : graph.atoms()) {
+  const auto& atoms = graph.atoms();
+  for (std::size_t a = first_atom; a < atoms.size(); ++a) {
+    const seqgraph::Atom& atom = atoms[a];
     if (atom.is_ingress_only() || graph.is_retired(atom.id)) continue;
     if (std::binary_search(atom.overlap_members.begin(),
                            atom.overlap_members.end(), node)) {

@@ -231,9 +231,11 @@ class Receiver {
   std::vector<std::size_t> gate_holds_by_group_;
 };
 
-/// Build the receiver set for every subscriber in the membership snapshot,
-/// wiring each node's relevant atoms from the sequencing graph.
+/// The live overlap atoms among graph atoms [first_atom, num_atoms) whose
+/// overlap includes `node`, in AtomId order: its relevant atoms, or with
+/// first_atom at the old atom count, those a delta rebuild appended.
 [[nodiscard]] std::vector<AtomId> relevant_atoms_for(
-    NodeId node, const seqgraph::SequencingGraph& graph);
+    NodeId node, const seqgraph::SequencingGraph& graph,
+    std::size_t first_atom = 0);
 
 }  // namespace decseq::protocol

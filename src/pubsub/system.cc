@@ -273,12 +273,13 @@ PubSubSystem::ReconfigureResult PubSubSystem::reconfigure_async(
   seqgraph::BuildOptions graph_options = config_.graph;
   graph_options.colocation_labels = &labels;
   graph_options.scratch = &graph_scratch_;
-  seqgraph::SequencingGraph new_graph = seqgraph::build_sequencing_graph_delta(
-      *graph_, *overlaps_, membership_, new_overlaps, dirty, graph_options,
-      &result.delta);
+  // The delta edits the graph in place; nothing reads *graph_ while it is
+  // moved out.
   const std::size_t first_new_atom = graph_->num_atoms();
+  *graph_ = seqgraph::build_sequencing_graph_delta(
+      std::move(*graph_), *overlaps_, membership_, new_overlaps, dirty,
+      graph_options, &result.delta);
   *overlaps_ = std::move(new_overlaps);
-  *graph_ = std::move(new_graph);
   colocation_->extend(*graph_, first_new_atom, labels);
   placement::extend_assignment(*assignment_, *graph_, *colocation_,
                                membership_, *hosts_, net_graph_,

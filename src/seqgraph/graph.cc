@@ -808,7 +808,7 @@ SequencingGraph build_sequencing_graph(const GroupMembership& membership,
 }
 
 SequencingGraph build_sequencing_graph_delta(
-    const SequencingGraph& old_graph, const OverlapIndex& old_overlaps,
+    SequencingGraph graph, const OverlapIndex& old_overlaps,
     const GroupMembership& membership, const OverlapIndex& new_overlaps,
     const std::vector<GroupId>& dirty, const BuildOptions& options,
     DeltaBuildStats* stats) {
@@ -848,16 +848,10 @@ SequencingGraph build_sequencing_graph_delta(
     for (const GroupId g : new_components[c]) affected[g.value()] = 1;
   }
 
-  // Start from the old graph verbatim: same atoms, same AtomIds, same tree.
-  SequencingGraph graph;
-  graph.atoms_ = old_graph.atoms_;
-  graph.tree_ = old_graph.tree_;
-  graph.retired_ = old_graph.retired_;
-  graph.retired_.resize(graph.atoms_.size(), 0);
-  graph.num_retired_ = old_graph.num_retired_;
-  graph.num_overlap_atoms_ = old_graph.num_overlap_atoms_;
-  graph.tree_components_ = old_graph.tree_components_;
-  graph.chain_components_ = old_graph.chain_components_;
+  // Edit the old graph in place: same atoms, same AtomIds, same tree.
+  const std::size_t old_num_atoms = graph.atoms_.size();
+  const std::size_t old_num_retired = graph.num_retired_;
+  graph.retired_.resize(old_num_atoms, 0);
   graph.paths_.resize(slots);
 
   // Retire the closure's atoms; remap every surviving overlap atom's index
@@ -907,17 +901,18 @@ SequencingGraph build_sequencing_graph_delta(
   // Paths: groups outside the closure keep their old path verbatim (the
   // AtomIds are still valid — zero disruption); an affected group keeps its
   // path only if it is its own surviving ingress-only atom (alive and
-  // overlap-free before and after).
-  for (const GroupId g : membership.live_groups()) {
-    if (!old_graph.has_path(g)) continue;
-    const auto& old_path = old_graph.paths_[g.value()];
-    if (affected[g.value()] == 0) {
-      graph.paths_[g.value()] = old_path;
-    } else if (old_path.size() == 1 &&
-               graph.retired_[old_path[0].value()] == 0 &&
-               graph.atoms_[old_path[0].value()].is_ingress_only()) {
-      graph.paths_[g.value()] = old_path;
-    }
+  // overlap-free before and after). Every other path slot is cleared:
+  // removed groups, and affected groups the layout below re-lays.
+  for (std::size_t s = 0; s < slots; ++s) {
+    auto& path = graph.paths_[s];
+    if (path.empty()) continue;
+    const GroupId g(static_cast<GroupId::underlying_type>(s));
+    const bool keep =
+        membership.is_alive(g) &&
+        (affected[s] == 0 ||
+         (path.size() == 1 && graph.retired_[path[0].value()] == 0 &&
+          graph.atoms_[path[0].value()].is_ingress_only()));
+    if (!keep) path.clear();
   }
 
   // Re-lay the affected components with the shared layout — identical
@@ -950,7 +945,7 @@ SequencingGraph build_sequencing_graph_delta(
   }
 
   if (stats != nullptr) {
-    stats->atoms_created = graph.atoms_.size() - old_graph.atoms_.size();
+    stats->atoms_created = graph.atoms_.size() - old_num_atoms;
     for (std::size_t s = 0; s < slots; ++s) {
       if (affected[s] != 0) {
         stats->affected_groups.push_back(
@@ -959,9 +954,9 @@ SequencingGraph build_sequencing_graph_delta(
     }
   }
   DECSEQ_LOG(kDebug, "seqgraph",
-             "delta rebuilt " << (graph.atoms_.size() - old_graph.atoms_.size())
+             "delta rebuilt " << (graph.atoms_.size() - old_num_atoms)
                               << " atoms, retired "
-                              << (graph.num_retired_ - old_graph.num_retired_)
+                              << (graph.num_retired_ - old_num_retired)
                               << " (total " << graph.num_atoms() << " atoms, "
                               << graph.num_retired_ << " retired)");
   return graph;

@@ -300,13 +300,27 @@ void DistanceOracle::promote_if_hot(std::uint32_t source) {
 }
 
 const std::vector<double>& DistanceOracle::distances_from(RouterId source) {
-  DECSEQ_CHECK(source.valid() && source.value() < num_routers_);
+  check_router(source);
   const std::uint32_t slot = slot_of_[source.value()];
   if (slot != kNone) {
     rows_[slot].last_used = ++use_tick_;
     return *rows_[slot].data;
   }
   return cache_row(source.value());
+}
+
+void DistanceOracle::check_router(RouterId r) const {
+  DECSEQ_CHECK(r.valid() && r.value() < num_routers_);
+}
+
+void DistanceOracle::memoise(std::uint64_t key, double d) {
+  // A memo that would outgrow the budget starts over at its capacity.
+  if (memo_.grows_on_insert() &&
+      rows_.size() * row_bytes() + 2 * memo_.memory_bytes() >
+          options_.max_cache_bytes) {
+    memo_.clear();
+  }
+  memo_[key] = d;
 }
 
 double DistanceOracle::distance(RouterId a, RouterId b) {
@@ -322,20 +336,14 @@ double DistanceOracle::distance(RouterId a, RouterId b) {
   DECSEQ_CHECK(lo.valid() && hi.value() < num_routers_);
   const std::uint32_t lov = lo.value();
   const std::uint32_t hiv = hi.value();
-  const std::uint64_t key = std::uint64_t{lov} << 32 | hiv;
+  const std::uint64_t key = pair_key(lov, hiv);
   if (const double* memo = memo_.find(key)) return *memo;
   if (const double* row = cached_row(lov)) return row[hiv];
   begin_targets();
   (void)mark_target(hiv);
   run_dijkstra(lov, nullptr, 1);
   const double d = settled_dist(hiv);
-  // A memo that would outgrow the budget starts over at its capacity.
-  if (memo_.grows_on_insert() &&
-      rows_.size() * row_bytes() + 2 * memo_.memory_bytes() >
-          options_.max_cache_bytes) {
-    memo_.clear();
-  }
-  memo_[key] = d;
+  memoise(key, d);
   promote_if_hot(lov);
   return d;
 }
@@ -343,7 +351,8 @@ double DistanceOracle::distance(RouterId a, RouterId b) {
 RouterId DistanceOracle::closest(const std::vector<RouterId>& candidates,
                                  RouterId target) {
   DECSEQ_CHECK(!candidates.empty());
-  DECSEQ_CHECK(target.valid() && target.value() < num_routers_);
+  check_router(target);
+  for (const RouterId c : candidates) check_router(c);
   // One Dijkstra from the target answers every candidate; never cache a
   // per-candidate row for this query. From a target row this is a pure
   // lookup; otherwise one pruned run settles the whole candidate set.
@@ -352,7 +361,6 @@ RouterId DistanceOracle::closest(const std::vector<RouterId>& candidates,
     begin_targets();
     std::size_t pending = 0;
     for (const RouterId c : candidates) {
-      DECSEQ_CHECK(c.valid() && c.value() < num_routers_);
       if (mark_target(c.value())) ++pending;
     }
     run_dijkstra(target.value(), nullptr, pending);
@@ -376,28 +384,51 @@ RouterId DistanceOracle::closest(const std::vector<RouterId>& candidates,
 void DistanceOracle::distances_between(RouterId common,
                                        const std::vector<RouterId>& targets,
                                        std::vector<double>& out) {
-  DECSEQ_CHECK(common.valid() && common.value() < num_routers_);
+  check_router(common);
+  for (const RouterId t : targets) check_router(t);
   const std::uint32_t cv = common.value();
   out.resize(targets.size());
-  // Targets on `common`'s canonical side (id >= common) all read from
-  // common's row or one pruned run that settles them together. Lower-id
-  // targets must answer from their own side (see distance()) and go
-  // through distance() one by one, after this run's values are read.
-  const double* row = cached_row(cv);
-  if (row == nullptr) {
+  // Targets on `common`'s canonical side (id >= common) read from common's
+  // row, else from the pair memo; the misses settle together in one pruned
+  // run. Lower-id targets must answer from their own side (see distance())
+  // and go through distance() one by one, after this run's values are read.
+  if (const double* row = cached_row(cv)) {
+    for (std::size_t i = 0; i < targets.size(); ++i) {
+      const std::uint32_t tv = targets[i].value();
+      if (tv >= cv) out[i] = row[tv];
+    }
+  } else {
     begin_targets();
     std::size_t pending = 0;
-    for (const RouterId t : targets) {
-      DECSEQ_CHECK(t.valid() && t.value() < num_routers_);
-      if (t.value() >= cv && mark_target(t.value())) ++pending;
+    for (std::size_t i = 0; i < targets.size(); ++i) {
+      const std::uint32_t tv = targets[i].value();
+      if (tv < cv) continue;
+      if (const double* memo = memo_.find(pair_key(cv, tv))) {
+        out[i] = *memo;
+      } else if (mark_target(tv)) {
+        ++pending;
+      }
     }
-    if (pending > 0) run_dijkstra(cv, nullptr, pending);
+    if (pending > 0) {
+      run_dijkstra(cv, nullptr, pending);
+      const auto missed = [&](std::uint32_t tv) {
+        return tv >= cv && target_stamp_[tv] == target_gen_;
+      };
+      for (std::size_t i = 0; i < targets.size(); ++i) {
+        const std::uint32_t tv = targets[i].value();
+        if (missed(tv)) out[i] = settled_dist(tv);
+      }
+      // Only now, with every value read, record the run's answers: a memo
+      // over budget is emptied on the way. A repeated target is recorded
+      // once.
+      for (std::size_t i = 0; i < targets.size(); ++i) {
+        const std::uint32_t tv = targets[i].value();
+        const std::uint64_t key = pair_key(cv, tv);
+        if (missed(tv) && memo_.find(key) == nullptr) memoise(key, out[i]);
+      }
+      promote_if_hot(cv);
+    }
   }
-  for (std::size_t i = 0; i < targets.size(); ++i) {
-    const std::uint32_t tv = targets[i].value();
-    if (tv >= cv) out[i] = row != nullptr ? row[tv] : settled_dist(tv);
-  }
-  if (row == nullptr) promote_if_hot(cv);
   for (std::size_t i = 0; i < targets.size(); ++i) {
     if (targets[i].value() < cv) out[i] = distance(targets[i], common);
   }

@@ -12,8 +12,11 @@
 //     (distance, distances_between, closest) opens the pendants holding its
 //     source or a target and never descends a bridge into a closed one: a
 //     path into it could only leave by the same bridge.
-//   - Point queries stop once their targets settle. distance() keeps each
-//     answer in a flat pair memo, so a repeated pair costs one probe.
+//   - Point queries stop once their targets settle. distance() and
+//     distances_between() share a flat pair memo: each answers a known
+//     pair from it (or a cached row) and records the pairs its runs settle,
+//     so a repeated pair costs one probe and a batch runs one pruned
+//     Dijkstra for its misses only.
 //   - Measured promotion. A source whose point queries have settled as
 //     many routers as the graph has gets a full row; an evicted source
 //     earns its next row afresh. Rows thus never cost more than the point
@@ -85,9 +88,11 @@ class DistanceOracle {
                                  RouterId target);
 
   /// Batched pairwise queries: fills out[i] = distance(common, targets[i]),
-  /// bit-identical to individual calls, settling all targets on `common`'s
-  /// canonical side in a single pruned run instead of one Dijkstra per pair
-  /// (the fan-out compile's per-member loop).
+  /// bit-identical to individual calls (the fan-out compile's per-member
+  /// loop). Targets on `common`'s canonical side (id >= common) answer
+  /// from common's row, else from the pair memo distance() shares; the
+  /// misses settle together in a single pruned run, whose answers then
+  /// join the memo. A batch of known pairs thus runs no Dijkstra at all.
   void distances_between(RouterId common, const std::vector<RouterId>& targets,
                          std::vector<double>& out);
 
@@ -122,6 +127,16 @@ class DistanceOracle {
   [[nodiscard]] std::size_t row_bytes() const {
     return num_routers_ * sizeof(double) + sizeof(std::vector<double>);
   }
+  /// Memo key of a canonical (lo <= hi) pair.
+  [[nodiscard]] static std::uint64_t pair_key(std::uint32_t lo,
+                                              std::uint32_t hi) {
+    return std::uint64_t{lo} << 32 | hi;
+  }
+  /// Throws CheckFailure unless `r` names a router of the graph.
+  void check_router(RouterId r) const;
+  /// Record a canonical pair's distance, emptying a memo that would
+  /// outgrow the byte budget first.
+  void memoise(std::uint64_t key, double d);
   /// Tarjan's bridge search (iterative, linear time) over the CSR; fills
   /// pendant_of_ and pendant_parent_.
   void find_pendants();
@@ -193,7 +208,7 @@ class DistanceOracle {
   std::uint64_t use_tick_ = 0;
   /// Routers settled by point queries from each source: the promotion rule.
   std::vector<std::uint32_t> settled_by_;
-  /// distance() answers keyed (lo << 32 | hi).
+  /// distance() and distances_between() answers, keyed pair_key(lo, hi).
   common::PairMap<double> memo_;
 
   Stats stats_;

@@ -6,6 +6,7 @@
 // identical RNG draw sequences, over 200 seeds of randomized workloads.
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "membership/generators.h"
@@ -57,6 +58,34 @@ void expect_same_graph(const SequencingGraph& a, const SequencingGraph& b,
   EXPECT_EQ(a.num_retired_atoms(), b.num_retired_atoms()) << "seed " << seed;
   EXPECT_EQ(a.tree_components(), b.tree_components()) << "seed " << seed;
   EXPECT_EQ(a.chain_components(), b.chain_components()) << "seed " << seed;
+}
+
+/// A delta build against the legacy one: the graphs, every group slot's
+/// path (removed and created groups included) and the delta stats.
+void expect_same_delta(const SequencingGraph& got,
+                       const seqgraph::DeltaBuildStats& got_stats,
+                       const SequencingGraph& want,
+                       const seqgraph::DeltaBuildStats& want_stats,
+                       const GroupMembership& m, int seed) {
+  expect_same_graph(got, want, seed);
+  for (std::size_t s = 0; s < m.num_group_slots(); ++s) {
+    const GroupId g(static_cast<GroupId::underlying_type>(s));
+    ASSERT_EQ(got.has_path(g), want.has_path(g))
+        << "seed " << seed << " slot " << s;
+    if (got.has_path(g)) {
+      ASSERT_EQ(got.path(g), want.path(g)) << "seed " << seed << " slot " << s;
+    }
+  }
+  EXPECT_EQ(got_stats.affected_groups, want_stats.affected_groups)
+      << "seed " << seed;
+  EXPECT_EQ(got_stats.components_relaid, want_stats.components_relaid)
+      << "seed " << seed;
+  EXPECT_EQ(got_stats.components_copied, want_stats.components_copied)
+      << "seed " << seed;
+  EXPECT_EQ(got_stats.atoms_created, want_stats.atoms_created)
+      << "seed " << seed;
+  EXPECT_EQ(got_stats.atoms_retired, want_stats.atoms_retired)
+      << "seed " << seed;
 }
 
 GroupMembership workload(int seed) {
@@ -158,13 +187,16 @@ TEST(RoutingScale, DeltaBuildMatchesLegacyMidReconfigure) {
         base, idx, m, new_idx, dirty, new_options, &got_stats);
     const SequencingGraph want = seqgraph::legacy_build_sequencing_graph_delta(
         legacy_base, idx, m, new_idx, dirty, options, &want_stats);
-    expect_same_graph(got, want, seed);
-    EXPECT_EQ(got_stats.affected_groups, want_stats.affected_groups)
-        << "seed " << seed;
-    EXPECT_EQ(got_stats.atoms_created, want_stats.atoms_created)
-        << "seed " << seed;
-    EXPECT_EQ(got_stats.atoms_retired, want_stats.atoms_retired)
-        << "seed " << seed;
+    expect_same_delta(got, got_stats, want, want_stats, m, seed);
+
+    // The form PubSubSystem uses: the old graph moved in and edited in
+    // place rather than copied.
+    SequencingGraph consumed = base;
+    seqgraph::DeltaBuildStats moved_stats;
+    const SequencingGraph moved = seqgraph::build_sequencing_graph_delta(
+        std::move(consumed), idx, m, new_idx, dirty, new_options,
+        &moved_stats);
+    expect_same_delta(moved, moved_stats, want, want_stats, m, seed);
   }
 }
 

@@ -7,12 +7,19 @@
 // against the binary-wide counting allocator (tests/alloc_probe.cc), not a
 // model: the same publish schedule is replayed until warm, capacity is
 // reserved, and the measured replay must not allocate at all.
+//
+// The control plane has a weaker discipline: a live reconfiguration may
+// allocate, but its heap work must follow the groups it touches, not the
+// number of transitions before it.
 #include <gtest/gtest.h>
 
 #include <cstddef>
 #include <cstdint>
 #include <vector>
 
+#include "common/rng.h"
+#include "common/zipf.h"
+#include "membership/generators.h"
 #include "pubsub/system.h"
 #include "sim/callback.h"
 #include "tests/alloc_probe.h"
@@ -83,6 +90,78 @@ TEST(SystemAlloc, SteadyStatePublishDeliverIsAllocationFree) {
   EXPECT_EQ(fresh_spills, 0u)
       << "a callback spill missed the warm freelist";
   EXPECT_EQ(system.deliveries().size(), 3 * deliveries_per_pass);
+}
+
+TEST(SystemAlloc, CutoverAllocationsDoNotGrowWithHistory) {
+  // A cutover should cost its affected closure, not the graph's history.
+  // Every transition retires the touched components' atoms and appends
+  // fresh ones, so the graph only grows; the heap work of one same-shape
+  // reconfigure_async call must not grow with it. The paper deployment:
+  // 128 hosts in 32 clusters on the 10,000-router topology, 64 Zipf groups.
+  SystemConfig config;
+  config.seed = 20060101;
+  config.hosts.num_hosts = 128;
+  config.hosts.num_clusters = 32;
+  PubSubSystem system(config);
+  Rng membership_rng(20060102);
+  const membership::GroupMembership initial = membership::zipf_membership(
+      {.num_nodes = 128, .num_groups = 64}, membership_rng);
+  std::vector<std::vector<NodeId>> lists;
+  for (const GroupId g : initial.live_groups()) {
+    lists.push_back(initial.members(g));
+  }
+  (void)system.create_groups(lists);
+
+  // One join and one leave per batch; the joined and the left group sweep
+  // the live groups in a fixed rotation. Joiners are drawn Zipf-popular,
+  // like the generator drew members, so the membership keeps its shape.
+  const ZipfSampler popularity(128, 1.0);
+  Rng rng(13);
+  constexpr std::size_t kTransitions = 200;
+  std::vector<std::size_t> allocs;
+  const std::size_t atoms_before = system.graph().num_atoms();
+  for (std::size_t t = 0; t < kTransitions; ++t) {
+    const membership::GroupMembership& m = system.membership();
+    const std::vector<GroupId> groups = m.live_groups();
+    const std::size_t n = groups.size();
+    std::size_t at = t % n;
+    while (m.members(groups[at]).size() >= m.num_nodes()) at = (at + 1) % n;
+    const GroupId joined = groups[at];
+    NodeId newcomer;
+    do {
+      newcomer = NodeId(
+          static_cast<NodeId::underlying_type>(popularity.sample(rng) - 1));
+    } while (m.is_member(joined, newcomer));
+    GroupId left;
+    for (std::size_t k = 0; k < n && !left.valid(); ++k) {
+      const GroupId g = groups[(t + n / 2 + k) % n];
+      if (g != joined && m.members(g).size() >= 3) left = g;
+    }
+    ASSERT_TRUE(left.valid());
+    std::vector<PubSubSystem::MembershipChange> batch = {
+        PubSubSystem::MembershipChange::join(joined, newcomer),
+        PubSubSystem::MembershipChange::leave(left, rng.pick(m.members(left)))};
+
+    const std::size_t before = test::alloc_count();
+    (void)system.reconfigure_async(std::move(batch));
+    allocs.push_back(test::alloc_count() - before);
+    system.run();  // drain the cutover fences before the next batch
+    ASSERT_FALSE(system.transition_active());
+  }
+  ASSERT_GT(system.graph().num_atoms(), 10 * atoms_before)
+      << "retired atoms should pile up";
+
+  const auto mean = [&](std::size_t first, std::size_t last) {
+    double sum = 0;
+    for (std::size_t t = first; t <= last; ++t) sum += allocs[t];
+    return sum / static_cast<double>(last - first + 1);
+  };
+  const double early = mean(10, 19);
+  const double late = mean(190, 199);
+  EXPECT_LE(late, 2 * early)
+      << "allocations per cutover grew with history: " << early << " -> "
+      << late << " (" << atoms_before << " -> " << system.graph().num_atoms()
+      << " atoms)";
 }
 
 }  // namespace

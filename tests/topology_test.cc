@@ -149,8 +149,11 @@ class Differential {
   }
 
   // distances_between over a target list holding both sides of the
-  // canonical orientation, a duplicate and the common router itself; and
-  // closest() from every router to the same candidates.
+  // canonical orientation, a duplicate and the common router itself, twice
+  // (the second call answers from the pair memo or a row), then distance()
+  // on the same pairs; and closest() from every router to the same
+  // candidates. Under the one-row budget the memo is emptied mid-call (on
+  // the Waxman graph, inside distances_between's recording loop).
   void check_batched(const DistanceOracleOptions& options,
                      const std::vector<RouterId>& routers) {
     DistanceOracle oracle(g_, options);
@@ -163,11 +166,17 @@ class Differential {
     for (const RouterId common : routers) {
       std::vector<RouterId> with_self = targets;
       with_self.push_back(common);
-      oracle.distances_between(common, with_self, out);
-      ASSERT_EQ(out.size(), with_self.size());
-      for (std::size_t i = 0; i < with_self.size(); ++i) {
-        ASSERT_TRUE(same_bits(out[i], ref(common, with_self[i])))
-            << common << " -> " << with_self[i];
+      for (const char* call : {"first", "repeat"}) {
+        oracle.distances_between(common, with_self, out);
+        ASSERT_EQ(out.size(), with_self.size());
+        for (std::size_t i = 0; i < with_self.size(); ++i) {
+          ASSERT_TRUE(same_bits(out[i], ref(common, with_self[i])))
+              << common << " -> " << with_self[i] << " (" << call << ")";
+        }
+      }
+      for (const RouterId t : with_self) {
+        ASSERT_TRUE(same_bits(oracle.distance(common, t), ref(common, t)))
+            << common << " -> " << t << " (distance)";
       }
       const std::vector<double>& row = ref(common);
       RouterId want = targets.front();
@@ -281,6 +290,58 @@ TEST(DistanceOracle, PointQuerySkipsPendantsWithoutTargets) {
   EXPECT_EQ(oracle.stats().point_queries, 1u);
   EXPECT_EQ(oracle.stats().settled, 5u);
   EXPECT_EQ(oracle.stats().full_rows, 0u);
+}
+
+TEST(DistanceOracle, DistancesBetweenServesKnownPairsFromMemo) {
+  // A re-laid group's fan-out plan asks again for (egress, member) pairs
+  // the oracle already answered: a repeat runs no Dijkstra, so the common
+  // router never settles enough routers to earn a full row.
+  const Graph g = pendant_graph();
+  DistanceOracle oracle(g);
+  const RouterId common(2);
+  // Router 0 sits below common's id and answers through distance().
+  const std::vector<RouterId> targets = {RouterId(0), RouterId(3),
+                                         RouterId(4), RouterId(10),
+                                         RouterId(10)};
+  std::vector<double> first;
+  oracle.distances_between(common, targets, first);
+  const auto queries = oracle.stats().point_queries;
+  EXPECT_EQ(queries, 2u);
+  std::vector<double> again;
+  for (std::size_t repeat = 0; repeat < 2 * g.num_routers(); ++repeat) {
+    oracle.distances_between(common, targets, again);
+    ASSERT_EQ(again.size(), first.size());
+    for (std::size_t i = 0; i < first.size(); ++i) {
+      ASSERT_TRUE(same_bits(again[i], first[i])) << "target " << targets[i];
+    }
+  }
+  EXPECT_EQ(oracle.stats().point_queries, queries);
+  EXPECT_EQ(oracle.stats().full_rows, 0u);
+  EXPECT_EQ(oracle.cached_sources(), 0u);
+  const std::vector<double> want = dijkstra(g, common);
+  for (std::size_t i = 1; i < targets.size(); ++i) {
+    EXPECT_TRUE(same_bits(first[i], want[targets[i].value()]));
+  }
+  EXPECT_TRUE(same_bits(first[0], dijkstra(g, RouterId(0))[2]));
+}
+
+TEST(DistanceOracle, RejectsOutOfRangeTargetWithCachedRow) {
+  // With common's row cached the answers are row lookups; an out-of-range
+  // router must still be rejected, not read past the row's end.
+  Graph g(4);
+  g.add_edge(RouterId(0), RouterId(1), 1.0);
+  g.add_edge(RouterId(1), RouterId(2), 1.0);
+  g.add_edge(RouterId(2), RouterId(3), 1.0);
+  DistanceOracle oracle(g);
+  const RouterId common(1);
+  (void)oracle.distances_from(common);
+  ASSERT_EQ(oracle.cached_sources(), 1u);
+  std::vector<double> out;
+  EXPECT_THROW(oracle.distances_between(common, {RouterId(2), RouterId(7)},
+                                        out),
+               CheckFailure);
+  EXPECT_THROW((void)oracle.closest({RouterId(0), RouterId(7)}, common),
+               CheckFailure);
 }
 
 TEST(DistanceOracle, PromotesASourceOnceItSettledTheGraph) {
