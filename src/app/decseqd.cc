@@ -16,28 +16,19 @@ namespace {
 using protocol::decode_varint;
 using protocol::encode_varint;
 
-/// Reattach transport-frame metadata to a decoded message: the pinned
-/// message codec does not carry the FIN flag, so it travels in the frame
-/// header and is rebuilt into the payload block here.
+/// Decode a channel payload in place, reattaching the frame's FIN flag:
+/// the pinned message codec does not carry it, so it travels in the frame
+/// header and goes straight into the decoded payload block.
 protocol::Message decode_wire_message(const std::uint8_t* payload,
                                       std::size_t size, std::uint8_t flags) {
-  std::vector<std::uint8_t> buffer(payload, payload + size);
-  std::optional<protocol::Message> decoded = protocol::decode_message(buffer);
+  std::optional<protocol::Message> decoded = protocol::decode_message(
+      payload, size, (flags & transport::kFrameFlagFin) != 0);
   // The reliable channel has already CRC-checked and deduplicated; an
   // undecodable payload here means the *sender* put garbage on a healthy
   // channel — an invariant violation, not a network fault.
   DECSEQ_CHECK_MSG(decoded.has_value(),
                    "undecodable message on reliable channel");
-  if ((flags & transport::kFrameFlagFin) == 0) return std::move(*decoded);
-  protocol::MessageSpec spec;
-  spec.id = decoded->id();
-  spec.group = decoded->group();
-  spec.sender = decoded->sender();
-  spec.group_seq = decoded->group_seq;
-  spec.payload = decoded->payload();
-  spec.body.assign(decoded->body().begin(), decoded->body().end());
-  spec.is_fin = true;
-  return protocol::Message::make(std::move(spec), decoded->stamps);
+  return std::move(*decoded);
 }
 
 std::uint64_t atom_pair_key(AtomId from, AtomId to) {
@@ -60,16 +51,14 @@ std::vector<std::uint8_t> encode_command(const Command& c) {
 
 std::optional<Command> decode_command(const std::uint8_t* data,
                                       std::size_t size) {
-  const std::vector<std::uint8_t> in(data, data + size);
   std::size_t offset = 0;
   Command c;
-  const auto kind = decode_varint(in, offset);
-  const auto ordinal = decode_varint(in, offset);
-  const auto sender = decode_varint(in, offset);
-  const auto group = decode_varint(in, offset);
-  const auto payload = decode_varint(in, offset);
-  if (!kind || !ordinal || !sender || !group || !payload ||
-      offset != in.size()) {
+  const auto kind = decode_varint(data, size, offset);
+  const auto ordinal = decode_varint(data, size, offset);
+  const auto sender = decode_varint(data, size, offset);
+  const auto group = decode_varint(data, size, offset);
+  const auto payload = decode_varint(data, size, offset);
+  if (!kind || !ordinal || !sender || !group || !payload || offset != size) {
     return std::nullopt;
   }
   if (*kind < 1 || *kind > 3) return std::nullopt;
@@ -95,18 +84,17 @@ std::vector<std::uint8_t> encode_report(const Report& r) {
 
 std::optional<Report> decode_report(const std::uint8_t* data,
                                     std::size_t size) {
-  const std::vector<std::uint8_t> in(data, data + size);
   std::size_t offset = 0;
   Report r;
-  const auto kind = decode_varint(in, offset);
-  const auto rank = decode_varint(in, offset);
-  const auto receiver = decode_varint(in, offset);
-  const auto group = decode_varint(in, offset);
-  const auto sender = decode_varint(in, offset);
-  const auto payload = decode_varint(in, offset);
-  const auto group_seq = decode_varint(in, offset);
+  const auto kind = decode_varint(data, size, offset);
+  const auto rank = decode_varint(data, size, offset);
+  const auto receiver = decode_varint(data, size, offset);
+  const auto group = decode_varint(data, size, offset);
+  const auto sender = decode_varint(data, size, offset);
+  const auto payload = decode_varint(data, size, offset);
+  const auto group_seq = decode_varint(data, size, offset);
   if (!kind || !rank || !receiver || !group || !sender || !payload ||
-      !group_seq || offset != in.size()) {
+      !group_seq || offset != size) {
     return std::nullopt;
   }
   if (*kind < 1 || *kind > 4) return std::nullopt;
@@ -264,9 +252,9 @@ void NodeEngine::publish(std::uint32_t ordinal, NodeId sender, GroupId group,
     ingress_arrive(std::move(message));
     return;
   }
-  const std::vector<std::uint8_t> bytes = protocol::encode_message(message);
+  protocol::encode_message(message, wire_);
   DECSEQ_CHECK(ingress_out_[ingress_rank] != nullptr);
-  ingress_out_[ingress_rank]->send(bytes.data(), bytes.size(),
+  ingress_out_[ingress_rank]->send(wire_.data(), wire_.size(),
                                    fin ? transport::kFrameFlagFin : 0);
 }
 
@@ -313,10 +301,9 @@ void NodeEngine::at_atom(std::size_t pos, protocol::Message message) {
       ++pos;
       continue;
     }
-    const std::vector<std::uint8_t> bytes =
-        protocol::encode_message(message);
+    protocol::encode_message(message, wire_);
     atom_out(hop.atom, next.atom)
-        .send(bytes.data(), bytes.size(),
+        .send(wire_.data(), wire_.size(),
               message.is_fin() ? transport::kFrameFlagFin : 0);
     ++stats_.forwarded;
     return;
@@ -328,13 +315,12 @@ void NodeEngine::distribute(protocol::Message message) {
   if (!state.remote_member_ranks.empty()) {
     // Encode once; every remote rank gets the same bytes and demuxes to
     // its own subscribed hosts.
-    const std::vector<std::uint8_t> bytes =
-        protocol::encode_message(message);
+    protocol::encode_message(message, wire_);
     const std::uint8_t flags =
         message.is_fin() ? transport::kFrameFlagFin : 0;
     for (const std::uint32_t r : state.remote_member_ranks) {
       DECSEQ_CHECK(dist_out_[r] != nullptr);
-      dist_out_[r]->send(bytes.data(), bytes.size(), flags);
+      dist_out_[r]->send(wire_.data(), wire_.size(), flags);
       ++stats_.distributed;
     }
   }

@@ -17,7 +17,11 @@
 //    protocol::Receiver (reused verbatim) for delivery. Works identically
 //    over SimTransport (the in-process conformance test) and UdpTransport
 //    (the daemon). The FIN flag travels in the frame header — the pinned
-//    message codec does not carry it — and is reattached on decode.
+//    message codec does not carry it — and is reattached on decode. A warm
+//    engine's hops are allocation-free: it encodes every outgoing message
+//    into one scratch buffer (the channel copies it into its own frame)
+//    and decodes arrivals in place from the channel's view of the
+//    datagram into pooled payload blocks.
 //
 //  * Daemon — the process harness around a NodeEngine: UDP bootstrap
 //    (JOIN to the coordinator until the PEERS address book arrives),
@@ -172,6 +176,8 @@ class NodeEngine {
   std::vector<std::unique_ptr<transport::SendChannel>> atom_out_store_;
   std::vector<std::unique_ptr<transport::RecvChannel>> recv_store_;
 
+  /// Encoding scratch for outgoing messages, reused by every send.
+  std::vector<std::uint8_t> wire_;
   Stats stats_;
 };
 

@@ -16,6 +16,7 @@
 // message.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -27,20 +28,36 @@ namespace decseq::protocol {
 /// Append a LEB128 varint to `out`.
 void encode_varint(std::uint64_t value, std::vector<std::uint8_t>& out);
 
-/// Decode a varint at `offset`, advancing it. Returns nullopt on
-/// truncation or a varint longer than 10 bytes.
+/// Decode a varint at `offset` of `in[0, size)`, advancing it. Returns
+/// nullopt on truncation, a non-canonical encoding, or a varint longer than
+/// 10 bytes. One-byte values take a fast path.
+[[nodiscard]] std::optional<std::uint64_t> decode_varint(
+    const std::uint8_t* in, std::size_t size, std::size_t& offset);
 [[nodiscard]] std::optional<std::uint64_t> decode_varint(
     const std::vector<std::uint8_t>& in, std::size_t& offset);
 
 /// Bytes encode_varint() would emit for `value`.
 [[nodiscard]] std::size_t varint_size(std::uint64_t value);
 
-/// Serialize a message (ordering header + payload tag + body).
+/// Serialize a message (ordering header + payload tag + body) into `out`,
+/// replacing its contents; a reused buffer keeps its capacity, so a warm
+/// encoder does not allocate.
+void encode_message(const Message& m, std::vector<std::uint8_t>& out);
+/// The same bytes in a fresh vector.
 [[nodiscard]] std::vector<std::uint8_t> encode_message(const Message& m);
 
-/// Parse a buffer produced by encode_message. Returns nullopt for any
-/// malformed input (bad magic, truncation, trailing garbage). The decoded
-/// message's sent_at is zero — wall-clock time does not travel on the wire.
+/// Parse `in[0, size)` as produced by encode_message, straight into a
+/// pooled payload block: no intermediate copy, and no allocation for
+/// <= kInlineStamps stamps and <= kInlineBodyBytes of body once the block
+/// pool is warm. Returns nullopt for any malformed input (bad magic,
+/// truncation, non-canonical varints, a stamp count or body length the
+/// buffer cannot hold, trailing garbage). `is_fin` sets the block's FIN
+/// flag, which travels outside the codec (in the transport frame header).
+/// The decoded message's sent_at is zero — wall-clock time does not travel
+/// on the wire.
+[[nodiscard]] std::optional<Message> decode_message(const std::uint8_t* in,
+                                                    std::size_t size,
+                                                    bool is_fin = false);
 [[nodiscard]] std::optional<Message> decode_message(
     const std::vector<std::uint8_t>& in);
 

@@ -1,6 +1,7 @@
 #include "transport/channel.h"
 
 #include <algorithm>
+#include <array>
 #include <limits>
 #include <utility>
 
@@ -24,8 +25,9 @@ void SendChannel::send(const std::uint8_t* payload, std::size_t size,
                        std::uint8_t flags) {
   const std::uint64_t seq = next_send_seq_++;
   OutPacket packet;
-  packet.frame =
-      encode_frame(FrameType::kData, flags, edge_, seq, payload, size);
+  packet.frame = frames_.acquire(kFrameHeaderBytes + size);
+  encode_frame(packet.frame.data(), FrameType::kData, flags, edge_, seq,
+               payload, size);
   packet.deadline = transport_->now_ms() + options_.retransmit_timeout_ms;
   ++transmissions_;
   transport_->send(edge_, packet.frame.data(), packet.frame.size());
@@ -33,8 +35,10 @@ void SendChannel::send(const std::uint8_t* payload, std::size_t size,
   if (!timer_.valid()) arm_timer(out_.back().deadline);
 }
 
-void SendChannel::on_ack(std::uint64_t cumulative) {
+bool SendChannel::on_ack(std::uint64_t cumulative) {
+  if (cumulative > next_send_seq_) return false;
   while (!out_.empty() && send_base_ < cumulative) {
+    frames_.release(std::move(out_.front().frame));
     out_.pop_front();
     ++send_base_;
   }
@@ -47,6 +51,7 @@ void SendChannel::on_ack(std::uint64_t cumulative) {
       timer_ = Transport::TimerId();
     }
   }
+  return true;
 }
 
 double SendChannel::backoff_delay(std::uint32_t attempts) {
@@ -135,7 +140,8 @@ bool RecvChannel::on_data(std::uint64_t seq, std::uint8_t flags,
   if (!reorder_[index].has_value()) {
     Parked parked;
     parked.flags = flags;
-    parked.payload.assign(payload, payload + size);
+    parked.payload = parked_.acquire(size);
+    std::copy_n(payload, size, parked.payload.data());
     reorder_[index].emplace(std::move(parked));
     ++reorder_buffered_;
   } else {
@@ -148,14 +154,15 @@ bool RecvChannel::on_data(std::uint64_t seq, std::uint8_t flags,
     ++next_deliver_seq_;
     ++delivered_;
     deliver_(parked.payload.data(), parked.payload.size(), parked.flags);
+    parked_.release(std::move(parked.payload));
   }
   send_ack();
   return true;
 }
 
 void RecvChannel::send_ack() {
-  const std::vector<std::uint8_t> frame =
-      encode_frame(FrameType::kAck, 0, edge_, next_deliver_seq_);
+  std::array<std::uint8_t, kFrameHeaderBytes> frame;
+  encode_frame(frame.data(), FrameType::kAck, 0, edge_, next_deliver_seq_);
   transport_->send(edge_, frame.data(), frame.size());
 }
 
@@ -163,14 +170,13 @@ void RecvChannel::send_ack() {
 
 void ChannelSet::add_sender(SendChannel* channel) {
   DECSEQ_CHECK(channel != nullptr);
-  const bool inserted = senders_.emplace(channel->edge(), channel).second;
-  DECSEQ_CHECK_MSG(inserted, "duplicate sender for edge " << channel->edge());
+  DECSEQ_CHECK_MSG(senders_.insert(channel->edge(), channel),
+                   "duplicate sender for edge " << channel->edge());
 }
 
 void ChannelSet::add_receiver(RecvChannel* channel) {
   DECSEQ_CHECK(channel != nullptr);
-  const bool inserted = receivers_.emplace(channel->edge(), channel).second;
-  DECSEQ_CHECK_MSG(inserted,
+  DECSEQ_CHECK_MSG(receivers_.insert(channel->edge(), channel),
                    "duplicate receiver for edge " << channel->edge());
 }
 
@@ -183,19 +189,18 @@ bool ChannelSet::handle(const std::uint8_t* data, std::size_t size,
   }
   switch (frame->type) {
     case FrameType::kData: {
-      const auto it = receivers_.find(frame->edge);
-      if (it == receivers_.end()) break;
-      if (!it->second->on_data(frame->seq, frame->flags, frame->payload,
-                               frame->payload_size)) {
+      RecvChannel* const* receiver = receivers_.find(frame->edge);
+      if (receiver == nullptr ||
+          !(*receiver)->on_data(frame->seq, frame->flags, frame->payload,
+                                frame->payload_size)) {
         break;
       }
       ++accepted_;
       return true;
     }
     case FrameType::kAck: {
-      const auto it = senders_.find(frame->edge);
-      if (it == senders_.end()) break;
-      it->second->on_ack(frame->seq);
+      SendChannel* const* sender = senders_.find(frame->edge);
+      if (sender == nullptr || !(*sender)->on_ack(frame->seq)) break;
       ++accepted_;
       return true;
     }

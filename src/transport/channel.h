@@ -29,25 +29,40 @@
 //    received and the retransmit machinery re-delivers the dropped packets
 //    once the window has advanced.
 //
-// ChannelSet is the per-endpoint demultiplexer: it owns the map from edge
-// id to channel half, parses each arriving datagram exactly once, routes
-// DATA to the edge's receiver and ACK to the edge's sender, hands
+//  * The sender applies the same rule to acks: a cumulative ack above
+//    anything it has sent is refused and leaves the window untouched. A
+//    corrupted or forged ack that passed the CRC would otherwise release
+//    frames that never arrived, and the receiver would park everything
+//    behind the hole forever.
+//
+// ChannelSet is the per-endpoint demultiplexer: it owns the table from
+// edge id to channel half, parses each arriving datagram exactly once,
+// routes DATA to the edge's receiver and ACK to the edge's sender, hands
 // bootstrap frames (JOIN/PEERS) to a control hook, and counts everything
-// it rejects — malformed frames, unknown edges, out-of-window packets —
-// so the wire-robustness tests can assert that garbage is dropped, not
-// acted on.
+// it rejects — malformed frames, unknown edges, out-of-window packets,
+// acks beyond anything sent — so the wire-robustness tests can assert
+// that garbage is dropped, not acted on.
+//
+// Memory: a warm channel pair moves bytes without touching the heap. The
+// sender encodes each DATA frame into a buffer recycled from frames the
+// peer already acked (common/buffer_pool.h), the receiver encodes ACKs
+// into a 24-byte array and parks out-of-order payloads in recycled
+// buffers, and the demultiplexer hands each channel a view into the
+// datagram (frame.h). Every pool holds at most its stage's in-flight
+// high-water mark of buffers.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
+#include "common/buffer_pool.h"
 #include "common/check.h"
 #include "common/ring_buffer.h"
 #include "common/rng.h"
+#include "transport/edge_table.h"
 #include "transport/frame.h"
 #include "transport/transport.h"
 
@@ -88,8 +103,10 @@ class SendChannel {
             std::uint8_t flags = 0);
 
   /// The peer's cumulative ack arrived: release every frame below it; a
-  /// drained window disarms the timer and clears any fault.
-  void on_ack(std::uint64_t cumulative);
+  /// drained window disarms the timer and clears any fault. Returns false,
+  /// changing nothing, for a cumulative above every sequence number sent:
+  /// no honest receiver acks a frame that does not exist yet.
+  bool on_ack(std::uint64_t cumulative);
 
   void set_fault_callback(FaultFn on_fault) { on_fault_ = std::move(on_fault); }
 
@@ -107,7 +124,7 @@ class SendChannel {
 
  private:
   struct OutPacket {
-    std::vector<std::uint8_t> frame;  ///< full encoded DATA frame
+    common::BufferPool::Buffer frame;  ///< full encoded DATA frame
     double deadline = 0.0;
     std::uint32_t attempts = 0;
   };
@@ -125,6 +142,8 @@ class SendChannel {
   std::uint64_t next_send_seq_ = 0;
   std::uint64_t send_base_ = 0;  ///< seq of out_.front()
   common::RingBuffer<OutPacket> out_;
+  /// Buffers of acked frames, reused by the next sends.
+  common::BufferPool frames_;
   Transport::TimerId timer_;
   std::optional<ChannelFault> fault_;
   std::size_t faults_entered_ = 0;
@@ -174,7 +193,7 @@ class RecvChannel {
  private:
   struct Parked {
     std::uint8_t flags = 0;
-    std::vector<std::uint8_t> payload;
+    common::BufferPool::Buffer payload;
   };
 
   void send_ack();
@@ -185,13 +204,16 @@ class RecvChannel {
 
   std::uint64_t next_deliver_seq_ = 0;
   common::RingBuffer<std::optional<Parked>> reorder_;
+  /// Buffers of parked payloads already delivered, reused by the next.
+  common::BufferPool parked_;
   std::size_t reorder_buffered_ = 0;
   std::size_t delivered_ = 0;
   std::size_t duplicates_ = 0;
   std::size_t window_overruns_ = 0;
 };
 
-/// Per-endpoint datagram demultiplexer: edge id → channel half.
+/// Per-endpoint datagram demultiplexer: edge id → channel half, in flat
+/// tables indexed by edge id (edge_table.h).
 class ChannelSet {
  public:
   using ControlFn = std::function<void(const Frame&, const Origin&)>;
@@ -209,15 +231,15 @@ class ChannelSet {
               const Origin& origin);
 
   /// Datagrams dropped: undecodable frames, unknown edges, DATA beyond the
-  /// receiver's reorder window. The robustness tests pin that garbage only
-  /// ever increments this — it never reaches a channel or kills the
-  /// process.
+  /// receiver's reorder window, ACKs beyond everything the sender sent.
+  /// The robustness tests pin that garbage only ever increments this — it
+  /// never reaches a channel or kills the process.
   [[nodiscard]] std::size_t rejected() const { return rejected_; }
   [[nodiscard]] std::size_t accepted() const { return accepted_; }
 
  private:
-  std::unordered_map<EdgeId, SendChannel*> senders_;
-  std::unordered_map<EdgeId, RecvChannel*> receivers_;
+  EdgeTable<SendChannel*> senders_;
+  EdgeTable<RecvChannel*> receivers_;
   ControlFn control_;
   std::size_t rejected_ = 0;
   std::size_t accepted_ = 0;

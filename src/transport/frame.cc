@@ -1,26 +1,37 @@
 #include "transport/frame.h"
 
+#include <algorithm>
 #include <array>
 
 namespace decseq::transport {
 
 namespace {
 
-/// Table for the reflected IEEE polynomial, built once at startup.
-const std::array<std::uint32_t, 256>& crc_table() {
-  static const std::array<std::uint32_t, 256> table = [] {
-    std::array<std::uint32_t, 256> t{};
-    for (std::uint32_t i = 0; i < 256; ++i) {
-      std::uint32_t c = i;
-      for (int k = 0; k < 8; ++k) {
-        c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-      }
-      t[i] = c;
+/// Slicing-by-8 tables for the reflected IEEE polynomial, computed at
+/// compile time. Table 0 is the classic bytewise table; table s advances a
+/// byte's contribution through s more zero bytes, so eight lookups fold
+/// eight input bytes into the CRC at once.
+constexpr std::size_t kCrcSlices = 8;
+using CrcTables = std::array<std::array<std::uint32_t, 256>, kCrcSlices>;
+
+constexpr CrcTables make_crc_tables() {
+  CrcTables t{};
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    std::uint32_t c = i;
+    for (int k = 0; k < 8; ++k) {
+      c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
     }
-    return t;
-  }();
-  return table;
+    t[0][i] = c;
+  }
+  for (std::size_t s = 1; s < kCrcSlices; ++s) {
+    for (std::uint32_t i = 0; i < 256; ++i) {
+      t[s][i] = (t[s - 1][i] >> 8) ^ t[0][t[s - 1][i] & 0xFFu];
+    }
+  }
+  return t;
 }
+
+constexpr CrcTables kCrcTables = make_crc_tables();
 
 void put_u32le(std::uint8_t* p, std::uint32_t v) {
   p[0] = static_cast<std::uint8_t>(v);
@@ -48,18 +59,55 @@ std::uint64_t get_u64le(const std::uint8_t* p) {
   return v;
 }
 
+/// Advance a raw (pre-inverted) CRC register over `size` bytes: eight
+/// bytes per step through the slicing tables, then bytewise for the tail.
+/// Loads are assembled byte by byte, like every field of the frame, so the
+/// result is the same on any host.
+std::uint32_t crc_update(std::uint32_t c, const std::uint8_t* data,
+                         std::size_t size) {
+  const CrcTables& t = kCrcTables;
+  for (; size >= 8; data += 8, size -= 8) {
+    const std::uint32_t lo = c ^ get_u32le(data);
+    const std::uint32_t hi = get_u32le(data + 4);
+    c = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+        t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^
+        t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
+  }
+  for (; size > 0; ++data, --size) {
+    c = t[0][(c ^ *data) & 0xFFu] ^ (c >> 8);
+  }
+  return c;
+}
+
 constexpr std::size_t kCrcOffset = 20;
 
 }  // namespace
 
 std::uint32_t crc32(const std::uint8_t* data, std::size_t size,
                     std::uint32_t seed) {
-  const auto& table = crc_table();
-  std::uint32_t c = seed ^ 0xFFFFFFFFu;
-  for (std::size_t i = 0; i < size; ++i) {
-    c = table[(c ^ data[i]) & 0xFFu] ^ (c >> 8);
+  return crc_update(seed ^ 0xFFFFFFFFu, data, size) ^ 0xFFFFFFFFu;
+}
+
+std::size_t encode_frame(std::uint8_t* out, FrameType type,
+                         std::uint8_t flags, EdgeId edge, std::uint64_t seq,
+                         const std::uint8_t* payload,
+                         std::size_t payload_size) {
+  out[0] = kFrameMagic0;
+  out[1] = kFrameMagic1;
+  out[2] = kFrameVersion;
+  out[3] = static_cast<std::uint8_t>(type);
+  out[4] = flags;
+  out[5] = out[6] = out[7] = 0;  // reserved
+  put_u32le(out + 8, edge);
+  put_u64le(out + 12, seq);
+  // CRC computed with its own field zeroed, then patched in.
+  put_u32le(out + kCrcOffset, 0);
+  if (payload_size > 0) {
+    std::copy_n(payload, payload_size, out + kFrameHeaderBytes);
   }
-  return c ^ 0xFFFFFFFFu;
+  const std::size_t size = kFrameHeaderBytes + payload_size;
+  put_u32le(out + kCrcOffset, crc32(out, size));
+  return size;
 }
 
 std::vector<std::uint8_t> encode_frame(FrameType type, std::uint8_t flags,
@@ -67,20 +115,7 @@ std::vector<std::uint8_t> encode_frame(FrameType type, std::uint8_t flags,
                                        const std::uint8_t* payload,
                                        std::size_t payload_size) {
   std::vector<std::uint8_t> out(kFrameHeaderBytes + payload_size);
-  out[0] = kFrameMagic0;
-  out[1] = kFrameMagic1;
-  out[2] = kFrameVersion;
-  out[3] = static_cast<std::uint8_t>(type);
-  out[4] = flags;
-  // out[5..7] reserved, already zero
-  put_u32le(out.data() + 8, edge);
-  put_u64le(out.data() + 12, seq);
-  // CRC computed with its own field zeroed, then patched in.
-  if (payload_size > 0) {
-    std::copy(payload, payload + payload_size,
-              out.begin() + static_cast<std::ptrdiff_t>(kFrameHeaderBytes));
-  }
-  put_u32le(out.data() + kCrcOffset, crc32(out.data(), out.size()));
+  encode_frame(out.data(), type, flags, edge, seq, payload, payload_size);
   return out;
 }
 
@@ -91,14 +126,16 @@ std::optional<Frame> decode_frame(const std::uint8_t* data, std::size_t size) {
   const std::uint8_t type = data[3];
   if (type < 1 || type > 4) return std::nullopt;
   if (data[5] != 0 || data[6] != 0 || data[7] != 0) return std::nullopt;
-  const std::uint32_t stated = get_u32le(data + kCrcOffset);
-  // Recompute over the frame with the CRC field zeroed — without mutating
-  // the caller's buffer: CRC over [0, 20), four zero bytes, then the rest.
-  static constexpr std::uint8_t kZeros[4] = {0, 0, 0, 0};
-  std::uint32_t c = crc32(data, kCrcOffset);
-  c = crc32(kZeros, 4, c);
-  c = crc32(data + kFrameHeaderBytes, size - kFrameHeaderBytes, c);
-  if (c != stated) return std::nullopt;
+  // One CRC pass over the frame with its CRC field zeroed, without
+  // mutating the caller's buffer: a zeroed copy of the header, then the
+  // payload in place.
+  std::array<std::uint8_t, kFrameHeaderBytes> header;
+  std::copy_n(data, kFrameHeaderBytes, header.begin());
+  put_u32le(header.data() + kCrcOffset, 0);
+  const std::uint32_t c =
+      crc_update(crc_update(0xFFFFFFFFu, header.data(), header.size()),
+                 data + kFrameHeaderBytes, size - kFrameHeaderBytes);
+  if ((c ^ 0xFFFFFFFFu) != get_u32le(data + kCrcOffset)) return std::nullopt;
   Frame frame;
   frame.type = static_cast<FrameType>(type);
   frame.flags = data[4];

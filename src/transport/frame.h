@@ -29,6 +29,12 @@
 // reach a channel — corruption costs a retransmit, never a desync (the
 // wire-robustness tests in tests/transport_test.cc feed exactly those).
 // The golden-hex test pins these bytes so the format is platform-stable.
+//
+// Neither direction touches the heap on the data path: encode_frame
+// writes into the caller's buffer (a channel's recycled frame buffer, or a
+// 24-byte array for an ACK), and decode_frame hands back a view of the
+// payload inside the datagram, which the message codec then decodes in
+// place. Each end makes one table-driven CRC pass over the frame.
 #pragma once
 
 #include <cstddef>
@@ -70,17 +76,32 @@ struct Frame {
 
 /// CRC-32 (IEEE, reflected polynomial 0xEDB88320), the UDP-payload
 /// integrity check the kernel's optional UDP checksum does not guarantee
-/// end-to-end through proxies and rewrites.
+/// end-to-end through proxies and rewrites. Table-driven, eight bytes per
+/// step (slicing-by-8); chains: crc32(b, nb, crc32(a, na)) is the CRC of
+/// a followed by b.
 [[nodiscard]] std::uint32_t crc32(const std::uint8_t* data, std::size_t size,
                                   std::uint32_t seed = 0);
 
-/// Serialize header + payload into one datagram buffer (CRC filled in).
+/// Serialize header + payload into `out`, which must have room for
+/// kFrameHeaderBytes + payload_size bytes (its prior contents do not
+/// matter); returns the frame size. The one frame encoder: reliable
+/// channels write DATA frames into recycled buffers and ACKs into a
+/// 24-byte array, so a hop's frames cost no heap allocation.
+std::size_t encode_frame(std::uint8_t* out, FrameType type,
+                         std::uint8_t flags, EdgeId edge, std::uint64_t seq,
+                         const std::uint8_t* payload = nullptr,
+                         std::size_t payload_size = 0);
+
+/// The same bytes in a fresh vector, for the JOIN/PEERS bootstrap, tests
+/// and benches.
 [[nodiscard]] std::vector<std::uint8_t> encode_frame(
     FrameType type, std::uint8_t flags, EdgeId edge, std::uint64_t seq,
     const std::uint8_t* payload = nullptr, std::size_t payload_size = 0);
 
 /// Parse a datagram. Returns nullopt for anything malformed: short buffer,
 /// bad magic/version, nonzero reserved bytes, unknown type, CRC mismatch.
+/// The CRC check is one pass over the frame; the returned payload is a
+/// view into `data`, never a copy.
 [[nodiscard]] std::optional<Frame> decode_frame(const std::uint8_t* data,
                                                 std::size_t size);
 

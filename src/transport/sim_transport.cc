@@ -1,5 +1,6 @@
 #include "transport/sim_transport.h"
 
+#include <algorithm>
 #include <utility>
 
 namespace decseq::transport {
@@ -29,25 +30,24 @@ void SimNet::add_edge(EdgeId id, std::uint32_t a, std::uint32_t b,
                       SimEdgeOptions options) {
   DECSEQ_CHECK(a < endpoints_.size() && b < endpoints_.size() && a != b);
   DECSEQ_CHECK(options.delay_ms >= 0.0 && options.jitter_ms >= 0.0);
-  const bool inserted = edges_.emplace(id, Edge{a, b, options}).second;
-  DECSEQ_CHECK_MSG(inserted, "duplicate sim edge " << id);
+  DECSEQ_CHECK_MSG(edges_.insert(id, Edge{a, b, options}),
+                   "duplicate sim edge " << id);
 }
 
 void SimNet::set_edge_options(EdgeId id, SimEdgeOptions options) {
-  const auto it = edges_.find(id);
-  DECSEQ_CHECK_MSG(it != edges_.end(), "unknown sim edge " << id);
-  it->second.options = options;
+  Edge* e = edges_.find(id);
+  DECSEQ_CHECK_MSG(e != nullptr, "unknown sim edge " << id);
+  e->options = options;
 }
 
 void SimNet::transmit(std::uint32_t from, EdgeId edge,
                       const std::uint8_t* data, std::size_t size) {
-  const auto it = edges_.find(edge);
-  DECSEQ_CHECK_MSG(it != edges_.end(), "send on unknown sim edge " << edge);
-  const Edge& e = it->second;
-  DECSEQ_CHECK_MSG(from == e.a || from == e.b,
+  const Edge* e = edges_.find(edge);
+  DECSEQ_CHECK_MSG(e != nullptr, "send on unknown sim edge " << edge);
+  DECSEQ_CHECK_MSG(from == e->a || from == e->b,
                    "endpoint " << from << " does not own edge " << edge);
-  const std::uint32_t to = from == e.a ? e.b : e.a;
-  const SimEdgeOptions& opt = e.options;
+  const std::uint32_t to = from == e->a ? e->b : e->a;
+  const SimEdgeOptions& opt = e->options;
   const auto draw_delay = [&] {
     double delay = opt.delay_ms;
     if (opt.jitter_ms > 0.0) delay += rng_.next_double() * opt.jitter_ms;
@@ -56,26 +56,30 @@ void SimNet::transmit(std::uint32_t from, EdgeId edge,
   if (opt.loss_probability > 0.0 && rng_.next_bool(opt.loss_probability)) {
     ++datagrams_dropped_;
   } else {
-    deliver_copy(from, to, std::vector<std::uint8_t>(data, data + size),
-                 draw_delay());
+    deliver_copy(from, to, data, size, draw_delay());
   }
   if (opt.duplicate_probability > 0.0 &&
       rng_.next_bool(opt.duplicate_probability)) {
-    deliver_copy(from, to, std::vector<std::uint8_t>(data, data + size),
-                 draw_delay());
+    deliver_copy(from, to, data, size, draw_delay());
   }
 }
 
 void SimNet::deliver_copy(std::uint32_t from, std::uint32_t to,
-                          std::vector<std::uint8_t> bytes, double delay) {
-  sim_->schedule_after(delay, [this, from, to, bytes = std::move(bytes)] {
-    ++datagrams_delivered_;
-    SimTransport& dst = *endpoints_[to];
-    if (!dst.sink_) return;
-    Origin origin;
-    origin.endpoint = from;
-    dst.sink_(bytes.data(), bytes.size(), origin);
-  });
+                          const std::uint8_t* data, std::size_t size,
+                          double delay) {
+  common::BufferPool::Buffer bytes = datagrams_.acquire(size);
+  std::copy_n(data, size, bytes.data());
+  sim_->schedule_after(
+      delay, [this, from, to, bytes = std::move(bytes)]() mutable {
+        ++datagrams_delivered_;
+        SimTransport& dst = *endpoints_[to];
+        if (dst.sink_) {
+          Origin origin;
+          origin.endpoint = from;
+          dst.sink_(bytes.data(), bytes.size(), origin);
+        }
+        datagrams_.release(std::move(bytes));
+      });
 }
 
 }  // namespace decseq::transport

@@ -6,6 +6,13 @@
 // optionally dropping, duplicating, or jittering it (seeded — runs are
 // bit-reproducible). Timers are the shared simulator's own.
 //
+// The copy is the fabric's "wire": it lands in a buffer recycled from
+// datagrams already delivered (common/buffer_pool.h), and the arrival
+// event carries that buffer inline in the simulator's callback, so a warm
+// fabric moves datagrams without touching the heap. The sink sees the
+// bytes in place; the buffer returns to the pool when the sink returns.
+// Edges live in a flat table indexed by edge id (edge_table.h).
+//
 // This is the deterministic driver for everything built on Transport: the
 // channel tests exercise loss/reorder recovery without sockets, and the
 // conformance test runs a whole multi-endpoint NodeEngine cluster —
@@ -17,12 +24,13 @@
 
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
+#include "common/buffer_pool.h"
 #include "common/check.h"
 #include "common/rng.h"
 #include "sim/simulator.h"
+#include "transport/edge_table.h"
 #include "transport/transport.h"
 
 namespace decseq::transport {
@@ -106,12 +114,14 @@ class SimNet {
   void transmit(std::uint32_t from, EdgeId edge, const std::uint8_t* data,
                 std::size_t size);
   void deliver_copy(std::uint32_t from, std::uint32_t to,
-                    std::vector<std::uint8_t> bytes, double delay);
+                    const std::uint8_t* data, std::size_t size, double delay);
 
   sim::Simulator* sim_;
   Rng rng_;
   std::vector<std::unique_ptr<SimTransport>> endpoints_;
-  std::unordered_map<EdgeId, Edge> edges_;
+  EdgeTable<Edge> edges_;
+  /// Buffers of delivered datagrams, reused by the next transmissions.
+  common::BufferPool datagrams_;
   std::size_t datagrams_delivered_ = 0;
   std::size_t datagrams_dropped_ = 0;
 };

@@ -13,10 +13,10 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <unordered_map>
 #include <vector>
 
 #include "common/check.h"
+#include "transport/edge_table.h"
 
 namespace decseq::transport {
 
@@ -52,7 +52,7 @@ std::uint32_t parse_ipv4(const std::string& dotted) {
 
 struct UdpTransport::Impl {
   int fd = -1;
-  std::unordered_map<EdgeId, sockaddr_in> peers;
+  EdgeTable<sockaddr_in> peers;
   std::vector<std::uint8_t> recv_buffer;
 };
 
@@ -82,11 +82,11 @@ UdpTransport::~UdpTransport() {
 }
 
 void UdpTransport::add_edge(EdgeId edge, UdpAddr peer) {
-  impl_->peers[edge] = to_sockaddr(peer);
+  impl_->peers.insert_or_assign(edge, to_sockaddr(peer));
 }
 
 bool UdpTransport::has_edge(EdgeId edge) const {
-  return impl_->peers.contains(edge);
+  return impl_->peers.find(edge) != nullptr;
 }
 
 void UdpTransport::send_to(UdpAddr peer, const std::uint8_t* data,
@@ -111,13 +111,11 @@ double UdpTransport::now_ms() {
 
 void UdpTransport::send(EdgeId edge, const std::uint8_t* data,
                         std::size_t size) {
-  const auto it = impl_->peers.find(edge);
-  DECSEQ_CHECK_MSG(it != impl_->peers.end(),
-                   "send on unregistered edge " << edge);
+  const sockaddr_in* peer = impl_->peers.find(edge);
+  DECSEQ_CHECK_MSG(peer != nullptr, "send on unregistered edge " << edge);
   const ssize_t n =
       ::sendto(impl_->fd, data, size, 0,
-               reinterpret_cast<const sockaddr*>(&it->second),
-               sizeof(it->second));
+               reinterpret_cast<const sockaddr*>(peer), sizeof(*peer));
   if (n < 0) {
     ++send_errors_;
   } else {

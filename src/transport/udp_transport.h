@@ -2,7 +2,8 @@
 //
 // One endpoint = one SOCK_DGRAM socket bound to a loopback (or given)
 // address; a directed edge is a peer socket address registered with
-// add_edge(), so send(edge, bytes) is a single sendto() and every inbound
+// add_edge() in a flat table indexed by edge id (edge_table.h), so
+// send(edge, bytes) is a table load and a single sendto(), and every inbound
 // datagram — whatever edge its frame names — arrives on the one socket and
 // is handed to the datagram sink with its source address (the JOIN
 // bootstrap needs the source; channels demux by the edge id inside the

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/rng.h"
 #include "protocol/codec.h"
 
@@ -11,6 +13,39 @@ Message sample_message() {
       {.id = MsgId(12345), .group = GroupId(7), .sender = NodeId(42),
        .group_seq = 300, .payload = 0xdeadbeefULL},
       {{AtomId(1), 1}, {AtomId(200), 129}, {AtomId(65536), 1ULL << 40}});
+}
+
+void expect_same_message(const Message& a, const Message& b) {
+  EXPECT_EQ(a.id(), b.id());
+  EXPECT_EQ(a.group(), b.group());
+  EXPECT_EQ(a.sender(), b.sender());
+  EXPECT_EQ(a.group_seq, b.group_seq);
+  EXPECT_EQ(a.payload(), b.payload());
+  EXPECT_EQ(a.body(), b.body());
+  ASSERT_EQ(a.stamps.size(), b.stamps.size());
+  for (std::size_t i = 0; i < a.stamps.size(); ++i) {
+    EXPECT_EQ(a.stamps[i], b.stamps[i]);
+  }
+}
+
+/// Decode `bytes` through both entry points: the vector form, and the span
+/// form reading the same bytes from inside a larger buffer of junk (a
+/// decoder straying past its span reads the junk). Both must reach the
+/// same verdict and the same message, and the span form must set the FIN
+/// flag it was handed. Returns the vector form's result.
+std::optional<Message> decode_both(const std::vector<std::uint8_t>& bytes) {
+  std::optional<Message> from_vector = decode_message(bytes);
+  std::vector<std::uint8_t> framed(bytes.size() + 16, 0x80);
+  std::copy(bytes.begin(), bytes.end(), framed.begin() + 8);
+  const std::optional<Message> from_span =
+      decode_message(framed.data() + 8, bytes.size(), /*is_fin=*/true);
+  EXPECT_EQ(from_vector.has_value(), from_span.has_value());
+  if (from_vector.has_value() && from_span.has_value()) {
+    expect_same_message(*from_vector, *from_span);
+    EXPECT_FALSE(from_vector->is_fin());
+    EXPECT_TRUE(from_span->is_fin());
+  }
+  return from_vector;
 }
 
 TEST(Varint, RoundTripsBoundaries) {
@@ -223,7 +258,7 @@ TEST(Codec, FuzzRandomBuffersNeverCrash) {
   for (int trial = 0; trial < 3000; ++trial) {
     std::vector<std::uint8_t> bytes(rng.next_below(64));
     for (auto& b : bytes) b = static_cast<std::uint8_t>(rng.next_below(256));
-    const auto decoded = decode_message(bytes);
+    const auto decoded = decode_both(bytes);
     if (decoded.has_value()) {
       // Anything that decodes must re-encode to the same bytes (canonical
       // encoding: one varint form per value).
@@ -239,7 +274,7 @@ TEST(Codec, FuzzBitFlipsRejectedOrReencodable) {
     auto mutated = wire;
     const std::size_t pos = rng.next_below(mutated.size());
     mutated[pos] ^= static_cast<std::uint8_t>(1u << rng.next_below(8));
-    const auto decoded = decode_message(mutated);
+    const auto decoded = decode_both(mutated);
     if (decoded.has_value()) {
       EXPECT_EQ(encode_message(*decoded), mutated);
     }
@@ -248,6 +283,10 @@ TEST(Codec, FuzzBitFlipsRejectedOrReencodable) {
 
 TEST(Codec, FuzzRandomMessagesRoundTrip) {
   Rng rng(987);
+  // One buffer reused across trials, dirty with the previous encoding and
+  // at first larger than any of them: encoding into it must equal a fresh
+  // encode.
+  std::vector<std::uint8_t> reused(512, 0xA5);
   for (int trial = 0; trial < 500; ++trial) {
     StampVec stamps;
     const std::size_t num_stamps = rng.next_below(12);
@@ -262,8 +301,12 @@ TEST(Codec, FuzzRandomMessagesRoundTrip) {
          .group_seq = rng(),
          .payload = rng()},
         std::move(stamps));
-    const auto decoded = decode_message(encode_message(m));
+    const std::vector<std::uint8_t> fresh = encode_message(m);
+    encode_message(m, reused);
+    EXPECT_EQ(reused, fresh);
+    const auto decoded = decode_both(fresh);
     ASSERT_TRUE(decoded.has_value());
+    expect_same_message(*decoded, m);
     EXPECT_EQ(decoded->group_seq, m.group_seq);
     EXPECT_EQ(decoded->payload(), m.payload());
     ASSERT_EQ(decoded->stamps.size(), m.stamps.size());
