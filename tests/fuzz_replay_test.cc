@@ -5,7 +5,6 @@
 // for the whole protocol stack, and runs under the sanitizer CI job too.
 //
 // DECSEQ_FUZZ_CORPUS_DIR is injected by tests/CMakeLists.txt.
-#include <algorithm>
 #include <filesystem>
 #include <sstream>
 #include <string>
@@ -16,21 +15,12 @@
 #include "fuzz/oracle.h"
 #include "fuzz/repro.h"
 #include "fuzz/runner.h"
+#include "tests/test_util.h"
 
 namespace decseq::fuzz {
 namespace {
 
-std::vector<std::filesystem::path> corpus_files() {
-  namespace fs = std::filesystem;
-  const fs::path dir = DECSEQ_FUZZ_CORPUS_DIR;
-  std::vector<fs::path> files;
-  if (!fs::is_directory(dir)) return files;
-  for (const fs::directory_entry& entry : fs::directory_iterator(dir)) {
-    if (entry.path().extension() == ".repro") files.push_back(entry.path());
-  }
-  std::sort(files.begin(), files.end());
-  return files;
-}
+using test::corpus_files;
 
 /// Byte-stable rendering of a trace (mirror of tests/fuzz_test.cc).
 std::string fingerprint(const RunTrace& t) {

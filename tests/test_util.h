@@ -4,6 +4,7 @@
 #pragma once
 
 #include <algorithm>
+#include <filesystem>
 #include <map>
 #include <optional>
 #include <string>
@@ -63,6 +64,21 @@ inline membership::GroupMembership make_membership(
 inline std::optional<std::string> find_order_violation(
     const std::vector<pubsub::Delivery>& log) {
   return metrics::find_order_violation(log);
+}
+
+/// The committed fuzz corpus (fuzz/corpus/*.repro), sorted; empty if the
+/// directory is missing. DECSEQ_FUZZ_CORPUS_DIR is injected by
+/// tests/CMakeLists.txt.
+inline std::vector<std::filesystem::path> corpus_files() {
+  namespace fs = std::filesystem;
+  const fs::path dir = DECSEQ_FUZZ_CORPUS_DIR;
+  std::vector<fs::path> files;
+  if (!fs::is_directory(dir)) return files;
+  for (const fs::directory_entry& entry : fs::directory_iterator(dir)) {
+    if (entry.path().extension() == ".repro") files.push_back(entry.path());
+  }
+  std::sort(files.begin(), files.end());
+  return files;
 }
 
 }  // namespace decseq::test
