@@ -5,7 +5,9 @@
 // for the whole protocol stack, and runs under the sanitizer CI job too.
 //
 // DECSEQ_FUZZ_CORPUS_DIR is injected by tests/CMakeLists.txt.
+#include <cstdint>
 #include <filesystem>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -37,6 +39,39 @@ std::string fingerprint(const RunTrace& t) {
   os << '\n' << t.threw << ':' << t.exception_what;
   return os.str();
 }
+
+/// 64-bit FNV-1a over `bytes`.
+std::uint64_t fnv1a64(const std::string& bytes) {
+  std::uint64_t h = 14695981039346656037ULL;
+  for (const unsigned char c : bytes) {
+    h ^= c;
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
+/// FNV-1a digests of every corpus file's fingerprint(), on the classic
+/// single-threaded runtime and on the sharded runtime with one shard. The
+/// replay is libm-free (no transcendental function on the fuzz path), so
+/// the digests hold in optimised and sanitizer builds alike. Regenerate an
+/// entry only for a deliberate change of observable behaviour, and say so
+/// in the commit; an engine refactor must leave the table untouched.
+struct GoldenDigest {
+  const char* file;
+  std::uint64_t unsharded;
+  std::uint64_t one_shard;
+};
+constexpr GoldenDigest kGoldenDigests[] = {
+    {"hostile-seed-2.repro", 0xb16c69f9967dd9c1ULL, 0x179161e020608046ULL},
+    {"hostile-seed-9.repro", 0x6b0f69eb7e685b45ULL, 0x6b0f69eb7e685b45ULL},
+    {"seed-1.repro", 0xdd2f0236e8339c8cULL, 0x4d347c9f51d3e4e4ULL},
+    {"seed-10.repro", 0x01518951486e3ef3ULL, 0x01518951486e3ef3ULL},
+    {"seed-22.repro", 0xed4e4360d291da2fULL, 0xed4e4360d291da2fULL},
+    {"seed-25.repro", 0xb2a1f58007e8e2daULL, 0xb2a1f58007e8e2daULL},
+    {"seed-29.repro", 0xe21206492eb3e101ULL, 0x349df3a8cc497707ULL},
+    {"seed-6.repro", 0x8be4853624998ee9ULL, 0x8be4853624998ee9ULL},
+    {"seed-7.repro", 0xe35b8edad75d20b5ULL, 0xe35b8edad75d20b5ULL},
+};
 
 TEST(FuzzReplay, CorpusPassesAllOracles) {
   const auto files = corpus_files();
@@ -80,6 +115,43 @@ TEST(FuzzReplay, CorpusMatchesAcrossShardCounts) {
           << "1 vs " << shards << " shards";
     }
   }
+}
+
+TEST(FuzzReplay, CorpusTracesMatchGoldenDigests) {
+  // The oracle and shard-count tests above stay green if an engine change
+  // reorders same-instant events consistently everywhere; these digests
+  // pin the traces themselves.
+  const auto files = corpus_files();
+  ASSERT_FALSE(files.empty());
+  std::size_t matched = 0;
+  for (const auto& file : files) {
+    const std::string name = file.filename().string();
+    SCOPED_TRACE(name);
+    const GoldenDigest* golden = nullptr;
+    for (const GoldenDigest& g : kGoldenDigests) {
+      if (name == g.file) golden = &g;
+    }
+    if (golden != nullptr) ++matched;
+    const Scenario scenario = load_repro(file.string());
+    for (const std::size_t shards : {std::size_t{0}, std::size_t{1}}) {
+      RunnerOptions options;
+      options.shards = shards;
+      const RunTrace trace = run_scenario(scenario, options);
+      EXPECT_FALSE(trace.threw) << trace.exception_what;
+      const std::uint64_t got = fnv1a64(fingerprint(trace));
+      if (golden == nullptr) {
+        ADD_FAILURE() << "no golden digest; shards " << shards << " gives 0x"
+                      << std::hex << got;
+        continue;
+      }
+      const std::uint64_t want =
+          shards == 0 ? golden->unsharded : golden->one_shard;
+      EXPECT_EQ(want, got) << "shards " << shards << ": want 0x" << std::hex
+                           << want << ", got 0x" << got;
+    }
+  }
+  EXPECT_EQ(matched, std::size(kGoldenDigests))
+      << "a golden digest names a file missing from the corpus";
 }
 
 }  // namespace
