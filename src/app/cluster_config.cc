@@ -1,6 +1,7 @@
 #include "app/cluster_config.h"
 
 #include <algorithm>
+#include <cmath>
 #include <fstream>
 #include <sstream>
 #include <utility>
@@ -170,6 +171,9 @@ ClusterConfig read_cluster_config(std::istream& in) {
       DECSEQ_CHECK(static_cast<bool>(tokens >> config.seed));
     } else if (keyword == "rto") {
       DECSEQ_CHECK(static_cast<bool>(tokens >> config.retransmit_timeout_ms));
+      DECSEQ_CHECK_MSG(std::isfinite(config.retransmit_timeout_ms) &&
+                           config.retransmit_timeout_ms > 0.0,
+                       "rto must be finite and positive");
     } else if (keyword == "budget") {
       DECSEQ_CHECK(static_cast<bool>(tokens >> config.max_retransmits));
     } else if (keyword == "host") {

@@ -1,5 +1,6 @@
 #include "fuzz/repro.h"
 
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <istream>
@@ -182,10 +183,18 @@ Scenario read_repro(std::istream& in) {
     } else if (kw == "loss") {
       parser.want_arity(tokens, 2);
       s.loss_probability = parser.parse_double(tokens[1]);
+      // At a loss of 1 no packet ever crosses and the replay never ends.
+      if (!(s.loss_probability >= 0.0 && s.loss_probability < 1.0)) {
+        parser.fail("loss must lie in [0, 1)");
+      }
       saw_loss = true;
     } else if (kw == "rto") {
       parser.want_arity(tokens, 2);
       s.retransmit_timeout_ms = parser.parse_double(tokens[1]);
+      if (!(std::isfinite(s.retransmit_timeout_ms) &&
+            s.retransmit_timeout_ms > 0.0)) {
+        parser.fail("rto must be finite and positive");
+      }
       saw_rto = true;
     } else if (kw == "budget") {
       // Optional (format extension): absent in pre-budget files, which

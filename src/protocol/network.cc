@@ -1,6 +1,7 @@
 #include "protocol/network.h"
 
 #include <algorithm>
+#include <cmath>
 #include <map>
 #include <utility>
 
@@ -65,6 +66,9 @@ SequencingNetwork::SequencingNetwork(
       publisher_down_(membership.num_nodes(), false),
       physical_network_(physical_network),
       engine_(engine) {
+  // The ingress retry backs off from the channels' timeout as well.
+  DECSEQ_CHECK(std::isfinite(options_.channel.retransmit_timeout_ms) &&
+               options_.channel.retransmit_timeout_ms > 0.0);
   DECSEQ_CHECK_MSG(!options_.tree_distribution || physical_network_ != nullptr,
                    "tree distribution needs the physical network graph");
   DECSEQ_CHECK_MSG(engine_ == nullptr || !options_.tree_distribution,

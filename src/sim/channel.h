@@ -59,6 +59,7 @@
 #pragma once
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <functional>
 #include <limits>
@@ -110,6 +111,10 @@ class Channel {
   Channel(Simulator& sim, Rng& rng, Time delay_ms, ChannelOptions options = {})
       : sim_(&sim), rng_(&rng), delay_ms_(delay_ms), options_(options) {
     DECSEQ_CHECK(delay_ms >= 0.0);
+    // A zero timeout re-arms at the same instant forever, each expiry
+    // queueing one more retransmission: the simulator never advances.
+    DECSEQ_CHECK(std::isfinite(options_.retransmit_timeout_ms) &&
+                 options_.retransmit_timeout_ms > 0.0);
     DECSEQ_CHECK(options_.backoff_factor >= 1.0);
     DECSEQ_CHECK(options_.max_backoff_factor >= 1.0);
     DECSEQ_CHECK(options_.backoff_jitter >= 0.0);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cmath>
 #include <limits>
 #include <utility>
 
@@ -12,6 +13,8 @@ namespace decseq::transport {
 SendChannel::SendChannel(Transport& transport, Rng& rng, EdgeId edge,
                          ChannelOptions options)
     : transport_(&transport), rng_(&rng), edge_(edge), options_(options) {
+  DECSEQ_CHECK(std::isfinite(options_.retransmit_timeout_ms) &&
+               options_.retransmit_timeout_ms > 0.0);
   DECSEQ_CHECK(options_.backoff_factor >= 1.0);
   DECSEQ_CHECK(options_.max_backoff_factor >= 1.0);
   DECSEQ_CHECK(options_.backoff_jitter >= 0.0);

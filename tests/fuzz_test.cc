@@ -198,6 +198,22 @@ TEST(FuzzRepro, RejectsMalformedInput) {
   EXPECT_THROW(parse(header + "phase\njoin 0 x\nend\n"), CheckFailure);
   // Missing header field.
   EXPECT_THROW(parse("scenario v1\nseed 1\nphase\nend\n"), CheckFailure);
+  // A timeout that is not finite and positive, or a loss outside [0, 1):
+  // rto 0 re-arms the retransmit timer at the same instant forever, and at
+  // loss 1 no packet ever crosses.
+  const std::string body = "phase\ncreate 0 1\nend\n";
+  const std::string head = "scenario v1\nseed 1\nhosts 8\nclusters 2\n";
+  for (const char* rto : {"0", "-0", "-5", "nan", "inf"}) {
+    EXPECT_THROW(parse(head + "loss 0\nrto " + rto + "\n" + body),
+                 CheckFailure)
+        << "rto " << rto;
+  }
+  for (const char* loss : {"nan", "-0.1", "1", "1.5", "inf"}) {
+    EXPECT_THROW(parse(head + "loss " + loss + "\nrto 40\n" + body),
+                 CheckFailure)
+        << "loss " << loss;
+  }
+  EXPECT_NO_THROW(parse(head + "loss 0.999\nrto 0.001\n" + body));
   // Comments and blank lines are fine.
   EXPECT_NO_THROW(parse("# hi\n" + header + "\nphase\ncreate 0 1\nend\n"));
 }

@@ -7,8 +7,10 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -265,6 +267,22 @@ struct SimLink {
     sender->send(payload.data(), payload.size());
   }
 };
+
+TEST(Channel, SendChannelRejectsNonPositiveRetransmitTimeout) {
+  sim::Simulator sim;
+  SimNet net(sim, 99);
+  net.add_endpoints(2);
+  net.add_edge(1, 0, 1, SimEdgeOptions{});
+  Rng rng(7);
+  for (const double rto : {0.0, -5.0, std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+    ChannelOptions options;
+    options.retransmit_timeout_ms = rto;
+    EXPECT_THROW(SendChannel(net.endpoint(0), rng, 1, options), CheckFailure)
+        << "rto " << rto;
+  }
+  EXPECT_EQ(sim.events_scheduled(), 0u);
+}
 
 TEST(Channel, InOrderExactlyOnceUnderLossDupAndReorder) {
   SimEdgeOptions chaos;
@@ -636,6 +654,27 @@ TEST(SimCluster, ConformsOnWholeCorpus) {
 }
 
 // --- Control codec -------------------------------------------------------
+
+TEST(ClusterConfig, RejectsNonPositiveRto) {
+  app::ClusterConfig config;
+  config.num_ranks = 2;
+  std::ostringstream out;
+  app::write_cluster_config(config, out);
+  const std::string text = out.str();
+  const std::string rto_line = "rto 50\n";
+  const std::size_t at = text.find(rto_line);
+  ASSERT_NE(at, std::string::npos) << text;
+  const auto parse = [&](const std::string& rto) {
+    std::string edited = text;
+    edited.replace(at, rto_line.size(), "rto " + rto + "\n");
+    std::istringstream in(edited);
+    return app::read_cluster_config(in);
+  };
+  EXPECT_EQ(parse("0.5").retransmit_timeout_ms, 0.5);
+  for (const char* rto : {"0", "-0", "-5", "nan", "inf"}) {
+    EXPECT_THROW(parse(rto), CheckFailure) << "rto " << rto;
+  }
+}
 
 TEST(ControlCodec, CommandRoundTrips) {
   app::Command command;
