@@ -14,7 +14,14 @@
 //    comparisons stay inside the contiguous heap array;
 //  * every slot records its heap position, which makes cancellation O(log n)
 //    removal instead of a tombstone draining through the queue. Channels use
-//    this to disarm a packet's retransmit timer the moment it is acked.
+//    this to disarm a packet's retransmit timer the moment it is acked;
+//  * an event scheduled for the current instant (most often a zero-delay
+//    hop between colocated atoms, or its ack) skips the heap: it joins the
+//    back of a FIFO lane, and fire_next() fires the heap's entries due now,
+//    then the lane, and only then advances the clock. Every lane event was
+//    scheduled after every heap entry due now and is due before every other
+//    heap entry, so the (time, insertion sequence) fire order is exactly the
+//    heap-only one.
 #pragma once
 
 #include <algorithm>
@@ -25,6 +32,7 @@
 #include <vector>
 
 #include "common/check.h"
+#include "common/ring_buffer.h"
 #include "sim/callback.h"
 
 namespace decseq::sim {
@@ -79,7 +87,13 @@ class Simulator {
     }
     ++events_scheduled_;
     if (pool_[slot].heap_allocated()) ++callback_heap_spills_;
-    heap_push(HeapEntry{t, static_cast<std::uint32_t>(next_seq_++), slot});
+    if (t == now_) {
+      meta_[slot].heap_pos = kInLane;
+      lane_.push_back(LaneEntry{slot, meta_[slot].gen});
+      ++lane_live_;
+    } else {
+      heap_push(HeapEntry{t, static_cast<std::uint32_t>(next_seq_++), slot});
+    }
     return TimerId(slot, meta_[slot].gen);
   }
 
@@ -97,7 +111,13 @@ class Simulator {
     if (id.slot_ >= meta_.size()) return false;
     SlotMeta& meta = meta_[id.slot_];
     if (meta.gen != id.gen_ || meta.heap_pos == kNpos) return false;
-    heap_remove(meta.heap_pos);
+    if (meta.heap_pos == kInLane) {
+      // The ring entry stays until popped; its generation no longer
+      // matches once the slot is released, so fire_lane_front() skips it.
+      lane_release_one();
+    } else {
+      heap_remove(meta.heap_pos);
+    }
     release_slot(id.slot_);
     ++timers_cancelled_;
     return true;
@@ -106,7 +126,7 @@ class Simulator {
   /// Run until the event queue drains. Returns the number of events fired.
   std::size_t run() {
     std::size_t fired = 0;
-    while (!heap_.empty()) {
+    while (!idle()) {
       fire_next();
       ++fired;
     }
@@ -116,7 +136,7 @@ class Simulator {
   /// Run until simulated time exceeds `deadline` or the queue drains.
   std::size_t run_until(Time deadline) {
     std::size_t fired = 0;
-    while (!heap_.empty() && heap_.front().time <= deadline) {
+    while (!idle() && next_event_time() <= deadline) {
       fire_next();
       ++fired;
     }
@@ -133,7 +153,7 @@ class Simulator {
   /// events, exactly like the single-simulator FIFO tie-break.
   std::size_t run_before(Time deadline) {
     std::size_t fired = 0;
-    while (!heap_.empty() && heap_.front().time < deadline) {
+    while (!idle() && next_event_time() < deadline) {
       fire_next();
       ++fired;
     }
@@ -142,6 +162,7 @@ class Simulator {
 
   /// Time of the earliest pending event; +infinity when idle.
   [[nodiscard]] Time next_event_time() const {
+    if (lane_live_ != 0) return now_;
     return heap_.empty() ? std::numeric_limits<Time>::infinity()
                          : heap_.front().time;
   }
@@ -153,14 +174,16 @@ class Simulator {
   /// those mutations observe the same now() they would in a single
   /// simulator.
   void advance_to(Time t) {
-    DECSEQ_CHECK_MSG(heap_.empty() || heap_.front().time >= t,
+    DECSEQ_CHECK_MSG(idle() || next_event_time() >= t,
                      "advance_to(" << t << ") would skip an event at "
-                                   << heap_.front().time);
+                                   << next_event_time());
     if (now_ < t) now_ = t;
   }
 
-  [[nodiscard]] bool idle() const { return heap_.empty(); }
-  [[nodiscard]] std::size_t pending() const { return heap_.size(); }
+  [[nodiscard]] bool idle() const { return heap_.empty() && lane_live_ == 0; }
+  [[nodiscard]] std::size_t pending() const {
+    return heap_.size() + lane_live_;
+  }
 
   // --- Event counters (cumulative over the simulator's lifetime). ---
   [[nodiscard]] std::size_t events_fired() const { return events_fired_; }
@@ -177,6 +200,8 @@ class Simulator {
 
  private:
   static constexpr std::uint32_t kNpos = 0xffffffffu;
+  /// heap_pos of a slot waiting in the lane rather than the heap.
+  static constexpr std::uint32_t kInLane = 0xfffffffeu;
 
   /// Per-slot bookkeeping for cancel(), kept in a dense side array: sift
   /// operations rewrite heap_pos constantly, and an 8-byte-stride array
@@ -197,6 +222,13 @@ class Simulator {
     Time time;
     std::uint32_t seq;
     std::uint32_t slot;
+  };
+
+  /// A lane event: its slot and the generation it was scheduled under.
+  /// Lane events need no sort key, since they fire in ring order.
+  struct LaneEntry {
+    std::uint32_t slot = 0;
+    std::uint32_t gen = 0;
   };
 
   [[nodiscard]] static bool before(const HeapEntry& a, const HeapEntry& b) {
@@ -283,7 +315,14 @@ class Simulator {
     meta_[entry.slot].heap_pos = pos;
   }
 
+  /// Fire the earliest event. Heap entries due now go first: they were all
+  /// scheduled before the clock reached now, so before every lane event.
+  /// The lane then empties before the clock may move on.
   void fire_next() {
+    if (lane_live_ != 0 && (heap_.empty() || heap_.front().time != now_)) {
+      fire_lane_front();
+      return;
+    }
     const HeapEntry front = heap_.front();
     now_ = front.time;
     // Move the callback out and free the slot before invoking: the callback
@@ -293,6 +332,29 @@ class Simulator {
     release_slot(front.slot);
     ++events_fired_;
     cb();
+  }
+
+  /// Fire the oldest live lane event, dropping the entries of cancelled
+  /// ones on the way (a released slot's generation has moved on).
+  void fire_lane_front() {
+    LaneEntry entry = lane_.front();
+    lane_.pop_front();
+    while (meta_[entry.slot].gen != entry.gen) {
+      entry = lane_.front();
+      lane_.pop_front();
+    }
+    lane_release_one();
+    Callback cb = std::move(pool_[entry.slot]);
+    release_slot(entry.slot);
+    ++events_fired_;
+    cb();
+  }
+
+  /// One live lane event fired or was cancelled. With none left, the
+  /// ring's remaining entries are all stale: drop them, so none outlives
+  /// its instant.
+  void lane_release_one() {
+    if (--lane_live_ == 0) lane_.clear();
   }
 
   Time now_ = 0.0;
@@ -305,6 +367,11 @@ class Simulator {
   std::vector<SlotMeta> meta_;
   std::vector<std::uint32_t> free_;
   std::vector<HeapEntry> heap_;
+  /// Events due at now_, in scheduling order, plus the not-yet-popped
+  /// entries of cancelled ones; lane_live_ counts the live entries. Grows
+  /// to its high-water mark and then stops allocating.
+  common::RingBuffer<LaneEntry> lane_;
+  std::size_t lane_live_ = 0;
 };
 
 }  // namespace decseq::sim
