@@ -9,22 +9,27 @@
 //  * events live in a slab pool of reusable slots — scheduling in steady
 //    state allocates nothing, and callbacks up to the inline budget of
 //    sim::Simulator::Callback are stored in place;
-//  * a 4-ary min-heap of (time, insertion sequence, slot) entries orders
-//    events — ties fire FIFO, so runs are deterministic, and sift
-//    comparisons stay inside the contiguous heap array;
-//  * every slot records its heap position, which makes cancellation O(log n)
-//    removal instead of a tombstone draining through the queue. Channels use
-//    this to disarm a packet's retransmit timer the moment it is acked;
-//  * an event scheduled for the current instant (most often a zero-delay
-//    hop between colocated atoms, or its ack) skips the heap: it joins the
-//    back of a FIFO lane, and fire_next() fires the heap's entries due now,
-//    then the lane, and only then advances the clock. Every lane event was
-//    scheduled after every heap entry due now and is due before every other
-//    heap entry, so the (time, insertion sequence) fire order is exactly the
-//    heap-only one.
+//  * a monotone radix queue orders them (Ahuja, Mehlhorn, Orlin and
+//    Tarjan, "Faster algorithms for the shortest path problem", JACM 1990).
+//    Event times never go backwards, and the bit patterns of non-negative
+//    doubles sort like the doubles, so each event is keyed on its time's
+//    bits and sits in the FIFO bucket of the highest bit in which its key
+//    differs from the queue's base key; bucket 0 holds the keys equal to
+//    the base. The buckets are doubly-linked lists threaded through the
+//    per-slot metadata: scheduling is one append, and cancelling is one
+//    unlink (a channel disarms an acked packet's retransmit timer in O(1),
+//    with no tombstone left behind);
+//  * firing pops the head of bucket 0. When bucket 0 is empty, the queue
+//    first rebases on the smallest key of the lowest non-empty bucket and
+//    redistributes that bucket, in list order, into the buckets below it,
+//    which are all empty. Equal keys always share a bucket, keep their
+//    insertion order inside it, and only move together into an empty one,
+//    so events fire in (time, insertion order) without a sequence number:
+//    ties fire FIFO, and runs are deterministic.
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <limits>
 #include <type_traits>
@@ -32,7 +37,6 @@
 #include <vector>
 
 #include "common/check.h"
-#include "common/ring_buffer.h"
 #include "sim/callback.h"
 
 namespace decseq::sim {
@@ -87,13 +91,11 @@ class Simulator {
     }
     ++events_scheduled_;
     if (pool_[slot].heap_allocated()) ++callback_heap_spills_;
-    if (t == now_) {
-      meta_[slot].heap_pos = kInLane;
-      lane_.push_back(LaneEntry{slot, meta_[slot].gen});
-      ++lane_live_;
-    } else {
-      heap_push(HeapEntry{t, static_cast<std::uint32_t>(next_seq_++), slot});
-    }
+    // -0.0 passes the check at time 0, but its sign bit would sort it after
+    // every positive time; adding +0.0 turns it into +0.0.
+    meta_[slot].key = std::bit_cast<std::uint64_t>(t + 0.0);
+    append(slot);
+    ++pending_;
     return TimerId(slot, meta_[slot].gen);
   }
 
@@ -109,15 +111,9 @@ class Simulator {
   /// Safe to call with stale or default handles.
   bool cancel(TimerId id) {
     if (id.slot_ >= meta_.size()) return false;
-    SlotMeta& meta = meta_[id.slot_];
-    if (meta.gen != id.gen_ || meta.heap_pos == kNpos) return false;
-    if (meta.heap_pos == kInLane) {
-      // The ring entry stays until popped; its generation no longer
-      // matches once the slot is released, so fire_lane_front() skips it.
-      lane_release_one();
-    } else {
-      heap_remove(meta.heap_pos);
-    }
+    const SlotMeta& meta = meta_[id.slot_];
+    if (meta.gen != id.gen_ || meta.key == kFreeKey) return false;
+    unlink(id.slot_);
     release_slot(id.slot_);
     ++timers_cancelled_;
     return true;
@@ -160,11 +156,13 @@ class Simulator {
     return fired;
   }
 
-  /// Time of the earliest pending event; +infinity when idle.
+  /// Time of the earliest pending event; +infinity when idle. A peek only:
+  /// the base moves when an event fires, never here, so callers may still
+  /// advance_to() any time up to the answer and schedule there.
   [[nodiscard]] Time next_event_time() const {
-    if (lane_live_ != 0) return now_;
-    return heap_.empty() ? std::numeric_limits<Time>::infinity()
-                         : heap_.front().time;
+    if (idle()) return std::numeric_limits<Time>::infinity();
+    if ((occupied_ & 1u) != 0) return std::bit_cast<Time>(base_);
+    return std::bit_cast<Time>(min_key(lowest_bucket()));
   }
 
   /// Jump the clock forward to `t` (no-op if already past it). Only legal
@@ -180,10 +178,8 @@ class Simulator {
     if (now_ < t) now_ = t;
   }
 
-  [[nodiscard]] bool idle() const { return heap_.empty() && lane_live_ == 0; }
-  [[nodiscard]] std::size_t pending() const {
-    return heap_.size() + lane_live_;
-  }
+  [[nodiscard]] bool idle() const { return occupied_ == 0; }
+  [[nodiscard]] std::size_t pending() const { return pending_; }
 
   // --- Event counters (cumulative over the simulator's lifetime). ---
   [[nodiscard]] std::size_t events_fired() const { return events_fired_; }
@@ -199,42 +195,21 @@ class Simulator {
   }
 
  private:
-  static constexpr std::uint32_t kNpos = 0xffffffffu;
-  /// heap_pos of a slot waiting in the lane rather than the heap.
-  static constexpr std::uint32_t kInLane = 0xfffffffeu;
+  /// Keys never exceed the bits of +infinity, so bit 63 never differs
+  /// from the base's and buckets 0..63 cover every key.
+  static constexpr unsigned kBuckets = 64;
+  static constexpr std::uint32_t kNil = 0xffffffffu;
+  /// Key of a slot with no pending event (above every time's bits).
+  static constexpr std::uint64_t kFreeKey = ~std::uint64_t{0};
 
-  /// Per-slot bookkeeping for cancel(), kept in a dense side array: sift
-  /// operations rewrite heap_pos constantly, and an 8-byte-stride array
-  /// stays cache-resident where the callback pool (one cache line per slot)
-  /// would not.
+  /// Per-slot bookkeeping, kept apart from the callback pool (one cache
+  /// line per slot): the event's key and its bucket-list links.
   struct SlotMeta {
+    std::uint64_t key = kFreeKey;
     std::uint32_t gen = 0;
-    std::uint32_t heap_pos = kNpos;
+    std::uint32_t prev = kNil;
+    std::uint32_t next = kNil;
   };
-
-  /// Heap entries carry their own sort keys, so sift comparisons never
-  /// leave the contiguous heap array. 16 bytes — four entries per cache
-  /// line. The insertion sequence is truncated to 32 bits and compared in
-  /// a wraparound window (serial-number arithmetic): FIFO tie-breaking
-  /// only ever compares events scheduled for the same instant, which are
-  /// never 2^31 schedule calls apart.
-  struct HeapEntry {
-    Time time;
-    std::uint32_t seq;
-    std::uint32_t slot;
-  };
-
-  /// A lane event: its slot and the generation it was scheduled under.
-  /// Lane events need no sort key, since they fire in ring order.
-  struct LaneEntry {
-    std::uint32_t slot = 0;
-    std::uint32_t gen = 0;
-  };
-
-  [[nodiscard]] static bool before(const HeapEntry& a, const HeapEntry& b) {
-    if (a.time != b.time) return a.time < b.time;
-    return static_cast<std::int32_t>(a.seq - b.seq) < 0;
-  }
 
   std::uint32_t acquire_slot() {
     if (!free_.empty()) {
@@ -251,114 +226,104 @@ class Simulator {
   /// every outstanding TimerId for it.
   void release_slot(std::uint32_t slot) {
     pool_[slot].reset();
-    meta_[slot].heap_pos = kNpos;
+    meta_[slot].key = kFreeKey;
     ++meta_[slot].gen;
     free_.push_back(slot);
   }
 
-  // 4-ary implicit heap of (time, seq, slot) entries: children of i are
-  // 4i+1..4i+4. Shallower than a binary heap, and the sort keys travel with
-  // the entries, so sift comparisons never leave the heap array.
-  void heap_push(HeapEntry entry) {
-    meta_[entry.slot].heap_pos = static_cast<std::uint32_t>(heap_.size());
-    heap_.push_back(entry);
-    sift_up(static_cast<std::uint32_t>(heap_.size() - 1));
+  /// 0 when `key` equals the base, else one plus the index of the highest
+  /// bit in which they differ.
+  [[nodiscard]] unsigned bucket_of(std::uint64_t key) const {
+    return static_cast<unsigned>(std::bit_width(key ^ base_));
   }
 
-  void heap_remove(std::uint32_t pos) {
-    const std::uint32_t last = static_cast<std::uint32_t>(heap_.size() - 1);
-    if (pos != last) {
-      heap_[pos] = heap_[last];
-      meta_[heap_[pos].slot].heap_pos = pos;
+  [[nodiscard]] unsigned lowest_bucket() const {
+    return static_cast<unsigned>(std::countr_zero(occupied_));
+  }
+
+  void append(std::uint32_t slot) {
+    const unsigned b = bucket_of(meta_[slot].key);
+    const std::uint64_t bit = std::uint64_t{1} << b;
+    SlotMeta& meta = meta_[slot];
+    meta.next = kNil;
+    if ((occupied_ & bit) != 0) {
+      meta.prev = tail_[b];
+      meta_[tail_[b]].next = slot;
+    } else {
+      meta.prev = kNil;
+      head_[b] = slot;
+      occupied_ |= bit;
     }
-    heap_.pop_back();
-    if (pos < heap_.size()) {
-      // The element moved into `pos` may belong either further down or
-      // further up; one of the two sifts is a no-op.
-      const std::uint32_t moved = heap_[pos].slot;
-      sift_down(pos);
-      sift_up(meta_[moved].heap_pos);
+    tail_[b] = slot;
+  }
+
+  void unlink(std::uint32_t slot) {
+    const SlotMeta& meta = meta_[slot];
+    const unsigned b = bucket_of(meta.key);
+    if (meta.prev == kNil) {
+      head_[b] = meta.next;
+    } else {
+      meta_[meta.prev].next = meta.next;
+    }
+    if (meta.next == kNil) {
+      tail_[b] = meta.prev;
+    } else {
+      meta_[meta.next].prev = meta.prev;
+    }
+    if (meta.prev == kNil && meta.next == kNil) {
+      occupied_ &= ~(std::uint64_t{1} << b);
+    }
+    --pending_;
+  }
+
+  [[nodiscard]] std::uint64_t min_key(unsigned b) const {
+    std::uint64_t min = kFreeKey;
+    for (std::uint32_t s = head_[b]; s != kNil; s = meta_[s].next) {
+      min = std::min(min, meta_[s].key);
+    }
+    return min;
+  }
+
+  /// Make the smallest pending key the base. Every key in the lowest
+  /// non-empty bucket b agrees with the new base above bit b-1, so each
+  /// lands in a bucket below b, all of them empty; keys in higher buckets
+  /// differ from the new base where they differed from the old one, so
+  /// they stay put.
+  void rebase() {
+    const unsigned b = lowest_bucket();
+    base_ = min_key(b);
+    occupied_ &= ~(std::uint64_t{1} << b);
+    for (std::uint32_t s = head_[b]; s != kNil;) {
+      const std::uint32_t next = meta_[s].next;
+      append(s);
+      s = next;
     }
   }
 
-  void sift_up(std::uint32_t pos) {
-    const HeapEntry entry = heap_[pos];
-    while (pos > 0) {
-      const std::uint32_t parent = (pos - 1) / 4;
-      if (!before(entry, heap_[parent])) break;
-      heap_[pos] = heap_[parent];
-      meta_[heap_[pos].slot].heap_pos = pos;
-      pos = parent;
-    }
-    heap_[pos] = entry;
-    meta_[entry.slot].heap_pos = pos;
-  }
-
-  void sift_down(std::uint32_t pos) {
-    const std::uint32_t size = static_cast<std::uint32_t>(heap_.size());
-    const HeapEntry entry = heap_[pos];
-    while (true) {
-      const std::uint32_t first_child = 4 * pos + 1;
-      if (first_child >= size) break;
-      std::uint32_t best = first_child;
-      const std::uint32_t last_child =
-          std::min(first_child + 3, size - 1);
-      for (std::uint32_t c = first_child + 1; c <= last_child; ++c) {
-        if (before(heap_[c], heap_[best])) best = c;
-      }
-      if (!before(heap_[best], entry)) break;
-      heap_[pos] = heap_[best];
-      meta_[heap_[pos].slot].heap_pos = pos;
-      pos = best;
-    }
-    heap_[pos] = entry;
-    meta_[entry.slot].heap_pos = pos;
-  }
-
-  /// Fire the earliest event. Heap entries due now go first: they were all
-  /// scheduled before the clock reached now, so before every lane event.
-  /// The lane then empties before the clock may move on.
+  /// Fire the earliest event: the head of bucket 0, whose key is the base.
   void fire_next() {
-    if (lane_live_ != 0 && (heap_.empty() || heap_.front().time != now_)) {
-      fire_lane_front();
-      return;
-    }
-    const HeapEntry front = heap_.front();
-    now_ = front.time;
+    if ((occupied_ & 1u) == 0) rebase();
+    const std::uint32_t slot = head_[0];
+    now_ = std::bit_cast<Time>(base_);
+    unlink(slot);
     // Move the callback out and free the slot before invoking: the callback
     // may schedule new events (and reuse this very slot).
-    Callback cb = std::move(pool_[front.slot]);
-    heap_remove(0);
-    release_slot(front.slot);
+    Callback cb = std::move(pool_[slot]);
+    release_slot(slot);
     ++events_fired_;
     cb();
-  }
-
-  /// Fire the oldest live lane event, dropping the entries of cancelled
-  /// ones on the way (a released slot's generation has moved on).
-  void fire_lane_front() {
-    LaneEntry entry = lane_.front();
-    lane_.pop_front();
-    while (meta_[entry.slot].gen != entry.gen) {
-      entry = lane_.front();
-      lane_.pop_front();
-    }
-    lane_release_one();
-    Callback cb = std::move(pool_[entry.slot]);
-    release_slot(entry.slot);
-    ++events_fired_;
-    cb();
-  }
-
-  /// One live lane event fired or was cancelled. With none left, the
-  /// ring's remaining entries are all stale: drop them, so none outlives
-  /// its instant.
-  void lane_release_one() {
-    if (--lane_live_ == 0) lane_.clear();
   }
 
   Time now_ = 0.0;
-  std::uint64_t next_seq_ = 0;
+  /// The key bucket indices are taken against: the last fired event's (0
+  /// before the first). No pending key is below it.
+  std::uint64_t base_ = 0;
+  /// Bit b set iff bucket b holds an event; an empty bucket's head_ and
+  /// tail_ are stale.
+  std::uint64_t occupied_ = 0;
+  std::uint32_t head_[kBuckets] = {};
+  std::uint32_t tail_[kBuckets] = {};
+  std::size_t pending_ = 0;
   std::size_t events_fired_ = 0;
   std::size_t events_scheduled_ = 0;
   std::size_t timers_cancelled_ = 0;
@@ -366,12 +331,6 @@ class Simulator {
   std::vector<Callback> pool_;
   std::vector<SlotMeta> meta_;
   std::vector<std::uint32_t> free_;
-  std::vector<HeapEntry> heap_;
-  /// Events due at now_, in scheduling order, plus the not-yet-popped
-  /// entries of cancelled ones; lane_live_ counts the live entries. Grows
-  /// to its high-water mark and then stops allocating.
-  common::RingBuffer<LaneEntry> lane_;
-  std::size_t lane_live_ = 0;
 };
 
 }  // namespace decseq::sim

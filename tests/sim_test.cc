@@ -58,6 +58,8 @@ TEST(Simulator, RejectsPastScheduling) {
   sim.schedule_at(5.0, [&] {
     EXPECT_THROW(sim.schedule_at(1.0, [] {}), CheckFailure);
   });
+  EXPECT_THROW(sim.schedule_at(std::nan(""), [] {}), CheckFailure)
+      << "NaN is no time";
   sim.run();
 }
 
@@ -156,8 +158,9 @@ TEST(Simulator, HandleIsStaleAfterFiring) {
 }
 
 TEST(Simulator, CancelInsideHeapKeepsTieOrderFifo) {
-  // Removing an event from the middle of the heap swaps the last entry into
-  // its place; the (time, insertion order) tie-break must survive that.
+  // Cancelling events from the middle of a run of ties unlinks them from
+  // their bucket's list; the (time, insertion order) tie-break must survive
+  // that.
   Simulator sim;
   std::vector<int> fired;
   std::vector<Simulator::TimerId> ids;
@@ -174,7 +177,7 @@ TEST(Simulator, CancelInsideHeapKeepsTieOrderFifo) {
 }
 
 TEST(Simulator, CancelStormStaysConsistent) {
-  // Interleaved schedule/cancel across many slots: the slab + heap
+  // Interleaved schedule/cancel across many slots: the slab + bucket-list
   // bookkeeping must keep every surviving event, in order, exactly once.
   Simulator sim;
   Rng rng(99);
@@ -215,7 +218,7 @@ class ReferenceQueueHarness {
     const std::uint64_t op = rng_.next_below(100);
     if (op < 30) {
       for (std::uint64_t i = 1 + rng_.next_below(4); i > 0; --i) {
-        schedule(draw_delay());
+        schedule_drawn();
       }
     } else if (op < 45) {
       cancel_random();
@@ -260,26 +263,94 @@ class ReferenceQueueHarness {
     }
   }
 
-  /// A deadline at now, at the next pending event, or a delay ahead.
-  Time draw_deadline() {
-    if (!model_.empty() && rng_.next_bool(0.3)) return model_.begin()->first;
-    return now_ + draw_delay();
+  /// An absolute time, at or after now, that a queue keyed on the bits of
+  /// the time could misplace: -0.0 while the clock is at 0, one ULP either
+  /// side of now or of a pending time, either side of a power of two, or
+  /// (rarely) a large magnitude or +infinity, after which every time is
+  /// +infinity. Otherwise now plus a drawn delay.
+  Time draw_time() {
+    constexpr Time kInf = std::numeric_limits<Time>::infinity();
+    switch (rng_.next_below(5)) {
+      case 0:
+        if (now_ == 0.0 && rng_.next_bool(0.5)) return -0.0;
+        return std::nextafter(now_, kInf);
+      case 1: {
+        if (model_.empty()) return std::nextafter(now_, kInf);
+        const Time t =
+            std::next(model_.begin(), static_cast<std::ptrdiff_t>(
+                                          rng_.next_below(model_.size())))
+                ->first;
+        return std::max(now_, std::nextafter(t, rng_.next_bool(0.5) ? kInf
+                                                                   : -kInf));
+      }
+      case 2: {
+        // The power of two just above now, when a delay could reach it.
+        if (!std::isfinite(now_)) return now_;
+        const int exp = now_ > 0.0 ? std::ilogb(now_) + 1
+                                   : -static_cast<int>(rng_.next_below(4));
+        const Time power = std::ldexp(1.0, exp);
+        if (power - now_ > 8.0) return now_ + draw_delay();
+        switch (rng_.next_below(3)) {
+          case 0:
+            return power;
+          case 1:
+            return std::max(now_, std::nextafter(power, 0.0));
+          default:
+            return std::nextafter(power, kInf);
+        }
+      }
+      default:
+        if (rng_.next_bool(1.0 / 256)) {
+          if (rng_.next_bool(0.1)) return kInf;
+          return std::max(now_,
+                          std::ldexp(1.0 + rng_.next_double(),
+                                     40 + static_cast<int>(
+                                              rng_.next_below(980))));
+        }
+        return now_ + draw_delay();
+    }
   }
 
+  /// A deadline at the next pending event or at a drawn time.
+  Time draw_deadline() {
+    if (!model_.empty() && rng_.next_bool(0.3)) return model_.begin()->first;
+    return draw_time();
+  }
+
+  /// Schedule after a drawn delay or at a drawn time.
+  void schedule_drawn() {
+    if (rng_.next_bool(0.4)) {
+      schedule_at(draw_time());
+    } else {
+      schedule(draw_delay());
+    }
+  }
+
+  /// Schedule through either entry point.
   void schedule(Time delay) {
     const std::size_t n = events_.size();
     const Time at = now_ + delay;
     auto fire = [this, n] { on_fire(n); };
-    const Simulator::TimerId id = rng_.next_bool(0.5)
-                                      ? sim_.schedule_after(delay, fire)
-                                      : sim_.schedule_at(at, fire);
-    events_.push_back(Event{id, at});
-    model_.emplace(at, n);
+    record(rng_.next_bool(0.5) ? sim_.schedule_after(delay, fire)
+                               : sim_.schedule_at(at, fire),
+           at);
   }
 
-  /// Cancel a live, stale or lane handle. Half the picks are among the
-  /// newest handles, which are zero-delay lane events while an instant is
-  /// open.
+  /// Only through schedule_at: schedule_after(at - now) need not land on
+  /// `at` exactly.
+  void schedule_at(Time at) {
+    const std::size_t n = events_.size();
+    record(sim_.schedule_at(at, [this, n] { on_fire(n); }), at);
+  }
+
+  void record(Simulator::TimerId id, Time at) {
+    model_.emplace(at, events_.size());
+    events_.push_back(Event{id, at});
+  }
+
+  /// Cancel a live or stale handle. Half the picks are among the newest
+  /// handles, which are often zero-delay events due at the current instant
+  /// (the queue's bucket 0).
   void cancel_random() {
     if (events_.empty()) return;
     const std::size_t n =
@@ -327,7 +398,7 @@ class ReferenceQueueHarness {
     // Mean 0.7 children per firing keeps every chain finite.
     if (events_.size() < kMaxEvents) {
       if (rng_.next_bool(0.45)) schedule(0.0);
-      if (rng_.next_bool(0.25)) schedule(draw_delay());
+      if (rng_.next_bool(0.25)) schedule_drawn();
     }
     if (rng_.next_bool(0.2)) cancel_random();
     check_state();
@@ -356,9 +427,10 @@ class ReferenceQueueHarness {
 };
 
 TEST(Simulator, MatchesReferenceQueueUnderRandomOps) {
-  // Heap and zero-delay lane together must fire exactly the (time,
-  // insertion order) sequence of a plain ordered set, under every mix of
-  // same-instant scheduling, cancellation and clock control.
+  // The radix queue must fire exactly the (time, insertion order) sequence
+  // of a plain ordered set, under every mix of same-instant scheduling,
+  // cancellation and clock control, and at times whose bit patterns sit
+  // next to each other, across a power of two or far from the base.
   std::size_t firings = 0;
   for (std::uint64_t seed = 1; seed <= 200; ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));
