@@ -1,9 +1,12 @@
 #include "app/cluster_config.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <fstream>
+#include <limits>
 #include <sstream>
+#include <string_view>
 #include <utility>
 
 #include "common/check.h"
@@ -29,6 +32,60 @@ std::vector<std::pair<AtomId, AtomId>> atom_edge_pairs(
   std::sort(pairs.begin(), pairs.end());
   pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
   return pairs;
+}
+
+/// A decimal token below `limit`; anything else (a sign, trailing junk,
+/// overflow) fails the parse.
+std::uint32_t parse_below(std::string_view token, std::uint64_t limit,
+                          const char* what) {
+  std::uint64_t value = 0;
+  const char* end = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), end, value);
+  DECSEQ_CHECK_MSG(ec == std::errc() && ptr == end && value < limit,
+                   "bad " << what << " '" << token << "' (must be below "
+                          << limit << ")");
+  return static_cast<std::uint32_t>(value);
+}
+
+constexpr std::uint64_t kIdLimit =
+    std::uint64_t{std::numeric_limits<std::uint32_t>::max()} + 1;
+
+/// Cross-references the parser cannot check line by line: every rank below
+/// `ranks`, every member a host, every subscription a group slot, and every
+/// relevant atom no larger than the largest atom on a path (NodeEngine
+/// sizes its per-atom state by that atom).
+void check_references(const ClusterConfig& config) {
+  DECSEQ_CHECK_MSG(config.num_ranks >= 1, "config missing 'ranks'");
+  std::uint32_t max_atom = 0;
+  for (std::size_t g = 0; g < config.groups.size(); ++g) {
+    for (const NodeId member : config.groups[g].members) {
+      DECSEQ_CHECK_MSG(member.value() < config.hosts.size(),
+                       "group " << g << " member " << member
+                                << " is not a host");
+    }
+    for (const HopEntry& hop : config.groups[g].path) {
+      DECSEQ_CHECK_MSG(hop.rank < config.num_ranks,
+                       "group " << g << " hop rank " << hop.rank
+                                << " >= ranks " << config.num_ranks);
+      max_atom = std::max(max_atom, hop.atom.value());
+    }
+  }
+  for (std::size_t h = 0; h < config.hosts.size(); ++h) {
+    const HostEntry& host = config.hosts[h];
+    DECSEQ_CHECK_MSG(host.rank < config.num_ranks,
+                     "host " << h << " rank " << host.rank << " >= ranks "
+                             << config.num_ranks);
+    for (const GroupId group : host.subscriptions) {
+      DECSEQ_CHECK_MSG(group.value() < config.groups.size(),
+                       "host " << h << " subscribes to unknown group "
+                               << group);
+    }
+    for (const AtomId atom : host.relevant_atoms) {
+      DECSEQ_CHECK_MSG(atom.value() <= max_atom,
+                       "host " << h << " relevant atom " << atom
+                               << " is past every path's atoms");
+    }
+  }
 }
 
 std::uint32_t rank_of_atom(const ClusterConfig& config, AtomId atom) {
@@ -166,7 +223,9 @@ ClusterConfig read_cluster_config(std::istream& in) {
       continue;
     }
     if (keyword == "ranks") {
-      DECSEQ_CHECK(static_cast<bool>(tokens >> config.num_ranks));
+      std::string token;
+      DECSEQ_CHECK(static_cast<bool>(tokens >> token));
+      config.num_ranks = parse_below(token, kMaxClusterRanks + 1, "ranks");
     } else if (keyword == "seed") {
       DECSEQ_CHECK(static_cast<bool>(tokens >> config.seed));
     } else if (keyword == "rto") {
@@ -175,34 +234,46 @@ ClusterConfig read_cluster_config(std::istream& in) {
                            config.retransmit_timeout_ms > 0.0,
                        "rto must be finite and positive");
     } else if (keyword == "budget") {
-      DECSEQ_CHECK(static_cast<bool>(tokens >> config.max_retransmits));
+      std::string token;
+      DECSEQ_CHECK(static_cast<bool>(tokens >> token));
+      config.max_retransmits = parse_below(token, kIdLimit, "budget");
     } else if (keyword == "host") {
-      std::size_t index = 0;
-      HostEntry entry;
+      std::string index;
+      std::string rank;
       std::string tag;
-      DECSEQ_CHECK(static_cast<bool>(tokens >> index >> entry.rank >> tag));
+      DECSEQ_CHECK(static_cast<bool>(tokens >> index >> rank >> tag));
+      // Dense and in order, as written: the index is the next host's.
+      DECSEQ_CHECK_MSG(parse_below(index, kIdLimit, "host index") ==
+                           config.hosts.size(),
+                       "host " << index << " out of order; expected host "
+                               << config.hosts.size());
       DECSEQ_CHECK_MSG(tag == "subs", "host line missing 'subs'");
+      HostEntry entry;
+      entry.rank = parse_below(rank, kIdLimit, "host rank");
       std::string token;
       bool in_atoms = false;
       while (tokens >> token) {
         if (token == "atoms") {
           in_atoms = true;
-          continue;
-        }
-        const auto value = static_cast<std::uint32_t>(std::stoul(token));
-        if (in_atoms) {
-          entry.relevant_atoms.push_back(AtomId(value));
+        } else if (in_atoms) {
+          entry.relevant_atoms.push_back(
+              AtomId(parse_below(token, kMaxClusterIds, "atom")));
         } else {
-          entry.subscriptions.push_back(GroupId(value));
+          entry.subscriptions.push_back(
+              GroupId(parse_below(token, kMaxClusterIds, "group")));
         }
       }
       DECSEQ_CHECK_MSG(in_atoms, "host line missing 'atoms'");
-      if (index >= config.hosts.size()) config.hosts.resize(index + 1);
-      config.hosts[index] = std::move(entry);
+      config.hosts.push_back(std::move(entry));
     } else if (keyword == "group") {
-      std::size_t index = 0;
+      std::string index_token;
       std::string tag;
-      DECSEQ_CHECK(static_cast<bool>(tokens >> index >> tag));
+      DECSEQ_CHECK(static_cast<bool>(tokens >> index_token >> tag));
+      // Increasing, as written; the gaps are dead slots.
+      const std::uint32_t index =
+          parse_below(index_token, kMaxClusterIds, "group index");
+      DECSEQ_CHECK_MSG(index >= config.groups.size(),
+                       "group " << index << " out of order");
       DECSEQ_CHECK_MSG(tag == "members", "group line missing 'members'");
       GroupEntry entry;
       std::string token;
@@ -214,23 +285,25 @@ ClusterConfig read_cluster_config(std::istream& in) {
         }
         if (!in_path) {
           entry.members.push_back(
-              NodeId(static_cast<std::uint32_t>(std::stoul(token))));
+              NodeId(parse_below(token, kIdLimit, "member")));
           continue;
         }
-        HopEntry hop;
         const std::size_t c1 = token.find(':');
         const std::size_t c2 = token.find(':', c1 + 1);
         DECSEQ_CHECK_MSG(c1 != std::string::npos && c2 != std::string::npos,
                          "malformed hop token: " << token);
-        hop.atom = AtomId(
-            static_cast<std::uint32_t>(std::stoul(token.substr(0, c1))));
-        hop.stamps = token.substr(c1 + 1, c2 - c1 - 1) == "1";
-        hop.rank = static_cast<std::uint32_t>(std::stoul(token.substr(c2 + 1)));
+        const std::string_view view(token);
+        HopEntry hop;
+        hop.atom = AtomId(parse_below(view.substr(0, c1), kMaxClusterIds,
+                                      "hop atom"));
+        hop.stamps = parse_below(view.substr(c1 + 1, c2 - c1 - 1), 2,
+                                 "hop stamp flag") == 1;
+        hop.rank = parse_below(view.substr(c2 + 1), kIdLimit, "hop rank");
         entry.path.push_back(hop);
       }
       DECSEQ_CHECK_MSG(in_path && !entry.path.empty(),
                        "group line missing 'path'");
-      if (index >= config.groups.size()) config.groups.resize(index + 1);
+      config.groups.resize(index + 1);
       config.groups[index] = std::move(entry);
     } else if (keyword == "end") {
       saw_end = true;
@@ -240,7 +313,7 @@ ClusterConfig read_cluster_config(std::istream& in) {
     }
   }
   DECSEQ_CHECK_MSG(saw_header && saw_end, "truncated cluster config");
-  DECSEQ_CHECK_MSG(config.num_ranks >= 1, "config missing 'ranks'");
+  check_references(config);
   return config;
 }
 

@@ -102,8 +102,20 @@ struct EdgeSpec {
     double retransmit_timeout_ms, std::uint32_t max_retransmits,
     std::uint64_t seed);
 
+/// Bounds read_cluster_config enforces on outside input. The edge table has
+/// 2R + 2R^2 entries, about 2.1M at 1,024 ranks. Group slots and atom ids
+/// stay below 2^20, about ten times the 100k groups and 115k atoms of the
+/// million-host compile (BENCH_routing.json): each reader sizes a table by
+/// the largest of them, so one hostile line cannot ask for terabytes.
+inline constexpr std::uint32_t kMaxClusterRanks = 1024;
+inline constexpr std::uint32_t kMaxClusterIds = 1u << 20;
+
 /// Line-oriented text round-trip (same spirit as the fuzz .repro format:
-/// human-editable, fails loudly on malformed input via CheckFailure).
+/// human-editable, fails loudly on malformed input via CheckFailure). The
+/// reader takes hosts dense and in order and groups in increasing order,
+/// as the writer emits them (gaps are dead group slots), takes every id,
+/// rank and the budget as an unsigned decimal, and checks every id against
+/// the bounds above and every rank against `ranks`.
 void write_cluster_config(const ClusterConfig& config, std::ostream& out);
 [[nodiscard]] ClusterConfig read_cluster_config(std::istream& in);
 void save_cluster_config(const ClusterConfig& config, const std::string& path);

@@ -676,6 +676,82 @@ TEST(ClusterConfig, RejectsNonPositiveRto) {
   }
 }
 
+TEST(ClusterConfig, RejectsMalformedInput) {
+  // Two hosts on two ranks, group slot 0 dead, group 1 on atoms 0 and 2.
+  app::ClusterConfig config;
+  config.num_ranks = 2;
+  for (std::uint32_t h = 0; h < 2; ++h) {
+    config.hosts.push_back({h, {GroupId(1)}, {AtomId(0)}});
+  }
+  config.groups.resize(2);
+  config.groups[1].members = {NodeId(0), NodeId(1)};
+  config.groups[1].path = {{AtomId(0), true, 0}, {AtomId(2), false, 1}};
+  std::ostringstream out;
+  app::write_cluster_config(config, out);
+  const std::string text = out.str();
+  const auto parse = [](const std::string& edited) {
+    std::istringstream in(edited);
+    return app::read_cluster_config(in);
+  };
+  const app::ClusterConfig read = parse(text);
+  ASSERT_EQ(read.hosts.size(), 2u);
+  ASSERT_EQ(read.groups.size(), 2u);
+  EXPECT_TRUE(read.groups[0].path.empty());
+  ASSERT_EQ(read.groups[1].path.size(), 2u);
+  EXPECT_EQ(read.groups[1].path[1].atom, AtomId(2));
+  EXPECT_TRUE(read.groups[1].path[0].stamps);
+  EXPECT_EQ(read.groups[1].path[1].rank, 1u);
+
+  const std::string host1 = "host 1 1 subs 1 atoms 0\n";
+  const std::string group1 = "group 1 members 0 1 path 0:1:0 2:0:1\n";
+  const std::string ranks = "ranks 2\n";
+  const std::string budget = "budget 200\n";
+  ASSERT_NE(text.find(host1), std::string::npos) << text;
+  ASSERT_NE(text.find(group1), std::string::npos) << text;
+  ASSERT_NE(text.find(budget), std::string::npos) << text;
+  const auto edit = [&](const std::string& line, const std::string& with) {
+    std::string edited = text;
+    edited.replace(edited.find(line), line.size(), with + "\n");
+    return edited;
+  };
+  const std::pair<std::string, std::string> bad[] = {
+      // Host indices: wrapping, huge, gapped, repeated.
+      {host1, "host 18446744073709551615 1 subs 1 atoms 0"},
+      {host1, "host 1000000000000 1 subs 1 atoms 0"},
+      {host1, "host 2 1 subs 1 atoms 0"},
+      {host1, "host 0 1 subs 1 atoms 0"},
+      // Host rank and ids: out of range, truncating, signed, not a number.
+      {host1, "host 1 2 subs 1 atoms 0"},
+      {host1, "host 1 1 subs 4294967297 atoms 0"},
+      {host1, "host 1 1 subs 1 atoms 4294967296"},
+      {host1, "host 1 1 subs -1 atoms 0"},
+      {host1, "host 1 1 subs x atoms 0"},
+      {host1, "host 1 1 subs 5 atoms 0"},
+      {host1, "host 1 1 subs 1 atoms 3"},
+      // Group indices: wrapping, huge, at the cap, repeated.
+      {group1, "group 18446744073709551615 members 0 1 path 0:1:0 2:0:1"},
+      {group1, "group 1000000000000 members 0 1 path 0:1:0 2:0:1"},
+      {group1, "group 1048576 members 0 1 path 0:1:0 2:0:1"},
+      {group1, group1 + "group 1 members 0 1 path 0:1:0 2:0:1"},
+      // Members and hops: not a host, truncating, out of range, bad flag.
+      {group1, "group 1 members 0 2 path 0:1:0 2:0:1"},
+      {group1, "group 1 members 0 4294967296 path 0:1:0 2:0:1"},
+      {group1, "group 1 members 0 1 path 0:1:0 2:0:2"},
+      {group1, "group 1 members 0 1 path 0:1:0 4294967298:0:1"},
+      {group1, "group 1 members 0 1 path 0:1:0 2:0:4294967297"},
+      {group1, "group 1 members 0 1 path 0:1:0 1048576:0:1"},
+      {group1, "group 1 members 0 1 path 0:1:0 2:7:1"},
+      // Rank counts past the edge-table bound, and a signed budget.
+      {ranks, "ranks 4294967295"},
+      {ranks, "ranks -1"},
+      {ranks, "ranks 1025"},
+      {budget, "budget -1"},
+  };
+  for (const auto& [line, with] : bad) {
+    EXPECT_THROW(parse(edit(line, with)), CheckFailure) << with;
+  }
+}
+
 TEST(ControlCodec, CommandRoundTrips) {
   app::Command command;
   command.kind = app::Command::Kind::kTerminate;
