@@ -72,19 +72,7 @@ struct Options {
   /// Generator knobs for this run; --hostile cranks every fault kind,
   /// --churn cranks reconfiguration pressure.
   [[nodiscard]] fuzz::GeneratorOptions generator() const {
-    fuzz::GeneratorOptions gen;
-    if (hostile) {
-      gen.crash_probability = 0.7;
-      gen.publisher_crash_probability = 0.6;
-      gen.partition_probability = 0.5;
-      gen.small_budget_probability = 0.5;
-    }
-    if (churn) {
-      gen.max_phases = 5;
-      gen.reconfigure_probability = 0.95;
-      gen.max_churn_ops_per_phase = 4;
-    }
-    return gen;
+    return fuzz::sweep_options(hostile, churn);
   }
 };
 

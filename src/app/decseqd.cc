@@ -233,9 +233,13 @@ NodeEngine::NodeEngine(transport::Transport& transport,
 
 void NodeEngine::publish(std::uint32_t ordinal, NodeId sender, GroupId group,
                          std::uint64_t payload, bool fin) {
+  // Both ids arrive in a control command from outside the process: range
+  // check them before they index anything.
   DECSEQ_CHECK(group.valid() && group.value() < groups_.size());
   const GroupState& state = groups_[group.value()];
   DECSEQ_CHECK_MSG(!state.hops.empty(), "publish to dead group " << group);
+  DECSEQ_CHECK_MSG(sender.valid() && sender.value() < host_rank_.size(),
+                   "publish from unknown host " << sender);
   DECSEQ_CHECK_MSG(host_rank_[sender.value()] == rank_,
                    "host " << sender << " does not live on rank " << rank_);
   ++stats_.published;

@@ -8,7 +8,8 @@
 // workload's high-water mark it never touches the allocator again, which is
 // what the zero-allocation benches and tests pin.
 //
-// Semantics match the subset of deque the runtime uses: push_back/pop_front,
+// Semantics match the subset of deque the runtime uses: push_back (or
+// emplace_back, which hands back the new slot to fill in place)/pop_front,
 // front/back, operator[] indexed from the front, grow-only resize(). T must
 // be default-constructible and move-assignable; pop_front() resets the
 // vacated slot to T() immediately, so resources held by popped elements
@@ -44,10 +45,17 @@ class RingBuffer {
   [[nodiscard]] T& back() { return (*this)[size_ - 1]; }
   [[nodiscard]] const T& back() const { return (*this)[size_ - 1]; }
 
-  void push_back(T value) {
+  void push_back(T value) { emplace_back() = std::move(value); }
+
+  /// Append a slot and return it for the caller to fill in place. Every
+  /// vacant slot holds T() (fresh slots are default-built, popped ones
+  /// reset), so this is push_back(T()) without building and moving a
+  /// temporary: a caller assigns only the fields it needs.
+  T& emplace_back() {
     if (size_ == buf_.size()) grow();
-    buf_[(head_ + size_) & (buf_.size() - 1)] = std::move(value);
+    T& slot = buf_[(head_ + size_) & (buf_.size() - 1)];
     ++size_;
+    return slot;
   }
 
   void pop_front() {
@@ -61,7 +69,7 @@ class RingBuffer {
   /// idiom: extend to cover an out-of-order arrival's index).
   void resize(std::size_t n) {
     DECSEQ_CHECK(n >= size_);
-    while (size_ < n) push_back(T());
+    while (size_ < n) emplace_back();
   }
 
   void clear() {

@@ -88,6 +88,22 @@ std::vector<std::uint32_t> random_members(Rng& rng, std::uint32_t num_hosts,
 
 }  // namespace
 
+GeneratorOptions sweep_options(bool hostile, bool churn) {
+  GeneratorOptions gen;
+  if (hostile) {
+    gen.crash_probability = 0.7;
+    gen.publisher_crash_probability = 0.6;
+    gen.partition_probability = 0.5;
+    gen.small_budget_probability = 0.5;
+  }
+  if (churn) {
+    gen.max_phases = 5;
+    gen.reconfigure_probability = 0.95;
+    gen.max_churn_ops_per_phase = 4;
+  }
+  return gen;
+}
+
 Scenario generate_scenario(std::uint64_t seed,
                            const GeneratorOptions& options) {
   // Derive independent streams so a tweak to one feature's draws does not

@@ -175,6 +175,12 @@ struct GeneratorOptions {
   std::uint32_t max_churn_ops_per_phase = 2;
 };
 
+/// The knobs of fuzz_driver's sweep modes, shared with the tests that
+/// replay them: `hostile` cranks every fault kind, `churn` cranks
+/// reconfiguration pressure, and the two compose. Both false gives the
+/// defaults.
+[[nodiscard]] GeneratorOptions sweep_options(bool hostile, bool churn);
+
 /// Deterministically derive a scenario from a 64-bit seed: same seed, same
 /// scenario, byte for byte. Fault features (loss, crashes, terminations,
 /// reconfigurations) are dialed in probabilistically so the sweep covers

@@ -248,7 +248,7 @@ std::unique_ptr<sim::Channel<Message>> SequencingNetwork::make_channel(
   auto channel = std::make_unique<sim::Channel<Message>>(
       *channel_sim, *channel_rng, machine_distance(from, to),
       options_.channel);
-  channel->set_receiver([this, to](Message m) {
+  channel->set_receiver([this, to](Message&& m) {
     handle_at_atom(to, std::move(m));
   });
   // Exhaustion surfaces here as an edge-tagged fault record instead of
@@ -589,7 +589,7 @@ std::vector<std::pair<AtomId, AtomId>> SequencingNetwork::faulted_edges()
   return edges;  // channel_edges_ order is already sorted (from, to)
 }
 
-void SequencingNetwork::handle_at_atom(AtomId atom, Message message) {
+void SequencingNetwork::handle_at_atom(AtomId atom, Message&& message) {
   // The whole forwarding decision: the group's compiled route plus the
   // message's position on it. No hash maps, no graph walks. A message
   // whose epoch predates the group's current span (sequenced before the
@@ -727,7 +727,7 @@ SequencingNetwork::build_fanout_plan(GroupId group, AtomId last_atom,
   return plan;
 }
 
-void SequencingNetwork::distribute(AtomId last_atom, Message message) {
+void SequencingNetwork::distribute(AtomId last_atom, Message&& message) {
   GroupRoute& route = group_routes_[message.group().value()];
   const bool old_epoch = message.epoch != route.epoch;
   sim::Simulator& sim =

@@ -423,7 +423,10 @@ class SequencingNetwork {
     std::unique_ptr<topology::MulticastTree> tree;
   };
 
-  void handle_at_atom(AtomId atom, Message message);
+  /// One hop: stamp, then forward or distribute. Takes the message by
+  /// rvalue reference; it leaves by one move, into the next channel's
+  /// output slot or the shared fan-out copy.
+  void handle_at_atom(AtomId atom, Message&& message);
   MsgId inject(NodeId sender, GroupId group, std::uint64_t payload,
                const std::uint8_t* body, std::size_t body_size, bool is_fin);
   /// Ingress-leg arrival; retries with exponential backoff while the
@@ -437,7 +440,7 @@ class SequencingNetwork {
   /// Delay before ingress retry `attempts`: the channels' backoff formula
   /// (exponential, capped, jittered) applied to the ingress retry loop.
   [[nodiscard]] double ingress_backoff_delay(std::uint32_t attempts);
-  void distribute(AtomId last_atom, Message message);
+  void distribute(AtomId last_atom, Message&& message);
   [[nodiscard]] FanOutPlan& fanout_plan(GroupId group, AtomId last_atom);
   /// Materialize a distribution plan for `group` from an explicit member
   /// list and shard (fanout_plan() uses the current membership; the

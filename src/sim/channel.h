@@ -43,6 +43,8 @@
 //  * set_receiver_down(true) fail-stops the receiving endpoint: arrivals
 //    are dropped without acknowledgment (the sender's buffers hold
 //    everything), also sampled at arrival time.
+//    (A 0 ms loss-free channel samples both flags at launch only; see the
+//    last bullet.)
 //  * Exhausting max_retransmits on any packet does NOT abort: the channel
 //    enters a surfaced fault state — faulted() turns true, fault() carries
 //    the packet/attempt/time, and the fault callback fires once per
@@ -56,6 +58,27 @@
 //    retransmitted immediately rather than waiting out the current
 //    backoff. Duplicates this may create are suppressed by sequence number
 //    at the receiver, as always.
+//  * A channel with delay 0 and loss probability 0 — the hop between two
+//    atoms colocated on one sequencing machine (§3.4) — is a same-machine
+//    hand-off with no flight time. It samples link and receiver state
+//    once, when a transmission is launched. A launch that gets through
+//    schedules only its data event, which delivers the payload and
+//    releases it from the output buffer: no ack event, no retransmit
+//    timer. A launch that does not get through is buffered with its timer
+//    armed at the send, exactly as on any other channel, and recovery
+//    retransmits it. No timer that could fire moves: every data event is
+//    scheduled where it always was, so it keeps its (time, insertion)
+//    place, and a launch that gets through is delivered and released
+//    within its own instant, so the timer it no longer arms would have
+//    been cancelled by its ack inside that instant. The one difference
+//    from sampling at arrival is a fault call that lands after a launch
+//    and before its arrival, inside the same instant: the packet now
+//    arrives. The fuzz runner, the sharded fences and the benches schedule
+//    their fault events ahead of the protocol events of that instant, so
+//    none of them produces the case. The fault path is why a 0 ms hop
+//    still has a channel: node and link failures reach it, and a launch
+//    made while it is down needs the buffer and the timer. A lossy 0 ms
+//    channel keeps its acks, timers and loss-coin draws.
 #pragma once
 
 #include <algorithm>
@@ -105,11 +128,17 @@ struct ChannelFault {
 template <typename T>
 class Channel {
  public:
-  using DeliverFn = std::function<void(T)>;
+  /// Receives each payload by rvalue reference to a local the channel
+  /// owns for the call, never to a slot of its buffers.
+  using DeliverFn = std::function<void(T&&)>;
   using FaultFn = std::function<void(const ChannelFault&)>;
 
   Channel(Simulator& sim, Rng& rng, Time delay_ms, ChannelOptions options = {})
-      : sim_(&sim), rng_(&rng), delay_ms_(delay_ms), options_(options) {
+      : sim_(&sim),
+        rng_(&rng),
+        delay_ms_(delay_ms),
+        options_(options),
+        instant_(delay_ms == 0.0 && options.loss_probability == 0.0) {
     DECSEQ_CHECK(delay_ms >= 0.0);
     // A zero timeout re-arms at the same instant forever, each expiry
     // queueing one more retransmission: the simulator never advances.
@@ -134,7 +163,8 @@ class Channel {
   void set_fault_callback(FaultFn on_fault) { on_fault_ = std::move(on_fault); }
 
   /// Fail-stop the receiving endpoint: while down, arriving transmissions
-  /// are dropped without acknowledgment, so the sender's retransmission
+  /// (on a 0 ms loss-free channel: transmissions launched) are dropped
+  /// without acknowledgment, so the sender's retransmission
   /// buffer holds everything and the timer keeps retrying; after
   /// set_receiver_down(false), the whole unacked window is retransmitted
   /// immediately (see "Failure model" above). Models a crashed sequencing
@@ -149,7 +179,8 @@ class Channel {
 
   /// Sever the physical link: transmissions and acknowledgments vanish if
   /// the link is down when they are sent *or* when they would arrive (a
-  /// partition kills in-flight traffic). Both endpoints stay alive; on
+  /// partition kills in-flight traffic; a 0 ms loss-free channel has none
+  /// in flight and samples at launch only). Both endpoints stay alive; on
   /// set_link_down(false) the unacked window retransmits immediately.
   void set_link_down(bool down) {
     const bool was = link_down_;
@@ -158,15 +189,21 @@ class Channel {
   }
   [[nodiscard]] bool link_down() const { return link_down_; }
 
-  /// Queue a payload for in-order delivery to the receiver.
-  void send(T payload) {
+  /// Queue a payload for in-order delivery to the receiver. The payload
+  /// moves into its output slot in place, and out of it once on delivery.
+  void send(T&& payload) {
     DECSEQ_CHECK_MSG(deliver_ != nullptr, "channel has no receiver");
     const std::uint64_t seq = next_send_seq_++;
-    out_.push_back(
-        OutPacket{std::move(payload), sim_->now() + options_.retransmit_timeout_ms});
-    transmit(seq);
-    if (!timer_.valid()) arm_timer(out_.back().deadline);
+    const Time deadline = sim_->now() + options_.retransmit_timeout_ms;
+    OutPacket& packet = out_.emplace_back();
+    packet.payload = std::move(payload);
+    packet.deadline = deadline;
+    // An instant launch that gets through is delivered and released within
+    // this instant: no timer for it could ever fire (see "Failure model").
+    if (transmit(seq) && instant_) return;
+    if (!timer_.valid()) arm_timer(deadline);
   }
+  void send(const T& payload) { send(T(payload)); }
 
   /// The channel exhausted max_retransmits on some packet and has not yet
   /// recovered (by an ack draining the buffer, or by resume-on-recovery).
@@ -219,21 +256,26 @@ class Channel {
     return out_[static_cast<std::size_t>(seq - send_base_)];
   }
 
-  void transmit(std::uint64_t seq) {
+  /// Launch one transmission of `seq`; true iff it got onto the wire.
+  bool transmit(std::uint64_t seq) {
     ++transmissions_;
-    if (link_down_) return;  // severed at launch
+    if (link_down_) return false;  // severed at launch
+    // An instant hop samples its receiver at launch too, so no data event
+    // is scheduled only to die on arrival.
+    if (instant_ && receiver_down_) return false;
     // The loss coin is only tossed when loss is possible: a loss-free
     // channel consumes no randomness per packet, so its RNG stream position
     // is independent of traffic volume (and the hot path skips a draw).
     if (options_.loss_probability > 0.0 &&
         rng_->next_bool(options_.loss_probability)) {
-      return;  // dropped
+      return false;  // dropped
     }
     ++pending_events_;
     sim_->schedule_after(delay_ms_, [this, seq] {
       --pending_events_;
       on_data(seq);
     });
+    return true;
   }
 
   /// Delay before retransmission `attempts` of a packet fires again:
@@ -314,15 +356,21 @@ class Channel {
   }
 
   void on_data(std::uint64_t seq) {
-    if (link_down_) return;      // died inside the partition (arrival-time cut)
-    if (receiver_down_) return;  // crashed endpoint: silence, no ack
+    // A transmission with flight time samples the link and the receiver
+    // again on arrival: it dies inside a partition (arrival-time cut) or at
+    // a crashed endpoint (silence, no ack). An instant one was sampled at
+    // launch.
+    if (!instant_ && (link_down_ || receiver_down_)) return;
     // Fast path — the loss-free steady state: the next expected packet
     // arrives and nothing is parked behind it, so it goes straight to the
     // application without touching the reorder window.
     if (seq == next_deliver_seq_ && reorder_.empty()) {
       ++next_deliver_seq_;
-      deliver_(std::move(out_slot(seq).payload));
-      send_ack(next_deliver_seq_);
+      // Move the payload out before the receiver runs: a receiver that
+      // sends on this channel may grow out_ underneath a reference into it.
+      T payload = std::move(out_slot(seq).payload);
+      deliver_(std::move(payload));
+      acknowledge(next_deliver_seq_);
       return;
     }
     // Ack everything received so far (cumulative), even duplicates, so a
@@ -346,10 +394,17 @@ class Channel {
       ++next_deliver_seq_;
       deliver_(std::move(payload));
     }
-    send_ack(next_deliver_seq_);
+    acknowledge(next_deliver_seq_);
   }
 
-  void send_ack(std::uint64_t cumulative) {
+  /// Tell the sender the receiver consumed everything below `cumulative`:
+  /// an instant hop's sender shares the receiver's instant and releases
+  /// at once, any other hears it from an ack after the channel delay.
+  void acknowledge(std::uint64_t cumulative) {
+    if (instant_) {
+      release(cumulative);
+      return;
+    }
     if (link_down_) return;
     if (options_.loss_probability > 0.0 &&
         rng_->next_bool(options_.loss_probability)) {
@@ -359,22 +414,26 @@ class Channel {
     sim_->schedule_after(delay_ms_, [this, cumulative] {
       --pending_events_;
       if (link_down_) return;  // the ack died inside the partition
-      // Release every packet the receiver has consumed; once nothing is
-      // left unacked, disarm the retransmit timer — acked packets never
-      // wake the simulator again — and clear any fault: the "lost" window
-      // made it through after all.
-      while (!out_.empty() && send_base_ < cumulative) {
-        out_.pop_front();
-        ++send_base_;
-      }
-      if (out_.empty()) {
-        fault_.reset();
-        if (timer_.valid()) {
-          sim_->cancel(timer_);
-          timer_ = Simulator::TimerId();
-        }
-      }
+      release(cumulative);
     });
+  }
+
+  /// Release every packet the receiver has consumed; once nothing is left
+  /// unacked, disarm the retransmit timer — acked packets never wake the
+  /// simulator again — and clear any fault: the "lost" window made it
+  /// through after all.
+  void release(std::uint64_t cumulative) {
+    while (!out_.empty() && send_base_ < cumulative) {
+      out_.pop_front();
+      ++send_base_;
+    }
+    if (out_.empty()) {
+      fault_.reset();
+      if (timer_.valid()) {
+        sim_->cancel(timer_);
+        timer_ = Simulator::TimerId();
+      }
+    }
   }
 
   Simulator* sim_;
@@ -390,6 +449,10 @@ class Channel {
   std::uint64_t send_base_ = 0;
   bool receiver_down_ = false;
   bool link_down_ = false;
+  /// Delay 0 and loss-free: launches are sampled once and need no acks or
+  /// timers (see "Failure model"). Beside the other flags, so it costs no
+  /// bytes.
+  const bool instant_;
   /// Output retransmission buffer, contiguous [send_base_, next_send_seq_).
   common::RingBuffer<OutPacket> out_;
   /// Receiver reorder window, slot i holds sequence next_deliver_seq_ + i.

@@ -210,6 +210,21 @@ TEST(RingBuffer, PopReleasesElementResourcesImmediately) {
   EXPECT_EQ(p.use_count(), 1) << "slot must be reset at pop time";
 }
 
+TEST(RingBuffer, EmplaceBackHandsOutResetSlots) {
+  // The channel fills its output slot in place; the slot it gets must be
+  // T() whether it is fresh, recycled by a pop, or moved by a growth.
+  common::RingBuffer<std::string> ring;
+  for (int i = 0; i < 40; ++i) {
+    std::string& slot = ring.emplace_back();
+    EXPECT_TRUE(slot.empty()) << "slot " << i;
+    slot = "payload-" + std::to_string(i);
+    if (i % 3 == 0) ring.pop_front();
+  }
+  ASSERT_EQ(ring.size(), 26u);
+  EXPECT_EQ(ring.front(), "payload-14");
+  EXPECT_EQ(ring.back(), "payload-39");
+}
+
 TEST(RingBuffer, ResizeDefaultFillsAndSteadyStateStopsAllocating) {
   common::RingBuffer<std::uint32_t> ring;
   ring.resize(5);  // the reorder-window idiom

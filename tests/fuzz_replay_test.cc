@@ -17,6 +17,7 @@
 #include "fuzz/oracle.h"
 #include "fuzz/repro.h"
 #include "fuzz/runner.h"
+#include "fuzz/scenario.h"
 #include "tests/test_util.h"
 
 namespace decseq::fuzz {
@@ -40,9 +41,12 @@ std::string fingerprint(const RunTrace& t) {
   return os.str();
 }
 
-/// 64-bit FNV-1a over `bytes`.
-std::uint64_t fnv1a64(const std::string& bytes) {
-  std::uint64_t h = 14695981039346656037ULL;
+constexpr std::uint64_t kFnvOffsetBasis = 14695981039346656037ULL;
+
+/// 64-bit FNV-1a over `bytes`, continuing from the digest `h` (the offset
+/// basis starts a fresh one).
+std::uint64_t fnv1a64(const std::string& bytes,
+                      std::uint64_t h = kFnvOffsetBasis) {
   for (const unsigned char c : bytes) {
     h ^= c;
     h *= 1099511628211ULL;
@@ -152,6 +156,62 @@ TEST(FuzzReplay, CorpusTracesMatchGoldenDigests) {
   }
   EXPECT_EQ(matched, std::size(kGoldenDigests))
       << "a golden digest names a file missing from the corpus";
+}
+
+/// Digests of generated scenarios with the channel loss forced to 0, one
+/// per fuzz_driver generator setting and shard count (0 = classic runtime,
+/// 1 = one shard). Each folds, for seeds 1..kGeneratedSeeds, the run's
+/// fingerprint() and its channel_fault_events into one FNV-1a digest. The
+/// corpus holds only two loss-free scenarios with faults; these runs put
+/// crashes, partitions, publisher crashes, FINs and reconfigurations on 0 ms
+/// channels without a loss coin, the regime where a colocated hop's launch
+/// sampling, its buffered failure path and its recovery all decide the
+/// trace. Regenerate only for a deliberate change of observable behaviour.
+struct GeneratedDigest {
+  const char* setting;
+  bool hostile;
+  bool churn;
+  std::uint64_t unsharded;
+  std::uint64_t one_shard;
+};
+constexpr std::uint64_t kGeneratedSeeds = 32;
+constexpr GeneratedDigest kGeneratedDigests[] = {
+    {"default", false, false, 0xd62b110a1c895e00ULL, 0x9bd9a457c96f9184ULL},
+    {"hostile", true, false, 0xa00ff5bdeb412668ULL, 0x183fbb6d28114a0aULL},
+    {"hostile+churn", true, true, 0x8cfc04fecd132f4eULL,
+     0xc6eb57b386b0cbffULL},
+};
+
+TEST(FuzzReplay, LossFreeGeneratedTracesMatchGoldenDigests) {
+  for (const GeneratedDigest& golden : kGeneratedDigests) {
+    SCOPED_TRACE(golden.setting);
+    const GeneratorOptions gen = sweep_options(golden.hostile, golden.churn);
+    for (const std::size_t shards : {std::size_t{0}, std::size_t{1}}) {
+      RunnerOptions options;
+      options.shards = shards;
+      std::uint64_t digest = kFnvOffsetBasis;
+      std::size_t deliveries = 0;
+      std::size_t faults = 0;
+      for (std::uint64_t seed = 1; seed <= kGeneratedSeeds; ++seed) {
+        Scenario scenario = generate_scenario(seed, gen);
+        scenario.loss_probability = 0.0;
+        const RunTrace trace = run_scenario(scenario, options);
+        EXPECT_FALSE(trace.threw)
+            << "seed " << seed << ": " << trace.exception_what;
+        digest = fnv1a64(fingerprint(trace), digest);
+        digest = fnv1a64(
+            '#' + std::to_string(trace.channel_fault_events) + '\n', digest);
+        deliveries += trace.log.size();
+        faults += trace.channel_fault_events;
+      }
+      const std::uint64_t want =
+          shards == 0 ? golden.unsharded : golden.one_shard;
+      EXPECT_EQ(want, digest)
+          << "shards " << shards << ": want 0x" << std::hex << want
+          << ", got 0x" << digest << std::dec << " (" << deliveries
+          << " deliveries, " << faults << " channel faults)";
+    }
+  }
 }
 
 }  // namespace

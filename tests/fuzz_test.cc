@@ -67,10 +67,7 @@ TEST(FuzzScenario, ChurnOpsNeverTargetSameBatchCreates) {
   // earlier in the same phase's batch — an index the runner cannot resolve
   // to a GroupId yet, so the op was silently skipped and the sweep lost
   // that scenario weight. The generator must validate targets itself.
-  GeneratorOptions churny;
-  churny.max_phases = 5;
-  churny.reconfigure_probability = 0.95;
-  churny.max_churn_ops_per_phase = 4;
+  const GeneratorOptions churny = sweep_options(false, true);
   for (std::uint64_t seed = 1; seed <= 200; ++seed) {
     const Scenario scenario =
         seed % 2 == 0 ? generate_scenario(seed, churny)
@@ -426,14 +423,7 @@ TEST(FuzzShrink, HostFaultWindowsDroppedAndNarrowed) {
 }
 
 /// Generator knobs matching the driver's --hostile mode.
-GeneratorOptions hostile_options() {
-  GeneratorOptions gen;
-  gen.crash_probability = 0.7;
-  gen.publisher_crash_probability = 0.6;
-  gen.partition_probability = 0.5;
-  gen.small_budget_probability = 0.5;
-  return gen;
-}
+GeneratorOptions hostile_options() { return sweep_options(true, false); }
 
 TEST(FuzzSharded, GeneratedScenariosMatchAcrossShardCounts) {
   // The sharded runtime's headline guarantee, pushed through the fuzzer's

@@ -486,6 +486,91 @@ TEST(Channel, ZeroDelayStillFifo) {
   EXPECT_TRUE(std::is_sorted(got.begin(), got.end()));
 }
 
+TEST(Channel, InstantHopCostsOneEventPerSend) {
+  // A 0 ms loss-free channel (colocated atoms) is a same-machine hand-off:
+  // each send schedules its data event and nothing else — no ack event and
+  // no retransmit timer armed only to be cancelled.
+  Simulator sim;
+  Rng rng(18);
+  Channel<int> ch(sim, rng, 0.0);
+  std::vector<int> got;
+  ch.set_receiver([&](int v) {
+    got.push_back(v);
+    EXPECT_EQ(sim.now(), 0.0);
+  });
+  constexpr int kSends = 64;
+  for (int i = 0; i < kSends; ++i) ch.send(i);
+  sim.run();
+  ASSERT_EQ(got.size(), std::size_t{kSends});
+  EXPECT_TRUE(std::is_sorted(got.begin(), got.end()));
+  EXPECT_EQ(sim.events_scheduled(), std::size_t{kSends})
+      << "one data event per send, nothing else";
+  EXPECT_EQ(sim.timers_cancelled(), 0u) << "no timer was armed to cancel";
+  EXPECT_EQ(ch.retransmit_timer_fires(), 0u);
+  EXPECT_EQ(ch.transmissions(), std::size_t{kSends});
+  EXPECT_EQ(ch.unacked(), 0u) << "delivery releases the output slot";
+  EXPECT_TRUE(ch.quiescent());
+}
+
+TEST(Channel, InstantLaunchIsSampledOnce) {
+  // On a 0 ms loss-free channel the link and the receiver are sampled when
+  // a transmission is launched, never again on arrival.
+  enum class Fault { kReceiver, kLink };
+  const auto set_down = [](Channel<int>& ch, Fault fault, bool down) {
+    if (fault == Fault::kReceiver) {
+      ch.set_receiver_down(down);
+    } else {
+      ch.set_link_down(down);
+    }
+  };
+  for (const Fault fault : {Fault::kReceiver, Fault::kLink}) {
+    SCOPED_TRACE(fault == Fault::kReceiver ? "receiver" : "link");
+    {
+      // A launch that got through arrives at its instant even though the
+      // endpoint went down after it, inside that same instant.
+      Simulator sim;
+      Rng rng(19);
+      ChannelOptions options;
+      options.retransmit_timeout_ms = 25.0;
+      Channel<int> ch(sim, rng, 0.0, options);
+      std::vector<std::pair<int, Time>> got;
+      ch.set_receiver([&](int v) { got.push_back({v, sim.now()}); });
+      sim.schedule_at(10.0, [&] {
+        ch.send(1);
+        set_down(ch, fault, true);
+      });
+      sim.schedule_at(60.0, [&] { set_down(ch, fault, false); });
+      sim.run();
+      EXPECT_EQ(got, (std::vector<std::pair<int, Time>>{{1, 10.0}}));
+      EXPECT_EQ(ch.retransmit_timer_fires(), 0u);
+      EXPECT_EQ(ch.transmissions(), 1u);
+      EXPECT_TRUE(ch.quiescent());
+    }
+    {
+      // A launch made while down is buffered with its timer armed, and the
+      // recovery resend delivers it exactly once, in order.
+      Simulator sim;
+      Rng rng(20);
+      ChannelOptions options;
+      options.retransmit_timeout_ms = 25.0;
+      Channel<int> ch(sim, rng, 0.0, options);
+      std::vector<std::pair<int, Time>> got;
+      ch.set_receiver([&](int v) { got.push_back({v, sim.now()}); });
+      sim.schedule_at(10.0, [&] {
+        set_down(ch, fault, true);
+        ch.send(1);
+        ch.send(2);
+      });
+      sim.schedule_at(60.0, [&] { set_down(ch, fault, false); });
+      sim.run();
+      EXPECT_EQ(got, (std::vector<std::pair<int, Time>>{{1, 60.0}, {2, 60.0}}));
+      EXPECT_GE(ch.retransmit_timer_fires(), 1u);
+      EXPECT_EQ(ch.unacked(), 0u);
+      EXPECT_TRUE(ch.quiescent());
+    }
+  }
+}
+
 TEST(Channel, AcksDrainRetransmissionBuffer) {
   Simulator sim;
   Rng rng(3);
@@ -560,21 +645,25 @@ TEST(Channel, LossFreeRunFiresNoRetransmitTimers) {
 }
 
 TEST(Channel, LossTriggersTimerFiresAndRepair) {
-  Simulator sim;
-  Rng rng(8);
-  ChannelOptions options;
-  options.loss_probability = 0.5;
-  options.retransmit_timeout_ms = 30.0;
-  Channel<int> ch(sim, rng, 2.0, options);
-  std::vector<int> got;
-  ch.set_receiver([&](int v) { got.push_back(v); });
-  for (int i = 0; i < 40; ++i) ch.send(i);
-  sim.run();
-  ASSERT_EQ(got.size(), 40u);
-  EXPECT_TRUE(std::is_sorted(got.begin(), got.end()));
-  EXPECT_GE(ch.retransmit_timer_fires(), 1u)
-      << "half the packets vanished; the timer must have driven repair";
-  EXPECT_EQ(ch.unacked(), 0u);
+  // At delay 0 too: a lossy 0 ms channel keeps its acks and its timer.
+  for (const Time delay : {2.0, 0.0}) {
+    SCOPED_TRACE("delay " + std::to_string(delay));
+    Simulator sim;
+    Rng rng(8);
+    ChannelOptions options;
+    options.loss_probability = 0.5;
+    options.retransmit_timeout_ms = 30.0;
+    Channel<int> ch(sim, rng, delay, options);
+    std::vector<int> got;
+    ch.set_receiver([&](int v) { got.push_back(v); });
+    for (int i = 0; i < 40; ++i) ch.send(i);
+    sim.run();
+    ASSERT_EQ(got.size(), 40u);
+    EXPECT_TRUE(std::is_sorted(got.begin(), got.end()));
+    EXPECT_GE(ch.retransmit_timer_fires(), 1u)
+        << "half the packets vanished; the timer must have driven repair";
+    EXPECT_EQ(ch.unacked(), 0u);
+  }
 }
 
 TEST(Channel, ReceiverFailureWindowRecovers) {
@@ -601,25 +690,30 @@ TEST(Channel, ReceiverFailureWindowRecovers) {
 }
 
 TEST(Channel, LinkFailureWindowRecovers) {
-  Simulator sim;
-  Rng rng(10);
-  ChannelOptions options;
-  options.retransmit_timeout_ms = 25.0;
-  Channel<int> ch(sim, rng, 5.0, options);
-  std::vector<int> got;
-  ch.set_receiver([&](int v) { got.push_back(v); });
+  // At delay 0 too: launches made while a 0 ms hop is cut take the
+  // buffered path, timer included.
+  for (const Time delay : {5.0, 0.0}) {
+    SCOPED_TRACE("delay " + std::to_string(delay));
+    Simulator sim;
+    Rng rng(10);
+    ChannelOptions options;
+    options.retransmit_timeout_ms = 25.0;
+    Channel<int> ch(sim, rng, delay, options);
+    std::vector<int> got;
+    ch.set_receiver([&](int v) { got.push_back(v); });
 
-  ch.set_link_down(true);
-  ch.send(1);
-  ch.send(2);
-  ch.send(3);
-  sim.schedule_at(80.0, [&] { ch.set_link_down(false); });
-  sim.run();
+    ch.set_link_down(true);
+    ch.send(1);
+    ch.send(2);
+    ch.send(3);
+    sim.schedule_at(80.0, [&] { ch.set_link_down(false); });
+    sim.run();
 
-  EXPECT_EQ(got, (std::vector<int>{1, 2, 3}))
-      << "a severed link is a 100% loss window the timer repairs";
-  EXPECT_GE(ch.retransmit_timer_fires(), 1u);
-  EXPECT_EQ(ch.unacked(), 0u);
+    EXPECT_EQ(got, (std::vector<int>{1, 2, 3}))
+        << "a severed link is a 100% loss window the timer repairs";
+    EXPECT_GE(ch.retransmit_timer_fires(), 1u);
+    EXPECT_EQ(ch.unacked(), 0u);
+  }
 }
 
 TEST(Channel, ExhaustedBudgetSurfacesFaultWithoutAbort) {

@@ -653,6 +653,59 @@ TEST(SimCluster, ConformsOnWholeCorpus) {
   }
 }
 
+TEST(NodeEngine, PublishRejectsUnknownSender) {
+  // A publish command names its sender from outside the process. One the
+  // config does not know must fail the range check, not index the per-host
+  // rank table out of bounds.
+  app::ClusterConfig config;
+  config.num_ranks = 2;
+  for (std::uint32_t h = 0; h < 2; ++h) {
+    config.hosts.push_back({h, {GroupId(1)}, {AtomId(0)}});
+  }
+  config.groups.resize(2);
+  config.groups[1].members = {NodeId(0), NodeId(1)};
+  config.groups[1].path = {{AtomId(0), true, 0}, {AtomId(2), false, 1}};
+
+  sim::Simulator sim;
+  SimNet net(sim, 99);
+  net.add_endpoints(2);
+  for (const app::EdgeSpec& edge : app::build_edge_table(config)) {
+    if (edge.kind == app::EdgeKind::kControlCommand ||
+        edge.kind == app::EdgeKind::kControlReport ||
+        edge.src_rank == edge.dst_rank) {
+      continue;
+    }
+    net.add_edge(edge.id, edge.src_rank, edge.dst_rank, SimEdgeOptions{});
+  }
+  std::size_t delivered = 0;
+  std::vector<std::unique_ptr<ChannelSet>> sets;
+  std::vector<std::unique_ptr<app::NodeEngine>> engines;
+  for (std::uint32_t r = 0; r < 2; ++r) {
+    sets.push_back(std::make_unique<ChannelSet>());
+    engines.push_back(std::make_unique<app::NodeEngine>(
+        net.endpoint(r), *sets.back(), config, r,
+        [&delivered](NodeId, const protocol::Message&, double) {
+          ++delivered;
+        }));
+    ChannelSet* set = sets.back().get();
+    net.endpoint(r).set_datagram_sink(
+        [set](const std::uint8_t* d, std::size_t n, const Origin& o) {
+          set->handle(d, n, o);
+        });
+  }
+
+  for (const NodeId sender : {NodeId(2), NodeId(5'000'000), NodeId{}}) {
+    EXPECT_THROW(engines[0]->publish(1, sender, GroupId(1), 7), CheckFailure)
+        << "sender " << sender;
+  }
+  EXPECT_THROW(engines[0]->publish(1, NodeId(1), GroupId(1), 7), CheckFailure)
+      << "host 1 lives on rank 1";
+  EXPECT_EQ(engines[0]->stats().published, 0u);
+  engines[0]->publish(1, NodeId(0), GroupId(1), 7);
+  sim.run();
+  EXPECT_EQ(delivered, 2u) << "a known sender still publishes to both hosts";
+}
+
 // --- Control codec -------------------------------------------------------
 
 TEST(ClusterConfig, RejectsNonPositiveRto) {
