@@ -105,7 +105,7 @@ class Channel {
   using DeliverFn = std::function<void(T)>;
 
   Channel(Simulator& sim, Rng& rng, Time delay_ms,
-          sim::ChannelOptions options = {})
+          ChannelOptions options = {})
       : sim_(&sim), rng_(&rng), delay_ms_(delay_ms), options_(options) {}
   Channel(const Channel&) = delete;
   Channel& operator=(const Channel&) = delete;
@@ -165,7 +165,7 @@ class Channel {
   Simulator* sim_;
   Rng* rng_;
   Time delay_ms_;
-  sim::ChannelOptions options_;
+  ChannelOptions options_;
   DeliverFn deliver_;
   std::uint64_t next_send_seq_ = 0;
   std::uint64_t next_deliver_seq_ = 0;

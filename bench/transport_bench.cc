@@ -47,6 +47,9 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// The channel options both channel benches run with: a 50 ms timeout.
+const ChannelOptions kOptions{.retransmit_timeout_ms = 50.0};
+
 double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
@@ -91,7 +94,7 @@ double bench_sim_channel(std::size_t messages) {
   net.add_endpoints(2);
   net.add_edge(/*id=*/1, 0, 1);
   Rng rng(7);
-  transport::SendChannel sender(net.endpoint(0), rng, /*edge=*/1);
+  transport::SendChannel sender(net.endpoint(0), rng, /*edge=*/1, kOptions);
   std::size_t delivered = 0;
   transport::RecvChannel receiver(
       net.endpoint(1), /*edge=*/1,
@@ -126,7 +129,7 @@ double bench_udp_loopback(std::size_t messages) {
   a.add_edge(/*edge=*/1, b.local_addr());
   b.add_edge(/*edge=*/1, a.local_addr());
   Rng rng(7);
-  transport::SendChannel sender(a, rng, /*edge=*/1);
+  transport::SendChannel sender(a, rng, /*edge=*/1, kOptions);
   std::size_t delivered = 0;
   transport::RecvChannel receiver(
       b, /*edge=*/1,

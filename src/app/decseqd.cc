@@ -31,6 +31,10 @@ protocol::Message decode_wire_message(const std::uint8_t* payload,
   return std::move(*decoded);
 }
 
+/// Widest value a 32-bit field of a command or report may carry: a larger
+/// varint is refused rather than truncated onto some other host or group.
+constexpr std::uint64_t kU32Max = 0xffffffffULL;
+
 std::uint64_t atom_pair_key(AtomId from, AtomId to) {
   return static_cast<std::uint64_t>(from.value()) << 32 | to.value();
 }
@@ -62,6 +66,9 @@ std::optional<Command> decode_command(const std::uint8_t* data,
     return std::nullopt;
   }
   if (*kind < 1 || *kind > 3) return std::nullopt;
+  if (*ordinal > kU32Max || *sender > kU32Max || *group > kU32Max) {
+    return std::nullopt;
+  }
   c.kind = static_cast<Command::Kind>(*kind);
   c.ordinal = static_cast<std::uint32_t>(*ordinal);
   c.sender = static_cast<std::uint32_t>(*sender);
@@ -98,6 +105,10 @@ std::optional<Report> decode_report(const std::uint8_t* data,
     return std::nullopt;
   }
   if (*kind < 1 || *kind > 4) return std::nullopt;
+  if (*rank > kU32Max || *receiver > kU32Max || *group > kU32Max ||
+      *sender > kU32Max) {
+    return std::nullopt;
+  }
   r.kind = static_cast<Report::Kind>(*kind);
   r.rank = static_cast<std::uint32_t>(*rank);
   r.receiver = static_cast<std::uint32_t>(*receiver);
@@ -569,7 +580,7 @@ int Daemon::run() {
   const transport::EdgeId report_edge = ranks + s.options.rank;
   s.io.add_edge(command_edge, s.coordinator);
   s.io.add_edge(report_edge, s.coordinator);
-  transport::ChannelOptions ctrl_options;
+  ChannelOptions ctrl_options;
   ctrl_options.retransmit_timeout_ms = s.config.retransmit_timeout_ms;
   ctrl_options.max_retransmits = s.config.max_retransmits;
   s.report_out = std::make_unique<transport::SendChannel>(

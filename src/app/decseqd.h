@@ -158,7 +158,7 @@ class NodeEngine {
   DeliveryFn on_delivery_;
   RejectFn on_reject_;
   Rng rng_;
-  transport::ChannelOptions channel_options_;
+  ChannelOptions channel_options_;
 
   std::vector<GroupState> groups_;
   std::vector<SeqNo> atom_next_seq_;

@@ -256,13 +256,13 @@ std::unique_ptr<sim::Channel<Message>> SequencingNetwork::make_channel(
   // recover_link clear the state (see channel_faults()).
   if (engine_ != nullptr) {
     channel->set_fault_callback(
-        [this, from, to, shard](const sim::ChannelFault& f) {
+        [this, from, to, shard](const ChannelFault& f) {
           shard_channel_faults_[shard].push_back(
               {from, to, f.seq, f.attempts, f.at});
         });
   } else {
     channel->set_fault_callback(
-        [this, from, to](const sim::ChannelFault& f) {
+        [this, from, to](const ChannelFault& f) {
           channel_faults_.push_back({from, to, f.seq, f.attempts, f.at});
         });
   }
@@ -352,12 +352,12 @@ MsgId SequencingNetwork::inject(NodeId sender, GroupId group,
                                 std::size_t body_size, bool is_fin) {
   DECSEQ_CHECK_MSG(graph_->has_path(group),
                    "publish to group " << group << " with no path");
-  DECSEQ_CHECK_MSG(!terminated_groups_.contains(group),
+  DECSEQ_CHECK_MSG(!group_terminated(group),
                    "group " << group << " was terminated");
   DECSEQ_CHECK_MSG(!is_fin || !publisher_failed(sender),
                    "group termination initiated from crashed publisher "
                        << sender);
-  if (is_fin) terminated_groups_.insert(group);
+  if (is_fin) group_route(group).terminated = true;
   const MsgId id(static_cast<MsgId::underlying_type>(records_.size()));
   records_.push_back({sender, group, sim_->now(), std::nullopt, 0, 0});
   if (publisher_failed(sender)) {
@@ -425,21 +425,6 @@ void SequencingNetwork::ingest(std::uint32_t shard,
                            });
 }
 
-double SequencingNetwork::ingress_backoff_delay(std::uint32_t attempts) {
-  // Exponential and capped like the channels' schedule, but deliberately
-  // NOT jittered: a sender's pending publishes retry in lockstep, so the
-  // FIFO tie-break keeps them in publish order through the outage. Jitter
-  // decorrelates independent hosts; within one sender's serialized retry
-  // pipeline it would only scramble that order.
-  const sim::ChannelOptions& ch = options_.channel;
-  const double cap = ch.retransmit_timeout_ms * ch.max_backoff_factor;
-  double delay = ch.retransmit_timeout_ms;
-  for (std::uint32_t i = 1; i < attempts && delay < cap; ++i) {
-    delay *= ch.backoff_factor;
-  }
-  return std::min(delay, cap);
-}
-
 void SequencingNetwork::arrive_at_ingress(AtomId ingress, PayloadRef payload,
                                           std::uint32_t attempts) {
   GroupRoute& route = group_route(payload->group());
@@ -471,11 +456,16 @@ void SequencingNetwork::arrive_at_ingress(AtomId ingress, PayloadRef payload,
       rec.ingress_failed = true;
       return;
     }
-    // Publisher retry, with the channels' exponential backoff so a long
-    // ingress-machine outage costs O(log) retries, not a retry storm.
+    // Publisher retry, on the channels' backoff schedule so a long
+    // ingress-machine outage costs O(log) retries, not a retry storm. It is
+    // deliberately NOT jittered: a sender's pending publishes retry in
+    // lockstep, so the FIFO tie-break keeps them in publish order through
+    // the outage. Jitter decorrelates independent hosts; within one
+    // sender's serialized retry pipeline it would only scramble that order.
     ++rec.ingress_retries;
     const std::uint32_t next = attempts + 1;
-    sim.schedule_after(ingress_backoff_delay(next),
+    sim.schedule_after(backoff_delay(options_.channel.retransmit_timeout_ms,
+                                     next),
                        [this, ingress, payload = std::move(payload), next] {
                          arrive_at_ingress(ingress, payload, next);
                        });
@@ -658,14 +648,14 @@ SequencingNetwork::FanOutPlan& SequencingNetwork::fanout_plan(
   if (gv >= fanout_plans_.size()) fanout_plans_.resize(gv + 1);
   auto& slot = fanout_plans_[gv];
   if (slot == nullptr) {
-    slot = build_fanout_plan(group, last_atom, membership_->members(group),
+    slot = build_fanout_plan(last_atom, membership_->members(group),
                              group_routes_[gv].shard);
   }
   return *slot;
 }
 
 std::unique_ptr<SequencingNetwork::FanOutPlan>
-SequencingNetwork::build_fanout_plan(GroupId group, AtomId last_atom,
+SequencingNetwork::build_fanout_plan(AtomId last_atom,
                                      const std::vector<NodeId>& members,
                                      std::uint32_t shard) {
   auto plan = std::make_unique<FanOutPlan>();
@@ -876,7 +866,7 @@ ReconfigureReport SequencingNetwork::begin_reconfigure(
   std::vector<char> had_old_flag(group_routes_.size(), 0);
   std::vector<std::vector<NodeId>> old_sorted(group_routes_.size());
   for (const GroupId g : affected_list) {
-    DECSEQ_CHECK_MSG(!terminated_groups_.contains(g),
+    DECSEQ_CHECK_MSG(!group_terminated(g),
                      "reconfigure touches terminated group " << g);
     const auto gv = g.value();
     GroupRoute& route = group_routes_[gv];
@@ -895,8 +885,8 @@ ReconfigureReport SequencingNetwork::begin_reconfigure(
       const AtomId old_last =
           route_hops_[route.first_hop + route.num_hops - 1].atom;
       if (fanout_plans_[gv] == nullptr) {
-        fanout_plans_[gv] = build_fanout_plan(
-            g, old_last, old_members_by_slot[gv], route.shard);
+        fanout_plans_[gv] = build_fanout_plan(old_last, old_members_by_slot[gv],
+                                              route.shard);
       }
       prev_fanout_plans_[gv] = std::move(fanout_plans_[gv]);
       route.prev_first_hop = route.first_hop;
@@ -1087,7 +1077,7 @@ void SequencingNetwork::sequence_fence(GroupId group, bool close_group,
   const MsgId id(static_cast<MsgId::underlying_type>(records_.size()));
   records_.push_back({NodeId{}, group, sim.now(), std::nullopt, 0, 0});
   if (close_group) {
-    terminated_groups_.insert(group);
+    route.terminated = true;
     route.ingress_closed = true;
   }
   // The fence is sequenced synchronously at the old ingress, as the last

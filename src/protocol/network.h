@@ -12,7 +12,6 @@
 #include <functional>
 #include <memory>
 #include <optional>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -37,7 +36,7 @@ namespace decseq::protocol {
 struct NetworkOptions {
   /// Options for inter-sequencer channels (loss is 0 in experiments; tests
   /// raise it to exercise retransmission).
-  sim::ChannelOptions channel;
+  ChannelOptions channel;
   /// Distribute exiting messages through a shortest-path multicast tree per
   /// group (the paper's "delivery tree", §3) instead of per-member
   /// unicasts. Delivery times are identical (tree edges follow shortest
@@ -75,7 +74,7 @@ struct MessageRecord {
 };
 
 /// One channel-exhaustion event, recorded when the inter-sequencer channel
-/// `from -> to` exhausted its retransmission budget (sim::ChannelFault
+/// `from -> to` exhausted its retransmission budget (a ChannelFault
 /// surfaced with the edge attached).
 struct ChannelFaultRecord {
   AtomId from;
@@ -164,7 +163,8 @@ class SequencingNetwork {
   MsgId terminate_group(GroupId group, NodeId initiator);
 
   [[nodiscard]] bool group_terminated(GroupId group) const {
-    return terminated_groups_.contains(group);
+    return group.valid() && group.value() < group_routes_.size() &&
+           group_routes_[group.value()].terminated;
   }
 
   // --- Zero-downtime reconfiguration (dual-epoch routing, PROTOCOL §9). ---
@@ -373,6 +373,10 @@ class SequencingNetwork {
     /// The group's FIN passed the ingress: the sequence space is closed and
     /// data messages that lost the race against the FIN are rejected.
     bool ingress_closed = false;
+    /// A FIN was injected (or a closing fence sequenced) for the group:
+    /// further publishes are an error. Sits in the padding after
+    /// ingress_closed, so the route stays 72 bytes.
+    bool terminated = false;
     /// Sharded mode: the overlap unit this group belongs to and the worker
     /// shard the unit is pinned to (see runtime/shard_plan.h). The hot path
     /// reads the shard straight off the route — no plan lookups per
@@ -437,16 +441,13 @@ class SequencingNetwork {
   /// the group sequence number here. `attempts` counts the retries so far.
   void arrive_at_ingress(AtomId ingress, PayloadRef payload,
                          std::uint32_t attempts);
-  /// Delay before ingress retry `attempts`: the channels' backoff formula
-  /// (exponential, capped, jittered) applied to the ingress retry loop.
-  [[nodiscard]] double ingress_backoff_delay(std::uint32_t attempts);
   void distribute(AtomId last_atom, Message&& message);
   [[nodiscard]] FanOutPlan& fanout_plan(GroupId group, AtomId last_atom);
-  /// Materialize a distribution plan for `group` from an explicit member
-  /// list and shard (fanout_plan() uses the current membership; the
-  /// reconfiguration path uses the old-member snapshot).
+  /// Materialize a group's distribution plan from its egress atom, an
+  /// explicit member list and its shard (fanout_plan() uses the current
+  /// membership; the reconfiguration path uses the old-member snapshot).
   [[nodiscard]] std::unique_ptr<FanOutPlan> build_fanout_plan(
-      GroupId group, AtomId last_atom, const std::vector<NodeId>& members,
+      AtomId last_atom, const std::vector<NodeId>& members,
       std::uint32_t shard);
   /// Create the reliable FIFO channel for the path edge `from -> to`
   /// (compile_routes() and the reconfiguration channel append share it).
@@ -545,7 +546,6 @@ class SequencingNetwork {
   /// spaces are disjoint (a group and all atoms relevant to it live in one
   /// unit), so splitting them changes no deliver-or-buffer decision.
   std::vector<std::vector<std::unique_ptr<Receiver>>> shard_receivers_;
-  std::unordered_set<GroupId> terminated_groups_;
   std::vector<MessageRecord> records_;
   std::vector<std::size_t> seqnode_load_;
   std::vector<bool> node_down_;

@@ -25,19 +25,16 @@
 
 #include <atomic>
 #include <cstddef>
-#include <new>
 #include <vector>
 
 #include "common/check.h"
 
 namespace decseq::runtime {
 
-#ifdef __cpp_lib_hardware_interference_size
-inline constexpr std::size_t kCacheLine =
-    std::hardware_destructive_interference_size;
-#else
+/// Destructive-interference distance. A constant rather than
+/// std::hardware_destructive_interference_size, whose value follows -mtune
+/// and would make the layout of these rings depend on the build flags.
 inline constexpr std::size_t kCacheLine = 64;
-#endif
 
 /// Round up to the next power of two (minimum 2).
 [[nodiscard]] constexpr std::size_t ring_capacity_for(std::size_t n) {

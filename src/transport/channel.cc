@@ -2,8 +2,7 @@
 
 #include <algorithm>
 #include <array>
-#include <cmath>
-#include <limits>
+#include <optional>
 #include <utility>
 
 namespace decseq::transport {
@@ -12,12 +11,8 @@ namespace decseq::transport {
 
 SendChannel::SendChannel(Transport& transport, Rng& rng, EdgeId edge,
                          ChannelOptions options)
-    : transport_(&transport), rng_(&rng), edge_(edge), options_(options) {
-  DECSEQ_CHECK(std::isfinite(options_.retransmit_timeout_ms) &&
-               options_.retransmit_timeout_ms > 0.0);
-  DECSEQ_CHECK(options_.backoff_factor >= 1.0);
-  DECSEQ_CHECK(options_.max_backoff_factor >= 1.0);
-  DECSEQ_CHECK(options_.backoff_jitter >= 0.0);
+    : SendWindow(options), transport_(&transport), rng_(&rng), edge_(edge) {
+  DECSEQ_CHECK(options.loss_probability == 0.0);
 }
 
 SendChannel::~SendChannel() {
@@ -26,46 +21,26 @@ SendChannel::~SendChannel() {
 
 void SendChannel::send(const std::uint8_t* payload, std::size_t size,
                        std::uint8_t flags) {
-  const std::uint64_t seq = next_send_seq_++;
-  OutPacket packet;
-  packet.frame = frames_.acquire(kFrameHeaderBytes + size);
-  encode_frame(packet.frame.data(), FrameType::kData, flags, edge_, seq,
+  auto [seq, packet] = push(transport_->now_ms());
+  packet.slot = frames_.acquire(kFrameHeaderBytes + size);
+  encode_frame(packet.slot.data(), FrameType::kData, flags, edge_, seq,
                payload, size);
-  packet.deadline = transport_->now_ms() + options_.retransmit_timeout_ms;
-  ++transmissions_;
-  transport_->send(edge_, packet.frame.data(), packet.frame.size());
-  out_.push_back(std::move(packet));
-  if (!timer_.valid()) arm_timer(out_.back().deadline);
+  transport_->send(edge_, packet.slot.data(), packet.slot.size());
+  if (!timer_.valid()) arm_timer(packet.deadline);
 }
 
 bool SendChannel::on_ack(std::uint64_t cumulative) {
-  if (cumulative > next_send_seq_) return false;
-  while (!out_.empty() && send_base_ < cumulative) {
-    frames_.release(std::move(out_.front().frame));
-    out_.pop_front();
-    ++send_base_;
+  if (!release(cumulative, [this](common::BufferPool::Buffer& frame) {
+        frames_.release(std::move(frame));
+      })) {
+    return false;
   }
-  if (out_.empty()) {
-    // The whole window made it through: any surfaced fault is over, and
-    // acked packets must never wake the timer again.
-    fault_.reset();
-    if (timer_.valid()) {
-      transport_->cancel(timer_);
-      timer_ = Transport::TimerId();
-    }
+  // Acked packets must never wake the timer again.
+  if (unacked() == 0 && timer_.valid()) {
+    transport_->cancel(timer_);
+    timer_ = Transport::TimerId();
   }
   return true;
-}
-
-double SendChannel::backoff_delay(std::uint32_t attempts) {
-  const double cap =
-      options_.retransmit_timeout_ms * options_.max_backoff_factor;
-  double delay = options_.retransmit_timeout_ms;
-  for (std::uint32_t i = 1; i < attempts && delay < cap; ++i) {
-    delay *= options_.backoff_factor;
-  }
-  delay = std::min(delay, cap);
-  return delay * (1.0 + rng_->next_double() * options_.backoff_jitter);
 }
 
 void SendChannel::arm_timer(double deadline) {
@@ -76,31 +51,14 @@ void SendChannel::arm_timer(double deadline) {
 
 void SendChannel::on_timer() {
   timer_ = Transport::TimerId();
-  if (out_.empty()) return;  // raced with the draining ack
-  const double now = transport_->now_ms();
-  bool any_due = false;
-  double earliest = std::numeric_limits<double>::infinity();
-  for (std::size_t i = 0; i < out_.size(); ++i) {
-    OutPacket& packet = out_[i];
-    if (packet.deadline <= now) {
-      any_due = true;
-      const std::uint32_t attempts = ++packet.attempts;
-      if (attempts > options_.max_retransmits && !fault_.has_value()) {
-        fault_ = ChannelFault{send_base_ + i, attempts, now};
-        ++faults_entered_;
-        if (on_fault_) on_fault_(*fault_);
-      }
-      ++transmissions_;
-      transport_->send(edge_, packet.frame.data(), packet.frame.size());
-      packet.deadline = now + backoff_delay(attempts);
-    }
-    if (packet.deadline < earliest) earliest = packet.deadline;
-  }
-  if (any_due) ++retransmit_timer_fires_;
+  if (unacked() == 0) return;  // raced with the draining ack
   // Unlike the simulator channel there is no known-down oracle to park on:
   // a faulted channel keeps probing at the capped cadence — a fault is a
   // status, never a wedge — until an ack drains the window.
-  arm_timer(earliest);
+  arm_timer(expire(transport_->now_ms(), *rng_,
+                   [this](std::uint64_t, common::BufferPool::Buffer& frame) {
+                     transport_->send(edge_, frame.data(), frame.size());
+                   }));
 }
 
 // --- RecvChannel ---------------------------------------------------------
@@ -112,60 +70,45 @@ RecvChannel::RecvChannel(Transport& transport, EdgeId edge, DeliverFn deliver)
 
 bool RecvChannel::on_data(std::uint64_t seq, std::uint8_t flags,
                           const std::uint8_t* payload, std::size_t size) {
-  if (seq < next_deliver_seq_) {
-    // Retransmit-induced duplicate of something already delivered: the ack
-    // that released it was lost. Re-ack, drop.
-    ++duplicates_;
-    send_ack();
-    return true;
-  }
-  const std::uint64_t ahead = seq - next_deliver_seq_;
-  if (ahead >= kMaxReorderWindow) {
+  if (seq >= next_deliver_seq() &&
+      seq - next_deliver_seq() >= kMaxReorderWindow) {
     // Beyond the reorder window: drop, but still send the cumulative ack.
     // A sender that legitimately ran a full window ahead of a stalled head
     // learns where the receiver actually is and stops retransmitting the
     // packets below it; staying silent here turned one stall into a
     // full-window retransmit storm (every dropped packet kept its timer).
     ++window_overruns_;
-    send_ack();
+    send_ack(next_deliver_seq());
     return false;
   }
-  // Fast path: the next expected packet with nothing parked behind it.
-  if (ahead == 0 && reorder_.empty()) {
-    ++next_deliver_seq_;
-    ++delivered_;
-    deliver_(payload, size, flags);
-    send_ack();
-    return true;
-  }
-  const std::size_t index = static_cast<std::size_t>(ahead);
-  if (index >= reorder_.size()) reorder_.resize(index + 1);
-  if (!reorder_[index].has_value()) {
-    Parked parked;
-    parked.flags = flags;
-    parked.payload = parked_.acquire(size);
-    std::copy_n(payload, size, parked.payload.data());
-    reorder_[index].emplace(std::move(parked));
-    ++reorder_buffered_;
-  } else {
-    ++duplicates_;
-  }
-  while (!reorder_.empty() && reorder_.front().has_value()) {
-    Parked parked = std::move(*reorder_.front());
-    reorder_.pop_front();
-    --reorder_buffered_;
-    ++next_deliver_seq_;
-    ++delivered_;
-    deliver_(parked.payload.data(), parked.payload.size(), parked.flags);
-    parked_.release(std::move(parked.payload));
-  }
-  send_ack();
+  const bool fresh = arrive(
+      seq,
+      [&] {
+        ++delivered_;
+        deliver_(payload, size, flags);
+      },
+      [&] {
+        ParkedPayload parked;
+        parked.flags = flags;
+        parked.payload = parked_.acquire(size);
+        std::copy_n(payload, size, parked.payload.data());
+        return parked;
+      },
+      [this](ParkedPayload&& parked) {
+        ++delivered_;
+        deliver_(parked.payload.data(), parked.payload.size(), parked.flags);
+        parked_.release(std::move(parked.payload));
+      },
+      [this](std::uint64_t cumulative) { send_ack(cumulative); });
+  // A retransmit-induced duplicate: the ack that released it was lost, and
+  // the arrival's ack repairs that.
+  if (!fresh) ++duplicates_;
   return true;
 }
 
-void RecvChannel::send_ack() {
+void RecvChannel::send_ack(std::uint64_t cumulative) {
   std::array<std::uint8_t, kFrameHeaderBytes> frame;
-  encode_frame(frame.data(), FrameType::kAck, 0, edge_, next_deliver_seq_);
+  encode_frame(frame.data(), FrameType::kAck, 0, edge_, cumulative);
   transport_->send(edge_, frame.data(), frame.size());
 }
 

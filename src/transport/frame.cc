@@ -165,7 +165,10 @@ std::vector<std::uint8_t> encode_peers(const std::vector<PeerAddr>& peers) {
 
 std::optional<std::vector<PeerAddr>> decode_peers(const Frame& frame) {
   if (frame.type != FrameType::kPeers) return std::nullopt;
-  if (frame.payload_size != frame.seq * 10) return std::nullopt;
+  // Divide rather than multiply: count * 10 wraps for a count near 2^64.
+  if (frame.payload_size % 10 != 0 || frame.payload_size / 10 != frame.seq) {
+    return std::nullopt;
+  }
   std::vector<PeerAddr> peers(static_cast<std::size_t>(frame.seq));
   const std::uint8_t* p = frame.payload;
   for (PeerAddr& peer : peers) {

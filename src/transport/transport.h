@@ -9,8 +9,9 @@
 //   * a datagram sink        — raw datagrams arriving at this endpoint,
 //                              with the (transport-specific) origin of each;
 //   * timers                 — cancellable one-shot callbacks in the
-//                              endpoint's local clock, reusing the 4-ary
-//                              slab-pooled heap from sim/simulator.h.
+//                              endpoint's local clock, reusing the
+//                              monotone radix event queue of
+//                              sim/simulator.h.
 //
 // Two backends implement it (the Protolib shape from SNIPPETS.md: one
 // protocol engine driven either by a simulation environment or by real
@@ -22,7 +23,7 @@
 //     runs the whole multi-endpoint world in one process and one thread.
 //   * UdpTransport (udp_transport.h) — one nonblocking UDP socket per
 //     endpoint, edges mapped to peer socket addresses, timers driven by a
-//     private simulator heap advanced to CLOCK_MONOTONIC between polls.
+//     private simulator queue advanced to CLOCK_MONOTONIC between polls.
 //
 // Edges are *directed* and named by small dense integers agreed across the
 // deployment (app/cluster_config.h derives the numbering from the cluster
@@ -33,7 +34,8 @@
 // through this interface: its in-memory sim::Channel<Message> moves typed
 // messages by reference with zero serialization, which is what the figure
 // benchmarks measure. The transport layer is the wire-facing counterpart —
-// same channel algorithm (channel.h), same codec, real bytes.
+// the same channel windows (common/channel_window.h, driven by channel.h),
+// same codec, real bytes.
 #pragma once
 
 #include <cstddef>

@@ -9,12 +9,12 @@
 // bootstrap needs the source; channels demux by the edge id inside the
 // frame).
 //
-// Timers reuse the 4-ary slab-pooled heap from sim/simulator.h verbatim: a
-// private sim::Simulator whose clock is *driven by CLOCK_MONOTONIC* — each
-// poll() advances it to wall-now with run_until(), firing whatever came
-// due. The heap neither knows nor cares that "simulated milliseconds" are
-// now real ones; schedule/cancel/backoff logic above is byte-for-byte the
-// code the simulator runs (the Protolib ProtoTimer move).
+// Timers reuse the monotone radix event queue of sim/simulator.h verbatim:
+// a private sim::Simulator whose clock is *driven by CLOCK_MONOTONIC* —
+// each poll() advances it to wall-now with run_until(), firing whatever
+// came due. The queue neither knows nor cares that "simulated
+// milliseconds" are now real ones; schedule/cancel/backoff logic above is
+// byte-for-byte the code the simulator runs (the Protolib ProtoTimer move).
 //
 // poll(max_wait_ms) is the whole event loop step:
 //   1. advance timers to wall-now;

@@ -864,7 +864,6 @@ TEST(Channel, PureLossFaultClearsWhenProbeLands) {
   options.loss_probability = 0.9;
   options.retransmit_timeout_ms = 5.0;
   options.max_retransmits = 2;
-  options.max_backoff_factor = 4.0;  // keep the probe cadence brisk
   Channel<int> ch(sim, rng, 1.0, options);
   std::vector<int> got;
   ch.set_receiver([&](int v) { got.push_back(v); });

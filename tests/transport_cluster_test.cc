@@ -47,7 +47,6 @@
 namespace decseq::app {
 namespace {
 
-using transport::ChannelOptions;
 using transport::ChannelSet;
 using transport::EdgeId;
 using transport::Frame;
