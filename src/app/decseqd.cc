@@ -242,17 +242,28 @@ NodeEngine::NodeEngine(transport::Transport& transport,
   }
 }
 
-void NodeEngine::publish(std::uint32_t ordinal, NodeId sender, GroupId group,
-                         std::uint64_t payload, bool fin) {
+const char* NodeEngine::publish_refusal(NodeId sender, GroupId group) const {
   // Both ids arrive in a control command from outside the process: range
   // check them before they index anything.
-  DECSEQ_CHECK(group.valid() && group.value() < groups_.size());
+  if (!group.valid() || group.value() >= groups_.size()) {
+    return "unknown group";
+  }
+  if (groups_[group.value()].hops.empty()) return "dead group";
+  if (!sender.valid() || sender.value() >= host_rank_.size()) {
+    return "unknown host";
+  }
+  if (host_rank_[sender.value()] != rank_) return "host on another rank";
+  return nullptr;
+}
+
+void NodeEngine::publish(std::uint32_t ordinal, NodeId sender, GroupId group,
+                         std::uint64_t payload, bool fin) {
+  const char* refusal = publish_refusal(sender, group);
+  DECSEQ_CHECK_MSG(refusal == nullptr,
+                   "publish from host " << sender << " to group " << group
+                                        << " on rank " << rank_ << ": "
+                                        << refusal);
   const GroupState& state = groups_[group.value()];
-  DECSEQ_CHECK_MSG(!state.hops.empty(), "publish to dead group " << group);
-  DECSEQ_CHECK_MSG(sender.valid() && sender.value() < host_rank_.size(),
-                   "publish from unknown host " << sender);
-  DECSEQ_CHECK_MSG(host_rank_[sender.value()] == rank_,
-                   "host " << sender << " does not live on rank " << rank_);
   ++stats_.published;
   protocol::MessageSpec spec;
   spec.id = MsgId(ordinal);
@@ -421,6 +432,8 @@ struct Daemon::State {
 
   bool peers_received = false;
   bool done = false;
+  /// Commands that did not decode or that the engine refused.
+  std::uint64_t commands_dropped = 0;
   std::FILE* log = nullptr;
 
   explicit State(DaemonOptions opts)
@@ -525,17 +538,33 @@ struct Daemon::State {
     send_report(report);
   }
 
+  /// A command arrives from outside the process: one that does not decode
+  /// or that the engine would refuse is logged, counted and dropped.
   void on_command(const std::uint8_t* payload, std::size_t size) {
     const std::optional<Command> command = decode_command(payload, size);
-    DECSEQ_CHECK_MSG(command.has_value(), "undecodable command");
+    if (!command.has_value()) {
+      ++commands_dropped;
+      logf("command dropped: undecodable (%zu bytes)", size);
+      return;
+    }
     switch (command->kind) {
       case Command::Kind::kPublish:
-      case Command::Kind::kTerminate:
-        DECSEQ_CHECK_MSG(engine != nullptr, "command before bootstrap");
-        engine->publish(command->ordinal, NodeId(command->sender),
-                        GroupId(command->group), command->payload,
+      case Command::Kind::kTerminate: {
+        const NodeId sender(command->sender);
+        const GroupId group(command->group);
+        const char* refusal = engine == nullptr
+                                  ? "before bootstrap"
+                                  : engine->publish_refusal(sender, group);
+        if (refusal != nullptr) {
+          ++commands_dropped;
+          logf("command dropped: %s (host %u, group %u)", refusal,
+               command->sender, command->group);
+          return;
+        }
+        engine->publish(command->ordinal, sender, group, command->payload,
                         command->kind == Command::Kind::kTerminate);
         break;
+      }
       case Command::Kind::kShutdown:
         done = true;
         break;
@@ -612,7 +641,7 @@ int Daemon::run() {
     const NodeEngine::Stats& stats = s.engine->stats();
     s.logf("shutdown: published=%llu ingressed=%llu rejected=%llu "
            "stamped=%llu forwarded=%llu distributed=%llu delivered=%llu "
-           "fins=%llu rx_rejected=%zu",
+           "fins=%llu rx_rejected=%zu commands_dropped=%llu",
            static_cast<unsigned long long>(stats.published),
            static_cast<unsigned long long>(stats.ingressed),
            static_cast<unsigned long long>(stats.rejected),
@@ -621,7 +650,8 @@ int Daemon::run() {
            static_cast<unsigned long long>(stats.distributed),
            static_cast<unsigned long long>(stats.delivered),
            static_cast<unsigned long long>(stats.fins_delivered),
-           s.channels.rejected());
+           s.channels.rejected(),
+           static_cast<unsigned long long>(s.commands_dropped));
   }
   return 0;
 }

@@ -123,8 +123,13 @@ class NodeEngine {
 
   /// Publish from a host that lives on this rank. `ordinal` becomes the
   /// message id; FIN if `fin` (payload still travels, for attribution).
+  /// Throws CheckFailure where publish_refusal() names a reason.
   void publish(std::uint32_t ordinal, NodeId sender, GroupId group,
                std::uint64_t payload, bool fin = false);
+  /// Why publish(sender, group) would be refused, or null if it would not:
+  /// an unknown or dead group, an unknown host, or a host on another rank.
+  [[nodiscard]] const char* publish_refusal(NodeId sender,
+                                            GroupId group) const;
 
   [[nodiscard]] const Stats& stats() const { return stats_; }
   [[nodiscard]] std::uint32_t rank() const { return rank_; }

@@ -30,28 +30,7 @@ std::vector<double> dijkstra(const Graph& g, RouterId source) {
 }
 
 DistanceOracle::DistanceOracle(const Graph& g, DistanceOracleOptions options)
-    : options_(options), num_routers_(g.num_routers()) {
-  // CSR copy of the adjacency, preserving per-router edge order so every
-  // relaxation happens in the same order (and on the same doubles) as a
-  // walk of the source graph.
-  adj_offset_.resize(num_routers_ + 1, 0);
-  std::size_t total = 0;
-  for (std::size_t v = 0; v < num_routers_; ++v) {
-    adj_offset_[v] = static_cast<std::uint32_t>(total);
-    total += g.neighbors(RouterId(static_cast<RouterId::underlying_type>(v)))
-                 .size();
-  }
-  adj_offset_[num_routers_] = static_cast<std::uint32_t>(total);
-  adj_target_.reserve(total);
-  adj_delay_.reserve(total);
-  for (std::size_t v = 0; v < num_routers_; ++v) {
-    for (const Edge& e :
-         g.neighbors(RouterId(static_cast<RouterId::underlying_type>(v)))) {
-      adj_target_.push_back(e.to.value());
-      adj_delay_.push_back(e.delay_ms);
-    }
-  }
-
+    : graph_(g), options_(options), num_routers_(g.num_routers()) {
   dist_.resize(num_routers_, kInf);
   dist_stamp_.resize(num_routers_, 0);
   target_stamp_.resize(num_routers_, 0);
@@ -68,6 +47,8 @@ void DistanceOracle::find_pendants() {
   // to its DFS parent — the tree arc itself — so a doubled link to the
   // parent counts as a back arc and is (correctly) no bridge.
   const auto n = static_cast<std::uint32_t>(num_routers_);
+  const std::uint32_t* offsets = graph_.offsets();
+  const Edge* arcs = graph_.arcs();
   std::vector<std::uint32_t> pre(n, kNone), low(n, 0), parent(n, kNone);
   std::vector<std::uint32_t> preorder;
   preorder.reserve(n);
@@ -81,7 +62,7 @@ void DistanceOracle::find_pendants() {
   const auto visit = [&](std::uint32_t v) {
     pre[v] = low[v] = static_cast<std::uint32_t>(preorder.size());
     preorder.push_back(v);
-    stack.push_back({v, adj_offset_[v], false});
+    stack.push_back({v, offsets[v], false});
   };
   for (std::uint32_t root = 0; root < n; ++root) {
     if (pre[root] != kNone) continue;
@@ -91,14 +72,14 @@ void DistanceOracle::find_pendants() {
       // into low[v].
       Frame& f = stack.back();
       const std::uint32_t v = f.v;
-      const std::uint32_t end = adj_offset_[v + 1];
+      const std::uint32_t end = offsets[v + 1];
       const std::uint32_t parent_v = parent[v];
       bool skipped = f.skipped_parent_arc;
       std::uint32_t low_v = low[v];
       std::uint32_t child = kNone;
       std::uint32_t e = f.next_arc;
       while (e < end) {
-        const std::uint32_t w = adj_target_[e++];
+        const std::uint32_t w = arcs[e++].to.value();
         const std::uint32_t pre_w = pre[w];
         if (pre_w == kNone) {
           child = w;
@@ -206,6 +187,8 @@ void DistanceOracle::run_dijkstra(std::uint32_t source,
   }
   const bool point = row == nullptr;
   if (point) open_pendants(source);
+  const std::uint32_t* offsets = graph_.offsets();
+  const Edge* arcs = graph_.arcs();
   std::uint32_t settled = 0;
   heap_.clear();
   dist_[source] = 0.0;
@@ -217,10 +200,9 @@ void DistanceOracle::run_dijkstra(std::uint32_t source,
     if (top.dist > dist_[u]) continue;  // stale entry (lazy deletion)
     ++settled;
     if (point && target_stamp_[u] == target_gen_ && --pending == 0) break;
-    const std::uint32_t begin = adj_offset_[u];
-    const std::uint32_t end = adj_offset_[u + 1];
-    for (std::uint32_t e = begin; e < end; ++e) {
-      const std::uint32_t v = adj_target_[e];
+    const Edge* end = arcs + offsets[u + 1];
+    for (const Edge* e = arcs + offsets[u]; e != end; ++e) {
+      const std::uint32_t v = e->to.value();
       if (point) {
         // Closed pendants hold neither the source nor a target: any path
         // in would leave by the same bridge. The run never gets inside
@@ -229,7 +211,7 @@ void DistanceOracle::run_dijkstra(std::uint32_t source,
         const std::uint32_t p = pendant_of_[v];
         if (p != kNone && pendant_mark_[p] != target_gen_) continue;
       }
-      const double nd = top.dist + adj_delay_[e];
+      const double nd = top.dist + e->delay_ms;
       if (dist_stamp_[v] != stamp_) {
         dist_stamp_[v] = stamp_;
         dist_[v] = nd;
@@ -346,39 +328,6 @@ double DistanceOracle::distance(RouterId a, RouterId b) {
   memoise(key, d);
   promote_if_hot(lov);
   return d;
-}
-
-RouterId DistanceOracle::closest(const std::vector<RouterId>& candidates,
-                                 RouterId target) {
-  DECSEQ_CHECK(!candidates.empty());
-  check_router(target);
-  for (const RouterId c : candidates) check_router(c);
-  // One Dijkstra from the target answers every candidate; never cache a
-  // per-candidate row for this query. From a target row this is a pure
-  // lookup; otherwise one pruned run settles the whole candidate set.
-  const double* row = cached_row(target.value());
-  if (row == nullptr) {
-    begin_targets();
-    std::size_t pending = 0;
-    for (const RouterId c : candidates) {
-      if (mark_target(c.value())) ++pending;
-    }
-    run_dijkstra(target.value(), nullptr, pending);
-  }
-  const auto dist_of = [&](RouterId c) {
-    return row != nullptr ? row[c.value()] : settled_dist(c.value());
-  };
-  RouterId best = candidates.front();
-  double best_d = dist_of(best);
-  for (const RouterId c : candidates) {
-    const double d = dist_of(c);
-    if (d < best_d) {
-      best = c;
-      best_d = d;
-    }
-  }
-  if (row == nullptr) promote_if_hot(target.value());
-  return best;
 }
 
 void DistanceOracle::distances_between(RouterId common,

@@ -1,17 +1,17 @@
 // Shortest-path machinery. Messages in the evaluation travel on shortest
 // unicast paths (paper §4.1); the sequencing overlay's performance is
 // measured against those. A DistanceOracle answers pairwise and per-source
-// distance queries off a CSR copy of the adjacency with a pooled Dijkstra
-// workspace (versioned visited stamps, a reusable 4-ary heap — no per-query
-// allocation):
+// distance queries by reading the graph's CSR arrays in place, with a pooled
+// Dijkstra workspace (versioned visited stamps, a reusable 4-ary heap — no
+// per-query allocation):
 //
 //   - Pendant pruning. Construction finds the graph's bridges with one
 //     linear-time DFS (a doubled link is no bridge). The far side of a
 //     bridge, seen from the DFS root, is a pendant subtree; a transit-stub
 //     topology hangs each stub domain off one uplink. A point query
-//     (distance, distances_between, closest) opens the pendants holding its
-//     source or a target and never descends a bridge into a closed one: a
-//     path into it could only leave by the same bridge.
+//     (distance, distances_between) opens the pendants holding its source
+//     or a target and never descends a bridge into a closed one: a path
+//     into it could only leave by the same bridge.
 //   - Point queries stop once their targets settle. distance() and
 //     distances_between() share a flat pair memo: each answers a known
 //     pair from it (or a cached row) and records the pairs its runs settle,
@@ -70,7 +70,10 @@ struct DistanceOracleOptions {
 /// experiment run owns its oracle.
 class DistanceOracle {
  public:
+  /// The oracle reads `g` in place and keeps a reference to it: the graph
+  /// must outlive the oracle, so a temporary graph does not bind.
   explicit DistanceOracle(const Graph& g, DistanceOracleOptions options = {});
+  DistanceOracle(const Graph&&, DistanceOracleOptions = {}) = delete;
 
   /// Distance in ms from `a` to `b` (symmetric).
   [[nodiscard]] double distance(RouterId a, RouterId b);
@@ -80,12 +83,6 @@ class DistanceOracle {
   /// query past the cache budget (never, under the default budget); do not
   /// hold it across other oracle calls on budget-constrained oracles.
   [[nodiscard]] const std::vector<double>& distances_from(RouterId source);
-
-  /// Among `candidates`, the one closest to `target` (ties: first). Runs
-  /// (at most) one Dijkstra — from the target, stopping once every
-  /// candidate settled — regardless of how many candidates there are.
-  [[nodiscard]] RouterId closest(const std::vector<RouterId>& candidates,
-                                 RouterId target);
 
   /// Batched pairwise queries: fills out[i] = distance(common, targets[i]),
   /// bit-identical to individual calls (the fan-out compile's per-member
@@ -137,8 +134,8 @@ class DistanceOracle {
   /// Record a canonical pair's distance, emptying a memo that would
   /// outgrow the byte budget first.
   void memoise(std::uint64_t key, double d);
-  /// Tarjan's bridge search (iterative, linear time) over the CSR; fills
-  /// pendant_of_ and pendant_parent_.
+  /// Tarjan's bridge search (iterative, linear time) over the graph's
+  /// CSR; fills pendant_of_ and pendant_parent_.
   void find_pendants();
   /// Dijkstra from `source` on the pooled workspace. With `row` non-null,
   /// runs to completion, unpruned, and fills the complete distance vector.
@@ -169,15 +166,11 @@ class DistanceOracle {
     return dist_stamp_[node] == stamp_ ? dist_[node] : kInf;
   }
 
+  /// Runs relax each router's arcs in the graph's arc order.
+  const Graph& graph_;
   DistanceOracleOptions options_;
   std::size_t num_routers_ = 0;
 
-  /// CSR adjacency: neighbors of router v are adj_target_/adj_delay_
-  /// [adj_offset_[v], adj_offset_[v + 1]), in the source graph's edge order
-  /// (same relaxation order as the original per-vector walk).
-  std::vector<std::uint32_t> adj_offset_;
-  std::vector<std::uint32_t> adj_target_;
-  std::vector<double> adj_delay_;
   /// Innermost pendant holding each router (kNone: the root side), and
   /// each pendant's enclosing pendant.
   std::vector<std::uint32_t> pendant_of_;

@@ -22,21 +22,21 @@ WaxmanTopology generate_waxman(const WaxmanParams& params, Rng& rng) {
   WaxmanTopology topo;
   topo.position.reserve(params.num_routers);
   for (std::size_t i = 0; i < params.num_routers; ++i) {
-    topo.graph.add_router();
     topo.position.push_back({rng.next_double() * params.plane_side_ms,
                              rng.next_double() * params.plane_side_ms});
   }
 
   const double diagonal = params.plane_side_ms * std::sqrt(2.0);
   std::set<std::pair<std::size_t, std::size_t>> edges;
+  std::vector<Link> links;
   auto add_edge = [&](std::size_t a, std::size_t b) {
     if (a == b) return;
     const auto key = std::make_pair(std::min(a, b), std::max(a, b));
     if (!edges.insert(key).second) return;
     const double d = std::max(
         0.1, distance(topo.position[a], topo.position[b]));
-    topo.graph.add_edge(RouterId(static_cast<unsigned>(a)),
-                        RouterId(static_cast<unsigned>(b)), d);
+    links.push_back({RouterId(static_cast<unsigned>(a)),
+                     RouterId(static_cast<unsigned>(b)), d});
   };
 
   // Connectivity: each router links to the nearest among a sample of the
@@ -67,6 +67,7 @@ WaxmanTopology generate_waxman(const WaxmanParams& params, Rng& rng) {
       if (rng.next_bool(p)) add_edge(i, j);
     }
   }
+  topo.graph = Graph(params.num_routers, links);
   return topo;
 }
 

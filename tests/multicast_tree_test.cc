@@ -11,19 +11,9 @@ namespace {
 
 /// Line graph a-b-c-d plus a spur b-e.
 struct LineFixture {
-  Graph g;
-  RouterId a, b, c, d, e;
-  LineFixture() {
-    a = g.add_router();
-    b = g.add_router();
-    c = g.add_router();
-    d = g.add_router();
-    e = g.add_router();
-    g.add_edge(a, b, 1.0);
-    g.add_edge(b, c, 2.0);
-    g.add_edge(c, d, 3.0);
-    g.add_edge(b, e, 4.0);
-  }
+  RouterId a{0}, b{1}, c{2}, d{3}, e{4};
+  Graph g{5, std::vector<Link>{
+                 {a, b, 1.0}, {b, c, 2.0}, {c, d, 3.0}, {b, e, 4.0}}};
 };
 
 TEST(MulticastTree, SharedPrefixCountedOnce) {

@@ -37,6 +37,7 @@
 
 #include "common/rng.h"
 #include "fuzz/repro.h"
+#include "protocol/codec.h"
 #include "app/cluster_config.h"
 #include "app/decseqd.h"
 #include "app/replay.h"
@@ -136,7 +137,14 @@ class ClusterHarness {
   }
 
   [[nodiscard]] const ClusterScript& script() const { return script_; }
+  [[nodiscard]] const ClusterConfig& config() const { return config_; }
   [[nodiscard]] const std::string& dir() const { return dir_; }
+
+  /// Send raw bytes on `rank`'s command channel, as a command payload.
+  void send_command(std::uint32_t rank,
+                    const std::vector<std::uint8_t>& bytes) {
+    cmd_out_[rank]->send(bytes.data(), bytes.size());
+  }
 
   void spawn_daemons() {
     const std::uint16_t port = io_.local_addr().port;
@@ -335,8 +343,44 @@ Trace reference_trace(const std::vector<pubsub::Delivery>& deliveries) {
   return trace;
 }
 
-void run_cluster_conformance(const std::string& repro,
-                             std::uint32_t num_ranks) {
+/// Command payloads a rank must drop rather than die on: bytes that do not
+/// decode, a sender of 2^32 + 1 (refused by the decoder), an unknown group
+/// (from a host of rank 0) and an unknown host.
+std::vector<std::vector<std::uint8_t>> bad_commands(
+    const ClusterConfig& config) {
+  std::uint32_t host = 0;
+  while (host < config.hosts.size() && config.hosts[host].rank != 0) ++host;
+  std::vector<std::vector<std::uint8_t>> out = {{0xff}, {}};
+  for (const std::uint64_t field : {1ULL, 0ULL, (1ULL << 32) + 1, 0ULL, 0ULL}) {
+    protocol::encode_varint(field, out.back());
+  }
+  Command command;
+  command.kind = Command::Kind::kPublish;
+  command.sender = host;
+  command.group = static_cast<std::uint32_t>(config.groups.size());
+  out.push_back(encode_command(command));
+  command.sender = static_cast<std::uint32_t>(config.hosts.size());
+  command.group = 0;
+  out.push_back(encode_command(command));
+  return out;
+}
+
+/// Lines of `path` that contain `needle`.
+std::size_t count_lines(const std::string& path, const std::string& needle) {
+  std::ifstream in(path);
+  std::size_t count = 0;
+  for (std::string line; std::getline(in, line);) {
+    if (line.find(needle) != std::string::npos) ++count;
+  }
+  return count;
+}
+
+/// With `bad_commands_to_rank0`, those payloads go to rank 0 after the
+/// bootstrap and before the first op; the rank must log and drop each one
+/// and go on serving the script.
+void run_cluster_conformance(
+    const std::string& repro, std::uint32_t num_ranks,
+    bool bad_commands_to_rank0 = false) {
   ClusterHarness harness(repro, num_ranks);
   ASSERT_FALSE(harness.script().ops.empty());
   SCOPED_TRACE("artifacts in " + harness.dir());
@@ -345,6 +389,10 @@ void run_cluster_conformance(const std::string& repro,
   harness.await_ready(/*timeout_ms=*/30000.0);
   if (::testing::Test::HasFatalFailure()) return;
 
+  const auto bad = bad_commands_to_rank0
+                       ? bad_commands(harness.config())
+                       : std::vector<std::vector<std::uint8_t>>{};
+  for (const auto& bytes : bad) harness.send_command(0, bytes);
   for (const ScriptOp& op : harness.script().ops) {
     harness.run_op(op);
     if (::testing::Test::HasFatalFailure()) return;
@@ -365,6 +413,10 @@ void run_cluster_conformance(const std::string& repro,
   // The live report stream must agree with the written traces — same
   // deliveries observed two ways.
   EXPECT_EQ(harness.report_trace(), expected);
+  const std::string log = harness.dir() + "/daemon-0.log";
+  EXPECT_EQ(count_lines(log, "command dropped"), bad.size());
+  EXPECT_EQ(count_lines(log, "commands_dropped=" + std::to_string(bad.size())),
+            1u);
 }
 
 TEST(TransportCluster, ConformsOnCorpusSeed7) {
@@ -373,6 +425,14 @@ TEST(TransportCluster, ConformsOnCorpusSeed7) {
 
 TEST(TransportCluster, ConformsOnCorpusSeed1) {
   run_cluster_conformance("seed-1.repro", /*num_ranks=*/4);
+}
+
+TEST(TransportCluster, RankDropsBadCommandsAndKeepsServing) {
+  // Rank 0 gets four commands it cannot act on; each is logged, counted
+  // and dropped, the rank exits cleanly at shutdown, and every trace still
+  // matches the simulator.
+  run_cluster_conformance("seed-1.repro", /*num_ranks=*/4,
+                          /*bad_commands_to_rank0=*/true);
 }
 
 TEST(TransportCluster, ConformsOnRotatingScenario) {

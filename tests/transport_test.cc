@@ -836,6 +836,15 @@ TEST(NodeEngine, PublishRejectsUnknownSender) {
   }
   EXPECT_THROW(engines[0]->publish(1, NodeId(1), GroupId(1), 7), CheckFailure)
       << "host 1 lives on rank 1";
+  // The daemon asks first and drops the command, naming the reason.
+  const app::NodeEngine& engine = *engines[0];
+  EXPECT_STREQ(engine.publish_refusal(NodeId(0), GroupId(2)), "unknown group");
+  EXPECT_STREQ(engine.publish_refusal(NodeId(0), GroupId{}), "unknown group");
+  EXPECT_STREQ(engine.publish_refusal(NodeId(0), GroupId(0)), "dead group");
+  EXPECT_STREQ(engine.publish_refusal(NodeId(2), GroupId(1)), "unknown host");
+  EXPECT_STREQ(engine.publish_refusal(NodeId(1), GroupId(1)),
+               "host on another rank");
+  EXPECT_EQ(engine.publish_refusal(NodeId(0), GroupId(1)), nullptr);
   EXPECT_EQ(engines[0]->stats().published, 0u);
   engines[0]->publish(1, NodeId(0), GroupId(1), 7);
   sim.run();
