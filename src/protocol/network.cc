@@ -322,8 +322,10 @@ RouterId SequencingNetwork::machine_of_atom(AtomId a) const {
 double SequencingNetwork::machine_distance(AtomId a, AtomId b) {
   const RouterId ra = machine_of_atom(a), rb = machine_of_atom(b);
   if (ra == rb) return 0.0;
-  // Channel delays are compiled once per channel and stored; a cold machine
-  // pair costs the oracle one pruned point query, not a full row.
+  // Channel delays are compiled once per channel and stored. A cold machine
+  // pair costs the oracle one pruned point query, or, once the lower-id
+  // machine has earned its root-side row, a row read or a run inside the
+  // other machine's stub domain; never a full row.
   return oracle_->distance(ra, rb);
 }
 
@@ -660,51 +662,47 @@ SequencingNetwork::build_fanout_plan(AtomId last_atom,
                                      std::uint32_t shard) {
   auto plan = std::make_unique<FanOutPlan>();
   const RouterId egress = machine_of_atom(last_atom);
+  plan_routers_.clear();
+  for (const NodeId member : members) {
+    plan_routers_.push_back(hosts_->router_of(member));
+  }
   if (options_.tree_distribution) {
     // One copy flows down the group's shortest-path delivery tree; members
     // hear it at their unicast delay, the network carries far fewer copies.
-    std::vector<RouterId> destinations;
-    for (const NodeId member : members) {
-      destinations.push_back(hosts_->router_of(member));
+    plan->tree = std::make_unique<topology::MulticastTree>(
+        *physical_network_, egress, plan_routers_);
+    plan_delays_.clear();
+    for (const RouterId router : plan_routers_) {
+      plan_delays_.push_back(plan->tree->delay_to(router));
     }
-    plan->tree = std::make_unique<topology::MulticastTree>(*physical_network_,
-                                                           egress,
-                                                           destinations);
+  } else {
+    // Unicast delays come from one batched oracle query, which settles the
+    // member set's misses together instead of one point query (or full
+    // row) per member.
+    oracle_->distances_between(egress, plan_routers_, plan_delays_);
   }
-  // Unicast delays come from one batched oracle query: a single Dijkstra
-  // run from the egress settles the whole member set instead of one
-  // point query (or full row) per member.
-  std::vector<double> delays;
-  if (plan->tree == nullptr) {
-    std::vector<RouterId> routers;
-    routers.reserve(members.size());
-    for (const NodeId member : members) {
-      routers.push_back(hosts_->router_of(member));
-    }
-    oracle_->distances_between(egress, routers, delays);
+  // Group the fan-out into spans of equal delay so distribution schedules
+  // one simulator event per burst of same-time arrivals. Sorting on (delay,
+  // member index) keeps members of a span in membership order, and
+  // equal-delay targets previously occupied consecutive event-queue slots
+  // anyway (FIFO tie-break), so delivery order is bit-identical to
+  // per-target events.
+  plan_order_.clear();
+  for (std::uint32_t m = 0; m < members.size(); ++m) {
+    plan_order_.emplace_back(plan_delays_[m], m);
   }
-  for (std::size_t m = 0; m < members.size(); ++m) {
-    const NodeId member = members[m];
-    const double delay = plan->tree != nullptr
-                             ? plan->tree->delay_to(hosts_->router_of(member))
-                             : delays[m];
+  std::sort(plan_order_.begin(), plan_order_.end());
+  plan->targets.reserve(members.size());
+  plan->spans.reserve(members.size());
+  for (const auto& [delay, m] : plan_order_) {
     // Sharded mode resolves the member's sub-receiver on the span's shard:
     // the fan-out runs on that shard's thread and the target's counters
     // live there.
-    Receiver* receiver = receiver_for(member, shard);
+    Receiver* receiver = receiver_for(members[m], shard);
     DECSEQ_CHECK_MSG(receiver != nullptr,
-                     "group member " << member << " has no receiver");
+                     "group member " << members[m] << " has no receiver");
     plan->targets.push_back({receiver, delay});
   }
-  // Group the fan-out into spans of equal delay so distribution schedules
-  // one simulator event per burst of same-time arrivals. The stable sort
-  // keeps members of a span in membership order, and equal-delay targets
-  // previously occupied consecutive event-queue slots anyway (FIFO
-  // tie-break), so delivery order is bit-identical to per-target events.
-  std::stable_sort(plan->targets.begin(), plan->targets.end(),
-                   [](const FanOutTarget& a, const FanOutTarget& b) {
-                     return a.delay < b.delay;
-                   });
   for (std::uint32_t i = 0; i < plan->targets.size();) {
     std::uint32_t j = i + 1;
     while (j < plan->targets.size() &&

@@ -412,9 +412,9 @@ class SequencingNetwork {
   /// resolved (receiver, delay) list, plus the delivery tree in tree mode
   /// so per-message stress accounting keeps working. Saves a membership
   /// walk, router lookups, and distance/tree queries on every message.
-  /// Targets are stable-sorted by delay and grouped into spans of equal
-  /// delay, so the fan-out schedules one simulator event per *burst* of
-  /// same-time arrivals instead of one per delivery (see distribute()).
+  /// Targets are sorted by (delay, member index) and grouped into spans of
+  /// equal delay, so the fan-out schedules one simulator event per *burst*
+  /// of same-time arrivals instead of one per delivery (see distribute()).
   struct FanOutPlan {
     /// Targets that arrive together: targets[begin..end) share `delay`.
     struct Span {
@@ -563,6 +563,11 @@ class SequencingNetwork {
   Tracer tracer_;
   /// Lazily built distribution plans indexed by group id value.
   std::vector<std::unique_ptr<FanOutPlan>> fanout_plans_;
+  /// build_fanout_plan() scratch: member routers, their delays, and the
+  /// (delay, member index) order of the targets.
+  std::vector<RouterId> plan_routers_;
+  std::vector<double> plan_delays_;
+  std::vector<std::pair<double, std::uint32_t>> plan_order_;
   /// Previous-epoch distribution plans for groups draining behind a fence.
   /// Freed by epoch compaction once the transition drains (one zero-delay
   /// event after the final fence delivery in single-threaded mode, because

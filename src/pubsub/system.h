@@ -89,6 +89,10 @@ struct Delivery {
 class PubSubSystem {
  public:
   explicit PubSubSystem(const SystemConfig& config);
+  /// The network points at sim_ and net_graph_, and the oracle reads
+  /// net_graph_ in place: a copied or moved system would use the old one's.
+  PubSubSystem(const PubSubSystem&) = delete;
+  PubSubSystem& operator=(const PubSubSystem&) = delete;
 
   // --- Membership (allowed only while quiescent; rebuilds the graph). ---
   GroupId create_group(std::vector<NodeId> members);

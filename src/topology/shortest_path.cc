@@ -35,9 +35,10 @@ DistanceOracle::DistanceOracle(const Graph& g, DistanceOracleOptions options)
   dist_stamp_.resize(num_routers_, 0);
   target_stamp_.resize(num_routers_, 0);
   slot_of_.resize(num_routers_, kNone);
+  root_slot_of_.resize(num_routers_, kNone);
   settled_by_.resize(num_routers_, 0);
   find_pendants();
-  pendant_mark_.resize(pendant_parent_.size(), 0);
+  pendant_mark_.resize(pendants_.size(), 0);
 }
 
 void DistanceOracle::find_pendants() {
@@ -108,14 +109,28 @@ void DistanceOracle::find_pendants() {
   }
   // Pendants in preorder, so an enclosing pendant is numbered first.
   pendant_of_.assign(n, kNone);
+  root_index_.assign(n, kNone);
   for (const std::uint32_t v : preorder) {
-    const std::uint32_t enclosing =
-        parent[v] == kNone ? kNone : pendant_of_[parent[v]];
+    const std::uint32_t p = parent[v];
+    const std::uint32_t enclosing = p == kNone ? kNone : pendant_of_[p];
     if (bridge_child[v] != 0) {
-      pendant_of_[v] = static_cast<std::uint32_t>(pendant_parent_.size());
-      pendant_parent_.push_back(enclosing);
+      const auto id = static_cast<std::uint32_t>(pendants_.size());
+      // A bridge is a single link, so p has exactly one arc to v.
+      double bridge_delay = 0.0;
+      for (std::uint32_t e = offsets[p]; e < offsets[p + 1]; ++e) {
+        if (arcs[e].to.value() == v) bridge_delay = arcs[e].delay_ms;
+      }
+      pendants_.push_back(
+          {enclosing,
+           enclosing == kNone ? id : pendants_[enclosing].outermost, v, p,
+           bridge_delay});
+      pendant_of_[v] = id;
     } else {
       pendant_of_[v] = enclosing;
+    }
+    if (pendant_of_[v] == kNone) {
+      root_index_[v] = static_cast<std::uint32_t>(root_routers_.size());
+      root_routers_.push_back(v);
     }
   }
 }
@@ -165,7 +180,7 @@ void DistanceOracle::open_pendants(std::uint32_t node) {
   // Every pendant on the way to the root side; an already-open one has its
   // enclosing pendants open too.
   for (std::uint32_t p = pendant_of_[node];
-       p != kNone && pendant_mark_[p] != target_gen_; p = pendant_parent_[p]) {
+       p != kNone && pendant_mark_[p] != target_gen_; p = pendants_[p].parent) {
     pendant_mark_[p] = target_gen_;
   }
 }
@@ -177,39 +192,50 @@ bool DistanceOracle::mark_target(std::uint32_t node) {
   return true;
 }
 
-void DistanceOracle::run_dijkstra(std::uint32_t source,
-                                  std::vector<double>* row,
-                                  std::size_t pending) {
+template <DistanceOracle::Run kRun>
+std::uint32_t DistanceOracle::run_dijkstra(std::uint32_t start,
+                                           double start_dist,
+                                           std::size_t pending) {
   if (++stamp_ == 0) {
     // uint32 wraparound: every stamp is stale again — reset explicitly.
     std::fill(dist_stamp_.begin(), dist_stamp_.end(), 0u);
     stamp_ = 1;
   }
-  const bool point = row == nullptr;
-  if (point) open_pendants(source);
+  constexpr bool kStops = kRun == Run::kPoint || kRun == Run::kPendant;
+  if constexpr (kRun == Run::kPoint || kRun == Run::kRootRow) {
+    open_pendants(start);
+  }
   const std::uint32_t* offsets = graph_.offsets();
   const Edge* arcs = graph_.arcs();
   std::uint32_t settled = 0;
   heap_.clear();
-  dist_[source] = 0.0;
-  dist_stamp_[source] = stamp_;
-  heap_push(0.0, source);
+  dist_[start] = start_dist;
+  dist_stamp_[start] = stamp_;
+  heap_push(start_dist, start);
   while (!heap_.empty()) {
     const HeapEntry top = heap_pop();
     const std::uint32_t u = top.node;
     if (top.dist > dist_[u]) continue;  // stale entry (lazy deletion)
     ++settled;
-    if (point && target_stamp_[u] == target_gen_ && --pending == 0) break;
+    if constexpr (kStops) {
+      if (target_stamp_[u] == target_gen_ && --pending == 0) break;
+    }
     const Edge* end = arcs + offsets[u + 1];
     for (const Edge* e = arcs + offsets[u]; e != end; ++e) {
       const std::uint32_t v = e->to.value();
-      if (point) {
-        // Closed pendants hold neither the source nor a target: any path
+      if constexpr (kRun != Run::kFull) {
+        // Closed pendants hold neither the start nor a target: any path
         // in would leave by the same bridge. The run never gets inside
         // one, so a router in a closed pendant can only be its root,
-        // reached across the bridge — which is skipped.
+        // reached across the bridge — which is skipped. A pendant run
+        // also treats the root side as closed: it starts at the root of
+        // the one outermost pendant it explores.
         const std::uint32_t p = pendant_of_[v];
-        if (p != kNone && pendant_mark_[p] != target_gen_) continue;
+        if (p == kNone) {
+          if constexpr (kRun == Run::kPendant) continue;
+        } else if (pendant_mark_[p] != target_gen_) {
+          continue;
+        }
       }
       const double nd = top.dist + e->delay_ms;
       if (dist_stamp_[v] != stamp_) {
@@ -222,52 +248,96 @@ void DistanceOracle::run_dijkstra(std::uint32_t source,
       }
     }
   }
-  if (point) {
-    ++stats_.point_queries;
-    stats_.settled += settled;
-    settled_by_[source] += settled;
-    return;
-  }
-  row->resize(num_routers_);
-  for (std::size_t v = 0; v < num_routers_; ++v) {
-    (*row)[v] = dist_stamp_[v] == stamp_ ? dist_[v] : kInf;
-  }
+  if constexpr (kRun != Run::kFull) stats_.settled += settled;
+  return settled;
 }
 
-const std::vector<double>& DistanceOracle::cache_row(std::uint32_t source) {
-  // Evict least-recently-used rows past the byte budget (always keeping
-  // room for this one); reuse the evicted storage — rows are all the same
-  // size, so the buffer swap costs nothing.
+void DistanceOracle::run_point_query(std::uint32_t source,
+                                     std::size_t pending) {
+  settled_by_[source] += run_dijkstra<Run::kPoint>(source, 0.0, pending);
+  ++stats_.point_queries;
+}
+
+void DistanceOracle::run_pendant(std::uint32_t p, const double* root_row,
+                                 std::size_t pending) {
+  // Every path from the source into p crosses its bridge, and the global
+  // run relaxes that arc as dist(attach) + delay: the same sum seeds this
+  // run at p's root, so it settles the global run's values.
+  const Pendant& pendant = pendants_[p];
+  const double seed =
+      root_row[root_index_[pendant.attach]] + pendant.bridge_delay;
+  (void)run_dijkstra<Run::kPendant>(pendant.root, seed, pending);
+  ++stats_.pendant_runs;
+}
+
+std::unique_ptr<std::vector<double>> DistanceOracle::make_room(
+    std::size_t bytes) {
+  // Reuse the last evicted row's storage: a buffer of the same size costs
+  // nothing to refill, and a full row's buffer holds a root-side row.
   std::unique_ptr<std::vector<double>> storage;
-  while (!rows_.empty() && (rows_.size() + 1) * row_bytes() +
-                                   memo_.memory_bytes() >
-                               options_.max_cache_bytes) {
+  while (!rows_.empty() &&
+         cached_rows_bytes() + bytes + memo_.memory_bytes() >
+             options_.max_cache_bytes) {
     std::size_t victim = 0;
     for (std::size_t i = 1; i < rows_.size(); ++i) {
       if (rows_[i].last_used < rows_[victim].last_used) victim = i;
     }
     // An evicted source earns its next row afresh, so rows never cost
     // more than the point queries before them, however tight the budget.
-    slot_of_[rows_[victim].source] = kNone;
-    settled_by_[rows_[victim].source] = 0;
-    storage = std::move(rows_[victim].data);
+    Row& row = rows_[victim];
+    (row.root_side ? root_slot_of_ : slot_of_)[row.source] = kNone;
+    root_rows_cached_ -= row.root_side ? 1 : 0;
+    settled_by_[row.source] = 0;
+    storage = std::move(row.data);
     if (victim != rows_.size() - 1) {
-      rows_[victim] = std::move(rows_.back());
-      slot_of_[rows_[victim].source] = static_cast<std::uint32_t>(victim);
+      row = std::move(rows_.back());
+      (row.root_side ? root_slot_of_ : slot_of_)[row.source] =
+          static_cast<std::uint32_t>(victim);
     }
     rows_.pop_back();
     ++stats_.evictions;
   }
   if (storage == nullptr) storage = std::make_unique<std::vector<double>>();
-  run_dijkstra(source, storage.get(), 0);
-  ++stats_.full_rows;
-  slot_of_[source] = static_cast<std::uint32_t>(rows_.size());
-  rows_.push_back({source, ++use_tick_, std::move(storage)});
-  return *rows_.back().data;
+  return storage;
 }
 
-const double* DistanceOracle::cached_row(std::uint32_t source) {
-  const std::uint32_t slot = slot_of_[source];
+void DistanceOracle::add_row(std::uint32_t source, bool root_side,
+                             std::unique_ptr<std::vector<double>> storage) {
+  (root_side ? root_slot_of_ : slot_of_)[source] =
+      static_cast<std::uint32_t>(rows_.size());
+  root_rows_cached_ += root_side ? 1 : 0;
+  rows_.push_back({source, root_side, ++use_tick_, std::move(storage)});
+}
+
+const std::vector<double>& DistanceOracle::cache_row(std::uint32_t source) {
+  // One row is always allowed, whatever the budget.
+  std::unique_ptr<std::vector<double>> storage = make_room(row_bytes());
+  (void)run_dijkstra<Run::kFull>(source, 0.0, 0);
+  ++stats_.full_rows;
+  std::vector<double>& row = *storage;
+  row.resize(num_routers_);
+  for (std::uint32_t v = 0; v < num_routers_; ++v) row[v] = settled_dist(v);
+  add_row(source, /*root_side=*/false, std::move(storage));
+  return row;
+}
+
+void DistanceOracle::cache_root_row(std::uint32_t source) {
+  // Only the source's own pendant chain is open: a shortest path to a
+  // root-side router enters no other pendant, which it could leave only by
+  // the bridge it came in by.
+  std::unique_ptr<std::vector<double>> storage = make_room(root_row_bytes());
+  begin_targets();
+  (void)run_dijkstra<Run::kRootRow>(source, 0.0, 0);
+  ++stats_.root_rows;
+  std::vector<double>& row = *storage;
+  row.resize(root_routers_.size());
+  for (std::size_t i = 0; i < root_routers_.size(); ++i) {
+    row[i] = settled_dist(root_routers_[i]);
+  }
+  add_row(source, /*root_side=*/true, std::move(storage));
+}
+
+const double* DistanceOracle::row_in(std::uint32_t slot) {
   if (slot == kNone) return nullptr;
   rows_[slot].last_used = ++use_tick_;
   return rows_[slot].data->data();
@@ -275,9 +345,15 @@ const double* DistanceOracle::cached_row(std::uint32_t source) {
 
 void DistanceOracle::promote_if_hot(std::uint32_t source) {
   // Promotion is measured, not counted: once a source's point queries have
-  // settled as many routers as one full row does, the row is cheaper.
-  if (settled_by_[source] >= num_routers_ && slot_of_[source] == kNone) {
-    (void)cache_row(source);
+  // settled as many routers as one row does, the row is cheaper for its
+  // next miss. Where the root side is at most half the graph, that row is
+  // the root-side one.
+  if (slot_of_[source] != kNone) return;
+  if (2 * root_routers_.size() > num_routers_) {
+    if (settled_by_[source] >= num_routers_) (void)cache_row(source);
+  } else if (settled_by_[source] >= root_routers_.size() &&
+             root_slot_of_[source] == kNone) {
+    cache_root_row(source);
   }
 }
 
@@ -298,7 +374,7 @@ void DistanceOracle::check_router(RouterId r) const {
 void DistanceOracle::memoise(std::uint64_t key, double d) {
   // A memo that would outgrow the budget starts over at its capacity.
   if (memo_.grows_on_insert() &&
-      rows_.size() * row_bytes() + 2 * memo_.memory_bytes() >
+      cached_rows_bytes() + 2 * memo_.memory_bytes() >
           options_.max_cache_bytes) {
     memo_.clear();
   }
@@ -320,13 +396,20 @@ double DistanceOracle::distance(RouterId a, RouterId b) {
   const std::uint32_t hiv = hi.value();
   const std::uint64_t key = pair_key(lov, hiv);
   if (const double* memo = memo_.find(key)) return *memo;
-  if (const double* row = cached_row(lov)) return row[hiv];
+  promote_if_hot(lov);
+  if (const double* row = row_in(slot_of_[lov])) return row[hiv];
+  const double* root_row = row_in(root_slot_of_[lov]);
+  const std::uint32_t p = outermost_of(hiv);
+  if (root_row != nullptr && p == kNone) return root_row[root_index_[hiv]];
   begin_targets();
   (void)mark_target(hiv);
-  run_dijkstra(lov, nullptr, 1);
+  if (root_row != nullptr && p != outermost_of(lov)) {
+    run_pendant(p, root_row, 1);
+  } else {
+    run_point_query(lov, 1);
+  }
   const double d = settled_dist(hiv);
   memoise(key, d);
-  promote_if_hot(lov);
   return d;
 }
 
@@ -338,44 +421,82 @@ void DistanceOracle::distances_between(RouterId common,
   const std::uint32_t cv = common.value();
   out.resize(targets.size());
   // Targets on `common`'s canonical side (id >= common) read from common's
-  // row, else from the pair memo; the misses settle together in one pruned
-  // run. Lower-id targets must answer from their own side (see distance())
-  // and go through distance() one by one, after this run's values are read.
-  if (const double* row = cached_row(cv)) {
+  // full row, else from the pair memo, else from its root-side row; the
+  // misses settle together, in one pruned run and one pendant run per
+  // outermost pendant. Lower-id targets must answer from their own side
+  // (see distance()) and go through distance() one by one, after these
+  // runs' values are read.
+  const double* row = row_in(slot_of_[cv]);
+  misses_.clear();
+  for (std::size_t i = 0; row == nullptr && i < targets.size(); ++i) {
+    const std::uint32_t tv = targets[i].value();
+    if (tv < cv) continue;
+    if (const double* memo = memo_.find(pair_key(cv, tv))) {
+      out[i] = *memo;
+    } else {
+      misses_.push_back(static_cast<std::uint32_t>(i));
+    }
+  }
+  if (!misses_.empty()) {
+    promote_if_hot(cv);
+    row = row_in(slot_of_[cv]);
+  }
+  if (row != nullptr) {
     for (std::size_t i = 0; i < targets.size(); ++i) {
       const std::uint32_t tv = targets[i].value();
       if (tv >= cv) out[i] = row[tv];
     }
-  } else {
+  } else if (!misses_.empty()) {
+    const double* root_row = row_in(root_slot_of_[cv]);
+    const std::uint32_t own = outermost_of(cv);
+    by_pendant_.clear();
+    computed_.clear();
     begin_targets();
     std::size_t pending = 0;
-    for (std::size_t i = 0; i < targets.size(); ++i) {
+    for (const std::uint32_t i : misses_) {
       const std::uint32_t tv = targets[i].value();
-      if (tv < cv) continue;
-      if (const double* memo = memo_.find(pair_key(cv, tv))) {
-        out[i] = *memo;
-      } else if (mark_target(tv)) {
-        ++pending;
+      const std::uint32_t p = outermost_of(tv);
+      if (root_row != nullptr && p == kNone) {
+        out[i] = root_row[root_index_[tv]];
+      } else if (root_row != nullptr && p != own) {
+        by_pendant_.emplace_back(p, i);
+      } else {
+        computed_.push_back(i);
+        if (mark_target(tv)) ++pending;
       }
     }
     if (pending > 0) {
-      run_dijkstra(cv, nullptr, pending);
-      const auto missed = [&](std::uint32_t tv) {
-        return tv >= cv && target_stamp_[tv] == target_gen_;
-      };
-      for (std::size_t i = 0; i < targets.size(); ++i) {
-        const std::uint32_t tv = targets[i].value();
-        if (missed(tv)) out[i] = settled_dist(tv);
+      run_point_query(cv, pending);
+      for (const std::uint32_t i : computed_) {
+        out[i] = settled_dist(targets[i].value());
       }
-      // Only now, with every value read, record the run's answers: a memo
-      // over budget is emptied on the way. A repeated target is recorded
-      // once.
-      for (std::size_t i = 0; i < targets.size(); ++i) {
-        const std::uint32_t tv = targets[i].value();
-        const std::uint64_t key = pair_key(cv, tv);
-        if (missed(tv) && memo_.find(key) == nullptr) memoise(key, out[i]);
+    }
+    // One pendant run per outermost pendant, for all of its targets.
+    std::sort(by_pendant_.begin(), by_pendant_.end());
+    for (std::size_t first = 0; first < by_pendant_.size();) {
+      const std::uint32_t p = by_pendant_[first].first;
+      std::size_t last = first;
+      begin_targets();
+      pending = 0;
+      for (; last < by_pendant_.size() && by_pendant_[last].first == p;
+           ++last) {
+        if (mark_target(targets[by_pendant_[last].second].value())) {
+          ++pending;
+        }
       }
-      promote_if_hot(cv);
+      run_pendant(p, root_row, pending);
+      for (; first < last; ++first) {
+        const std::uint32_t i = by_pendant_[first].second;
+        out[i] = settled_dist(targets[i].value());
+        computed_.push_back(i);
+      }
+    }
+    // Only now, with every value read, record the runs' answers: a memo
+    // over budget is emptied on the way. A repeated target is recorded
+    // once.
+    for (const std::uint32_t i : computed_) {
+      const std::uint64_t key = pair_key(cv, targets[i].value());
+      if (memo_.find(key) == nullptr) memoise(key, out[i]);
     }
   }
   for (std::size_t i = 0; i < targets.size(); ++i) {

@@ -8,8 +8,10 @@
 // lossy channels, and membership reconfiguration.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/rng.h"
@@ -28,21 +30,30 @@ using test::N;
 
 /// Two overlap chains plus one island: units must be {g0,g1}, {g2,g3},
 /// {g4} regardless of the shard count.
-PubSubSystem make_three_unit_system(std::uint64_t seed = 11) {
-  PubSubSystem system(test::small_config(seed, /*num_hosts=*/12));
+/// Returned by pointer: a system holds references into itself and is
+/// neither copyable nor movable.
+std::unique_ptr<PubSubSystem> make_three_unit_system(std::uint64_t seed = 11) {
+  auto system = std::make_unique<PubSubSystem>(
+      test::small_config(seed, /*num_hosts=*/12));
   // Double overlaps need >= 2 shared members (membership/overlap.h).
-  system.create_groups({{N(0), N(1), N(2), N(3)},
-                        {N(2), N(3), N(4), N(5)},
-                        {N(6), N(7), N(8)},
-                        {N(7), N(8), N(9)},
-                        {N(10), N(11)}});
+  system->create_groups({{N(0), N(1), N(2), N(3)},
+                         {N(2), N(3), N(4), N(5)},
+                         {N(6), N(7), N(8)},
+                         {N(7), N(8), N(9)},
+                         {N(10), N(11)}});
   return system;
 }
 
+// The network and the oracle hold references to the system's simulator and
+// router graph, which a copy or a move would leave behind.
+static_assert(!std::is_copy_constructible_v<PubSubSystem>);
+static_assert(!std::is_move_constructible_v<PubSubSystem>);
+static_assert(!std::is_move_assignable_v<PubSubSystem>);
+
 TEST(ShardPlan, UnitsAreOverlapComponents) {
-  auto system = make_three_unit_system();
-  const auto plan = runtime::build_shard_plan(system.graph(),
-                                              system.membership(), 4);
+  const auto system = make_three_unit_system();
+  const auto plan = runtime::build_shard_plan(system->graph(),
+                                              system->membership(), 4);
   ASSERT_EQ(plan.num_units, 3u);
   EXPECT_EQ(plan.unit(GroupId(0)), plan.unit(GroupId(1)))
       << "overlapping groups share a unit";
@@ -59,28 +70,28 @@ TEST(ShardPlan, UnitsAreOverlapComponents) {
 }
 
 TEST(ShardPlan, UnitIdsAreShardCountInvariant) {
-  auto system = make_three_unit_system();
-  const auto one = runtime::build_shard_plan(system.graph(),
-                                             system.membership(), 1);
-  const auto eight = runtime::build_shard_plan(system.graph(),
-                                               system.membership(), 8);
+  const auto system = make_three_unit_system();
+  const auto one = runtime::build_shard_plan(system->graph(),
+                                             system->membership(), 1);
+  const auto eight = runtime::build_shard_plan(system->graph(),
+                                               system->membership(), 8);
   EXPECT_EQ(one.unit_of_group, eight.unit_of_group);
   EXPECT_EQ(one.unit_of_atom, eight.unit_of_atom);
   EXPECT_EQ(one.unit_key, eight.unit_key);
 }
 
 TEST(ShardPlan, ShardCountClampsToUnits) {
-  auto system = make_three_unit_system();
-  const auto plan = runtime::build_shard_plan(system.graph(),
-                                              system.membership(), 8);
+  const auto system = make_three_unit_system();
+  const auto plan = runtime::build_shard_plan(system->graph(),
+                                              system->membership(), 8);
   EXPECT_EQ(plan.num_shards, 3u) << "more shards than units is pointless";
   for (const std::uint32_t s : plan.shard_of_unit) EXPECT_LT(s, 3u);
 }
 
 TEST(ShardPlan, EveryShardGetsWork) {
-  auto system = make_three_unit_system();
-  const auto plan = runtime::build_shard_plan(system.graph(),
-                                              system.membership(), 2);
+  const auto system = make_three_unit_system();
+  const auto plan = runtime::build_shard_plan(system->graph(),
+                                              system->membership(), 2);
   ASSERT_EQ(plan.num_shards, 2u);
   std::vector<bool> used(plan.num_shards, false);
   for (const std::uint32_t s : plan.shard_of_unit) used[s] = true;

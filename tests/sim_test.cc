@@ -610,7 +610,11 @@ TEST(Channel, HeavyLossStress) {
   Channel<std::string> ch(sim, rng, 1.0, options);
   std::vector<std::string> got;
   ch.set_receiver([&](std::string v) { got.push_back(std::move(v)); });
-  for (int i = 0; i < 20; ++i) ch.send("m" + std::to_string(i));
+  for (int i = 0; i < 20; ++i) {
+    std::string m = "m";
+    m += std::to_string(i);
+    ch.send(std::move(m));
+  }
   sim.run();
   ASSERT_EQ(got.size(), 20u);
   EXPECT_EQ(got.front(), "m0");

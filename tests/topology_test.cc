@@ -9,6 +9,7 @@
 #include <set>
 #include <string>
 #include <type_traits>
+#include <vector>
 
 #include "common/rng.h"
 #include "tests/alloc_probe.h"
@@ -123,7 +124,13 @@ class Differential {
       check_point_queries(options, routers);
       check_batched(options, routers);
       check_rows(options, routers);
+      check_earned_rows(name, options, routers);
     }
+  }
+
+  /// The query mix of check_earned_rows' distance() oracle, per option set.
+  const DistanceOracle::Stats& earned(const std::string& options) const {
+    return earned_.at(options);
   }
 
  private:
@@ -207,9 +214,68 @@ class Differential {
     }
   }
 
+  // Each router first earns its row, asking for routers above it from the
+  // top id down until one appears (a root-side row where at most half the
+  // routers lie on the root side, else a full row), then queries every
+  // router: root-side targets read the row, targets in other pendants run
+  // inside their pendant, targets in its own pendant run point queries. A
+  // second oracle asks the same pairs in one distances_between call per
+  // router (a duplicate included), which seeds each pendant once for all
+  // of its targets. Under the one-row budget rows are evicted mid-pass.
+  void check_earned_rows(const std::string& name,
+                         const DistanceOracleOptions& options,
+                         const std::vector<RouterId>& routers) {
+    DistanceOracle single(g_, options);
+    DistanceOracle batched(g_, options);
+    std::vector<RouterId> targets = routers;
+    targets.push_back(routers.back());
+    std::vector<double> out;
+    for (const RouterId a : routers) {
+      earn_row(single, a);
+      earn_row(batched, a);
+      for (const RouterId b : routers) {
+        ASSERT_TRUE(same_bits(single.distance(a, b), ref(a, b)))
+            << a << " -> " << b << " (earned row)";
+      }
+      batched.distances_between(a, targets, out);
+      ASSERT_EQ(out.size(), targets.size());
+      for (std::size_t i = 0; i < targets.size(); ++i) {
+        ASSERT_TRUE(same_bits(out[i], ref(a, targets[i])))
+            << a << " -> " << targets[i] << " (earned row, batched)";
+      }
+    }
+    earned_[name] = single.stats();
+  }
+
+  void earn_row(DistanceOracle& oracle, RouterId a) {
+    const auto rows = [&oracle] {
+      return oracle.stats().root_rows + oracle.stats().full_rows;
+    };
+    const auto before = rows();
+    for (std::uint32_t t = g_.num_routers() - 1;
+         t > a.value() && rows() == before; --t) {
+      (void)oracle.distance(a, RouterId(t));
+    }
+  }
+
   const Graph& g_;
   std::map<std::uint32_t, std::vector<double>> ref_;
+  std::map<std::string, DistanceOracle::Stats> earned_;
 };
+
+/// Root-side rows earned and used in every option set, and evicted under
+/// the one-row budget.
+void expect_root_rows_used(const Differential& diff) {
+  for (const char* name : {"defaults", "scaled", "one_row"}) {
+    SCOPED_TRACE(name);
+    const DistanceOracle::Stats& stats = diff.earned(name);
+    EXPECT_GT(stats.root_rows, 0u);
+    EXPECT_GT(stats.pendant_runs, 0u);
+    EXPECT_EQ(stats.full_rows, 0u);
+  }
+  EXPECT_GT(diff.earned("one_row").evictions, 0u);
+  EXPECT_EQ(diff.earned("defaults").evictions, 0u);
+}
 
 TEST(DistanceOracleDifferential, DeploymentTopology) {
   // The paper deployment: 10k transit-stub routers, 128 hosts in 32
@@ -231,7 +297,9 @@ TEST(DistanceOracleDifferential, DeploymentTopology) {
   }
   // Each stub domain hangs off the transit core by one uplink.
   EXPECT_GE(DistanceOracle(topo.graph).num_bridges(), topo.num_stub_domains);
-  Differential(topo.graph).check({routers.begin(), routers.end()});
+  Differential diff(topo.graph);
+  diff.check({routers.begin(), routers.end()});
+  expect_root_rows_used(diff);
 }
 
 TEST(DistanceOracleDifferential, WaxmanTopology) {
@@ -239,7 +307,11 @@ TEST(DistanceOracleDifferential, WaxmanTopology) {
   const auto topo = generate_waxman({.num_routers = 600}, rng);
   std::vector<RouterId> routers;
   for (std::uint32_t r = 0; r < 600; r += 9) routers.push_back(RouterId(r));
-  Differential(topo.graph).check(routers);
+  Differential diff(topo.graph);
+  diff.check(routers);
+  // Most routers lie on the root side: promotion earns full rows.
+  EXPECT_EQ(diff.earned("defaults").root_rows, 0u);
+  EXPECT_GT(diff.earned("defaults").full_rows, 0u);
 }
 
 /// Hand-built: a core cycle {0,1,2}; behind bridge 2-3 a cycle {3,4,5};
@@ -270,7 +342,10 @@ TEST(DistanceOracleDifferential, HandBuiltPendants) {
   for (std::uint32_t r = 0; r < g.num_routers(); ++r) {
     routers.push_back(RouterId(r));
   }
-  Differential(g).check(routers);
+  // Root side {0, 1, 2, 9, 11, 12}: 6 of 14 routers.
+  Differential diff(g);
+  diff.check(routers);
+  expect_root_rows_used(diff);
 
   DistanceOracle oracle(g);
   // Unreachable: an isolated router and another component.
@@ -362,6 +437,63 @@ TEST(DistanceOracle, PromotesASourceOnceItSettledTheGraph) {
   const auto queries = oracle.stats().point_queries;
   (void)oracle.distance(source, RouterId(target));
   EXPECT_EQ(oracle.stats().point_queries, queries);
+}
+
+TEST(DistanceOracle, RowSourceSettlesOnlyTheTargetPendant) {
+  // On the paper's transit-stub topology a host router's point queries
+  // settle its stub and the pruned core, soon as many routers as the root
+  // side holds, which earns a root-side row at its next miss. From then on
+  // a miss into another stub domain runs inside that domain alone, seeded
+  // across its uplink, instead of settling about 110 routers through the
+  // source's stub and the core.
+  Rng rng(20060101);
+  const auto topo = generate_transit_stub(TransitStubParams{}, rng);
+  const HostMap hosts =
+      attach_hosts(topo, {.num_hosts = 128, .num_clusters = 32}, rng);
+  const RouterId source = *std::min_element(hosts.attachment_routers().begin(),
+                                            hosts.attachment_routers().end());
+  const std::size_t own = topo.stub_domain_of[source.value()];
+  std::vector<std::size_t> domain_size(topo.num_stub_domains, 0);
+  for (const RouterId r : topo.stub_routers) {
+    ++domain_size[topo.stub_domain_of[r.value()]];
+  }
+  // The last router of each of the last eight stub domains: all above the
+  // source, in eight domains other than its own.
+  std::vector<RouterId> targets;
+  std::set<std::size_t> domains = {own};
+  for (std::uint32_t r = topo.graph.num_routers() - 1; targets.size() < 8;
+       --r) {
+    const std::size_t d = topo.stub_domain_of[r];
+    if (d != SIZE_MAX && domains.insert(d).second) {
+      targets.push_back(RouterId(r));
+    }
+  }
+  ASSERT_GT(targets.back(), source);
+
+  DistanceOracle oracle(topo.graph);
+  const std::vector<double> want = dijkstra(topo.graph, source);
+  std::size_t next = 0;
+  while (oracle.stats().root_rows == 0) {
+    ASSERT_LT(next, 3u) << "no root-side row at the third miss";
+    const RouterId t = targets[next++];
+    EXPECT_TRUE(same_bits(oracle.distance(source, t), want[t.value()]));
+  }
+  // The miss that earned the row was answered through it already.
+  EXPECT_EQ(oracle.stats().pendant_runs, 1u);
+  const std::uint64_t point_queries = oracle.stats().point_queries;
+  for (; next < targets.size(); ++next) {
+    const RouterId t = targets[next];
+    const DistanceOracle::Stats before = oracle.stats();
+    EXPECT_TRUE(same_bits(oracle.distance(t, source), want[t.value()]));
+    EXPECT_LE(oracle.stats().settled - before.settled,
+              domain_size[topo.stub_domain_of[t.value()]])
+        << "miss into the stub domain of " << t;
+    EXPECT_EQ(oracle.stats().pendant_runs, before.pendant_runs + 1);
+  }
+  EXPECT_EQ(oracle.stats().root_rows, 1u);
+  EXPECT_EQ(oracle.stats().point_queries, point_queries);
+  EXPECT_EQ(oracle.stats().full_rows, 0u);
+  EXPECT_EQ(oracle.cached_sources(), 0u);
 }
 
 TEST(TransitStub, DefaultParamsProduceTenThousandRouters) {
