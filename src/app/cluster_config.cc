@@ -1,7 +1,6 @@
 #include "app/cluster_config.h"
 
 #include <algorithm>
-#include <charconv>
 #include <cmath>
 #include <fstream>
 #include <limits>
@@ -10,10 +9,13 @@
 #include <utility>
 
 #include "common/check.h"
+#include "common/parse.h"
 #include "protocol/receiver.h"
 #include "pubsub/system.h"
 
 namespace decseq::app {
+
+using common::parse_below;
 
 namespace {
 
@@ -32,19 +34,6 @@ std::vector<std::pair<AtomId, AtomId>> atom_edge_pairs(
   std::sort(pairs.begin(), pairs.end());
   pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
   return pairs;
-}
-
-/// A decimal token below `limit`; anything else (a sign, trailing junk,
-/// overflow) fails the parse.
-std::uint32_t parse_below(std::string_view token, std::uint64_t limit,
-                          const char* what) {
-  std::uint64_t value = 0;
-  const char* end = token.data() + token.size();
-  const auto [ptr, ec] = std::from_chars(token.data(), end, value);
-  DECSEQ_CHECK_MSG(ec == std::errc() && ptr == end && value < limit,
-                   "bad " << what << " '" << token << "' (must be below "
-                          << limit << ")");
-  return static_cast<std::uint32_t>(value);
 }
 
 constexpr std::uint64_t kIdLimit =
@@ -227,7 +216,9 @@ ClusterConfig read_cluster_config(std::istream& in) {
       DECSEQ_CHECK(static_cast<bool>(tokens >> token));
       config.num_ranks = parse_below(token, kMaxClusterRanks + 1, "ranks");
     } else if (keyword == "seed") {
-      DECSEQ_CHECK(static_cast<bool>(tokens >> config.seed));
+      std::string token;
+      DECSEQ_CHECK(static_cast<bool>(tokens >> token));
+      config.seed = common::parse_u64(token, "seed");
     } else if (keyword == "rto") {
       DECSEQ_CHECK(static_cast<bool>(tokens >> config.retransmit_timeout_ms));
       DECSEQ_CHECK_MSG(std::isfinite(config.retransmit_timeout_ms) &&

@@ -9,14 +9,24 @@
 // hop. clear() keeps any heap capacity, so pooled objects that recycle a
 // SmallVector stay allocation-free even when their content once spilled.
 //
+// Trivially copyable elements (body bytes, stamps) are copied with one
+// memcpy: assign, the copy operations and the inline move. An element-wise
+// loop over `std::uint8_t` cannot be vectorised, because a byte store may
+// alias `size_` and `data_`; the compiler reloads `data_` and reloads and
+// stores `size_` for every byte of a message body. Other element types
+// keep the element-wise path.
+//
 // Only the operations the library needs; not a drop-in std::vector.
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
+#include <cstring>
 #include <initializer_list>
 #include <iterator>
+#include <memory>
 #include <new>
+#include <type_traits>
 #include <utility>
 
 #include "common/check.h"
@@ -123,9 +133,15 @@ class SmallVector {
     clear();
     const auto count = static_cast<std::size_t>(std::distance(first, last));
     reserve(count);
-    for (; first != last; ++first) {
-      ::new (static_cast<void*>(data_ + size_)) T(*first);
-      ++size_;
+    if constexpr (kBitwise && std::contiguous_iterator<It> &&
+                  std::is_same_v<std::iter_value_t<It>, T>) {
+      copy_bytes(data_, std::to_address(first), count);
+      size_ = count;
+    } else {
+      for (; first != last; ++first) {
+        ::new (static_cast<void*>(data_ + size_)) T(*first);
+        ++size_;
+      }
     }
   }
 
@@ -134,6 +150,14 @@ class SmallVector {
   }
 
  private:
+  static constexpr bool kBitwise = std::is_trivially_copyable_v<T>;
+
+  /// memcpy of `count` elements; an empty range may come from a null
+  /// pointer (an empty std::vector's data()), which memcpy must not get.
+  static void copy_bytes(T* dst, const T* src, std::size_t count) {
+    if (count != 0) std::memcpy(dst, src, count * sizeof(T));
+  }
+
   [[nodiscard]] T* inline_data() {
     return reinterpret_cast<T*>(inline_storage_);
   }
@@ -176,9 +200,13 @@ class SmallVector {
       data_ = inline_data();
       capacity_ = N;
       size_ = other.size_;
-      for (std::size_t i = 0; i < size_; ++i) {
-        ::new (static_cast<void*>(data_ + i)) T(std::move(other.data_[i]));
-        other.data_[i].~T();
+      if constexpr (kBitwise) {
+        copy_bytes(data_, other.data_, size_);
+      } else {
+        for (std::size_t i = 0; i < size_; ++i) {
+          ::new (static_cast<void*>(data_ + i)) T(std::move(other.data_[i]));
+          other.data_[i].~T();
+        }
       }
     }
     other.data_ = other.inline_data();

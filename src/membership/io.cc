@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/check.h"
+#include "common/parse.h"
 
 namespace decseq::membership {
 
@@ -29,18 +30,15 @@ GroupMembership read_membership(std::istream& in, std::size_t min_nodes) {
     std::vector<NodeId> members;
     std::string token;
     while (tokens >> token) {
-      std::size_t pos = 0;
-      unsigned long value = 0;
+      NodeId::underlying_type value = 0;
       try {
-        value = std::stoul(token, &pos);
-      } catch (const std::exception&) {
-        pos = 0;
+        value = common::parse_below(token, kMaxMembershipNodes, "node id");
+      } catch (const CheckFailure& e) {
+        throw CheckFailure("line " + std::to_string(line_number) + ": " +
+                           e.what());
       }
-      DECSEQ_CHECK_MSG(pos == token.size(),
-                       "bad node id \"" << token << "\" on line "
-                                        << line_number);
-      members.push_back(NodeId(static_cast<NodeId::underlying_type>(value)));
-      max_node = std::max(max_node, static_cast<std::size_t>(value));
+      members.push_back(NodeId(value));
+      max_node = std::max(max_node, std::size_t{value});
       any_node = true;
     }
     if (!members.empty()) groups.push_back(std::move(members));

@@ -4,15 +4,46 @@
 #include <map>
 #include <ostream>
 #include <sstream>
+#include <string>
 
 #include "common/check.h"
+#include "common/parse.h"
 
 namespace decseq::metrics {
 
 namespace {
+
 constexpr const char* kHeader =
     "receiver,message,group,sender,payload,sent_at,delivered_at";
+
+/// A time field; std::stod's std::invalid_argument and std::out_of_range
+/// become CheckFailure like every other malformed field.
+double parse_time(const std::string& s, const char* what) {
+  std::size_t pos = 0;
+  double v = 0.0;
+  try {
+    v = std::stod(s, &pos);
+  } catch (const std::exception&) {
+    pos = 0;
+  }
+  DECSEQ_CHECK_MSG(!s.empty() && pos == s.size(),
+                   "bad " << what << " '" << s << "'");
+  return v;
 }
+
+/// One row's seven fields. Ids stay below their type's invalid sentinel,
+/// the payload fits in 64 bits, and a sign or trailing junk fails.
+pubsub::Delivery parse_row(const std::vector<std::string>& f) {
+  using common::parse_below;
+  return {NodeId(parse_below(f[0], NodeId::kInvalid, "receiver")),
+          MsgId(parse_below(f[1], MsgId::kInvalid, "message")),
+          GroupId(parse_below(f[2], GroupId::kInvalid, "group")),
+          NodeId(parse_below(f[3], NodeId::kInvalid, "sender")),
+          common::parse_u64(f[4], "payload"), parse_time(f[5], "sent_at"),
+          parse_time(f[6], "delivered_at")};
+}
+
+}  // namespace
 
 void write_delivery_log(const std::vector<pubsub::Delivery>& log,
                         std::ostream& out) {
@@ -40,48 +71,12 @@ std::vector<pubsub::Delivery> read_delivery_log(std::istream& in) {
     DECSEQ_CHECK_MSG(fields.size() == 7,
                      "line " << line_number << ": expected 7 fields, got "
                              << fields.size());
-    // stoul/stod throw std::invalid_argument on garbage; normalize every
-    // parse failure to CheckFailure with the offending line.
-    auto parse_u32 = [&](const std::string& s) {
-      try {
-        std::size_t pos = 0;
-        const unsigned long v = std::stoul(s, &pos);
-        DECSEQ_CHECK(pos == s.size());
-        return static_cast<std::uint32_t>(v);
-      } catch (const std::exception&) {
-        DECSEQ_CHECK_MSG(false, "bad integer \"" << s << "\" on line "
-                                                 << line_number);
-        throw;  // unreachable
-      }
-    };
-    auto parse_u64 = [&](const std::string& s) {
-      try {
-        std::size_t pos = 0;
-        const unsigned long long v = std::stoull(s, &pos);
-        DECSEQ_CHECK(pos == s.size());
-        return static_cast<std::uint64_t>(v);
-      } catch (const std::exception&) {
-        DECSEQ_CHECK_MSG(false, "bad integer \"" << s << "\" on line "
-                                                 << line_number);
-        throw;
-      }
-    };
-    auto parse_double = [&](const std::string& s) {
-      try {
-        std::size_t pos = 0;
-        const double v = std::stod(s, &pos);
-        DECSEQ_CHECK(pos == s.size());
-        return v;
-      } catch (const std::exception&) {
-        DECSEQ_CHECK_MSG(false, "bad number \"" << s << "\" on line "
-                                                << line_number);
-        throw;
-      }
-    };
-    log.push_back({NodeId(parse_u32(fields[0])), MsgId(parse_u32(fields[1])),
-                   GroupId(parse_u32(fields[2])), NodeId(parse_u32(fields[3])),
-                   parse_u64(fields[4]), parse_double(fields[5]),
-                   parse_double(fields[6])});
+    try {
+      log.push_back(parse_row(fields));
+    } catch (const CheckFailure& e) {
+      throw CheckFailure("line " + std::to_string(line_number) + ": " +
+                         e.what());
+    }
   }
   return log;
 }

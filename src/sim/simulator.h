@@ -8,7 +8,11 @@
 // Engine layout (see docs/PROTOCOL.md, "Event engine"):
 //  * events live in a slab pool of reusable slots — scheduling in steady
 //    state allocates nothing, and callbacks up to the inline budget of
-//    sim::Simulator::Callback are stored in place;
+//    sim::Simulator::Callback are stored in place. The callbacks sit in
+//    fixed-size chunks that never move, so an event fires where it was
+//    scheduled: its slot is retired (generation bumped, key freed) before
+//    the call and returns to the free list only after it, and a callback
+//    that schedules can neither reuse nor move its own storage;
 //  * a monotone radix queue orders them (Ahuja, Mehlhorn, Orlin and
 //    Tarjan, "Faster algorithms for the shortest path problem", JACM 1990).
 //    Event times never go backwards, and the bit patterns of non-negative
@@ -25,13 +29,18 @@
 //    which are all empty. Equal keys always share a bucket, keep their
 //    insertion order inside it, and only move together into an empty one,
 //    so events fire in (time, insertion order) without a sequence number:
-//    ties fire FIFO, and runs are deterministic.
+//    ties fire FIFO, and runs are deterministic;
+//  * each bucket records its smallest key as appends fill it. Cancelling
+//    the event that holds it marks the bucket stale, and only a stale
+//    bucket is walked for its minimum; the minimum is the same either way,
+//    so the fire order is too.
 #pragma once
 
 #include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -84,13 +93,14 @@ class Simulator {
     DECSEQ_CHECK_MSG(t >= now_, "scheduling into the past: " << t << " < "
                                                              << now_);
     const std::uint32_t slot = acquire_slot();
+    Callback& stored = callback(slot);
     if constexpr (std::is_same_v<std::decay_t<F>, Callback>) {
-      pool_[slot] = std::forward<F>(cb);
+      stored = std::forward<F>(cb);
     } else {
-      pool_[slot].emplace(std::forward<F>(cb));
+      stored.emplace(std::forward<F>(cb));
     }
     ++events_scheduled_;
-    if (pool_[slot].heap_allocated()) ++callback_heap_spills_;
+    if (stored.heap_allocated()) ++callback_heap_spills_;
     // -0.0 passes the check at time 0, but its sign bit would sort it after
     // every positive time; adding +0.0 turns it into +0.0.
     meta_[slot].key = std::bit_cast<std::uint64_t>(t + 0.0);
@@ -114,7 +124,8 @@ class Simulator {
     const SlotMeta& meta = meta_[id.slot_];
     if (meta.gen != id.gen_ || meta.key == kFreeKey) return false;
     unlink(id.slot_);
-    release_slot(id.slot_);
+    retire_slot(id.slot_);
+    free_slot(id.slot_);
     ++timers_cancelled_;
     return true;
   }
@@ -162,7 +173,7 @@ class Simulator {
   [[nodiscard]] Time next_event_time() const {
     if (idle()) return std::numeric_limits<Time>::infinity();
     if ((occupied_ & 1u) != 0) return std::bit_cast<Time>(base_);
-    return std::bit_cast<Time>(min_key(lowest_bucket()));
+    return std::bit_cast<Time>(bucket_min(lowest_bucket()));
   }
 
   /// Jump the clock forward to `t` (no-op if already past it). Only legal
@@ -180,6 +191,9 @@ class Simulator {
 
   [[nodiscard]] bool idle() const { return occupied_ == 0; }
   [[nodiscard]] std::size_t pending() const { return pending_; }
+  /// Event slots made so far: the most events ever pending or firing at
+  /// once. Freed slots are reused before a new one is made.
+  [[nodiscard]] std::size_t slots() const { return meta_.size(); }
 
   // --- Event counters (cumulative over the simulator's lifetime). ---
   [[nodiscard]] std::size_t events_fired() const { return events_fired_; }
@@ -201,9 +215,12 @@ class Simulator {
   static constexpr std::uint32_t kNil = 0xffffffffu;
   /// Key of a slot with no pending event (above every time's bits).
   static constexpr std::uint64_t kFreeKey = ~std::uint64_t{0};
+  /// Callbacks per chunk (128 bytes each, 32 KiB a chunk).
+  static constexpr std::uint32_t kChunkSlots = 256;
 
-  /// Per-slot bookkeeping, kept apart from the callback pool (one cache
-  /// line per slot): the event's key and its bucket-list links.
+  /// Per-slot bookkeeping, kept apart from the 128-byte callbacks so the
+  /// bucket walks stay dense: the event's key and its bucket-list links. A
+  /// free slot's `next` links the free list.
   struct SlotMeta {
     std::uint64_t key = kFreeKey;
     std::uint32_t gen = 0;
@@ -211,24 +228,50 @@ class Simulator {
     std::uint32_t next = kNil;
   };
 
-  std::uint32_t acquire_slot() {
-    if (!free_.empty()) {
-      const std::uint32_t slot = free_.back();
-      free_.pop_back();
-      return slot;
-    }
-    pool_.emplace_back();
-    meta_.emplace_back();
-    return static_cast<std::uint32_t>(pool_.size() - 1);
+  /// Returns a fired event's slot to the free list when its callback
+  /// returns or throws.
+  class SlotReturn {
+   public:
+    SlotReturn(Simulator& sim, std::uint32_t slot) : sim_(sim), slot_(slot) {}
+    SlotReturn(const SlotReturn&) = delete;
+    SlotReturn& operator=(const SlotReturn&) = delete;
+    ~SlotReturn() { sim_.free_slot(slot_); }
+
+   private:
+    Simulator& sim_;
+    std::uint32_t slot_;
+  };
+
+  [[nodiscard]] Callback& callback(std::uint32_t slot) {
+    return chunks_[slot / kChunkSlots][slot % kChunkSlots];
   }
 
-  /// Return a slot to the free list; bumping the generation invalidates
-  /// every outstanding TimerId for it.
-  void release_slot(std::uint32_t slot) {
-    pool_[slot].reset();
+  std::uint32_t acquire_slot() {
+    if (free_head_ != kNil) {
+      const std::uint32_t slot = free_head_;
+      free_head_ = meta_[slot].next;
+      return slot;
+    }
+    const auto slot = static_cast<std::uint32_t>(meta_.size());
+    if (slot / kChunkSlots == chunks_.size()) {
+      chunks_.push_back(std::make_unique<Callback[]>(kChunkSlots));
+    }
+    meta_.emplace_back();
+    return slot;
+  }
+
+  /// Mark a slot as holding no pending event; bumping the generation
+  /// invalidates every outstanding TimerId for it.
+  void retire_slot(std::uint32_t slot) {
     meta_[slot].key = kFreeKey;
     ++meta_[slot].gen;
-    free_.push_back(slot);
+  }
+
+  /// Destroy a retired slot's callback and put the slot on the free list.
+  void free_slot(std::uint32_t slot) {
+    callback(slot).reset();
+    meta_[slot].next = free_head_;
+    free_head_ = slot;
   }
 
   /// 0 when `key` equals the base, else one plus the index of the highest
@@ -242,17 +285,20 @@ class Simulator {
   }
 
   void append(std::uint32_t slot) {
-    const unsigned b = bucket_of(meta_[slot].key);
-    const std::uint64_t bit = std::uint64_t{1} << b;
     SlotMeta& meta = meta_[slot];
+    const unsigned b = bucket_of(meta.key);
+    const std::uint64_t bit = std::uint64_t{1} << b;
     meta.next = kNil;
     if ((occupied_ & bit) != 0) {
       meta.prev = tail_[b];
       meta_[tail_[b]].next = slot;
+      min_[b] = std::min(min_[b], meta.key);
     } else {
       meta.prev = kNil;
       head_[b] = slot;
       occupied_ |= bit;
+      min_[b] = meta.key;
+      stale_ &= ~bit;
     }
     tail_[b] = slot;
   }
@@ -260,6 +306,7 @@ class Simulator {
   void unlink(std::uint32_t slot) {
     const SlotMeta& meta = meta_[slot];
     const unsigned b = bucket_of(meta.key);
+    const std::uint64_t bit = std::uint64_t{1} << b;
     if (meta.prev == kNil) {
       head_[b] = meta.next;
     } else {
@@ -270,13 +317,17 @@ class Simulator {
     } else {
       meta_[meta.next].prev = meta.prev;
     }
-    if (meta.prev == kNil && meta.next == kNil) {
-      occupied_ &= ~(std::uint64_t{1} << b);
-    }
+    if (meta.prev == kNil && meta.next == kNil) occupied_ &= ~bit;
+    // The bucket's recorded minimum may have left with this key; until a
+    // walk or an append into the emptied bucket, it is only a lower bound.
+    if (meta.key == min_[b]) stale_ |= bit;
     --pending_;
   }
 
-  [[nodiscard]] std::uint64_t min_key(unsigned b) const {
+  /// Smallest key in non-empty bucket b: the recorded minimum, or a walk
+  /// of the bucket when a cancel made it stale.
+  [[nodiscard]] std::uint64_t bucket_min(unsigned b) const {
+    if ((stale_ & (std::uint64_t{1} << b)) == 0) return min_[b];
     std::uint64_t min = kFreeKey;
     for (std::uint32_t s = head_[b]; s != kNil; s = meta_[s].next) {
       min = std::min(min, meta_[s].key);
@@ -291,7 +342,7 @@ class Simulator {
   /// they stay put.
   void rebase() {
     const unsigned b = lowest_bucket();
-    base_ = min_key(b);
+    base_ = bucket_min(b);
     occupied_ &= ~(std::uint64_t{1} << b);
     for (std::uint32_t s = head_[b]; s != kNil;) {
       const std::uint32_t next = meta_[s].next;
@@ -300,18 +351,20 @@ class Simulator {
     }
   }
 
-  /// Fire the earliest event: the head of bucket 0, whose key is the base.
+  /// Fire the earliest event, the head of bucket 0 (whose key is the
+  /// base), in place. The slot is retired before the call, so cancelling
+  /// its handle from inside returns false, and it joins the free list only
+  /// once the callback has returned or thrown, so a callback that
+  /// schedules never overwrites itself; new chunks never move old ones.
   void fire_next() {
     if ((occupied_ & 1u) == 0) rebase();
     const std::uint32_t slot = head_[0];
     now_ = std::bit_cast<Time>(base_);
     unlink(slot);
-    // Move the callback out and free the slot before invoking: the callback
-    // may schedule new events (and reuse this very slot).
-    Callback cb = std::move(pool_[slot]);
-    release_slot(slot);
+    retire_slot(slot);
     ++events_fired_;
-    cb();
+    const SlotReturn give_back(*this, slot);
+    callback(slot)();
   }
 
   Time now_ = 0.0;
@@ -321,16 +374,23 @@ class Simulator {
   /// Bit b set iff bucket b holds an event; an empty bucket's head_ and
   /// tail_ are stale.
   std::uint64_t occupied_ = 0;
+  /// Bit b set iff bucket b's min_ may be below its true minimum (its
+  /// minimum was cancelled).
+  std::uint64_t stale_ = 0;
   std::uint32_t head_[kBuckets] = {};
   std::uint32_t tail_[kBuckets] = {};
+  /// Smallest key appended to bucket b since it was last empty.
+  std::uint64_t min_[kBuckets] = {};
+  /// Head of the free-slot list, linked through SlotMeta::next.
+  std::uint32_t free_head_ = kNil;
   std::size_t pending_ = 0;
   std::size_t events_fired_ = 0;
   std::size_t events_scheduled_ = 0;
   std::size_t timers_cancelled_ = 0;
   std::size_t callback_heap_spills_ = 0;
-  std::vector<Callback> pool_;
+  /// Callback storage: slot s is chunks_[s / kChunkSlots][s % kChunkSlots].
+  std::vector<std::unique_ptr<Callback[]>> chunks_;
   std::vector<SlotMeta> meta_;
-  std::vector<std::uint32_t> free_;
 };
 
 }  // namespace decseq::sim

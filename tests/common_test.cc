@@ -4,14 +4,20 @@
 #include <cstdint>
 #include <memory>
 #include <set>
+#include <string>
+#include <type_traits>
 #include <unordered_set>
+#include <utility>
+#include <vector>
 
 #include "common/check.h"
 #include "common/ids.h"
 #include "common/ring_buffer.h"
 #include "common/rng.h"
+#include "common/small_vector.h"
 #include "common/stats.h"
 #include "common/zipf.h"
+#include "protocol/message.h"
 #include "tests/alloc_probe.h"
 
 namespace decseq {
@@ -247,6 +253,163 @@ TEST(RingBuffer, ResizeDefaultFillsAndSteadyStateStopsAllocating) {
   }
   EXPECT_EQ(test::alloc_count() - allocs_before, 0u);
   EXPECT_EQ(ring.size(), 16u);
+}
+
+/// A SmallVector case: element type, inline capacity and the i-th value.
+template <typename T, std::size_t Inline>
+struct SmallVectorCase {
+  using Vec = common::SmallVector<T, Inline>;
+  static constexpr std::size_t kInline = Inline;
+  static T value(std::size_t i);
+};
+
+template <>
+std::uint8_t SmallVectorCase<std::uint8_t, 64>::value(std::size_t i) {
+  return static_cast<std::uint8_t>(7 * i + 1);
+}
+
+template <>
+protocol::Stamp SmallVectorCase<protocol::Stamp, 8>::value(std::size_t i) {
+  return {AtomId(static_cast<std::uint32_t>(i)), 3 * i + 1};
+}
+
+/// Short strings live in the string object (a bytewise move would leave
+/// them pointing into the source), long ones own a heap block (a bytewise
+/// copy would free it twice).
+template <>
+std::string SmallVectorCase<std::string, 4>::value(std::size_t i) {
+  std::string s = i % 2 == 0 ? "s" : std::string(40, 'x');
+  s += std::to_string(i);
+  return s;
+}
+
+static_assert(std::is_trivially_copyable_v<std::uint8_t> &&
+                  std::is_trivially_copyable_v<protocol::Stamp>,
+              "body bytes and stamps take the memcpy path");
+static_assert(!std::is_trivially_copyable_v<std::string>,
+              "strings keep the element-wise path");
+
+template <typename Case>
+class SmallVectorTest : public ::testing::Test {
+ protected:
+  using Vec = typename Case::Vec;
+  using T = typename Vec::value_type;
+  static constexpr std::size_t kN = Case::kInline;
+
+  static std::vector<T> values(std::size_t count, std::size_t offset = 0) {
+    std::vector<T> out;
+    for (std::size_t i = 0; i < count; ++i) {
+      out.push_back(Case::value(i + offset));
+    }
+    return out;
+  }
+
+  static Vec filled(std::size_t count, std::size_t offset = 0) {
+    const std::vector<T> src = values(count, offset);
+    Vec v;
+    v.assign(src.data(), src.data() + src.size());
+    return v;
+  }
+
+  static void expect_holds(const Vec& v, const std::vector<T>& want) {
+    ASSERT_EQ(v.size(), want.size());
+    EXPECT_EQ(v.empty(), want.empty());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      EXPECT_TRUE(v[i] == want[i]) << "element " << i;
+    }
+  }
+};
+
+using SmallVectorCases =
+    ::testing::Types<SmallVectorCase<std::uint8_t, 64>,
+                     SmallVectorCase<protocol::Stamp, 8>,
+                     SmallVectorCase<std::string, 4>>;
+TYPED_TEST_SUITE(SmallVectorTest, SmallVectorCases);
+
+TYPED_TEST(SmallVectorTest, AssignsPointerRanges) {
+  using Vec = typename TestFixture::Vec;
+  constexpr std::size_t n = TestFixture::kN;
+  const auto src = TestFixture::values(3 * n);
+  for (const std::size_t count : {std::size_t{0}, std::size_t{1}, n - 1, n,
+                                  n + 1, 3 * n}) {
+    SCOPED_TRACE("count " + std::to_string(count));
+    Vec v;
+    v.assign(src.data(), src.data() + count);
+    TestFixture::expect_holds(
+        v, {src.begin(), src.begin() + static_cast<std::ptrdiff_t>(count)});
+    EXPECT_EQ(v.is_inline(), count <= n);
+    // Refill the same vector from another offset.
+    v.assign(src.data() + 1, src.data() + 1 + count / 2);
+    TestFixture::expect_holds(
+        v, {src.begin() + 1,
+            src.begin() + 1 + static_cast<std::ptrdiff_t>(count / 2)});
+  }
+  // An empty std::vector's data() may be null; the copy must not pass it on.
+  const std::vector<typename TestFixture::T> none;
+  Vec v = TestFixture::filled(2);
+  v.assign(none.data(), none.data());
+  EXPECT_TRUE(v.empty());
+  EXPECT_TRUE(v.is_inline());
+}
+
+TYPED_TEST(SmallVectorTest, CopiesInlineAndSpilled) {
+  using Vec = typename TestFixture::Vec;
+  constexpr std::size_t n = TestFixture::kN;
+  for (const std::size_t count : {n, 3 * n}) {
+    SCOPED_TRACE("count " + std::to_string(count));
+    const auto want = TestFixture::values(count);
+    const Vec source = TestFixture::filled(count);
+    const Vec copied(source);
+    TestFixture::expect_holds(copied, want);
+    EXPECT_EQ(copied.is_inline(), count <= n);
+    TestFixture::expect_holds(source, want);
+    EXPECT_TRUE(copied == source);
+
+    Vec assigned = TestFixture::filled(1, 100);
+    assigned = source;
+    TestFixture::expect_holds(assigned, want);
+    Vec& alias = assigned;
+    assigned = alias;  // self-assignment keeps the contents
+    TestFixture::expect_holds(assigned, want);
+  }
+  // A shorter vector assigned into a spilled one keeps the heap block.
+  Vec spilled = TestFixture::filled(3 * n);
+  const std::size_t capacity = spilled.capacity();
+  const Vec shorter = TestFixture::filled(2, 50);
+  spilled = shorter;
+  TestFixture::expect_holds(spilled, TestFixture::values(2, 50));
+  EXPECT_FALSE(spilled.is_inline());
+  EXPECT_EQ(spilled.capacity(), capacity);
+}
+
+TYPED_TEST(SmallVectorTest, MovesInlineAndSpilled) {
+  using Vec = typename TestFixture::Vec;
+  constexpr std::size_t n = TestFixture::kN;
+  for (const std::size_t count : {std::size_t{0}, n - 1, n, 3 * n}) {
+    SCOPED_TRACE("count " + std::to_string(count));
+    const auto want = TestFixture::values(count);
+
+    Vec source = TestFixture::filled(count);
+    const auto* heap = source.is_inline() ? nullptr : source.data();
+    Vec moved(std::move(source));
+    TestFixture::expect_holds(moved, want);
+    EXPECT_EQ(moved.is_inline(), count <= n);
+    if (heap != nullptr) {
+      EXPECT_EQ(moved.data(), heap) << "the heap block is stolen";
+    }
+    EXPECT_TRUE(source.empty());  // NOLINT(bugprone-use-after-move)
+    EXPECT_TRUE(source.is_inline());
+
+    // Move-assign into a spilled vector, then refill the moved-from one.
+    Vec target = TestFixture::filled(3 * n, 200);
+    target = std::move(moved);
+    TestFixture::expect_holds(target, want);
+    EXPECT_EQ(target.is_inline(), count <= n);
+    EXPECT_TRUE(moved.empty());  // NOLINT(bugprone-use-after-move)
+    EXPECT_TRUE(moved.is_inline());
+    moved = TestFixture::filled(n + 1, 300);
+    TestFixture::expect_holds(moved, TestFixture::values(n + 1, 300));
+  }
 }
 
 TEST(Stats, SummaryFields) {

@@ -54,6 +54,40 @@ TEST(LogIo, RejectsNonNumericField) {
   EXPECT_THROW((void)read_delivery_log(buffer), CheckFailure);
 }
 
+TEST(LogIo, RejectsSignedAndOutOfRangeIntegers) {
+  // Each row would wrap or narrow through a cast of std::stoul: a signed
+  // id, ids at or above 2^32 (and the invalid-id sentinel 2^32 - 1), a
+  // signed payload and one past 2^64 - 1, and a sign or space on a field.
+  for (const char* row : {"-1,10,0,0,77,1.5,20.25",
+                          "4294967297,10,0,0,77,1.5,20.25",
+                          "1,10,0,4294967296,77,1.5,20.25",
+                          "4294967295,10,0,0,77,1.5,20.25",
+                          "1,4294967296,0,0,77,1.5,20.25",
+                          "1,10,4294967296,0,77,1.5,20.25",
+                          "1,10,0,0,-5,1.5,20.25",
+                          "1,10,0,0,18446744073709551616,1.5,20.25",
+                          "+1,10,0,0,77,1.5,20.25", " 1,10,0,0,77,1.5,20.25",
+                          "1,10,0,0,77 ,1.5,20.25", "1,10,0,0,,1.5,20.25",
+                          "1,10,0,0,77,,20.25"}) {
+    std::stringstream buffer;
+    write_delivery_log({}, buffer);
+    buffer << row << "\n";
+    EXPECT_THROW((void)read_delivery_log(buffer), CheckFailure) << row;
+  }
+}
+
+TEST(LogIo, ReadsTheLargestIdsAndPayload) {
+  std::stringstream buffer;
+  write_delivery_log({}, buffer);
+  buffer << "4294967294,4294967294,4294967294,4294967294,"
+            "18446744073709551615,0,0\n";
+  const auto log = read_delivery_log(buffer);
+  ASSERT_EQ(log.size(), 1u);
+  EXPECT_EQ(log[0].receiver.value(), 4294967294u);
+  EXPECT_EQ(log[0].sender.value(), 4294967294u);
+  EXPECT_EQ(log[0].payload, 18446744073709551615u);
+}
+
 TEST(LogIo, SkipsBlankLines) {
   std::stringstream buffer;
   write_delivery_log(sample_log(), buffer);

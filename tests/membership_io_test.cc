@@ -40,6 +40,21 @@ TEST(MembershipIo, RejectsGarbageAndDuplicates) {
   EXPECT_THROW((void)read_membership(empty), CheckFailure);
 }
 
+TEST(MembershipIo, RejectsSignedAndOutOfRangeIds) {
+  // "0 4294967296" once read as nodes 0 and 0 and sized the membership for
+  // 2^32 + 1 nodes. Ids carry no sign and stay below kMaxMembershipNodes,
+  // so nothing is allocated for any of these.
+  for (const char* text : {"0 4294967296\n", "0 4294967297\n", "0 -1\n",
+                           "-0 1\n", "0 +1\n", "0 18446744073709551616\n",
+                           "0 4194304\n"}) {
+    std::stringstream in(text);
+    EXPECT_THROW((void)read_membership(in), CheckFailure) << text;
+  }
+  static_assert(kMaxMembershipNodes == 4194304u);
+  std::stringstream below("0 100000\n");
+  EXPECT_EQ(read_membership(below).num_nodes(), 100001u);
+}
+
 TEST(MembershipIo, RoundTrip) {
   const auto original = test::make_membership(
       8, {{0, 1, 2, 3}, {2, 3, 4}, {5, 6, 7}});

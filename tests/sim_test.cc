@@ -1,11 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <iterator>
 #include <limits>
+#include <map>
+#include <memory>
 #include <set>
 #include <string>
 #include <utility>
@@ -201,6 +205,62 @@ TEST(Simulator, CancelStormStaysConsistent) {
                              }));
 }
 
+TEST(Simulator, CallbackRunsInPlaceWhileSchedulingMany) {
+  // An event fires from its own pool slot. This callback's capture fills
+  // the inline budget, and it schedules far more than two chunks of events
+  // before it reads that capture again: the chunks it adds must not move
+  // the one it runs from (under ASan a moved pool is a use after free).
+  Simulator sim;
+  std::array<std::uint64_t, 12> payload{};  // 96 bytes
+  for (std::size_t i = 0; i < payload.size(); ++i) payload[i] = 3 * i + 1;
+  std::uint64_t read_back = 0;
+  int children = 0;
+  sim.schedule_at(1.0, [payload, &sim, &read_back, &children] {
+    for (int i = 0; i < 2000; ++i) {
+      sim.schedule_after(1.0, [&children] { ++children; });
+    }
+    for (const std::uint64_t v : payload) read_back += v;
+  });
+  EXPECT_EQ(sim.callback_heap_spills(), 0u) << "the capture is stored inline";
+  sim.run();
+  EXPECT_EQ(children, 2000);
+  std::uint64_t want = 0;
+  for (const std::uint64_t v : payload) want += v;
+  EXPECT_EQ(read_back, want);
+  EXPECT_EQ(sim.slots(), 2001u) << "the firing event kept its slot";
+}
+
+TEST(Simulator, CallbackThatThrowsReturnsItsSlot) {
+  // A firing event is no longer pending: cancelling its own handle from
+  // inside returns false. When its callback throws, the queue stays
+  // consistent, the callback is destroyed, and the slot is free again.
+  Simulator sim;
+  auto owned = std::make_shared<int>(7);
+  Simulator::TimerId self;
+  bool cancelled_self = true;
+  self = sim.schedule_at(1.0, [&sim, &self, &cancelled_self, owned] {
+    cancelled_self = sim.cancel(self);
+    DECSEQ_CHECK_MSG(false, "callback fails");
+  });
+  int later = 0;
+  sim.schedule_at(2.0, [&later] { ++later; });
+  EXPECT_EQ(owned.use_count(), 2);
+  EXPECT_THROW(sim.run(), CheckFailure);
+  EXPECT_FALSE(cancelled_self);
+  EXPECT_FALSE(sim.cancel(self)) << "the handle went stale when it fired";
+  EXPECT_EQ(owned.use_count(), 1) << "the thrown callback was destroyed";
+  EXPECT_EQ(sim.pending(), 1u);
+  EXPECT_FALSE(sim.idle());
+  EXPECT_EQ(sim.events_fired(), 1u);
+  EXPECT_EQ(sim.slots(), 2u);
+  sim.schedule_at(3.0, [&later] { later += 10; });
+  EXPECT_EQ(sim.slots(), 2u) << "the next schedule reuses the thrown slot";
+  EXPECT_EQ(sim.run(), 2u);
+  EXPECT_EQ(later, 11);
+  EXPECT_TRUE(sim.idle());
+  EXPECT_EQ(sim.pending(), 0u);
+}
+
 /// Drives a Simulator with seeded random operations and mirrors every call
 /// on the queue the simulator claims to be: a std::set ordered by (time,
 /// schedule order). Events are numbered in schedule order, so the number
@@ -221,7 +281,11 @@ class ReferenceQueueHarness {
         schedule_drawn();
       }
     } else if (op < 45) {
-      cancel_random();
+      if (rng_.next_bool(0.3)) {
+        cancel_bucket_min();
+      } else {
+        cancel_random();
+      }
     } else if (op < 60) {
       run_until(draw_deadline());
     } else if (op < 75) {
@@ -363,6 +427,32 @@ class ReferenceQueueHarness {
     if (live) ++cancelled_;
   }
 
+  /// Cancel the pending event that holds the smallest key of a random
+  /// non-empty bucket other than bucket 0, which leaves that bucket's
+  /// recorded minimum stale. The buckets are modelled from the queue's
+  /// base, the last fired event's key (0 before the first).
+  void cancel_bucket_min() {
+    std::map<unsigned, std::pair<Time, std::size_t>> mins;
+    for (const auto& entry : model_) {
+      const auto b =
+          static_cast<unsigned>(std::bit_width(key(entry.first) ^ base_));
+      if (b != 0) mins.emplace(b, entry);  // the first is the smallest
+    }
+    if (mins.empty()) return;
+    const auto [at, n] =
+        std::next(mins.begin(),
+                  static_cast<std::ptrdiff_t>(rng_.next_below(mins.size())))
+            ->second;
+    model_.erase({at, n});
+    EXPECT_TRUE(sim_.cancel(events_[n].id)) << "bucket minimum, event " << n;
+    ++cancelled_;
+  }
+
+  /// The queue's key for a time: its bits, with -0.0 folded into +0.0.
+  static std::uint64_t key(Time t) {
+    return std::bit_cast<std::uint64_t>(t + 0.0);
+  }
+
   void run_until(Time deadline) {
     fired_in_call_ = 0;
     EXPECT_EQ(sim_.run_until(deadline), fired_in_call_);
@@ -392,6 +482,13 @@ class ReferenceQueueHarness {
     const auto [at, want] = *model_.begin();
     ASSERT_EQ(n, want) << "fire order diverged at t=" << at;
     model_.erase(model_.begin());
+    // The queue's peek as this event fires, before the callback schedules
+    // anything: bucket 0 may just have emptied over a stale bucket.
+    EXPECT_EQ(sim_.next_event_time(),
+              model_.empty() ? std::numeric_limits<Time>::infinity()
+                             : model_.begin()->first)
+        << "while event " << n << " fires";
+    base_ = key(at);
     now_ = at;
     ++fired_;
     ++fired_in_call_;
@@ -401,6 +498,7 @@ class ReferenceQueueHarness {
       if (rng_.next_bool(0.25)) schedule_drawn();
     }
     if (rng_.next_bool(0.2)) cancel_random();
+    if (rng_.next_bool(0.1)) cancel_bucket_min();
     check_state();
   }
 
@@ -421,6 +519,7 @@ class ReferenceQueueHarness {
   std::vector<Event> events_;
   std::set<std::pair<Time, std::size_t>> model_;
   Time now_ = 0.0;
+  std::uint64_t base_ = 0;
   std::size_t fired_ = 0;
   std::size_t fired_in_call_ = 0;
   std::size_t cancelled_ = 0;

@@ -904,9 +904,11 @@ TEST(ClusterConfig, RejectsMalformedInput) {
   const std::string group1 = "group 1 members 0 1 path 0:1:0 2:0:1\n";
   const std::string ranks = "ranks 2\n";
   const std::string budget = "budget 200\n";
+  const std::string seed = "seed 1\n";
   ASSERT_NE(text.find(host1), std::string::npos) << text;
   ASSERT_NE(text.find(group1), std::string::npos) << text;
   ASSERT_NE(text.find(budget), std::string::npos) << text;
+  ASSERT_NE(text.find(seed), std::string::npos) << text;
   const auto edit = [&](const std::string& line, const std::string& with) {
     std::string edited = text;
     edited.replace(edited.find(line), line.size(), with + "\n");
@@ -944,6 +946,10 @@ TEST(ClusterConfig, RejectsMalformedInput) {
       {ranks, "ranks -1"},
       {ranks, "ranks 1025"},
       {budget, "budget -1"},
+      // A seed that wraps, overflows or trails junk.
+      {seed, "seed -1"},
+      {seed, "seed 18446744073709551616"},
+      {seed, "seed 12x"},
   };
   for (const auto& [line, with] : bad) {
     EXPECT_THROW(parse(edit(line, with)), CheckFailure) << with;
