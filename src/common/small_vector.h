@@ -9,12 +9,11 @@
 // hop. clear() keeps any heap capacity, so pooled objects that recycle a
 // SmallVector stay allocation-free even when their content once spilled.
 //
-// Trivially copyable elements (body bytes, stamps) are copied with one
-// memcpy: assign, the copy operations and the inline move. An element-wise
-// loop over `std::uint8_t` cannot be vectorised, because a byte store may
-// alias `size_` and `data_`; the compiler reloads `data_` and reloads and
-// stores `size_` for every byte of a message body. Other element types
-// keep the element-wise path.
+// Elements must be trivially copyable (body bytes, stamps), so every copy,
+// inline move and growth is one memcpy and nothing is ever destroyed. An
+// element-wise loop over `std::uint8_t` cannot be vectorised, because a
+// byte store may alias `size_` and `data_`; the compiler reloads `data_`
+// and reloads and stores `size_` for every byte of a message body.
 //
 // Only the operations the library needs; not a drop-in std::vector.
 #pragma once
@@ -23,8 +22,6 @@
 #include <cstddef>
 #include <cstring>
 #include <initializer_list>
-#include <iterator>
-#include <memory>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -36,6 +33,8 @@ namespace decseq::common {
 template <typename T, std::size_t N>
 class SmallVector {
   static_assert(N > 0, "inline capacity must be positive");
+  static_assert(std::is_trivially_copyable_v<T>,
+                "elements are copied and moved as bytes");
 
  public:
   using value_type = T;
@@ -57,7 +56,6 @@ class SmallVector {
 
   SmallVector& operator=(SmallVector&& other) noexcept {
     if (this != &other) {
-      destroy_all();
       release_heap();
       steal_from(other);
     }
@@ -69,10 +67,7 @@ class SmallVector {
     return *this;
   }
 
-  ~SmallVector() {
-    destroy_all();
-    release_heap();
-  }
+  ~SmallVector() { release_heap(); }
 
   [[nodiscard]] std::size_t size() const { return size_; }
   [[nodiscard]] bool empty() const { return size_ == 0; }
@@ -118,31 +113,19 @@ class SmallVector {
 
   void pop_back() {
     DECSEQ_CHECK(size_ > 0);
-    data_[--size_].~T();
+    --size_;
   }
 
   /// Drops the elements but keeps the current storage (inline or heap), so
   /// recycled owners refill without reallocating.
-  void clear() {
-    destroy_all();
-    size_ = 0;
-  }
+  void clear() { size_ = 0; }
 
-  template <typename It>
-  void assign(It first, It last) {
+  void assign(const T* first, const T* last) {
+    const auto count = static_cast<std::size_t>(last - first);
     clear();
-    const auto count = static_cast<std::size_t>(std::distance(first, last));
     reserve(count);
-    if constexpr (kBitwise && std::contiguous_iterator<It> &&
-                  std::is_same_v<std::iter_value_t<It>, T>) {
-      copy_bytes(data_, std::to_address(first), count);
-      size_ = count;
-    } else {
-      for (; first != last; ++first) {
-        ::new (static_cast<void*>(data_ + size_)) T(*first);
-        ++size_;
-      }
-    }
+    copy_bytes(data_, first, count);
+    size_ = count;
   }
 
   friend bool operator==(const SmallVector& a, const SmallVector& b) {
@@ -150,8 +133,6 @@ class SmallVector {
   }
 
  private:
-  static constexpr bool kBitwise = std::is_trivially_copyable_v<T>;
-
   /// memcpy of `count` elements; an empty range may come from a null
   /// pointer (an empty std::vector's data()), which memcpy must not get.
   static void copy_bytes(T* dst, const T* src, std::size_t count) {
@@ -165,10 +146,6 @@ class SmallVector {
     return reinterpret_cast<const T*>(inline_storage_);
   }
 
-  void destroy_all() {
-    for (std::size_t i = 0; i < size_; ++i) data_[i].~T();
-  }
-
   void release_heap() {
     if (data_ != inline_data()) {
       ::operator delete(data_);
@@ -180,16 +157,13 @@ class SmallVector {
   void grow_to(std::size_t wanted) {
     const std::size_t new_capacity = std::max(wanted, capacity_ * 2);
     T* fresh = static_cast<T*>(::operator new(new_capacity * sizeof(T)));
-    for (std::size_t i = 0; i < size_; ++i) {
-      ::new (static_cast<void*>(fresh + i)) T(std::move(data_[i]));
-      data_[i].~T();
-    }
+    copy_bytes(fresh, data_, size_);
     if (data_ != inline_data()) ::operator delete(data_);
     data_ = fresh;
     capacity_ = new_capacity;
   }
 
-  /// Move: steal the heap block when there is one, element-wise move
+  /// Move: steal the heap block when there is one, copy the inline bytes
   /// otherwise. `other` is left empty with inline storage either way.
   void steal_from(SmallVector& other) noexcept {
     if (!other.is_inline()) {
@@ -200,14 +174,7 @@ class SmallVector {
       data_ = inline_data();
       capacity_ = N;
       size_ = other.size_;
-      if constexpr (kBitwise) {
-        copy_bytes(data_, other.data_, size_);
-      } else {
-        for (std::size_t i = 0; i < size_; ++i) {
-          ::new (static_cast<void*>(data_ + i)) T(std::move(other.data_[i]));
-          other.data_[i].~T();
-        }
-      }
+      copy_bytes(data_, other.data_, size_);
     }
     other.data_ = other.inline_data();
     other.size_ = 0;

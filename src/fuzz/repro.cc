@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "common/check.h"
+#include "common/parse.h"
 
 namespace decseq::fuzz {
 
@@ -48,30 +49,23 @@ struct Parser {
     __builtin_unreachable();
   }
 
-  std::uint32_t parse_u32(const std::string& token) {
-    std::size_t used = 0;
-    unsigned long v = 0;
+  /// A 32-bit field through common/parse.h (digits only, no wrap), with
+  /// the line number on a failure.
+  std::uint32_t u32(const std::string& token, const char* what) {
     try {
-      v = std::stoul(token, &used);
-    } catch (const std::exception&) {
-      fail("expected integer, got '" + token + "'");
+      return common::parse_below(token, std::uint64_t{1} << 32, what);
+    } catch (const CheckFailure& e) {
+      fail(e.what());
     }
-    if (used != token.size() || v > 0xffffffffUL) {
-      fail("expected 32-bit integer, got '" + token + "'");
-    }
-    return static_cast<std::uint32_t>(v);
   }
 
-  std::uint64_t parse_u64(const std::string& token) {
-    std::size_t used = 0;
-    unsigned long long v = 0;
+  /// The 64-bit form.
+  std::uint64_t u64(const std::string& token, const char* what) {
     try {
-      v = std::stoull(token, &used);
-    } catch (const std::exception&) {
-      fail("expected integer, got '" + token + "'");
+      return common::parse_u64(token, what);
+    } catch (const CheckFailure& e) {
+      fail(e.what());
     }
-    if (used != token.size()) fail("expected integer, got '" + token + "'");
-    return v;
   }
 
   double parse_double(const std::string& token) {
@@ -170,15 +164,15 @@ Scenario read_repro(std::istream& in) {
     if (kw == "phase") break;
     if (kw == "seed") {
       parser.want_arity(tokens, 2);
-      s.system_seed = parser.parse_u64(tokens[1]);
+      s.system_seed = parser.u64(tokens[1], "seed");
       saw_seed = true;
     } else if (kw == "hosts") {
       parser.want_arity(tokens, 2);
-      s.num_hosts = parser.parse_u32(tokens[1]);
+      s.num_hosts = parser.u32(tokens[1], "hosts");
       saw_hosts = true;
     } else if (kw == "clusters") {
       parser.want_arity(tokens, 2);
-      s.num_clusters = parser.parse_u32(tokens[1]);
+      s.num_clusters = parser.u32(tokens[1], "clusters");
       saw_clusters = true;
     } else if (kw == "loss") {
       parser.want_arity(tokens, 2);
@@ -200,7 +194,7 @@ Scenario read_repro(std::istream& in) {
       // Optional (format extension): absent in pre-budget files, which
       // keep the old 5000 default.
       parser.want_arity(tokens, 2);
-      s.max_retransmits = parser.parse_u32(tokens[1]);
+      s.max_retransmits = parser.u32(tokens[1], "budget");
     } else {
       parser.fail("unknown header keyword '" + kw + "'");
     }
@@ -226,58 +220,58 @@ Scenario read_repro(std::istream& in) {
         MembershipOp op;
         op.kind = MembershipOp::Kind::kCreate;
         for (std::size_t i = 1; i < tokens.size(); ++i) {
-          op.members.push_back(parser.parse_u32(tokens[i]));
+          op.members.push_back(parser.u32(tokens[i], "member"));
         }
         phase.reconfig.push_back(std::move(op));
       } else if (kw == "remove") {
         parser.want_arity(tokens, 2);
         MembershipOp op;
         op.kind = MembershipOp::Kind::kRemove;
-        op.group = parser.parse_u32(tokens[1]);
+        op.group = parser.u32(tokens[1], "group");
         phase.reconfig.push_back(std::move(op));
       } else if (kw == "join" || kw == "leave") {
         parser.want_arity(tokens, 3);
         MembershipOp op;
         op.kind = kw == "join" ? MembershipOp::Kind::kJoin
                                : MembershipOp::Kind::kLeave;
-        op.group = parser.parse_u32(tokens[1]);
-        op.node = parser.parse_u32(tokens[2]);
+        op.group = parser.u32(tokens[1], "group");
+        op.node = parser.u32(tokens[2], "node");
         phase.reconfig.push_back(std::move(op));
       } else if (kw == "crash") {
         parser.want_arity(tokens, 4);
         CrashWindow c;
-        c.victim = parser.parse_u32(tokens[1]);
+        c.victim = parser.u32(tokens[1], "victim");
         c.start = parser.parse_double(tokens[2]);
         c.duration = parser.parse_double(tokens[3]);
         phase.crashes.push_back(c);
       } else if (kw == "pubcrash") {
         parser.want_arity(tokens, 4);
         PublisherCrash c;
-        c.victim = parser.parse_u32(tokens[1]);
+        c.victim = parser.u32(tokens[1], "victim");
         c.start = parser.parse_double(tokens[2]);
         c.duration = parser.parse_double(tokens[3]);
         phase.publisher_crashes.push_back(c);
       } else if (kw == "cut") {
         parser.want_arity(tokens, 4);
         PartitionWindow w;
-        w.cut_seed = parser.parse_u64(tokens[1]);
+        w.cut_seed = parser.u64(tokens[1], "cut seed");
         w.start = parser.parse_double(tokens[2]);
         w.duration = parser.parse_double(tokens[3]);
         phase.partitions.push_back(w);
       } else if (kw == "fin") {
         parser.want_arity(tokens, 4);
         TerminationOp t;
-        t.group = parser.parse_u32(tokens[1]);
+        t.group = parser.u32(tokens[1], "group");
         t.at = parser.parse_double(tokens[2]);
-        t.initiator_rank = parser.parse_u32(tokens[3]);
+        t.initiator_rank = parser.u32(tokens[3], "initiator rank");
         phase.terminations.push_back(t);
       } else if (kw == "pub" || kw == "pubc") {
         parser.want_arity(tokens, 4);
         PublishOp p;
         p.causal = kw == "pubc";
         p.at = parser.parse_double(tokens[1]);
-        p.sender = parser.parse_u32(tokens[2]);
-        p.group = parser.parse_u32(tokens[3]);
+        p.sender = parser.u32(tokens[2], "sender");
+        p.group = parser.u32(tokens[3], "group");
         phase.publishes.push_back(p);
       } else {
         parser.fail("unknown keyword '" + kw + "' inside phase");

@@ -1,10 +1,13 @@
 #include "metrics/logio.h"
 
+#include <charconv>
+#include <cmath>
 #include <istream>
 #include <map>
 #include <ostream>
 #include <sstream>
 #include <string>
+#include <system_error>
 
 #include "common/check.h"
 #include "common/parse.h"
@@ -16,18 +19,17 @@ namespace {
 constexpr const char* kHeader =
     "receiver,message,group,sender,payload,sent_at,delivered_at";
 
-/// A time field; std::stod's std::invalid_argument and std::out_of_range
-/// become CheckFailure like every other malformed field.
+/// A time field: the whole token a finite decimal >= 0. from_chars takes
+/// no leading space, '+' or hex prefix; nan, inf and negatives are refused
+/// here.
 double parse_time(const std::string& s, const char* what) {
-  std::size_t pos = 0;
   double v = 0.0;
-  try {
-    v = std::stod(s, &pos);
-  } catch (const std::exception&) {
-    pos = 0;
-  }
-  DECSEQ_CHECK_MSG(!s.empty() && pos == s.size(),
-                   "bad " << what << " '" << s << "'");
+  const char* end = s.data() + s.size();
+  const auto [ptr, ec] = std::from_chars(s.data(), end, v);
+  DECSEQ_CHECK_MSG(ec == std::errc() && ptr == end && std::isfinite(v) &&
+                       v >= 0.0,
+                   "bad " << what << " '" << s
+                          << "' (must be a finite time >= 0)");
   return v;
 }
 

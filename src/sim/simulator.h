@@ -191,9 +191,6 @@ class Simulator {
 
   [[nodiscard]] bool idle() const { return occupied_ == 0; }
   [[nodiscard]] std::size_t pending() const { return pending_; }
-  /// Event slots made so far: the most events ever pending or firing at
-  /// once. Freed slots are reused before a new one is made.
-  [[nodiscard]] std::size_t slots() const { return meta_.size(); }
 
   // --- Event counters (cumulative over the simulator's lifetime). ---
   [[nodiscard]] std::size_t events_fired() const { return events_fired_; }

@@ -273,22 +273,6 @@ protocol::Stamp SmallVectorCase<protocol::Stamp, 8>::value(std::size_t i) {
   return {AtomId(static_cast<std::uint32_t>(i)), 3 * i + 1};
 }
 
-/// Short strings live in the string object (a bytewise move would leave
-/// them pointing into the source), long ones own a heap block (a bytewise
-/// copy would free it twice).
-template <>
-std::string SmallVectorCase<std::string, 4>::value(std::size_t i) {
-  std::string s = i % 2 == 0 ? "s" : std::string(40, 'x');
-  s += std::to_string(i);
-  return s;
-}
-
-static_assert(std::is_trivially_copyable_v<std::uint8_t> &&
-                  std::is_trivially_copyable_v<protocol::Stamp>,
-              "body bytes and stamps take the memcpy path");
-static_assert(!std::is_trivially_copyable_v<std::string>,
-              "strings keep the element-wise path");
-
 template <typename Case>
 class SmallVectorTest : public ::testing::Test {
  protected:
@@ -322,8 +306,7 @@ class SmallVectorTest : public ::testing::Test {
 
 using SmallVectorCases =
     ::testing::Types<SmallVectorCase<std::uint8_t, 64>,
-                     SmallVectorCase<protocol::Stamp, 8>,
-                     SmallVectorCase<std::string, 4>>;
+                     SmallVectorCase<protocol::Stamp, 8>>;
 TYPED_TEST_SUITE(SmallVectorTest, SmallVectorCases);
 
 TYPED_TEST(SmallVectorTest, AssignsPointerRanges) {

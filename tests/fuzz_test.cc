@@ -195,6 +195,19 @@ TEST(FuzzRepro, RejectsMalformedInput) {
   EXPECT_THROW(parse(header + "phase\njoin 0 x\nend\n"), CheckFailure);
   // Missing header field.
   EXPECT_THROW(parse("scenario v1\nseed 1\nphase\nend\n"), CheckFailure);
+  // Integers take digits only and never wrap: std::stoull read seed -1 as
+  // 2^64 - 1 and took a '+'.
+  const std::string tail = "clusters 2\nloss 0\nrto 40\nphase\nend\n";
+  for (const char* fields :
+       {"seed -1\nhosts 8\n", "seed +1\nhosts 8\n",
+        "seed 18446744073709551616\nhosts 8\n", "seed 1\nhosts 4294967296\n",
+        "seed 1\nhosts -8\n", "seed 1\nhosts 8x\n"}) {
+    EXPECT_THROW(parse(std::string("scenario v1\n") + fields + tail),
+                 CheckFailure)
+        << fields;
+  }
+  EXPECT_NO_THROW(parse(
+      "scenario v1\nseed 18446744073709551615\nhosts 4294967295\n" + tail));
   // A timeout that is not finite and positive, or a loss outside [0, 1):
   // rto 0 re-arms the retransmit timer at the same instant forever, and at
   // loss 1 no packet ever crosses.

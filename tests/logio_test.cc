@@ -58,6 +58,8 @@ TEST(LogIo, RejectsSignedAndOutOfRangeIntegers) {
   // Each row would wrap or narrow through a cast of std::stoul: a signed
   // id, ids at or above 2^32 (and the invalid-id sentinel 2^32 - 1), a
   // signed payload and one past 2^64 - 1, and a sign or space on a field.
+  // std::stod took the last six rows' times: nan, infinite, space-led,
+  // negative and hex.
   for (const char* row : {"-1,10,0,0,77,1.5,20.25",
                           "4294967297,10,0,0,77,1.5,20.25",
                           "1,10,0,4294967296,77,1.5,20.25",
@@ -68,7 +70,9 @@ TEST(LogIo, RejectsSignedAndOutOfRangeIntegers) {
                           "1,10,0,0,18446744073709551616,1.5,20.25",
                           "+1,10,0,0,77,1.5,20.25", " 1,10,0,0,77,1.5,20.25",
                           "1,10,0,0,77 ,1.5,20.25", "1,10,0,0,,1.5,20.25",
-                          "1,10,0,0,77,,20.25"}) {
+                          "1,10,0,0,77,,20.25", "1,10,0,0,77,nan,inf",
+                          "1,10,0,0,77,1.5,inf", "1,10,0,0,77, 1.5,-3",
+                          "1,10,0,0,77,1.5,-3", "1,10,0,0,77,0x1p3,2"}) {
     std::stringstream buffer;
     write_delivery_log({}, buffer);
     buffer << row << "\n";
