@@ -144,6 +144,22 @@ class SendWindow {
 
   ~SendWindow() = default;
 
+  /// Start over as a fresh window under `options`, keeping the output
+  /// buffer's capacity. Only for a drained window (nothing unacked).
+  void reset(const ChannelOptions& options) {
+    DECSEQ_CHECK(out_.empty());
+    DECSEQ_CHECK(std::isfinite(options.retransmit_timeout_ms) &&
+                 options.retransmit_timeout_ms > 0.0);
+    options_ = options;
+    on_fault_ = nullptr;
+    next_send_seq_ = 0;
+    send_base_ = 0;
+    fault_.reset();
+    faults_entered_ = 0;
+    transmissions_ = 0;
+    retransmit_timer_fires_ = 0;
+  }
+
   [[nodiscard]] const ChannelOptions& options() const { return options_; }
 
   /// Number the next payload and append its packet, due one rto after
@@ -254,6 +270,14 @@ class ReorderWindow {
 
  protected:
   ~ReorderWindow() = default;
+
+  /// Start over at sequence number 0, keeping the reorder buffer's
+  /// capacity. Only for a window with nothing parked.
+  void reset() {
+    DECSEQ_CHECK(reorder_buffered_ == 0);
+    next_deliver_seq_ = 0;
+    reorder_.clear();
+  }
 
   /// One arrival of `seq`. The next expected packet with nothing parked
   /// goes straight to `deliver_now()`; a later one not yet parked is parked

@@ -1,6 +1,7 @@
 #include "common/parse.h"
 
 #include <charconv>
+#include <cmath>
 #include <limits>
 #include <system_error>
 
@@ -35,6 +36,17 @@ std::uint64_t parse_u64(std::string_view token, std::string_view what) {
   DECSEQ_CHECK_MSG(parse_digits(token, value),
                    "bad " << what << " '" << token
                           << "' (must be a 64-bit unsigned integer)");
+  return value;
+}
+
+double parse_nonnegative(std::string_view token, std::string_view what) {
+  double value = 0.0;
+  const char* end = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), end, value);
+  DECSEQ_CHECK_MSG(ec == std::errc() && ptr == end && std::isfinite(value) &&
+                       value >= 0.0,
+                   "bad " << what << " '" << token
+                          << "' (must be a finite number >= 0)");
   return value;
 }
 

@@ -1,5 +1,5 @@
 // Strict decimal parsing for the text readers (cluster configs, delivery
-// logs, membership files).
+// logs, membership files, fuzz repro files).
 //
 // std::stoul accepts a leading '-' (it negates in unsigned arithmetic) and
 // returns an unsigned long that callers then narrow, so "-1" reads as
@@ -22,5 +22,12 @@ namespace decseq::common {
 /// The 64-bit form: any decimal token that fits in 64 bits.
 [[nodiscard]] std::uint64_t parse_u64(std::string_view token,
                                       std::string_view what);
+
+/// A finite number >= 0 (a time, a duration, a probability) spelled as the
+/// whole token: std::from_chars takes no leading space or '+' and no hex
+/// prefix, and nan, inf, negatives and out-of-range values throw
+/// CheckFailure naming `what`.
+[[nodiscard]] double parse_nonnegative(std::string_view token,
+                                       std::string_view what);
 
 }  // namespace decseq::common

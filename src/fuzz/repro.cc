@@ -68,16 +68,14 @@ struct Parser {
     }
   }
 
-  double parse_double(const std::string& token) {
-    std::size_t used = 0;
-    double v = 0.0;
+  /// A time, duration, loss or timeout: a finite number >= 0 in the
+  /// strict from_chars form (no nan, inf, sign or hex), line numbered.
+  double number(const std::string& token, const char* what) {
     try {
-      v = std::stod(token, &used);
-    } catch (const std::exception&) {
-      fail("expected number, got '" + token + "'");
+      return common::parse_nonnegative(token, what);
+    } catch (const CheckFailure& e) {
+      fail(e.what());
     }
-    if (used != token.size()) fail("expected number, got '" + token + "'");
-    return v;
   }
 
   void want_arity(const std::vector<std::string>& tokens, std::size_t n) {
@@ -176,7 +174,7 @@ Scenario read_repro(std::istream& in) {
       saw_clusters = true;
     } else if (kw == "loss") {
       parser.want_arity(tokens, 2);
-      s.loss_probability = parser.parse_double(tokens[1]);
+      s.loss_probability = parser.number(tokens[1], "loss");
       // At a loss of 1 no packet ever crosses and the replay never ends.
       if (!(s.loss_probability >= 0.0 && s.loss_probability < 1.0)) {
         parser.fail("loss must lie in [0, 1)");
@@ -184,7 +182,7 @@ Scenario read_repro(std::istream& in) {
       saw_loss = true;
     } else if (kw == "rto") {
       parser.want_arity(tokens, 2);
-      s.retransmit_timeout_ms = parser.parse_double(tokens[1]);
+      s.retransmit_timeout_ms = parser.number(tokens[1], "rto");
       if (!(std::isfinite(s.retransmit_timeout_ms) &&
             s.retransmit_timeout_ms > 0.0)) {
         parser.fail("rto must be finite and positive");
@@ -241,35 +239,35 @@ Scenario read_repro(std::istream& in) {
         parser.want_arity(tokens, 4);
         CrashWindow c;
         c.victim = parser.u32(tokens[1], "victim");
-        c.start = parser.parse_double(tokens[2]);
-        c.duration = parser.parse_double(tokens[3]);
+        c.start = parser.number(tokens[2], "start");
+        c.duration = parser.number(tokens[3], "duration");
         phase.crashes.push_back(c);
       } else if (kw == "pubcrash") {
         parser.want_arity(tokens, 4);
         PublisherCrash c;
         c.victim = parser.u32(tokens[1], "victim");
-        c.start = parser.parse_double(tokens[2]);
-        c.duration = parser.parse_double(tokens[3]);
+        c.start = parser.number(tokens[2], "start");
+        c.duration = parser.number(tokens[3], "duration");
         phase.publisher_crashes.push_back(c);
       } else if (kw == "cut") {
         parser.want_arity(tokens, 4);
         PartitionWindow w;
         w.cut_seed = parser.u64(tokens[1], "cut seed");
-        w.start = parser.parse_double(tokens[2]);
-        w.duration = parser.parse_double(tokens[3]);
+        w.start = parser.number(tokens[2], "start");
+        w.duration = parser.number(tokens[3], "duration");
         phase.partitions.push_back(w);
       } else if (kw == "fin") {
         parser.want_arity(tokens, 4);
         TerminationOp t;
         t.group = parser.u32(tokens[1], "group");
-        t.at = parser.parse_double(tokens[2]);
+        t.at = parser.number(tokens[2], "time");
         t.initiator_rank = parser.u32(tokens[3], "initiator rank");
         phase.terminations.push_back(t);
       } else if (kw == "pub" || kw == "pubc") {
         parser.want_arity(tokens, 4);
         PublishOp p;
         p.causal = kw == "pubc";
-        p.at = parser.parse_double(tokens[1]);
+        p.at = parser.number(tokens[1], "time");
         p.sender = parser.u32(tokens[2], "sender");
         p.group = parser.u32(tokens[3], "group");
         phase.publishes.push_back(p);

@@ -96,22 +96,28 @@ std::vector<GroupId> GroupMembership::live_groups() const {
 }
 
 std::vector<NodeId> GroupMembership::intersect(GroupId a, GroupId b) const {
+  std::vector<NodeId> out;
+  intersect(a, b, out);
+  return out;
+}
+
+void GroupMembership::intersect(GroupId a, GroupId b,
+                                std::vector<NodeId>& out) const {
   const auto& ma = slot(a).members;
   const auto& mb = slot(b).members;
   const auto& small = ma.size() <= mb.size() ? ma : mb;
   const auto& large = ma.size() <= mb.size() ? mb : ma;
-  std::vector<NodeId> out;
+  out.clear();
   // Skewed sizes (a hot group vs a niche one): probing the large side per
   // small member costs small*log(large) instead of a small+large merge.
   if (large.size() / 16 > small.size()) {
     for (const NodeId n : small) {
       if (std::binary_search(large.begin(), large.end(), n)) out.push_back(n);
     }
-    return out;
+    return;
   }
   std::set_intersection(ma.begin(), ma.end(), mb.begin(), mb.end(),
                         std::back_inserter(out));
-  return out;
 }
 
 std::size_t GroupMembership::subscription_count(NodeId node) const {

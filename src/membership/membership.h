@@ -72,6 +72,8 @@ class GroupMembership {
 
   /// Sorted intersection of two groups' member lists.
   [[nodiscard]] std::vector<NodeId> intersect(GroupId a, GroupId b) const;
+  /// The same, written over `out` (its capacity is reused).
+  void intersect(GroupId a, GroupId b, std::vector<NodeId>& out) const;
 
   /// Number of live groups `node` subscribes to (its receive fan-in is
   /// proportional to this — the receiver-load bound in the scalability

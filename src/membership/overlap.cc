@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <type_traits>
 #include <unordered_map>
 #include <utility>
 
@@ -34,22 +35,51 @@ OverlapIndex::OverlapIndex(const GroupMembership& membership,
 OverlapIndex::OverlapIndex(const OverlapIndex& previous,
                            const GroupMembership& membership,
                            const std::vector<GroupId>& dirty) {
-  by_group_.resize(membership.num_group_slots());
-  component_of_.assign(membership.num_group_slots(),
-                       std::numeric_limits<std::size_t>::max());
+  build_delta(previous, membership, dirty);
+}
 
-  std::vector<char> is_dirty(membership.num_group_slots(), 0);
+void OverlapIndex::rebuild_delta(OverlapIndex& previous,
+                                 const GroupMembership& membership,
+                                 const std::vector<GroupId>& dirty) {
+  DECSEQ_CHECK(&previous != this);
+  build_delta(previous, membership, dirty);
+}
+
+template <typename Previous>
+void OverlapIndex::build_delta(Previous& previous,
+                               const GroupMembership& membership,
+                               const std::vector<GroupId>& dirty) {
+  constexpr bool kMove = !std::is_const_v<Previous>;
+  const std::size_t slots = membership.num_group_slots();
+  stats_ = BuildStats{};
+  overlaps_.clear();
+  by_group_.resize(slots);
+  for (auto& list : by_group_) list.clear();
+  component_of_.assign(slots, std::numeric_limits<std::size_t>::max());
+
+  std::vector<char>& is_dirty = scratch_.dirty;
+  is_dirty.assign(slots, 0);
   for (const GroupId g : dirty) {
-    if (g.valid() && g.value() < is_dirty.size()) is_dirty[g.value()] = 1;
+    if (g.valid() && g.value() < slots) is_dirty[g.value()] = 1;
   }
 
   // Survivors: overlaps touching no dirty group carry over verbatim —
   // neither endpoint's membership changed, so the pair and its shared
   // member list are unchanged. (Endpoints of `previous` overlaps always
-  // fit the new slot table: slots are never reused.)
-  for (const Overlap& o : previous.overlaps_) {
-    if (is_dirty[o.first.value()] || is_dirty[o.second.value()]) continue;
-    overlaps_.push_back(o);
+  // fit the new slot table: slots are never reused.) Moving, the dropped
+  // overlaps' lists become spares for the recomputed ones.
+  for (auto& o : previous.overlaps_) {
+    if (is_dirty[o.first.value()] || is_dirty[o.second.value()]) {
+      if constexpr (kMove) {
+        scratch_.spare_members.push_back(std::move(o.members));
+      }
+      continue;
+    }
+    if constexpr (kMove) {
+      overlaps_.push_back(std::move(o));
+    } else {
+      overlaps_.push_back(o);
+    }
     ++stats_.delta_copied;
   }
 
@@ -57,26 +87,36 @@ OverlapIndex::OverlapIndex(const OverlapIndex& previous,
   // count co-subscriptions of its members, confirm pairs with >= 2 shared
   // nodes. A dirty-dirty pair is found from both sides; keep the
   // lower-slot orientation only.
-  std::vector<char> recomputed(membership.num_group_slots(), 0);
+  std::vector<std::uint32_t>& count = scratch_.count;
+  std::vector<std::uint32_t>& touched = scratch_.touched;
+  if (count.size() < slots) count.resize(slots, 0);
   for (const GroupId d : dirty) {
     if (!d.valid() || !membership.is_alive(d)) continue;
-    if (recomputed[d.value()] != 0) continue;  // duplicate dirty entry
-    recomputed[d.value()] = 1;
-    std::unordered_map<std::uint32_t, std::uint32_t> counts;
+    if (is_dirty[d.value()] == 2) continue;  // duplicate dirty entry
+    is_dirty[d.value()] = 2;
+    touched.clear();
     for (const NodeId n : membership.members(d)) {
       for (const GroupId g : membership.subscriptions(n)) {
         if (g == d) continue;
-        ++counts[g.value()];
+        if (count[g.value()]++ == 0) touched.push_back(g.value());
         ++stats_.pair_increments;
       }
     }
-    for (const auto& [other_slot, count] : counts) {
-      if (count < 2) continue;
+    for (const std::uint32_t other_slot : touched) {
+      const std::uint32_t shared = count[other_slot];
+      count[other_slot] = 0;
+      if (shared < 2) continue;
       const GroupId other(static_cast<GroupId::underlying_type>(other_slot));
       if (is_dirty[other_slot] && d.value() > other_slot) continue;
       const GroupId a = d.value() < other_slot ? d : other;
       const GroupId b = d.value() < other_slot ? other : d;
-      overlaps_.push_back({a, b, membership.intersect(a, b)});
+      std::vector<NodeId> members;
+      if (!scratch_.spare_members.empty()) {
+        members = std::move(scratch_.spare_members.back());
+        scratch_.spare_members.pop_back();
+      }
+      membership.intersect(a, b, members);
+      overlaps_.push_back({a, b, std::move(members)});
       ++stats_.delta_recomputed;
     }
   }
@@ -210,22 +250,38 @@ void OverlapIndex::build_adjacency_and_components(
   }
 
   // Connected components over the group overlap graph via union-find-free
-  // BFS (the graph is small relative to the overlap list).
-  std::vector<bool> visited(membership.num_group_slots(), false);
-  for (const GroupId g : membership.live_groups()) {
-    if (visited[g.value()] || by_group_[g.value()].empty()) continue;
+  // BFS (the graph is small relative to the overlap list), in slot order.
+  // A group is visited once it has a component; the previous components'
+  // lists are refilled.
+  for (auto& component : components_) {
+    component.clear();
+    scratch_.spare_components.push_back(std::move(component));
+  }
+  components_.clear();
+  constexpr std::size_t kUnvisited = std::numeric_limits<std::size_t>::max();
+  std::vector<GroupId>& frontier = scratch_.frontier;
+  for (std::size_t s = 0; s < membership.num_group_slots(); ++s) {
+    const GroupId g(static_cast<GroupId::underlying_type>(s));
+    if (!membership.is_alive(g) || component_of_[s] != kUnvisited ||
+        by_group_[s].empty()) {
+      continue;
+    }
     std::vector<GroupId> component;
-    std::vector<GroupId> frontier{g};
-    visited[g.value()] = true;
+    if (!scratch_.spare_components.empty()) {
+      component = std::move(scratch_.spare_components.back());
+      scratch_.spare_components.pop_back();
+    }
+    const std::size_t c = components_.size();
+    frontier.assign(1, g);
+    component_of_[s] = c;
     while (!frontier.empty()) {
       const GroupId cur = frontier.back();
       frontier.pop_back();
       component.push_back(cur);
-      component_of_[cur.value()] = components_.size();
       for (const std::size_t idx : by_group_[cur.value()]) {
         const GroupId next = overlaps_[idx].other(cur);
-        if (!visited[next.value()]) {
-          visited[next.value()] = true;
+        if (component_of_[next.value()] == kUnvisited) {
+          component_of_[next.value()] = c;
           frontier.push_back(next);
         }
       }
@@ -258,6 +314,19 @@ std::size_t OverlapIndex::memory_bytes() const {
   }
   for (const auto& component : components_) {
     total += component.capacity() * sizeof(GroupId);
+  }
+  total += scratch_.dirty.capacity() +
+           (scratch_.count.capacity() + scratch_.touched.capacity()) *
+               sizeof(std::uint32_t) +
+           scratch_.frontier.capacity() * sizeof(GroupId) +
+           scratch_.spare_members.capacity() * sizeof(std::vector<NodeId>) +
+           scratch_.spare_components.capacity() *
+               sizeof(std::vector<GroupId>);
+  for (const auto& list : scratch_.spare_members) {
+    total += list.capacity() * sizeof(NodeId);
+  }
+  for (const auto& list : scratch_.spare_components) {
+    total += list.capacity() * sizeof(GroupId);
   }
   return total;
 }

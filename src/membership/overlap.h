@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "common/ids.h"
@@ -52,6 +53,8 @@ enum class OverlapBuild {
 /// property test.
 class OverlapIndex {
  public:
+  /// An empty index over no groups: a target for rebuild_delta().
+  OverlapIndex() = default;
   explicit OverlapIndex(const GroupMembership& membership,
                         OverlapBuild mode = OverlapBuild::kStreaming);
 
@@ -66,6 +69,17 @@ class OverlapIndex {
   /// of the full O(Σ_node k_node²) streaming pass.
   OverlapIndex(const OverlapIndex& previous, const GroupMembership& membership,
                const std::vector<GroupId>& dirty);
+
+  /// The delta rebuild in place: make this index the delta of `previous`
+  /// (as the constructor above does), reusing this index's own lists and
+  /// scratch, and moving each surviving overlap's member list out of
+  /// `previous` instead of copying it. `previous` keeps its pairs, its
+  /// adjacency and its components — all a graph delta reads of the old
+  /// index — but loses its member lists. A caller that alternates two
+  /// indexes (build into the spare, swap) allocates only for the
+  /// recomputed overlaps once both have grown.
+  void rebuild_delta(OverlapIndex& previous, const GroupMembership& membership,
+                     const std::vector<GroupId>& dirty);
 
   [[nodiscard]] std::size_t num_overlaps() const { return overlaps_.size(); }
   [[nodiscard]] const std::vector<Overlap>& overlaps() const {
@@ -105,12 +119,18 @@ class OverlapIndex {
   };
   [[nodiscard]] const BuildStats& build_stats() const { return stats_; }
 
-  /// Heap bytes held by the index (overlap lists, adjacency, components).
+  /// Heap bytes held by the index (overlap lists, adjacency, components,
+  /// delta scratch).
   [[nodiscard]] std::size_t memory_bytes() const;
 
  private:
   void build_streaming(const GroupMembership& membership);
   void build_reference(const GroupMembership& membership);
+  /// The one delta implementation: `Previous` is `const OverlapIndex`
+  /// (survivors are copied) or `OverlapIndex` (survivors are moved).
+  template <typename Previous>
+  void build_delta(Previous& previous, const GroupMembership& membership,
+                   const std::vector<GroupId>& dirty);
   void build_adjacency_and_components(const GroupMembership& membership);
 
   std::vector<Overlap> overlaps_;
@@ -119,6 +139,19 @@ class OverlapIndex {
   std::vector<std::size_t> component_of_;           // slot-indexed
   std::vector<std::size_t> empty_;
   BuildStats stats_;
+  /// Delta-build scratch, kept so an index rebuilt in place reuses it:
+  /// per-slot dirty marks (2: dirty and recomputed) and co-subscription
+  /// counts with the slots they touched, the BFS frontier, and spare member
+  /// and component lists to refill.
+  struct Scratch {
+    std::vector<char> dirty;
+    std::vector<std::uint32_t> count;
+    std::vector<std::uint32_t> touched;
+    std::vector<GroupId> frontier;
+    std::vector<std::vector<NodeId>> spare_members;
+    std::vector<std::vector<GroupId>> spare_components;
+  };
+  Scratch scratch_;
 };
 
 }  // namespace decseq::membership

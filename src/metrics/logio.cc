@@ -1,13 +1,10 @@
 #include "metrics/logio.h"
 
-#include <charconv>
-#include <cmath>
 #include <istream>
 #include <map>
 #include <ostream>
 #include <sstream>
 #include <string>
-#include <system_error>
 
 #include "common/check.h"
 #include "common/parse.h"
@@ -19,20 +16,6 @@ namespace {
 constexpr const char* kHeader =
     "receiver,message,group,sender,payload,sent_at,delivered_at";
 
-/// A time field: the whole token a finite decimal >= 0. from_chars takes
-/// no leading space, '+' or hex prefix; nan, inf and negatives are refused
-/// here.
-double parse_time(const std::string& s, const char* what) {
-  double v = 0.0;
-  const char* end = s.data() + s.size();
-  const auto [ptr, ec] = std::from_chars(s.data(), end, v);
-  DECSEQ_CHECK_MSG(ec == std::errc() && ptr == end && std::isfinite(v) &&
-                       v >= 0.0,
-                   "bad " << what << " '" << s
-                          << "' (must be a finite time >= 0)");
-  return v;
-}
-
 /// One row's seven fields. Ids stay below their type's invalid sentinel,
 /// the payload fits in 64 bits, and a sign or trailing junk fails.
 pubsub::Delivery parse_row(const std::vector<std::string>& f) {
@@ -41,8 +24,9 @@ pubsub::Delivery parse_row(const std::vector<std::string>& f) {
           MsgId(parse_below(f[1], MsgId::kInvalid, "message")),
           GroupId(parse_below(f[2], GroupId::kInvalid, "group")),
           NodeId(parse_below(f[3], NodeId::kInvalid, "sender")),
-          common::parse_u64(f[4], "payload"), parse_time(f[5], "sent_at"),
-          parse_time(f[6], "delivered_at")};
+          common::parse_u64(f[4], "payload"),
+          common::parse_nonnegative(f[5], "sent_at"),
+          common::parse_nonnegative(f[6], "delivered_at")};
 }
 
 }  // namespace

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <numeric>
-#include <optional>
 
 namespace decseq::placement {
 
@@ -22,29 +21,31 @@ using seqgraph::SequencingGraph;
 struct MemberIndex {
   std::vector<std::uint32_t> off;
   std::vector<std::uint32_t> oi;
+  std::vector<std::uint32_t> cursor;
   std::size_t node_limit = 0;
 
-  explicit MemberIndex(const OverlapIndex& overlaps) {
+  void build(const OverlapIndex& overlaps) {
     const std::size_t n = overlaps.num_overlaps();
+    node_limit = 0;
     for (std::size_t i = 0; i < n; ++i) {
       for (const NodeId v : overlaps.overlap(i).members) {
         node_limit = std::max(node_limit,
                               static_cast<std::size_t>(v.value()) + 1);
       }
     }
-    std::vector<std::uint32_t> count(node_limit + 1, 0);
+    off.assign(node_limit + 1, 0);
     for (std::size_t i = 0; i < n; ++i) {
-      for (const NodeId v : overlaps.overlap(i).members) ++count[v.value()];
+      for (const NodeId v : overlaps.overlap(i).members) ++off[v.value()];
     }
-    off.resize(node_limit + 1, 0);
     std::uint32_t total = 0;
     for (std::size_t v = 0; v < node_limit; ++v) {
+      const std::uint32_t count = off[v];
       off[v] = total;
-      total += count[v];
+      total += count;
     }
     off[node_limit] = total;
     oi.resize(total);
-    std::vector<std::uint32_t> cursor(off.begin(), off.end() - 1);
+    cursor.assign(off.begin(), off.end() - 1);
     for (std::size_t i = 0; i < n; ++i) {
       for (const NodeId v : overlaps.overlap(i).members) {
         oi[cursor[v.value()]++] = static_cast<std::uint32_t>(i);
@@ -63,22 +64,56 @@ struct MemberIndex {
 
 }  // namespace
 
+struct ColocationScratch::Impl {
+  MemberIndex index;
+  /// Overlap indices, largest member set first, and each one's position.
+  std::vector<std::size_t> order;
+  std::vector<std::uint32_t> pos_in_order;
+  /// Step 1: clusters as one list of overlap indices, cluster c spanning
+  /// [cluster_begin[c], cluster_begin[c + 1]), its defining (largest)
+  /// overlap first.
+  std::vector<std::size_t> cluster_items;
+  std::vector<std::size_t> cluster_begin;
+  std::vector<char> clustered;
+  std::vector<std::uint32_t> member_mark;
+  std::vector<std::uint32_t> overlap_seen;
+  std::vector<std::size_t> cand;
+  /// Step 2.
+  std::vector<std::uint32_t> cluster_of;
+  std::vector<std::size_t> visit;
+  std::vector<char> merged;
+  std::vector<std::uint32_t> cluster_seen;
+  std::vector<std::uint32_t> merge_cand;
+};
+
+ColocationScratch::ColocationScratch() : impl_(std::make_unique<Impl>()) {}
+ColocationScratch::~ColocationScratch() = default;
+
 std::vector<std::size_t> colocate_overlaps(const OverlapIndex& overlaps,
                                            const ColocationOptions& options,
                                            Rng& rng) {
+  ColocationScratch scratch;
+  std::vector<std::size_t> labels;
+  colocate_overlaps(overlaps, options, rng, scratch, labels);
+  return labels;
+}
+
+void colocate_overlaps(const OverlapIndex& overlaps,
+                       const ColocationOptions& options, Rng& rng,
+                       ColocationScratch& scratch,
+                       std::vector<std::size_t>& labels) {
+  ColocationScratch::Impl& sc = scratch.impl();
   const std::size_t n = overlaps.num_overlaps();
 
   // Clusters under construction: step 1 groups overlaps, step 2 merges
-  // groups. Every overlap index appears in exactly one cluster.
-  struct Cluster {
-    std::vector<std::size_t> overlaps;  // first = defining (largest) overlap
-    bool merged_in_step2 = false;
-  };
-  std::vector<Cluster> clusters;
+  // clusters. Every overlap index appears in exactly one cluster.
+  sc.cluster_items.clear();
+  sc.cluster_begin.clear();
 
   // Overlap indices, largest member set first, so each subset chain
   // collapses onto its largest overlap.
-  std::vector<std::size_t> order(n);
+  std::vector<std::size_t>& order = sc.order;
+  order.resize(n);
   std::iota(order.begin(), order.end(), std::size_t{0});
   std::sort(order.begin(), order.end(), [&](std::size_t x, std::size_t y) {
     const auto sx = overlaps.overlap(x).members.size();
@@ -86,60 +121,71 @@ std::vector<std::size_t> colocate_overlaps(const OverlapIndex& overlaps,
     if (sx != sy) return sx > sy;
     return x < y;
   });
-  std::vector<std::uint32_t> pos_in_order(n);
+  sc.pos_in_order.resize(n);
   for (std::size_t p = 0; p < n; ++p) {
-    pos_in_order[order[p]] = static_cast<std::uint32_t>(p);
+    sc.pos_in_order[order[p]] = static_cast<std::uint32_t>(p);
   }
 
   const bool need_index = options.mode != ColocationMode::kNone && n > 0;
-  std::optional<MemberIndex> index;
-  if (need_index) index.emplace(overlaps);
+  const MemberIndex& index = sc.index;
+  if (need_index) sc.index.build(overlaps);
 
   if (!need_index) {  // kNone, or no overlaps to cluster
-    for (const std::size_t oi : order) clusters.push_back({{oi}, false});
+    for (const std::size_t oi : order) {
+      sc.cluster_begin.push_back(sc.cluster_items.size());
+      sc.cluster_items.push_back(oi);
+    }
   } else {
     // --- Step 1: subset rule. A subset of the seed contains only seed
     //     members, so candidates come from the seed members' inverted
     //     lists; the subset test walks stamped member marks. Selected
     //     candidates join the cluster in `order` position order — exactly
     //     the legacy full scan's visit order.
-    std::vector<bool> clustered(n, false);
-    std::vector<std::uint32_t> member_mark(index->node_limit, 0);
-    std::vector<std::uint32_t> overlap_seen(n, 0);
+    sc.clustered.assign(n, 0);
+    sc.member_mark.assign(index.node_limit, 0);
+    sc.overlap_seen.assign(n, 0);
     std::uint32_t gen = 0;
-    std::vector<std::size_t> cand;
+    std::vector<std::size_t>& cand = sc.cand;
     for (const std::size_t seed : order) {
-      if (clustered[seed]) continue;
-      Cluster cluster{{seed}, false};
-      clustered[seed] = true;
+      if (sc.clustered[seed] != 0) continue;
+      sc.cluster_begin.push_back(sc.cluster_items.size());
+      sc.cluster_items.push_back(seed);
+      sc.clustered[seed] = 1;
       const auto& seed_members = overlaps.overlap(seed).members;
       ++gen;
-      for (const NodeId v : seed_members) member_mark[v.value()] = gen;
+      for (const NodeId v : seed_members) sc.member_mark[v.value()] = gen;
       cand.clear();
       for (const NodeId v : seed_members) {
-        index->for_each_overlap_of(v, [&](std::size_t other) {
-          if (overlap_seen[other] == gen) return;
-          overlap_seen[other] = gen;
-          if (clustered[other]) return;
+        index.for_each_overlap_of(v, [&](std::size_t other) {
+          if (sc.overlap_seen[other] == gen) return;
+          sc.overlap_seen[other] = gen;
+          if (sc.clustered[other] != 0) return;
           const auto& members = overlaps.overlap(other).members;
           const bool subset =
               std::all_of(members.begin(), members.end(), [&](NodeId m) {
-                return member_mark[m.value()] == gen;
+                return sc.member_mark[m.value()] == gen;
               });
           if (subset) cand.push_back(other);
         });
       }
       std::sort(cand.begin(), cand.end(),
                 [&](std::size_t x, std::size_t y) {
-                  return pos_in_order[x] < pos_in_order[y];
+                  return sc.pos_in_order[x] < sc.pos_in_order[y];
                 });
       for (const std::size_t other : cand) {
-        cluster.overlaps.push_back(other);
-        clustered[other] = true;
+        sc.cluster_items.push_back(other);
+        sc.clustered[other] = 1;
       }
-      clusters.push_back(std::move(cluster));
     }
   }
+  const std::size_t num_clusters = sc.cluster_begin.size();
+  sc.cluster_begin.push_back(sc.cluster_items.size());
+  const auto label_cluster = [&](std::size_t c, std::size_t node) {
+    for (std::size_t i = sc.cluster_begin[c]; i < sc.cluster_begin[c + 1];
+         ++i) {
+      labels[sc.cluster_items[i]] = node;
+    }
+  };
 
   // --- Step 2: shared-member rule — merge clusters containing a randomly
   //     chosen member of the pivot cluster's defining overlap. The
@@ -147,53 +193,51 @@ std::vector<std::size_t> colocate_overlaps(const OverlapIndex& overlaps,
   //     Merge candidates (clusters with an overlap containing v) come from
   //     v's inverted list, visited in cluster-index order like the legacy
   //     full scan. The RNG draw sequence (shuffle + one pick per unmerged
-  //     pivot) is unchanged.
-  std::vector<std::vector<std::size_t>> final_nodes;
+  //     pivot) is unchanged. Each merged set is one sequencing node,
+  //     numbered in visit order.
+  labels.assign(n, 0);
   if (options.mode == ColocationMode::kFull) {
-    std::vector<std::uint32_t> cluster_of(n, 0);
-    for (std::size_t c = 0; c < clusters.size(); ++c) {
-      for (const std::size_t oi : clusters[c].overlaps) {
-        cluster_of[oi] = static_cast<std::uint32_t>(c);
+    sc.cluster_of.resize(n);
+    for (std::size_t c = 0; c < num_clusters; ++c) {
+      for (std::size_t i = sc.cluster_begin[c]; i < sc.cluster_begin[c + 1];
+           ++i) {
+        sc.cluster_of[sc.cluster_items[i]] = static_cast<std::uint32_t>(c);
       }
     }
-    std::vector<std::size_t> visit(clusters.size());
+    std::vector<std::size_t>& visit = sc.visit;
+    visit.resize(num_clusters);
     std::iota(visit.begin(), visit.end(), std::size_t{0});
     rng.shuffle(visit);
-    std::vector<std::uint32_t> cluster_seen(clusters.size(), 0);
+    sc.merged.assign(num_clusters, 0);
+    sc.cluster_seen.assign(num_clusters, 0);
     std::uint32_t gen = 0;
-    std::vector<std::uint32_t> cand;
+    std::vector<std::uint32_t>& cand = sc.merge_cand;
+    std::size_t node = 0;
     for (const std::size_t ci : visit) {
-      if (clusters[ci].merged_in_step2) continue;
-      clusters[ci].merged_in_step2 = true;
-      std::vector<std::size_t> merged = clusters[ci].overlaps;
+      if (sc.merged[ci] != 0) continue;
+      sc.merged[ci] = 1;
+      label_cluster(ci, node);
       const auto& pivot_members =
-          overlaps.overlap(clusters[ci].overlaps.front()).members;
+          overlaps.overlap(sc.cluster_items[sc.cluster_begin[ci]]).members;
       const NodeId v = rng.pick(pivot_members);
       ++gen;
       cand.clear();
-      index->for_each_overlap_of(v, [&](std::size_t oi) {
-        const std::uint32_t cj = cluster_of[oi];
-        if (cluster_seen[cj] == gen) return;
-        cluster_seen[cj] = gen;
-        if (!clusters[cj].merged_in_step2) cand.push_back(cj);
+      index.for_each_overlap_of(v, [&](std::size_t oi) {
+        const std::uint32_t cj = sc.cluster_of[oi];
+        if (sc.cluster_seen[cj] == gen) return;
+        sc.cluster_seen[cj] = gen;
+        if (sc.merged[cj] == 0) cand.push_back(cj);
       });
       std::sort(cand.begin(), cand.end());
       for (const std::uint32_t cj : cand) {
-        clusters[cj].merged_in_step2 = true;
-        merged.insert(merged.end(), clusters[cj].overlaps.begin(),
-                      clusters[cj].overlaps.end());
+        sc.merged[cj] = 1;
+        label_cluster(cj, node);
       }
-      final_nodes.push_back(std::move(merged));
+      ++node;
     }
   } else {
-    for (Cluster& c : clusters) final_nodes.push_back(std::move(c.overlaps));
+    for (std::size_t c = 0; c < num_clusters; ++c) label_cluster(c, c);
   }
-
-  std::vector<std::size_t> labels(n, 0);
-  for (std::size_t node = 0; node < final_nodes.size(); ++node) {
-    for (const std::size_t oi : final_nodes[node]) labels[oi] = node;
-  }
-  return labels;
 }
 
 Colocation::Colocation(std::vector<std::vector<AtomId>> nodes,

@@ -20,6 +20,7 @@
 #pragma once
 
 #include <cstddef>
+#include <memory>
 #include <vector>
 
 #include "common/ids.h"
@@ -39,11 +40,36 @@ struct ColocationOptions {
   ColocationMode mode = ColocationMode::kFull;
 };
 
+/// Reusable buffers for colocate_overlaps(): the inverted member index,
+/// the step-1 clusters and the step-2 visit state. A caller that
+/// co-locates on every reconfiguration (PubSubSystem) owns one, so a warm
+/// call allocates only to grow them. Nothing carries over between calls.
+class ColocationScratch {
+ public:
+  ColocationScratch();
+  ~ColocationScratch();
+  ColocationScratch(const ColocationScratch&) = delete;
+  ColocationScratch& operator=(const ColocationScratch&) = delete;
+
+  struct Impl;
+  [[nodiscard]] Impl& impl() { return *impl_; }
+
+ private:
+  std::unique_ptr<Impl> impl_;
+};
+
 /// Run the two-step heuristic over the overlaps alone. Returns one dense
 /// sequencing-node label per overlap index (same label = same machine).
 [[nodiscard]] std::vector<std::size_t> colocate_overlaps(
     const membership::OverlapIndex& overlaps, const ColocationOptions& options,
     Rng& rng);
+
+/// The same heuristic, writing the labels over `labels` and working in
+/// `scratch`; identical labels and random draws.
+void colocate_overlaps(const membership::OverlapIndex& overlaps,
+                       const ColocationOptions& options, Rng& rng,
+                       ColocationScratch& scratch,
+                       std::vector<std::size_t>& labels);
 
 /// The atom -> sequencing-node mapping.
 class Colocation {

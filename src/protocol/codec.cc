@@ -41,23 +41,9 @@ void encode_varint(std::uint64_t value, std::vector<std::uint8_t>& out) {
 std::optional<std::uint64_t> decode_varint(const std::uint8_t* in,
                                            std::size_t size,
                                            std::size_t& offset) {
-  // Fast path: small ids, counts and early sequence numbers are one byte.
-  if (offset < size && in[offset] < 0x80) return in[offset++];
   std::uint64_t value = 0;
-  int shift = 0;
-  for (int i = 0; i < 10; ++i) {
-    if (offset >= size) return std::nullopt;  // truncated
-    const std::uint8_t byte = in[offset++];
-    // Canonical form only: a terminating zero byte after the first would
-    // be non-minimal padding (two wire forms of one value invite
-    // dedup/signature bugs), and the 10th byte may carry at most bit 63.
-    if ((byte & 0x80) == 0 && byte == 0 && i > 0) return std::nullopt;
-    if (i == 9 && byte > 1) return std::nullopt;  // would overflow 64 bits
-    value |= static_cast<std::uint64_t>(byte & 0x7f) << shift;
-    if ((byte & 0x80) == 0) return value;
-    shift += 7;
-  }
-  return std::nullopt;  // over-long varint
+  if (!read_varint(in, size, offset, value)) return std::nullopt;
+  return value;
 }
 
 std::optional<std::uint64_t> decode_varint(const std::vector<std::uint8_t>& in,
@@ -94,38 +80,40 @@ std::optional<Message> decode_message(const std::uint8_t* in,
                                       std::size_t size, bool is_fin) {
   if (size < 2 || in[0] != kMagic || in[1] != kVersion) return std::nullopt;
   std::size_t offset = 2;
-  auto next = [&]() { return decode_varint(in, size, offset); };
+  const auto next = [&](std::uint64_t& value) {
+    return read_varint(in, size, offset, value);
+  };
 
-  const auto id = next(), group = next(), sender = next(), group_seq = next(),
-             payload = next(), count = next();
-  if (!id || !group || !sender || !group_seq || !payload || !count) {
+  std::uint64_t id, group, sender, group_seq, payload, count;
+  if (!next(id) || !next(group) || !next(sender) || !next(group_seq) ||
+      !next(payload) || !next(count)) {
     return std::nullopt;
   }
   // Bound the stamp count by the remaining bytes (each stamp is >= 2
   // bytes) so a corrupt count cannot trigger a huge allocation.
-  if (*count > (size - offset) / 2 + 1) return std::nullopt;
+  if (count > (size - offset) / 2 + 1) return std::nullopt;
   Message m;
-  m.stamps.reserve(*count);
-  for (std::uint64_t i = 0; i < *count; ++i) {
-    const auto atom = next(), seq = next();
-    if (!atom || !seq) return std::nullopt;
+  m.stamps.reserve(count);
+  for (std::uint64_t i = 0; i < count; ++i) {
+    std::uint64_t atom, seq;
+    if (!next(atom) || !next(seq)) return std::nullopt;
     m.stamps.push_back(
-        {AtomId(static_cast<AtomId::underlying_type>(*atom)), *seq});
+        {AtomId(static_cast<AtomId::underlying_type>(atom)), seq});
   }
-  const auto body_size = next();
-  if (!body_size || *body_size > size - offset) return std::nullopt;
+  std::uint64_t body_size;
+  if (!next(body_size) || body_size > size - offset) return std::nullopt;
   const std::uint8_t* body = in + offset;
-  offset += *body_size;
+  offset += body_size;
   if (offset != size) return std::nullopt;  // trailing garbage
   // The body is copied once, from the input straight into the pooled
   // block.
   m.data = PayloadBlock::create(
-      MsgId(static_cast<MsgId::underlying_type>(*id)),
-      GroupId(static_cast<GroupId::underlying_type>(*group)),
-      NodeId(static_cast<NodeId::underlying_type>(*sender)),
-      /*sent_at=*/0.0, *payload, body, static_cast<std::size_t>(*body_size),
+      MsgId(static_cast<MsgId::underlying_type>(id)),
+      GroupId(static_cast<GroupId::underlying_type>(group)),
+      NodeId(static_cast<NodeId::underlying_type>(sender)),
+      /*sent_at=*/0.0, payload, body, static_cast<std::size_t>(body_size),
       is_fin);
-  m.group_seq = *group_seq;
+  m.group_seq = group_seq;
   return m;
 }
 

@@ -28,9 +28,37 @@ namespace decseq::protocol {
 /// Append a LEB128 varint to `out`.
 void encode_varint(std::uint64_t value, std::vector<std::uint8_t>& out);
 
-/// Decode a varint at `offset` of `in[0, size)`, advancing it. Returns
-/// nullopt on truncation, a non-canonical encoding, or a varint longer than
-/// 10 bytes. One-byte values take a fast path.
+/// Read a varint at `offset` of `in[0, size)` into `value`, advancing
+/// `offset`. Returns false on truncation, a non-canonical encoding, or a
+/// varint longer than 10 bytes. One-byte values take a fast path. Inline,
+/// so a decoder keeps the value in a register: an out-of-line
+/// std::optional return travels through the stack, and its reload stalls
+/// on the store just made.
+[[nodiscard]] inline bool read_varint(const std::uint8_t* in, std::size_t size,
+                                      std::size_t& offset,
+                                      std::uint64_t& value) {
+  if (offset < size && in[offset] < 0x80) {
+    value = in[offset++];
+    return true;
+  }
+  value = 0;
+  int shift = 0;
+  for (int i = 0; i < 10; ++i) {
+    if (offset >= size) return false;  // truncated
+    const std::uint8_t byte = in[offset++];
+    // Canonical form only: a terminating zero byte after the first would
+    // be non-minimal padding (two wire forms of one value invite
+    // dedup/signature bugs), and the 10th byte may carry at most bit 63.
+    if (byte == 0 && i > 0) return false;
+    if (i == 9 && byte > 1) return false;  // would overflow 64 bits
+    value |= static_cast<std::uint64_t>(byte & 0x7f) << shift;
+    if ((byte & 0x80) == 0) return true;
+    shift += 7;
+  }
+  return false;  // over-long varint
+}
+
+/// read_varint() as an optional: nullopt where it returns false.
 [[nodiscard]] std::optional<std::uint64_t> decode_varint(
     const std::uint8_t* in, std::size_t size, std::size_t& offset);
 [[nodiscard]] std::optional<std::uint64_t> decode_varint(

@@ -224,7 +224,7 @@ void SequencingNetwork::compile_routes() {
   group_routes_.resize(groups.empty() ? 0 : max_group + 1);
   route_hops_.reserve(total_hops);
   for (const GroupId g : groups) {
-    append_route_span(g, graph_->path(g), group_routes_[g.value()]);
+    append_route_span(g, graph_->path(g), group_routes_[g.value()], 0);
   }
 }
 
@@ -245,9 +245,16 @@ std::unique_ptr<sim::Channel<Message>> SequencingNetwork::make_channel(
     channel_sim = &engine_->shard_sim(shard);
     channel_rng = &engine_->unit_rng(unit);
   }
-  auto channel = std::make_unique<sim::Channel<Message>>(
-      *channel_sim, *channel_rng, machine_distance(from, to),
-      options_.channel);
+  const double delay = machine_distance(from, to);
+  std::unique_ptr<sim::Channel<Message>> channel;
+  if (spare_channels_.empty()) {
+    channel = std::make_unique<sim::Channel<Message>>(
+        *channel_sim, *channel_rng, delay, options_.channel);
+  } else {
+    channel = std::move(spare_channels_.back());
+    spare_channels_.pop_back();
+    channel->reset(*channel_sim, *channel_rng, delay, options_.channel);
+  }
   channel->set_receiver([this, to](Message&& m) {
     handle_at_atom(to, std::move(m));
   });
@@ -271,7 +278,8 @@ std::unique_ptr<sim::Channel<Message>> SequencingNetwork::make_channel(
 
 void SequencingNetwork::append_route_span(GroupId g,
                                           const std::vector<AtomId>& path,
-                                          GroupRoute& route) {
+                                          GroupRoute& route,
+                                          std::size_t first_channel) {
   route.first_hop = static_cast<std::uint32_t>(route_hops_.size());
   route.num_hops = static_cast<std::uint32_t>(path.size());
   route.ingress = path.front();
@@ -287,7 +295,15 @@ void SequencingNetwork::append_route_span(GroupId g,
     hop.node = colocation_->node_of(path[i]);
     hop.stamps = graph_->atom(path[i]).stamps(g);
     if (i + 1 < path.size()) {
-      hop.forward = channels_[channel_index(path[i], path[i + 1])].get();
+      const std::pair<AtomId, AtomId> edge{path[i], path[i + 1]};
+      const auto it = std::lower_bound(
+          channel_edges_.begin() + static_cast<std::ptrdiff_t>(first_channel),
+          channel_edges_.end(), edge);
+      DECSEQ_CHECK_MSG(it != channel_edges_.end() && *it == edge,
+                       "no channel " << edge.first << " -> " << edge.second);
+      hop.forward = channels_[static_cast<std::size_t>(
+                                  it - channel_edges_.begin())]
+                        .get();
       hop.next_node = colocation_->node_of(path[i + 1]);
       hop.crosses_machine = hop.node != hop.next_node;
     }
@@ -660,7 +676,7 @@ std::unique_ptr<SequencingNetwork::FanOutPlan>
 SequencingNetwork::build_fanout_plan(AtomId last_atom,
                                      const std::vector<NodeId>& members,
                                      std::uint32_t shard) {
-  auto plan = std::make_unique<FanOutPlan>();
+  std::unique_ptr<FanOutPlan> plan = take_plan();
   const RouterId egress = machine_of_atom(last_atom);
   plan_routers_.clear();
   for (const NodeId member : members) {
@@ -712,6 +728,16 @@ SequencingNetwork::build_fanout_plan(AtomId last_atom,
     plan->spans.push_back({i, j, plan->targets[i].delay});
     i = j;
   }
+  return plan;
+}
+
+std::unique_ptr<SequencingNetwork::FanOutPlan> SequencingNetwork::take_plan() {
+  if (spare_plans_.empty()) return std::make_unique<FanOutPlan>();
+  std::unique_ptr<FanOutPlan> plan = std::move(spare_plans_.back());
+  spare_plans_.pop_back();
+  plan->targets.clear();
+  plan->spans.clear();
+  plan->tree.reset();
   return plan;
 }
 
@@ -780,6 +806,23 @@ void SequencingNetwork::distribute(AtomId last_atom, Message&& message) {
   }
 }
 
+const std::vector<NodeId>& SequencingNetwork::old_members_of(
+    GroupId g,
+    const std::vector<std::vector<NodeId>>& old_members_by_slot) const {
+  const auto gv = g.value();
+  if (gv < old_members_by_slot.size() && !old_members_by_slot[gv].empty()) {
+    const std::vector<NodeId>& snapshot = old_members_by_slot[gv];
+    DECSEQ_CHECK_MSG(std::is_sorted(snapshot.begin(), snapshot.end()),
+                     "unsorted old-member snapshot for group " << g);
+    return snapshot;
+  }
+  // No snapshot: the batch did not touch the group's membership, so the
+  // current list is the old one.
+  DECSEQ_CHECK_MSG(membership_->is_alive(g),
+                   "no old-member snapshot for group " << g);
+  return membership_->members(g);
+}
+
 ReconfigureReport SequencingNetwork::begin_reconfigure(
     const std::vector<GroupId>& affected,
     const std::vector<std::vector<NodeId>>& old_members_by_slot) {
@@ -796,16 +839,17 @@ ReconfigureReport SequencingNetwork::begin_reconfigure(
   }
   // Lazily retire the previous transition's plans: the final fence's
   // fan-out events may still reference them at the instant that
-  // transition completes, so they are freed here, at the start of the
+  // transition completes, so they are recycled here, at the start of the
   // next one.
-  for (auto& plan : prev_fanout_plans_) plan.reset();
+  for (auto& plan : prev_fanout_plans_) {
+    if (plan != nullptr) spare_plans_.push_back(std::move(plan));
+  }
   ++epoch_;
 
-  std::vector<GroupId> affected_list = affected;
-  std::sort(affected_list.begin(), affected_list.end());
-  affected_list.erase(
-      std::unique(affected_list.begin(), affected_list.end()),
-      affected_list.end());
+  cut_groups_.assign(affected.begin(), affected.end());
+  std::sort(cut_groups_.begin(), cut_groups_.end());
+  cut_groups_.erase(std::unique(cut_groups_.begin(), cut_groups_.end()),
+                    cut_groups_.end());
 
   // Grow the dense per-atom / per-machine / per-group state for the delta
   // rebuild's appended atoms and any newly created groups.
@@ -816,35 +860,34 @@ ReconfigureReport SequencingNetwork::begin_reconfigure(
   for (auto& per_shard : shard_seqnode_load_) {
     per_shard.resize(colocation_->num_nodes(), 0);
   }
-  GroupId::underlying_type max_group = 0;
-  for (const GroupId g : affected_list) {
-    max_group = std::max(max_group, g.value());
-  }
-  if (!affected_list.empty() && group_routes_.size() < max_group + 1) {
-    group_routes_.resize(max_group + 1);
+  if (!cut_groups_.empty() &&
+      group_routes_.size() < cut_groups_.back().value() + 1) {
+    group_routes_.resize(cut_groups_.back().value() + 1);
   }
   if (fanout_plans_.size() < group_routes_.size()) {
     fanout_plans_.resize(group_routes_.size());
   }
   prev_fanout_plans_.resize(group_routes_.size());
+  cut_old_members_.resize(group_routes_.size(), nullptr);
 
   // Channels for the appended path edges. Re-laid paths are built entirely
   // from appended atoms, so every new edge sorts after every existing one
   // (the edge order keys on the from-atom first): the sorted channel table
   // extends by a plain append and the hot path's Channel* stay put.
-  std::vector<std::pair<AtomId, AtomId>> new_edges;
-  for (const GroupId g : affected_list) {
+  cut_edges_.clear();
+  for (const GroupId g : cut_groups_) {
     if (!graph_->has_path(g)) continue;
     const auto& path = graph_->path(g);
     if (path.front().value() < old_num_atoms) continue;  // preserved verbatim
     for (std::size_t i = 0; i + 1 < path.size(); ++i) {
-      new_edges.emplace_back(path[i], path[i + 1]);
+      cut_edges_.emplace_back(path[i], path[i + 1]);
     }
   }
-  std::sort(new_edges.begin(), new_edges.end());
-  new_edges.erase(std::unique(new_edges.begin(), new_edges.end()),
-                  new_edges.end());
-  for (const auto& edge : new_edges) {
+  std::sort(cut_edges_.begin(), cut_edges_.end());
+  cut_edges_.erase(std::unique(cut_edges_.begin(), cut_edges_.end()),
+                   cut_edges_.end());
+  const std::size_t first_new_channel = channels_.size();
+  for (const auto& edge : cut_edges_) {
     DECSEQ_CHECK(channel_edges_.empty() || channel_edges_.back() < edge);
     auto channel = make_channel(edge.first, edge.second);
     // A channel born while its receiving machine is down must start in the
@@ -855,36 +898,32 @@ ReconfigureReport SequencingNetwork::begin_reconfigure(
     channel_edges_.push_back(edge);
     channels_.push_back(std::move(channel));
   }
-  report.channels_created = new_edges.size();
+  report.channels_created = cut_edges_.size();
 
   // Cut each affected group over: stash the old epoch's span + fan-out
   // plan, compile the new span next to it, and flush the cutover fence
   // down the old span to the old member set.
-  std::vector<GroupId> fenced;
-  std::vector<char> had_old_flag(group_routes_.size(), 0);
-  std::vector<std::vector<NodeId>> old_sorted(group_routes_.size());
-  for (const GroupId g : affected_list) {
+  cut_fenced_.clear();
+  for (const GroupId g : cut_groups_) {
     DECSEQ_CHECK_MSG(!group_terminated(g),
                      "reconfigure touches terminated group " << g);
     const auto gv = g.value();
     GroupRoute& route = group_routes_[gv];
     const bool had_old = route.num_hops > 0;
     const bool has_new = graph_->has_path(g);
+    cut_old_members_[gv] = nullptr;
     if (!had_old && !has_new) continue;
     if (had_old) {
-      DECSEQ_CHECK_MSG(gv < old_members_by_slot.size() &&
-                           !old_members_by_slot[gv].empty(),
-                       "no old-member snapshot for group " << g);
-      had_old_flag[gv] = 1;
-      old_sorted[gv] = old_members_by_slot[gv];
-      std::sort(old_sorted[gv].begin(), old_sorted[gv].end());
+      const std::vector<NodeId>& old_members =
+          old_members_of(g, old_members_by_slot);
+      cut_old_members_[gv] = &old_members;
       // The cached plan (if any) predates the membership mutation, i.e. it
-      // is the old member set's; otherwise build it from the snapshot.
+      // is the old member set's; otherwise build it from the old list.
       const AtomId old_last =
           route_hops_[route.first_hop + route.num_hops - 1].atom;
       if (fanout_plans_[gv] == nullptr) {
-        fanout_plans_[gv] = build_fanout_plan(old_last, old_members_by_slot[gv],
-                                              route.shard);
+        fanout_plans_[gv] =
+            build_fanout_plan(old_last, old_members, route.shard);
       }
       prev_fanout_plans_[gv] = std::move(fanout_plans_[gv]);
       route.prev_first_hop = route.first_hop;
@@ -895,13 +934,13 @@ ReconfigureReport SequencingNetwork::begin_reconfigure(
     }
     if (has_new) {
       const auto& path = graph_->path(g);
-      append_route_span(g, path, route);
+      append_route_span(g, path, route, first_new_channel);
       report.hops_appended += path.size();
       route.epoch = epoch_;
       if (had_old) {
         sequence_fence(g, /*close_group=*/false,
-                       old_members_by_slot[gv].size());
-        fenced.push_back(g);
+                       cut_old_members_[gv]->size());
+        cut_fenced_.push_back(g);
         ++report.groups_refenced;
       } else {
         ++report.groups_created;
@@ -913,9 +952,8 @@ ReconfigureReport SequencingNetwork::begin_reconfigure(
       route.first_hop = 0;
       route.num_hops = 0;
       route.epoch = epoch_;
-      sequence_fence(g, /*close_group=*/true,
-                     old_members_by_slot[gv].size());
-      fenced.push_back(g);
+      sequence_fence(g, /*close_group=*/true, cut_old_members_[gv]->size());
+      cut_fenced_.push_back(g);
       ++report.groups_removed;
     }
   }
@@ -925,54 +963,7 @@ ReconfigureReport SequencingNetwork::begin_reconfigure(
   // traffic may deliver) and claim the new epoch's counter slots.
   const std::uint32_t current_epoch = epoch_;
   if (engine_ == nullptr) {
-    std::map<std::uint32_t, ReceiverReconfigure> per_node;
-    auto rc_of = [&](NodeId n) -> ReceiverReconfigure& {
-      auto [it, inserted] = per_node.try_emplace(n.value());
-      if (inserted) it->second.epoch = current_epoch;
-      return it->second;
-    };
-    for (const GroupId g : fenced) {
-      for (const NodeId m : old_members_by_slot[g.value()]) {
-        rc_of(m).awaited_fences.push_back(g);
-      }
-    }
-    for (const GroupId g : affected_list) {
-      const auto gv = g.value();
-      const GroupRoute& route = group_routes_[gv];
-      if (route.num_hops == 0) continue;
-      for (const NodeId m : membership_->members(g)) {
-        // A member that stays keeps its live counters; everyone else —
-        // new subscribers and rejoiners — starts at the first post-fence
-        // sequence number.
-        const bool continuing =
-            had_old_flag[gv] && receivers_[m.value()] != nullptr &&
-            std::binary_search(old_sorted[gv].begin(), old_sorted[gv].end(),
-                               m);
-        if (!continuing) rc_of(m).group_inits.emplace_back(g, route.next_seq);
-      }
-    }
-    for (auto& [nv, rc] : per_node) {
-      const NodeId node(static_cast<NodeId::underlying_type>(nv));
-      if (receivers_[nv] != nullptr) {
-        // Newly relevant atoms (appended by the delta rebuild) need fresh
-        // counters; a new receiver below gets them from its constructor.
-        rc.new_atoms = relevant_atoms_for(node, *graph_, old_num_atoms);
-        receivers_[nv]->apply_reconfigure(rc);
-      } else {
-        DECSEQ_CHECK(rc.awaited_fences.empty());
-        std::vector<GroupId> subs = membership_->groups_of(node);
-        DECSEQ_CHECK(!subs.empty());
-        receivers_[nv] = std::make_unique<Receiver>(
-            node, std::move(subs), relevant_atoms_for(node, *graph_),
-            local_delivery_fn(node));
-        // A fresh receiver seeds every slot at 1; rejoined groups must
-        // start at the post-fence sequence number instead.
-        ReceiverReconfigure fresh;
-        fresh.epoch = current_epoch;
-        fresh.group_inits = rc.group_inits;
-        receivers_[nv]->apply_reconfigure(fresh);
-      }
-    }
+    cut_over_receivers(old_num_atoms);
   } else {
     // Sharded: per-(shard, node) sub-receivers. The cutover gate is a
     // *node*-wide condition — new-epoch traffic on any of the node's
@@ -981,8 +972,8 @@ ReconfigureReport SequencingNetwork::begin_reconfigure(
     // coordinator (fence_delivery_committed).
     const runtime::ShardPlan& plan = engine_->plan();
     std::map<std::uint32_t, std::uint32_t> node_fences;
-    for (const GroupId g : fenced) {
-      for (const NodeId m : old_members_by_slot[g.value()]) {
+    for (const GroupId g : cut_fenced_) {
+      for (const NodeId m : *cut_old_members_[g.value()]) {
         ++node_fences[m.value()];
       }
     }
@@ -993,21 +984,21 @@ ReconfigureReport SequencingNetwork::begin_reconfigure(
       if (inserted) it->second.epoch = current_epoch;
       return it->second;
     };
-    for (const GroupId g : affected_list) {
+    for (const GroupId g : cut_groups_) {
       const auto gv = g.value();
       const GroupRoute& route = group_routes_[gv];
       if (route.num_hops == 0) continue;
       const std::uint32_t s_new = route.shard;
+      const std::vector<NodeId>* old_members = cut_old_members_[gv];
       for (const NodeId m : membership_->members(g)) {
         Receiver* sub = shard_receivers_[s_new][m.value()].get();
         // Counters continue only if the same sub-receiver that held the
         // group before the cut still owns it after (the group stayed on
         // its shard); otherwise the slot (re)initializes post-fence.
         const bool continuing =
-            had_old_flag[gv] && route.prev_shard == s_new &&
+            old_members != nullptr && route.prev_shard == s_new &&
             sub != nullptr &&
-            std::binary_search(old_sorted[gv].begin(), old_sorted[gv].end(),
-                               m);
+            std::binary_search(old_members->begin(), old_members->end(), m);
         ReceiverReconfigure& rc = rc_of(s_new, m);
         if (!continuing) rc.group_inits.emplace_back(g, route.next_seq);
       }
@@ -1055,7 +1046,7 @@ ReconfigureReport SequencingNetwork::begin_reconfigure(
     }
     // New-epoch distribution plans are built eagerly on the coordinator,
     // like at construction (the first exit happens on a worker thread).
-    for (const GroupId g : affected_list) {
+    for (const GroupId g : cut_groups_) {
       if (group_routes_[g.value()].num_hops == 0) continue;
       (void)fanout_plan(g, graph_->path(g).back());
     }
@@ -1063,6 +1054,83 @@ ReconfigureReport SequencingNetwork::begin_reconfigure(
 
   report.fences_outstanding = fences_outstanding_;
   return report;
+}
+
+void SequencingNetwork::cut_over_receivers(std::size_t old_num_atoms) {
+  const std::uint32_t current_epoch = epoch_;
+  if (rc_slot_.empty()) rc_slot_.assign(membership_->num_nodes(), kNoCutSlot);
+  // Clear the previous cutover's entries, keeping their lists' capacity.
+  for (const std::uint32_t nv : rc_nodes_) {
+    ReceiverReconfigure& rc = rc_pool_[rc_slot_[nv]];
+    rc.awaited_fences.clear();
+    rc.group_inits.clear();
+    rc.new_atoms.clear();
+    rc_slot_[nv] = kNoCutSlot;
+  }
+  rc_nodes_.clear();
+  const auto rc_of = [&](NodeId n) -> ReceiverReconfigure& {
+    std::uint32_t& slot = rc_slot_[n.value()];
+    if (slot == kNoCutSlot) {
+      slot = static_cast<std::uint32_t>(rc_nodes_.size());
+      rc_nodes_.push_back(n.value());
+      if (rc_pool_.size() == slot) rc_pool_.emplace_back();
+      rc_pool_[slot].epoch = current_epoch;
+    }
+    return rc_pool_[slot];
+  };
+  for (const GroupId g : cut_fenced_) {
+    for (const NodeId m : *cut_old_members_[g.value()]) {
+      rc_of(m).awaited_fences.push_back(g);
+    }
+  }
+  for (const GroupId g : cut_groups_) {
+    const auto gv = g.value();
+    const GroupRoute& route = group_routes_[gv];
+    if (route.num_hops == 0) continue;
+    const std::vector<NodeId>* old_members = cut_old_members_[gv];
+    for (const NodeId m : membership_->members(g)) {
+      // A member that stays keeps its live counters; everyone else — new
+      // subscribers and rejoiners — starts at the first post-fence
+      // sequence number.
+      const bool continuing =
+          old_members != nullptr && receivers_[m.value()] != nullptr &&
+          std::binary_search(old_members->begin(), old_members->end(), m);
+      if (!continuing) rc_of(m).group_inits.emplace_back(g, route.next_seq);
+    }
+  }
+  // Newly relevant atoms (appended by the delta rebuild) need fresh
+  // counters: one pass over the appended atoms hands each touched node its
+  // new atoms in AtomId order, as relevant_atoms_for(node, graph,
+  // old_num_atoms) lists them. An untouched node has none: an appended
+  // overlap atom's members subscribe to both its groups, which this
+  // cutover re-routed.
+  const auto& atoms = graph_->atoms();
+  for (std::size_t a = old_num_atoms; a < atoms.size(); ++a) {
+    const seqgraph::Atom& atom = atoms[a];
+    if (atom.is_ingress_only() || graph_->is_retired(atom.id)) continue;
+    for (const NodeId m : atom.overlap_members) {
+      const std::uint32_t slot = rc_slot_[m.value()];
+      if (slot != kNoCutSlot) rc_pool_[slot].new_atoms.push_back(atom.id);
+    }
+  }
+  std::sort(rc_nodes_.begin(), rc_nodes_.end());
+  for (const std::uint32_t nv : rc_nodes_) {
+    ReceiverReconfigure& rc = rc_pool_[rc_slot_[nv]];
+    if (receivers_[nv] == nullptr) {
+      DECSEQ_CHECK(rc.awaited_fences.empty());
+      const NodeId node(static_cast<NodeId::underlying_type>(nv));
+      std::vector<GroupId> subs = membership_->groups_of(node);
+      DECSEQ_CHECK(!subs.empty());
+      receivers_[nv] = std::make_unique<Receiver>(
+          node, std::move(subs), relevant_atoms_for(node, *graph_),
+          local_delivery_fn(node));
+      // A fresh receiver seeds every slot at 1 and holds its relevant
+      // atoms already; rejoined groups must start at the post-fence
+      // sequence number instead.
+      rc.new_atoms.clear();
+    }
+    receivers_[nv]->apply_reconfigure(rc);
+  }
 }
 
 void SequencingNetwork::sequence_fence(GroupId group, bool close_group,
@@ -1125,19 +1193,22 @@ void SequencingNetwork::compact_transition_state() {
 
   // The drained transition's stashed fan-out plans: every fence has
   // delivered, so no span event references them any more.
-  for (auto& plan : prev_fanout_plans_) plan.reset();
+  for (auto& plan : prev_fanout_plans_) {
+    if (plan != nullptr) spare_plans_.push_back(std::move(plan));
+  }
 
-  // Channels serving only retired atoms carry no live route. Destroy the
-  // quiescent ones; a channel whose final ack is still in flight (or that
-  // surfaced a fault) stays until a later pass. Removal keeps the edge
-  // table sorted, and live hops hold Channel* directly, so nothing
-  // position-dependent breaks.
+  // Channels serving only retired atoms carry no live route. Reclaim the
+  // quiescent ones for the next transition's edges; a channel whose final
+  // ack is still in flight (or that surfaced a fault) stays until a later
+  // pass. Removal keeps the edge table sorted, and live hops hold Channel*
+  // directly, so nothing position-dependent breaks.
   std::size_t w = 0;
   for (std::size_t i = 0; i < channels_.size(); ++i) {
     const auto& [from, to] = channel_edges_[i];
     if (graph_->is_retired(from) && graph_->is_retired(to) &&
         channels_[i]->quiescent()) {
       ++channels_reclaimed_;
+      spare_channels_.push_back(std::move(channels_[i]));
       continue;
     }
     if (w != i) {
@@ -1148,41 +1219,58 @@ void SequencingNetwork::compact_transition_state() {
   }
   channel_edges_.resize(w);
   channels_.resize(w);
-
-  // Fold the hop table down to the live spans. Every prev span was zeroed
-  // when its fence exited, so the live spans are exactly the current ones;
-  // in-flight messages locate hops as first_hop + path_pos at event time,
-  // so remapping first_hop here is invisible to them.
-  std::size_t live = 0;
-  for (const GroupRoute& route : group_routes_) {
-    DECSEQ_CHECK(route.prev_num_hops == 0);
-    live += route.num_hops;
+  // Spares beyond the live table's size are freed: a transition rarely
+  // appends more channels than are live, and the pool stays bounded.
+  if (spare_channels_.size() > channels_.size()) {
+    spare_channels_.resize(channels_.size());
   }
-  std::vector<RouteHop> folded;
-  folded.reserve(live);
-  for (GroupRoute& route : group_routes_) {
+
+  // Fold the hop table down to the live spans, in place. Every prev span
+  // was zeroed when its fence exited, so the live spans are exactly the
+  // current ones. Taken in first_hop order, each span moves to or below
+  // where it was, onto hops already folded or dead, so no span is
+  // overwritten before it moves; the table keeps its capacity for the next
+  // transition's spans. In-flight messages locate hops as first_hop +
+  // path_pos at event time, so remapping first_hop here is invisible to
+  // them.
+  fold_order_.clear();
+  for (std::size_t gv = 0; gv < group_routes_.size(); ++gv) {
+    GroupRoute& route = group_routes_[gv];
+    DECSEQ_CHECK(route.prev_num_hops == 0);
     if (route.num_hops == 0) {
       route.first_hop = 0;
       continue;
     }
-    const auto new_first = static_cast<std::uint32_t>(folded.size());
-    folded.insert(folded.end(), route_hops_.begin() + route.first_hop,
-                  route_hops_.begin() + route.first_hop + route.num_hops);
-    route.first_hop = new_first;
+    fold_order_.emplace_back(route.first_hop, static_cast<std::uint32_t>(gv));
   }
-  route_hops_ = std::move(folded);
+  std::sort(fold_order_.begin(), fold_order_.end());
+  std::uint32_t folded = 0;
+  for (const auto& [first, gv] : fold_order_) {
+    GroupRoute& route = group_routes_[gv];
+    if (first != folded) {
+      std::copy(route_hops_.begin() + first,
+                route_hops_.begin() + first + route.num_hops,
+                route_hops_.begin() + folded);
+    }
+    route.first_hop = folded;
+    folded += route.num_hops;
+  }
+  route_hops_.resize(folded);
   ++compactions_run_;
 }
 
 std::size_t SequencingNetwork::routing_table_bytes() const {
-  std::size_t bytes = route_hops_.capacity() * sizeof(RouteHop) +
-                      group_routes_.capacity() * sizeof(GroupRoute) +
-                      channel_edges_.capacity() * sizeof(channel_edges_[0]) +
-                      channels_.capacity() * sizeof(channels_[0]) +
-                      channels_.size() * sizeof(sim::Channel<Message>) +
-                      fanout_plans_.capacity() * sizeof(fanout_plans_[0]) +
-                      prev_fanout_plans_.capacity() *
-                          sizeof(prev_fanout_plans_[0]);
+  std::size_t bytes =
+      route_hops_.capacity() * sizeof(RouteHop) +
+      group_routes_.capacity() * sizeof(GroupRoute) +
+      channel_edges_.capacity() * sizeof(channel_edges_[0]) +
+      (channels_.capacity() + spare_channels_.capacity()) *
+          sizeof(channels_[0]) +
+      (channels_.size() + spare_channels_.size()) *
+          sizeof(sim::Channel<Message>) +
+      (fanout_plans_.capacity() + prev_fanout_plans_.capacity() +
+       spare_plans_.capacity()) *
+          sizeof(fanout_plans_[0]);
   const auto plan_bytes = [](const std::unique_ptr<FanOutPlan>& plan) {
     if (plan == nullptr) return std::size_t{0};
     return sizeof(FanOutPlan) +
@@ -1191,6 +1279,7 @@ std::size_t SequencingNetwork::routing_table_bytes() const {
   };
   for (const auto& plan : fanout_plans_) bytes += plan_bytes(plan);
   for (const auto& plan : prev_fanout_plans_) bytes += plan_bytes(plan);
+  for (const auto& plan : spare_plans_) bytes += plan_bytes(plan);
   return bytes;
 }
 

@@ -181,11 +181,13 @@ class SequencingNetwork {
   // has been delivered, which preserves per-receiver order. Untouched
   // groups are never stalled.
   //
-  // `old_members_by_slot[g.value()]` must hold every affected group's
-  // member list as of *before* the membership mutation (the facade
-  // snapshots all live groups pre-mutation). Only one transition may drain
-  // at a time: the caller must wait for transition_active() to go false
-  // before the next begin_reconfigure().
+  // `old_members_by_slot[g.value()]` holds a group's sorted member list as
+  // of *before* the membership mutation; an affected group whose slot is
+  // missing or empty there must still be alive and unchanged, and its
+  // current list is read instead (the facade snapshots only the groups its
+  // batch mutates). Only one transition may drain at a time: the caller
+  // must wait for transition_active() to go false before the next
+  // begin_reconfigure().
   ReconfigureReport begin_reconfigure(
       const std::vector<GroupId>& affected,
       const std::vector<std::vector<NodeId>>& old_members_by_slot);
@@ -223,11 +225,13 @@ class SequencingNetwork {
   [[nodiscard]] std::vector<std::size_t> gate_held_by_group() const;
 
   /// Bytes held by the compiled routing tables: the hop table, the
-  /// per-group route headers, the channel table, and the (current and
-  /// stashed) fan-out plans. Epoch compaction folds this back to the live
-  /// working set when a transition drains, so a churn loop of
+  /// per-group route headers, the channel table with the reclaimed channels
+  /// kept for reuse, and the current, stashed and spare fan-out plans.
+  /// Epoch compaction folds the live spans together and reclaims retired
+  /// channels when a transition drains, so a churn loop of
   /// reconfigurations holds it steady instead of growing per transition
-  /// (asserted by bench/churn_bench).
+  /// (asserted by bench/churn_bench). The hop table keeps the capacity of
+  /// its largest transition.
   [[nodiscard]] std::size_t routing_table_bytes() const;
   /// Epoch compactions run (one per fully drained transition).
   [[nodiscard]] std::size_t compactions_run() const {
@@ -449,14 +453,30 @@ class SequencingNetwork {
   [[nodiscard]] std::unique_ptr<FanOutPlan> build_fanout_plan(
       AtomId last_atom, const std::vector<NodeId>& members,
       std::uint32_t shard);
+  /// A plan to fill: a drained one from spare_plans_ (its lists keep
+  /// their capacity), or a new one.
+  [[nodiscard]] std::unique_ptr<FanOutPlan> take_plan();
   /// Create the reliable FIFO channel for the path edge `from -> to`
-  /// (compile_routes() and the reconfiguration channel append share it).
+  /// (compile_routes() and the reconfiguration channel append share it),
+  /// re-arming a channel from spare_channels_ when there is one.
   [[nodiscard]] std::unique_ptr<sim::Channel<Message>> make_channel(
       AtomId from, AtomId to);
   /// Compile `path` as `route`'s current span at the end of route_hops_
   /// (ingress identity, unit/shard in sharded mode, hop table entries).
+  /// Every edge of `path` must be a channel at index `first_channel` or
+  /// later: the channels the calling compile appended, which are sorted
+  /// among themselves, so each hop's lookup searches only them.
   void append_route_span(GroupId g, const std::vector<AtomId>& path,
-                         GroupRoute& route);
+                         GroupRoute& route, std::size_t first_channel);
+  /// The affected group's member list before the mutation: its snapshot
+  /// when the caller took one, else its (unchanged) current list.
+  [[nodiscard]] const std::vector<NodeId>& old_members_of(
+      GroupId g,
+      const std::vector<std::vector<NodeId>>& old_members_by_slot) const;
+  /// Single-threaded receiver cutover of begin_reconfigure(): one
+  /// ReceiverReconfigure per touched node in rc_pool_, applied in node
+  /// order (the previous cutover's entries are cleared first).
+  void cut_over_receivers(std::size_t old_num_atoms);
   /// Sequence `group`'s cutover fence: synchronously take the next group
   /// sequence number and enter the *previous* span as the last old-epoch
   /// message. `close_group` additionally marks the fence as the group's FIN
@@ -574,6 +594,31 @@ class SequencingNetwork {
   /// that fence's fan-out event still references its plan), and defensively
   /// again at the next begin_reconfigure().
   std::vector<std::unique_ptr<FanOutPlan>> prev_fanout_plans_;
+  /// Drained previous-epoch plans, refilled by build_fanout_plan().
+  std::vector<std::unique_ptr<FanOutPlan>> spare_plans_;
+  /// Quiescent channels reclaimed by compaction (no more than are live),
+  /// re-armed by make_channel() for the next transition's appended edges.
+  std::vector<std::unique_ptr<sim::Channel<Message>>> spare_channels_;
+  /// Compaction scratch: the live spans as (first_hop, group value), the
+  /// order the in-place fold moves them in.
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> fold_order_;
+  /// begin_reconfigure() scratch, kept across transitions so a warm
+  /// cutover allocates only for the state it creates: the sorted affected
+  /// groups, the appended edges, the fenced groups and, per group slot,
+  /// the old member list of an affected group with an old span (null
+  /// otherwise; set for every affected group on each call, and valid only
+  /// during it).
+  std::vector<GroupId> cut_groups_;
+  std::vector<std::pair<AtomId, AtomId>> cut_edges_;
+  std::vector<GroupId> cut_fenced_;
+  std::vector<const std::vector<NodeId>*> cut_old_members_;
+  /// The single-threaded receiver cutover: rc_slot_ maps a node value to
+  /// its entry in rc_pool_ (kNoCutSlot: untouched by the last cutover),
+  /// and rc_nodes_ lists the touched nodes.
+  static constexpr std::uint32_t kNoCutSlot = 0xffffffffu;
+  std::vector<std::uint32_t> rc_slot_;
+  std::vector<ReceiverReconfigure> rc_pool_;
+  std::vector<std::uint32_t> rc_nodes_;
   /// Current routing epoch; bumped once per begin_reconfigure().
   std::uint32_t epoch_ = 0;
   /// Cutover-fence deliveries still pending (sum over fenced groups of

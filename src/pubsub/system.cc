@@ -72,15 +72,15 @@ void PubSubSystem::rebuild() {
   // Co-locate before layout so the chain keeps same-machine atoms
   // contiguous (§3.4: related atoms on the same machine recover the
   // performance that distributing them would cost).
-  const std::vector<std::size_t> labels =
-      placement::colocate_overlaps(*overlaps_, config_.colocation, rng_);
+  placement::colocate_overlaps(*overlaps_, config_.colocation, rng_,
+                               colocation_scratch_, labels_);
   seqgraph::BuildOptions graph_options = config_.graph;
-  graph_options.colocation_labels = &labels;
+  graph_options.colocation_labels = &labels_;
   graph_options.scratch = &graph_scratch_;
   graph_ = std::make_unique<seqgraph::SequencingGraph>(
       build_sequencing_graph(membership_, *overlaps_, graph_options));
   colocation_ = std::make_unique<placement::Colocation>(
-      placement::apply_labels(*graph_, labels));
+      placement::apply_labels(*graph_, labels_));
   assignment_ = std::make_unique<placement::Assignment>(
       placement::assign_machines(*graph_, *colocation_, membership_, *hosts_,
                                  net_graph_, config_.assignment, rng_));
@@ -230,35 +230,48 @@ PubSubSystem::ReconfigureResult PubSubSystem::reconfigure_async(
                           "are still draining");
   ReconfigureResult result;
 
-  // 1. Snapshot every live group's member list *before* the mutation: the
-  //    cutover fences must reach the old membership (a leaver still gets
-  //    the fence that closes its subscription; a joiner does not).
-  std::vector<std::vector<NodeId>> old_members(membership_.num_group_slots());
-  for (const GroupId g : membership_.live_groups()) {
-    old_members[g.value()] = membership_.members(g);
+  // 1. Snapshot the member list of each group the batch mutates, before
+  //    its first mutation: the cutover fences must reach the old
+  //    membership (a leaver still gets the fence that closes its
+  //    subscription; a joiner does not). No other group's members change,
+  //    so begin_reconfigure reads their current lists. The previous call's
+  //    snapshots, a throwing batch's included, are cleared first.
+  for (const GroupId g : dirty_) {
+    if (g.value() < old_members_.size()) old_members_[g.value()].clear();
   }
+  dirty_.clear();
+  const std::size_t slots_before = membership_.num_group_slots();
+  if (old_members_.size() < slots_before) old_members_.resize(slots_before);
+  const auto snapshot = [&](GroupId g) {
+    if (g.valid() && g.value() < slots_before && membership_.is_alive(g) &&
+        old_members_[g.value()].empty()) {
+      old_members_[g.value()] = membership_.members(g);
+    }
+  };
 
   // 2. Apply the batch; the directly-touched groups seed the delta.
-  std::vector<GroupId> dirty;
   for (MembershipChange& change : changes) {
     switch (change.kind) {
       case MembershipChange::Kind::kCreateGroup: {
         const GroupId g = membership_.add_group(std::move(change.members));
         result.created.push_back(g);
-        dirty.push_back(g);
+        dirty_.push_back(g);
         break;
       }
       case MembershipChange::Kind::kRemoveGroup:
+        snapshot(change.group);
+        dirty_.push_back(change.group);
         membership_.remove_group(change.group);
-        dirty.push_back(change.group);
         break;
       case MembershipChange::Kind::kJoin:
+        snapshot(change.group);
+        dirty_.push_back(change.group);
         membership_.add_member(change.group, change.node);
-        dirty.push_back(change.group);
         break;
       case MembershipChange::Kind::kLeave:
+        snapshot(change.group);
+        dirty_.push_back(change.group);
         membership_.remove_member(change.group, change.node);
-        dirty.push_back(change.group);
         break;
     }
   }
@@ -267,20 +280,23 @@ PubSubSystem::ReconfigureResult PubSubSystem::reconfigure_async(
   //    references to the graph/colocation/assignment objects, so each is
   //    mutated or move-assigned at its existing address. Old atoms keep
   //    their ids, sequencing nodes, and machines; re-laid paths append.
-  membership::OverlapIndex new_overlaps(*overlaps_, membership_, dirty);
-  const std::vector<std::size_t> labels =
-      placement::colocate_overlaps(new_overlaps, config_.colocation, rng_);
+  //    The next overlap index is built in the spare one, taking the
+  //    surviving overlaps' member lists from *overlaps_, which keeps the
+  //    old components the graph delta reads; then the two swap.
+  spare_overlaps_.rebuild_delta(*overlaps_, membership_, dirty_);
+  placement::colocate_overlaps(spare_overlaps_, config_.colocation, rng_,
+                               colocation_scratch_, labels_);
   seqgraph::BuildOptions graph_options = config_.graph;
-  graph_options.colocation_labels = &labels;
+  graph_options.colocation_labels = &labels_;
   graph_options.scratch = &graph_scratch_;
   // The delta edits the graph in place; nothing reads *graph_ while it is
   // moved out.
   const std::size_t first_new_atom = graph_->num_atoms();
   *graph_ = seqgraph::build_sequencing_graph_delta(
-      std::move(*graph_), *overlaps_, membership_, new_overlaps, dirty,
+      std::move(*graph_), *overlaps_, membership_, spare_overlaps_, dirty_,
       graph_options, &result.delta);
-  *overlaps_ = std::move(new_overlaps);
-  colocation_->extend(*graph_, first_new_atom, labels);
+  std::swap(*overlaps_, spare_overlaps_);
+  colocation_->extend(*graph_, first_new_atom, labels_);
   placement::extend_assignment(*assignment_, *graph_, *colocation_,
                                membership_, *hosts_, net_graph_,
                                config_.assignment, rng_,
@@ -295,7 +311,7 @@ PubSubSystem::ReconfigureResult PubSubSystem::reconfigure_async(
   //    ones and flush a fence down each old span. From here on the network
   //    routes by epoch; run() drains the transition.
   result.report = network_->begin_reconfigure(result.delta.affected_groups,
-                                              old_members);
+                                              old_members_);
 
   // 5. Sharded mode: publishes still queued in the ingress rings were
   //    routed under the old plan; re-route them (adding the old-ingress ->

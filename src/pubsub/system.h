@@ -309,6 +309,19 @@ class PubSubSystem {
   std::unique_ptr<topology::HostMap> hosts_;
   membership::GroupMembership membership_;
   std::unique_ptr<membership::OverlapIndex> overlaps_;
+  /// reconfigure_async builds the next overlap index here, in place, then
+  /// swaps it with *overlaps_: the two indexes alternate, so a warm
+  /// transition reuses both one's lists.
+  membership::OverlapIndex spare_overlaps_;
+  /// Co-location buffers and labels, reused by every compile.
+  placement::ColocationScratch colocation_scratch_;
+  std::vector<std::size_t> labels_;
+  /// reconfigure_async's batch: the groups it mutates (`dirty_`) and, per
+  /// group slot, the member list of each such pre-existing group before
+  /// its first mutation (empty otherwise). Cleared at the next call; the
+  /// lists keep their capacity.
+  std::vector<GroupId> dirty_;
+  std::vector<std::vector<NodeId>> old_members_;
   std::unique_ptr<seqgraph::SequencingGraph> graph_;
   /// Reused across every graph compile (initial rebuild and each
   /// reconfigure_async delta) so repeated transitions — including the first

@@ -634,6 +634,7 @@ struct GraphParts {
   std::vector<std::vector<AtomId>>& paths;
   std::vector<std::vector<AtomId>>& tree;
   std::vector<char>& retired;
+  std::vector<AtomId>& live;
   std::size_t& num_overlap_atoms;
   std::size_t& tree_components;
   std::size_t& chain_components;
@@ -645,6 +646,7 @@ AtomId append_atom(GraphParts& gp, GroupId a, GroupId b,
   gp.atoms.push_back({id, a, b, std::move(members), overlap_index});
   gp.tree.emplace_back();
   gp.retired.push_back(0);
+  gp.live.push_back(id);
   return id;
 }
 
@@ -692,6 +694,10 @@ struct BuildScratch::Impl {
   std::vector<WorkerScratch> workers;
   std::vector<ComponentLayout> layouts;
   std::vector<std::size_t> todo;
+  /// Delta builds: the affected closure (per group slot) and the new
+  /// components to re-lay.
+  std::vector<char> affected;
+  std::vector<char> relay;
 
   /// Lay out and materialize the components selected by `todo` (already
   /// filled; indices into `components`): parallel compute into per-
@@ -775,8 +781,8 @@ SequencingGraph build_sequencing_graph(const GroupMembership& membership,
   graph.paths_.resize(membership.num_group_slots());
   GraphParts gp{graph.atoms_,          graph.paths_,
                 graph.tree_,           graph.retired_,
-                graph.num_overlap_atoms_, graph.tree_components_,
-                graph.chain_components_};
+                graph.live_,           graph.num_overlap_atoms_,
+                graph.tree_components_, graph.chain_components_};
 
   // One chain (or greedy tree) per connected component of the group
   // overlap graph.
@@ -813,6 +819,9 @@ SequencingGraph build_sequencing_graph_delta(
     const std::vector<GroupId>& dirty, const BuildOptions& options,
     DeltaBuildStats* stats) {
   const std::size_t slots = membership.num_group_slots();
+  BuildScratch transient;
+  BuildScratch::Impl& impl =
+      (options.scratch != nullptr ? *options.scratch : transient).impl();
 
   // Affected closure, computed in one pass: seeds are the dirty groups plus
   // every group sharing an OLD overlap component with one; a new component
@@ -821,7 +830,8 @@ SequencingGraph build_sequencing_graph_delta(
   // groups: a new component without a seed is *equal* to an old component
   // that contained no dirty group, so nothing outside the closure can have
   // gained, lost, or re-laid an atom.
-  std::vector<char> affected(slots, 0);
+  std::vector<char>& affected = impl.affected;
+  affected.assign(slots, 0);
   for (const GroupId g : dirty) {
     if (!g.valid() || g.value() >= slots) continue;
     affected[g.value()] = 1;
@@ -834,7 +844,8 @@ SequencingGraph build_sequencing_graph_delta(
     }
   }
   const auto& new_components = new_overlaps.components();
-  std::vector<char> relay(new_components.size(), 0);
+  std::vector<char>& relay = impl.relay;
+  relay.assign(new_components.size(), 0);
   for (std::size_t c = 0; c < new_components.size(); ++c) {
     for (const GroupId g : new_components[c]) {
       if (affected[g.value()] != 0) {
@@ -853,11 +864,14 @@ SequencingGraph build_sequencing_graph_delta(
   const std::size_t old_num_retired = graph.num_retired_;
   graph.retired_.resize(old_num_atoms, 0);
   graph.paths_.resize(slots);
+  DECSEQ_CHECK_MSG(graph.live_.size() + graph.num_retired_ == old_num_atoms,
+                   "delta over a graph without a live-atom list");
 
   // Retire the closure's atoms; remap every surviving overlap atom's index
   // into the new OverlapIndex (both lists are (first, second)-sorted, so a
   // binary search finds it). Retired atoms keep their groups — in-flight
   // old-epoch stamps still validate against them — but sequence nothing.
+  // Only the live atoms are visited; the survivors stay in live_, in order.
   const auto& new_list = new_overlaps.overlaps();
   const auto retire = [&](Atom& atom) {
     graph.retired_[atom.id.value()] = 1;
@@ -869,13 +883,16 @@ SequencingGraph build_sequencing_graph_delta(
     atom.overlap_index = static_cast<std::size_t>(-1);
     if (stats != nullptr) ++stats->atoms_retired;
   };
-  for (Atom& atom : graph.atoms_) {
-    if (graph.retired_[atom.id.value()] != 0) continue;
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < graph.live_.size(); ++i) {
+    Atom& atom = graph.atoms_[graph.live_[i].value()];
     if (atom.is_ingress_only()) {
       const GroupId g = atom.group_a;
       if (!membership.is_alive(g) || new_overlaps.has_overlaps(g)) {
         retire(atom);
+        continue;
       }
+      graph.live_[kept++] = atom.id;
       continue;
     }
     if (affected[atom.group_a.value()] != 0 ||
@@ -896,7 +913,9 @@ SequencingGraph build_sequencing_graph_delta(
                                        << "," << atom.group_b
                                        << ") lost its overlap");
     atom.overlap_index = static_cast<std::size_t>(it - new_list.begin());
+    graph.live_[kept++] = atom.id;
   }
+  graph.live_.resize(kept);
 
   // Paths: groups outside the closure keep their old path verbatim (the
   // AtomIds are still valid — zero disruption); an affected group keeps its
@@ -919,11 +938,8 @@ SequencingGraph build_sequencing_graph_delta(
   // output to a full rebuild for the same component content.
   GraphParts gp{graph.atoms_,          graph.paths_,
                 graph.tree_,           graph.retired_,
-                graph.num_overlap_atoms_, graph.tree_components_,
-                graph.chain_components_};
-  BuildScratch transient;
-  BuildScratch::Impl& impl =
-      (options.scratch != nullptr ? *options.scratch : transient).impl();
+                graph.live_,           graph.num_overlap_atoms_,
+                graph.tree_components_, graph.chain_components_};
   impl.todo.clear();
   for (std::size_t c = 0; c < new_components.size(); ++c) {
     if (relay[c] != 0) impl.todo.push_back(c);
@@ -935,9 +951,11 @@ SequencingGraph build_sequencing_graph_delta(
   }
 
   // Fresh ingress-only atoms for live overlap-free groups left pathless
-  // (newly created, or their overlaps all dissolved).
-  for (const GroupId g : membership.live_groups()) {
-    if (!new_overlaps.has_overlaps(g) && graph.paths_[g.value()].empty()) {
+  // (newly created, or their overlaps all dissolved), in slot order.
+  for (std::size_t s = 0; s < slots; ++s) {
+    const GroupId g(static_cast<GroupId::underlying_type>(s));
+    if (!membership.is_alive(g)) continue;
+    if (!new_overlaps.has_overlaps(g) && graph.paths_[s].empty()) {
       const AtomId id =
           append_atom(gp, g, GroupId{}, {}, static_cast<std::size_t>(-1));
       graph.paths_[g.value()] = {id};

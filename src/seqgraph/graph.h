@@ -173,6 +173,11 @@ class SequencingGraph {
   std::vector<std::vector<AtomId>> paths_;  // indexed by GroupId slot
   std::vector<std::vector<AtomId>> tree_;   // undirected adjacency
   std::vector<char> retired_;               // indexed by AtomId; empty => none
+  /// The atoms not retired, ascending, so a delta walks the live graph
+  /// rather than the retired history. Kept by build_sequencing_graph and
+  /// its delta; make_for_testing and the legacy reference builders, whose
+  /// graphs never enter a delta, leave it empty.
+  std::vector<AtomId> live_;
   std::size_t num_overlap_atoms_ = 0;
   std::size_t num_retired_ = 0;
   std::size_t tree_components_ = 0;
@@ -249,9 +254,10 @@ struct DeltaBuildStats {
 ///
 /// The old graph is consumed: the delta edits it in place (retire, remap,
 /// clear dropped path slots, append), so it allocates for the affected
-/// closure only; the retire pass still reads every atom once. A caller
-/// replacing its graph passes `std::move(graph)` and skips the copy; one
-/// that keeps the old graph passes an lvalue and the parameter copies it.
+/// closure only, and its retire pass reads the live atoms only, not the
+/// retired ones before them. A caller replacing its graph passes
+/// `std::move(graph)` and skips the copy; one that keeps the old graph
+/// passes an lvalue and the parameter copies it.
 [[nodiscard]] SequencingGraph build_sequencing_graph_delta(
     SequencingGraph old_graph, const membership::OverlapIndex& old_overlaps,
     const membership::GroupMembership& membership,

@@ -85,6 +85,25 @@ class Channel : public SendWindow<T>, public ReorderWindow<T> {
     DECSEQ_CHECK(delay_ms >= 0.0);
   }
 
+  /// Re-arm a quiescent channel as a new one on `sim` and `rng` with
+  /// `delay_ms` and `options`: sequence numbers, counters, outage flags and
+  /// both callbacks start over, the buffers keep their capacity. Lets the
+  /// control plane reuse a channel it reclaimed instead of allocating one.
+  void reset(Simulator& sim, Rng& rng, Time delay_ms,
+             const ChannelOptions& options) {
+    DECSEQ_CHECK(quiescent());
+    DECSEQ_CHECK(delay_ms >= 0.0);
+    SendWindow<T>::reset(options);
+    ReorderWindow<T>::reset();
+    sim_ = &sim;
+    rng_ = &rng;
+    delay_ms_ = delay_ms;
+    instant_ = delay_ms == 0.0 && options.loss_probability == 0.0;
+    deliver_ = nullptr;
+    receiver_down_ = false;
+    link_down_ = false;
+  }
+
   /// Install the receiver callback; payloads arrive in send order,
   /// exactly once.
   void set_receiver(DeliverFn deliver) { deliver_ = std::move(deliver); }
@@ -257,7 +276,7 @@ class Channel : public SendWindow<T>, public ReorderWindow<T> {
   bool link_down_ = false;
   /// Delay 0 and loss-free: launches are sampled once and need no acks or
   /// timers (see "Failure model").
-  const bool instant_;
+  bool instant_;
 };
 
 }  // namespace decseq::sim

@@ -228,6 +228,43 @@ TEST(FuzzRepro, RejectsMalformedInput) {
   EXPECT_NO_THROW(parse("# hi\n" + header + "\nphase\ncreate 0 1\nend\n"));
 }
 
+TEST(FuzzRepro, RejectsMalformedTimes) {
+  // Times and durations are finite numbers >= 0 in the strict from_chars
+  // form. std::stod took nan, inf, negative and hex times, and the replay
+  // then reported "scheduling into the past" as a protocol-stack bug.
+  const auto parse = [](const std::string& text) {
+    std::istringstream in(text);
+    return read_repro(in);
+  };
+  // Lines 1-6 are the header, 7 the phase and 8 a group; the timed line is
+  // line 9, with %s standing for the token under test.
+  const std::string head =
+      "scenario v1\nseed 1\nhosts 8\nclusters 2\nloss 0\nrto 40\n"
+      "phase\ncreate 0 1\n";
+  const std::vector<std::string> lines = {
+      "pub %s 0 0",      "pubc %s 0 0",  "crash 0 %s 1",  "crash 0 1 %s",
+      "pubcrash 0 %s 1", "pubcrash 0 1 %s", "cut 7 %s 1", "cut 7 1 %s",
+      "fin 0 %s 0"};
+  const auto with = [](std::string line, const std::string& token) {
+    return line.replace(line.find("%s"), 2, token);
+  };
+  for (const std::string& line : lines) {
+    for (const char* bad : {"nan", "inf", "-inf", "-5", "-1e-9", "0x1p3",
+                            "+1", "1e400", "1.5x", ".", ""}) {
+      try {
+        (void)parse(head + with(line, bad) + "\nend\n");
+        ADD_FAILURE() << "accepted '" << with(line, bad) << "'";
+      } catch (const CheckFailure& e) {
+        EXPECT_NE(std::string(e.what()).find("repro line 9"),
+                  std::string::npos)
+            << e.what();
+      }
+    }
+    EXPECT_NO_THROW(parse(head + with(line, "0") + "\nend\n")) << line;
+    EXPECT_NO_THROW(parse(head + with(line, "2.5e1") + "\nend\n")) << line;
+  }
+}
+
 TEST(FuzzOracle, FifoForgivesRetriedIngressButCatchesPlainInversion) {
   const std::vector<Oracle> oracles = default_oracles();
   RunTrace t;

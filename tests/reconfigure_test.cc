@@ -2,6 +2,8 @@
 // batches) and the Graphviz export.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <set>
 
 #include "pubsub/system.h"
@@ -468,6 +470,75 @@ TEST(ReconfigureAsync, ShardedMidBurstMatchesStopTheWorldForUntouchedGroups) {
             (std::vector<NodeId>{N(0), N(1), N(2)}));
   EXPECT_EQ(receivers_of(sync1.log, 3),
             (std::vector<NodeId>{N(1), N(2), N(3), N(4)}));
+}
+
+/// 64-bit FNV-1a, folding `value`'s eight bytes (little end first) into `h`.
+std::uint64_t fold(std::uint64_t h, std::uint64_t value) {
+  for (int i = 0; i < 8; ++i) {
+    h ^= (value >> (8 * i)) & 0xffu;
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
+TEST(ReconfigureAsync, PaperChurnTraceMatchesGoldenDigest) {
+  // Pins the zero-downtime path end to end on the paper deployment: 40
+  // join+leave cutovers, each cut while a publish per live group is in
+  // flight and followed by new-epoch publishes to every affected group.
+  // The digest folds every delivery (receiver, message, group, payload and
+  // the bits of both times), each cutover's report and its affected
+  // groups, so any change to an RNG draw, an AtomId, a channel, an event
+  // or a delivery of the path shows here.
+  const auto system = test::paper_system();
+  const ZipfSampler popularity(128, 1.0);
+  Rng rng(29);
+  std::uint64_t payload = 0;
+  std::uint64_t digest = 14695981039346656037ULL;
+  for (std::size_t t = 0; t < 40; ++t) {
+    const std::vector<GroupId> live = system->membership().live_groups();
+    for (const GroupId g : live) {
+      const auto& members = system->membership().members(g);
+      system->publish(members[t % members.size()], g, ++payload);
+    }
+    // Let the round get under way: some messages are still on their
+    // ingress legs, some mid-path, some delivered.
+    system->simulator().run_until(system->simulator().now() +
+                                  static_cast<double>(t % 7));
+    const auto result = system->reconfigure_async(
+        test::churn_batch(system->membership(), t, popularity, rng));
+    const protocol::ReconfigureReport& r = result.report;
+    for (const std::size_t v :
+         {r.groups_refenced, r.groups_created, r.groups_removed,
+          r.fences_outstanding, r.channels_created, r.hops_appended}) {
+      digest = fold(digest, v);
+    }
+    digest = fold(digest, result.delta.affected_groups.size());
+    for (const GroupId g : result.delta.affected_groups) {
+      digest = fold(digest, g.value());
+      if (system->membership().is_alive(g)) {
+        system->publish(system->membership().members(g).front(), g,
+                        ++payload);
+      }
+    }
+    system->run();
+    ASSERT_FALSE(system->transition_active()) << "transition " << t;
+  }
+  EXPECT_FALSE(test::find_order_violation(system->deliveries()).has_value());
+  std::size_t gate_held = 0;
+  for (const std::size_t held : system->network().gate_held_by_group()) {
+    gate_held += held;
+  }
+  EXPECT_GT(gate_held, 0u) << "no new-epoch message waited on a fence";
+  for (const Delivery& d : system->deliveries()) {
+    digest = fold(digest, d.receiver.value());
+    digest = fold(digest, d.message.value());
+    digest = fold(digest, d.group.value());
+    digest = fold(digest, d.payload);
+    digest = fold(digest, std::bit_cast<std::uint64_t>(d.sent_at));
+    digest = fold(digest, std::bit_cast<std::uint64_t>(d.delivered_at));
+  }
+  EXPECT_EQ(system->deliveries().size(), 10502u);
+  EXPECT_EQ(digest, 16424660069351214889ULL);
 }
 
 TEST(Dot, RendersAtomsEdgesAndPaths) {

@@ -6,11 +6,15 @@
 #include <algorithm>
 #include <filesystem>
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "common/ids.h"
+#include "common/rng.h"
+#include "common/zipf.h"
+#include "membership/generators.h"
 #include "membership/membership.h"
 #include "metrics/logio.h"
 #include "pubsub/system.h"
@@ -79,6 +83,53 @@ inline std::vector<std::filesystem::path> corpus_files() {
   }
   std::sort(files.begin(), files.end());
   return files;
+}
+
+/// The paper deployment: 128 hosts in 32 clusters on the 10,000-router
+/// topology, 64 Zipf groups.
+inline std::unique_ptr<pubsub::PubSubSystem> paper_system() {
+  pubsub::SystemConfig config;
+  config.seed = 20060101;
+  config.hosts.num_hosts = 128;
+  config.hosts.num_clusters = 32;
+  auto system = std::make_unique<pubsub::PubSubSystem>(config);
+  Rng membership_rng(20060102);
+  const membership::GroupMembership initial = membership::zipf_membership(
+      {.num_nodes = 128, .num_groups = 64}, membership_rng);
+  std::vector<std::vector<NodeId>> lists;
+  for (const GroupId g : initial.live_groups()) {
+    lists.push_back(initial.members(g));
+  }
+  (void)system->create_groups(lists);
+  return system;
+}
+
+/// Batch `t` of a churn loop: one join and one leave; the joined and the
+/// left group sweep the live groups in a fixed rotation. Joiners are drawn
+/// Zipf-popular, like the generator drew members, so the membership keeps
+/// its shape.
+inline std::vector<pubsub::PubSubSystem::MembershipChange> churn_batch(
+    const membership::GroupMembership& m, std::size_t t,
+    const ZipfSampler& popularity, Rng& rng) {
+  using Change = pubsub::PubSubSystem::MembershipChange;
+  const std::vector<GroupId> groups = m.live_groups();
+  const std::size_t n = groups.size();
+  std::size_t at = t % n;
+  while (m.members(groups[at]).size() >= m.num_nodes()) at = (at + 1) % n;
+  const GroupId joined = groups[at];
+  NodeId newcomer;
+  do {
+    newcomer = NodeId(
+        static_cast<NodeId::underlying_type>(popularity.sample(rng) - 1));
+  } while (m.is_member(joined, newcomer));
+  GroupId left;
+  for (std::size_t k = 0; k < n && !left.valid(); ++k) {
+    const GroupId g = groups[(t + n / 2 + k) % n];
+    if (g != joined && m.members(g).size() >= 3) left = g;
+  }
+  DECSEQ_CHECK_MSG(left.valid(), "no group to leave in batch " << t);
+  return {Change::join(joined, newcomer),
+          Change::leave(left, rng.pick(m.members(left)))};
 }
 
 }  // namespace decseq::test
