@@ -30,7 +30,9 @@
 //   DECSEQ_SCALE_FULL        — 1 enables the 1M-host stretch tier
 //   DECSEQ_SCALE_CEILING_MB  — peak-RSS ceiling (MiB)
 //   DECSEQ_SCALE_WALL_MS     — 100k-tier compile wall budget (ms)
-//   DECSEQ_COMPILE_THREADS   — layout worker threads (default: cores, <=16)
+//   DECSEQ_COMPILE_THREADS   — layout worker threads, 0-256 (0 and 1 run
+//                              serially; default: cores, <=16); any other
+//                              value stops the bench with an error
 #include <chrono>
 #include <cstdio>
 #include <cstring>

@@ -31,11 +31,18 @@ std::vector<SeqNodeId> seq_node_path(const seqgraph::SequencingGraph& graph,
                                      const Colocation& colocation,
                                      GroupId g) {
   std::vector<SeqNodeId> result;
+  seq_node_path(graph, colocation, g, result);
+  return result;
+}
+
+void seq_node_path(const seqgraph::SequencingGraph& graph,
+                   const Colocation& colocation, GroupId g,
+                   std::vector<SeqNodeId>& out) {
+  out.clear();
   for (const AtomId a : graph.path(g)) {
     const SeqNodeId n = colocation.node_of(a);
-    if (result.empty() || result.back() != n) result.push_back(n);
+    if (out.empty() || out.back() != n) out.push_back(n);
   }
-  return result;
 }
 
 Assignment assign_machines(const seqgraph::SequencingGraph& graph,
@@ -161,6 +168,20 @@ void extend_assignment(Assignment& assignment,
                        const AssignmentOptions& options, Rng& rng,
                        const std::vector<GroupId>& affected,
                        std::size_t first_new_atom) {
+  ExtendScratch scratch;
+  extend_assignment(assignment, graph, colocation, membership, hosts, network,
+                    options, rng, affected, first_new_atom, scratch);
+}
+
+void extend_assignment(Assignment& assignment,
+                       const seqgraph::SequencingGraph& graph,
+                       const Colocation& colocation,
+                       const membership::GroupMembership& membership,
+                       const topology::HostMap& hosts,
+                       const topology::Graph& network,
+                       const AssignmentOptions& options, Rng& rng,
+                       const std::vector<GroupId>& affected,
+                       std::size_t first_new_atom, ExtendScratch& scratch) {
   assignment.resize(colocation.num_nodes());
 
   // Appended ingress-only sequencing nodes: random member's router, same as
@@ -189,7 +210,8 @@ void extend_assignment(Assignment& assignment,
   // untouched groups are fully assigned already and are not revisited.
   for (const GroupId g : affected) {
     if (!graph.has_path(g)) continue;  // removed by this reconfiguration
-    const std::vector<SeqNodeId> path = seq_node_path(graph, colocation, g);
+    std::vector<SeqNodeId>& path = scratch.path;
+    seq_node_path(graph, colocation, g, path);
     if (std::none_of(path.begin(), path.end(), [&](SeqNodeId n) {
           return assignment.assigned(n);
         })) {

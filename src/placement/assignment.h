@@ -92,6 +92,10 @@ class Assignment {
 [[nodiscard]] std::vector<SeqNodeId> seq_node_path(
     const seqgraph::SequencingGraph& graph, const Colocation& colocation,
     GroupId g);
+/// The same path, written over `out`.
+void seq_node_path(const seqgraph::SequencingGraph& graph,
+                   const Colocation& colocation, GroupId g,
+                   std::vector<SeqNodeId>& out);
 
 /// Extend `assignment` in place after a delta graph rebuild: the sequencing
 /// nodes Colocation::extend appended for atoms >= `first_new_atom` get
@@ -107,5 +111,15 @@ void extend_assignment(Assignment& assignment,
                        const AssignmentOptions& options, Rng& rng,
                        const std::vector<GroupId>& affected,
                        std::size_t first_new_atom);
+/// The same extension, building each group's path in `scratch`.
+void extend_assignment(Assignment& assignment,
+                       const seqgraph::SequencingGraph& graph,
+                       const Colocation& colocation,
+                       const membership::GroupMembership& membership,
+                       const topology::HostMap& hosts,
+                       const topology::Graph& network,
+                       const AssignmentOptions& options, Rng& rng,
+                       const std::vector<GroupId>& affected,
+                       std::size_t first_new_atom, ExtendScratch& scratch);
 
 }  // namespace decseq::placement

@@ -254,11 +254,27 @@ Colocation::Colocation(std::vector<std::vector<AtomId>> nodes,
 void Colocation::extend(const SequencingGraph& graph,
                         std::size_t first_new_atom,
                         const std::vector<std::size_t>& labels) {
+  ExtendScratch scratch;
+  extend(graph, first_new_atom, labels, scratch);
+}
+
+void Colocation::extend(const SequencingGraph& graph,
+                        std::size_t first_new_atom,
+                        const std::vector<std::size_t>& labels,
+                        ExtendScratch& scratch) {
   DECSEQ_CHECK_MSG(node_of_atom_.size() == first_new_atom,
                    "colocation extension must start at the first appended "
                    "atom");
   node_of_atom_.resize(graph.num_atoms());
-  std::vector<std::size_t> dense(labels.size(), static_cast<std::size_t>(-1));
+  // A new stamp empties the label map in O(1), a throwing call's too.
+  if (scratch.label_stamp.size() < labels.size()) {
+    scratch.label_stamp.resize(labels.size(), 0);
+    scratch.label_node.resize(labels.size());
+  }
+  if (++scratch.stamp == 0) {
+    std::fill(scratch.label_stamp.begin(), scratch.label_stamp.end(), 0u);
+    scratch.stamp = 1;
+  }
   for (std::size_t i = first_new_atom; i < graph.num_atoms(); ++i) {
     const Atom& atom = graph.atoms()[i];
     std::size_t node;
@@ -267,12 +283,14 @@ void Colocation::extend(const SequencingGraph& graph,
       nodes_.emplace_back();
     } else {
       DECSEQ_CHECK(atom.overlap_index < labels.size());
-      std::size_t& d = dense[labels[atom.overlap_index]];
-      if (d == static_cast<std::size_t>(-1)) {
-        d = nodes_.size();
+      const std::size_t label = labels[atom.overlap_index];
+      DECSEQ_CHECK(label < labels.size());
+      if (scratch.label_stamp[label] != scratch.stamp) {
+        scratch.label_stamp[label] = scratch.stamp;
+        scratch.label_node[label] = nodes_.size();
         nodes_.emplace_back();
       }
-      node = d;
+      node = scratch.label_node[label];
     }
     nodes_[node].push_back(atom.id);
     node_of_atom_[i] =

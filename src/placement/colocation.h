@@ -20,6 +20,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -71,6 +72,18 @@ void colocate_overlaps(const membership::OverlapIndex& overlaps,
                        ColocationScratch& scratch,
                        std::vector<std::size_t>& labels);
 
+/// Reusable buffers for a delta extension (Colocation::extend, then
+/// extend_assignment): the label -> fresh sequencing node map, whose
+/// entries count only under the current call's stamp, and one group's
+/// sequencing-node path. A caller that extends on every reconfiguration
+/// (PubSubSystem) owns one, so a warm extension allocates neither.
+struct ExtendScratch {
+  std::vector<std::uint32_t> label_stamp;
+  std::vector<std::size_t> label_node;
+  std::uint32_t stamp = 0;
+  std::vector<SeqNodeId> path;
+};
+
 /// The atom -> sequencing-node mapping.
 class Colocation {
  public:
@@ -104,6 +117,10 @@ class Colocation {
   void extend(const seqgraph::SequencingGraph& graph,
               std::size_t first_new_atom,
               const std::vector<std::size_t>& labels);
+  /// The same extension, working in `scratch`.
+  void extend(const seqgraph::SequencingGraph& graph,
+              std::size_t first_new_atom,
+              const std::vector<std::size_t>& labels, ExtendScratch& scratch);
 
  private:
   std::vector<std::vector<AtomId>> nodes_;

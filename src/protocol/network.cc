@@ -195,22 +195,9 @@ void SequencingNetwork::compile_routes() {
   const std::vector<GroupId> groups = graph_->groups();
 
   // One FIFO channel per directed path edge in use, stored sorted by
-  // (from, to). Build the edge set first, then the channels, so hop
-  // compilation below can resolve Channel* by binary search.
-  for (const GroupId g : groups) {
-    const auto& path = graph_->path(g);
-    for (std::size_t i = 0; i + 1 < path.size(); ++i) {
-      channel_edges_.emplace_back(path[i], path[i + 1]);
-    }
-  }
-  std::sort(channel_edges_.begin(), channel_edges_.end());
-  channel_edges_.erase(
-      std::unique(channel_edges_.begin(), channel_edges_.end()),
-      channel_edges_.end());
-  channels_.reserve(channel_edges_.size());
-  for (const auto& [from, to] : channel_edges_) {
-    channels_.push_back(make_channel(from, to));
-  }
+  // (from, to), before the hops so their compilation below can take each
+  // Channel* by index.
+  (void)append_path_channels(groups, 0);
 
   // Flatten every group's path into the hop table. This is the state the
   // seed kept in per-atom hash maps (next_hop / prev_hop / next_group_seq);
@@ -224,8 +211,83 @@ void SequencingNetwork::compile_routes() {
   group_routes_.resize(groups.empty() ? 0 : max_group + 1);
   route_hops_.reserve(total_hops);
   for (const GroupId g : groups) {
-    append_route_span(g, graph_->path(g), group_routes_[g.value()], 0);
+    append_route_span(g, graph_->path(g), group_routes_[g.value()]);
   }
+}
+
+std::size_t SequencingNetwork::append_path_channels(
+    const std::vector<GroupId>& groups, std::size_t base) {
+  // Every edge of a path laid out at or beyond `base` joins two atoms of
+  // the dense range [base, num_atoms). A counting pass buckets the edges
+  // (one per group crossing them) by from-atom; each bucket then keeps its
+  // distinct to-atoms, a handful at most, in ascending order. So the
+  // channels come out in (from, to) order with no comparison sort, whether
+  // the paths run along AtomId order (chains) or against it (trees).
+  span_base_ = base;
+  const std::size_t span = graph_->num_atoms() - base;
+  span_channels_.assign(span + 1, 0);
+  std::size_t num_edges = 0;
+  const auto laid_out = [&](GroupId g) {
+    return graph_->has_path(g) && graph_->path(g).front().value() >= base;
+  };
+  for (const GroupId g : groups) {
+    if (!laid_out(g)) continue;  // preserved verbatim: its channels exist
+    const auto& path = graph_->path(g);
+    for (std::size_t i = 0; i + 1 < path.size(); ++i) {
+      DECSEQ_CHECK(path[i].value() >= base && path[i + 1].value() >= base);
+      ++span_channels_[path[i].value() - base + 1];
+    }
+    num_edges += path.size() - 1;
+  }
+  for (std::size_t k = 0; k < span; ++k) {
+    span_channels_[k + 1] += span_channels_[k];
+  }
+  // Scatter: each bucket's cursor ends at the next bucket's start.
+  edge_to_.resize(num_edges);
+  for (const GroupId g : groups) {
+    if (!laid_out(g)) continue;
+    const auto& path = graph_->path(g);
+    for (std::size_t i = 0; i + 1 < path.size(); ++i) {
+      edge_to_[span_channels_[path[i].value() - base]++] = path[i + 1];
+    }
+  }
+  constexpr std::uint32_t kUnseen = 0xffffffffu;
+  edge_seen_.assign(span, kUnseen);
+  const std::size_t first_channel = channels_.size();
+  std::uint32_t begin = 0;
+  for (std::size_t k = 0; k < span; ++k) {
+    const std::uint32_t end = span_channels_[k];
+    std::uint32_t distinct = begin;
+    for (std::uint32_t i = begin; i < end; ++i) {
+      const AtomId to = edge_to_[i];
+      std::uint32_t& seen = edge_seen_[to.value() - base];
+      if (seen == k) continue;
+      seen = static_cast<std::uint32_t>(k);
+      std::uint32_t j = distinct++;
+      for (; j > begin && to < edge_to_[j - 1]; --j) {
+        edge_to_[j] = edge_to_[j - 1];
+      }
+      edge_to_[j] = to;
+    }
+    // From here on the entry is the bucket's first channel index.
+    span_channels_[k] = static_cast<std::uint32_t>(channels_.size());
+    const AtomId from(static_cast<AtomId::underlying_type>(base + k));
+    for (std::uint32_t i = begin; i < distinct; ++i) {
+      const std::pair<AtomId, AtomId> edge{from, edge_to_[i]};
+      DECSEQ_CHECK(channel_edges_.empty() || channel_edges_.back() < edge);
+      auto channel = make_channel(edge.first, edge.second);
+      // A channel born while its receiving machine is down must start in
+      // the held state, like the survivors fail_node() flipped.
+      if (node_down_[colocation_->node_of(edge.second).value()]) {
+        channel->set_receiver_down(true);
+      }
+      channel_edges_.push_back(edge);
+      channels_.push_back(std::move(channel));
+    }
+    begin = end;
+  }
+  span_channels_[span] = static_cast<std::uint32_t>(channels_.size());
+  return channels_.size() - first_channel;
 }
 
 std::unique_ptr<sim::Channel<Message>> SequencingNetwork::make_channel(
@@ -278,8 +340,7 @@ std::unique_ptr<sim::Channel<Message>> SequencingNetwork::make_channel(
 
 void SequencingNetwork::append_route_span(GroupId g,
                                           const std::vector<AtomId>& path,
-                                          GroupRoute& route,
-                                          std::size_t first_channel) {
+                                          GroupRoute& route) {
   route.first_hop = static_cast<std::uint32_t>(route_hops_.size());
   route.num_hops = static_cast<std::uint32_t>(path.size());
   route.ingress = path.front();
@@ -295,15 +356,20 @@ void SequencingNetwork::append_route_span(GroupId g,
     hop.node = colocation_->node_of(path[i]);
     hop.stamps = graph_->atom(path[i]).stamps(g);
     if (i + 1 < path.size()) {
-      const std::pair<AtomId, AtomId> edge{path[i], path[i + 1]};
-      const auto it = std::lower_bound(
-          channel_edges_.begin() + static_cast<std::ptrdiff_t>(first_channel),
-          channel_edges_.end(), edge);
-      DECSEQ_CHECK_MSG(it != channel_edges_.end() && *it == edge,
-                       "no channel " << edge.first << " -> " << edge.second);
-      hop.forward = channels_[static_cast<std::size_t>(
-                                  it - channel_edges_.begin())]
-                        .get();
+      // The from-atom's channels are a run of the table; scan it for the
+      // to-atom (chain layouts have one, tree layouts a few).
+      const std::size_t k = path[i].value() - span_base_;
+      DECSEQ_CHECK_MSG(path[i].value() >= span_base_ &&
+                           k + 1 < span_channels_.size(),
+                       "no channel " << path[i] << " -> " << path[i + 1]);
+      std::uint32_t c = span_channels_[k];
+      while (c < span_channels_[k + 1] &&
+             channel_edges_[c].second != path[i + 1]) {
+        ++c;
+      }
+      DECSEQ_CHECK_MSG(c < span_channels_[k + 1],
+                       "no channel " << path[i] << " -> " << path[i + 1]);
+      hop.forward = channels_[c].get();
       hop.next_node = colocation_->node_of(path[i + 1]);
       hop.crosses_machine = hop.node != hop.next_node;
     }
@@ -874,31 +940,7 @@ ReconfigureReport SequencingNetwork::begin_reconfigure(
   // from appended atoms, so every new edge sorts after every existing one
   // (the edge order keys on the from-atom first): the sorted channel table
   // extends by a plain append and the hot path's Channel* stay put.
-  cut_edges_.clear();
-  for (const GroupId g : cut_groups_) {
-    if (!graph_->has_path(g)) continue;
-    const auto& path = graph_->path(g);
-    if (path.front().value() < old_num_atoms) continue;  // preserved verbatim
-    for (std::size_t i = 0; i + 1 < path.size(); ++i) {
-      cut_edges_.emplace_back(path[i], path[i + 1]);
-    }
-  }
-  std::sort(cut_edges_.begin(), cut_edges_.end());
-  cut_edges_.erase(std::unique(cut_edges_.begin(), cut_edges_.end()),
-                   cut_edges_.end());
-  const std::size_t first_new_channel = channels_.size();
-  for (const auto& edge : cut_edges_) {
-    DECSEQ_CHECK(channel_edges_.empty() || channel_edges_.back() < edge);
-    auto channel = make_channel(edge.first, edge.second);
-    // A channel born while its receiving machine is down must start in the
-    // held state, like the survivors fail_node() flipped.
-    if (node_down_[colocation_->node_of(edge.second).value()]) {
-      channel->set_receiver_down(true);
-    }
-    channel_edges_.push_back(edge);
-    channels_.push_back(std::move(channel));
-  }
-  report.channels_created = cut_edges_.size();
+  report.channels_created = append_path_channels(cut_groups_, old_num_atoms);
 
   // Cut each affected group over: stash the old epoch's span + fan-out
   // plan, compile the new span next to it, and flush the cutover fence
@@ -934,7 +976,7 @@ ReconfigureReport SequencingNetwork::begin_reconfigure(
     }
     if (has_new) {
       const auto& path = graph_->path(g);
-      append_route_span(g, path, route, first_new_channel);
+      append_route_span(g, path, route);
       report.hops_appended += path.size();
       route.epoch = epoch_;
       if (had_old) {

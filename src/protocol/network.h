@@ -461,13 +461,19 @@ class SequencingNetwork {
   /// re-arming a channel from spare_channels_ when there is one.
   [[nodiscard]] std::unique_ptr<sim::Channel<Message>> make_channel(
       AtomId from, AtomId to);
+  /// Append a channel for every distinct directed edge of the paths of
+  /// `groups` that start at or beyond atom `base` (the paths the calling
+  /// compile laid out; all their atoms lie there), in (from, to) order
+  /// after the existing channels, and index them by from-atom for
+  /// append_route_span(). Returns the number appended.
+  std::size_t append_path_channels(const std::vector<GroupId>& groups,
+                                   std::size_t base);
   /// Compile `path` as `route`'s current span at the end of route_hops_
   /// (ingress identity, unit/shard in sharded mode, hop table entries).
-  /// Every edge of `path` must be a channel at index `first_channel` or
-  /// later: the channels the calling compile appended, which are sorted
-  /// among themselves, so each hop's lookup searches only them.
+  /// Every edge of `path` must be a channel the last append_path_channels()
+  /// call appended; each hop takes its Channel* from that call's index.
   void append_route_span(GroupId g, const std::vector<AtomId>& path,
-                         GroupRoute& route, std::size_t first_channel);
+                         GroupRoute& route);
   /// The affected group's member list before the mutation: its snapshot
   /// when the caller took one, else its (unchanged) current list.
   [[nodiscard]] const std::vector<NodeId>& old_members_of(
@@ -602,14 +608,20 @@ class SequencingNetwork {
   /// Compaction scratch: the live spans as (first_hop, group value), the
   /// order the in-place fold moves them in.
   std::vector<std::pair<std::uint32_t, std::uint32_t>> fold_order_;
+  /// append_path_channels() state, kept across compiles: its first atom,
+  /// per from-atom in [span_base_, num_atoms) the index of its first
+  /// channel (one entry more, the end), the edges' to-atoms bucketed by
+  /// from-atom, and the to-atoms a bucket has already seen.
+  std::size_t span_base_ = 0;
+  std::vector<std::uint32_t> span_channels_;
+  std::vector<AtomId> edge_to_;
+  std::vector<std::uint32_t> edge_seen_;
   /// begin_reconfigure() scratch, kept across transitions so a warm
   /// cutover allocates only for the state it creates: the sorted affected
-  /// groups, the appended edges, the fenced groups and, per group slot,
-  /// the old member list of an affected group with an old span (null
-  /// otherwise; set for every affected group on each call, and valid only
-  /// during it).
+  /// groups, the fenced groups and, per group slot, the old member list of
+  /// an affected group with an old span (null otherwise; set for every
+  /// affected group on each call, and valid only during it).
   std::vector<GroupId> cut_groups_;
-  std::vector<std::pair<AtomId, AtomId>> cut_edges_;
   std::vector<GroupId> cut_fenced_;
   std::vector<const std::vector<NodeId>*> cut_old_members_;
   /// The single-threaded receiver cutover: rc_slot_ maps a node value to

@@ -262,10 +262,13 @@ std::vector<AtomId> relevant_atoms_for(NodeId node,
                                        const seqgraph::SequencingGraph& graph,
                                        std::size_t first_atom) {
   std::vector<AtomId> relevant;
-  const auto& atoms = graph.atoms();
-  for (std::size_t a = first_atom; a < atoms.size(); ++a) {
-    const seqgraph::Atom& atom = atoms[a];
-    if (atom.is_ingress_only() || graph.is_retired(atom.id)) continue;
+  const auto& live = graph.live_atoms();
+  const auto first = std::lower_bound(
+      live.begin(), live.end(), first_atom,
+      [](AtomId a, std::size_t bound) { return a.value() < bound; });
+  for (auto it = first; it != live.end(); ++it) {
+    const seqgraph::Atom& atom = graph.atoms()[it->value()];
+    if (atom.is_ingress_only()) continue;
     if (std::binary_search(atom.overlap_members.begin(),
                            atom.overlap_members.end(), node)) {
       relevant.push_back(atom.id);

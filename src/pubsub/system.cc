@@ -296,11 +296,12 @@ PubSubSystem::ReconfigureResult PubSubSystem::reconfigure_async(
       std::move(*graph_), *overlaps_, membership_, spare_overlaps_, dirty_,
       graph_options, &result.delta);
   std::swap(*overlaps_, spare_overlaps_);
-  colocation_->extend(*graph_, first_new_atom, labels_);
+  colocation_->extend(*graph_, first_new_atom, labels_, extend_scratch_);
   placement::extend_assignment(*assignment_, *graph_, *colocation_,
                                membership_, *hosts_, net_graph_,
                                config_.assignment, rng_,
-                               result.delta.affected_groups, first_new_atom);
+                               result.delta.affected_groups, first_new_atom,
+                               extend_scratch_);
   ++transition_counter_;
   if (engine_ != nullptr) {
     engine_->extend_plan(*graph_, membership_, result.delta.affected_groups,

@@ -329,6 +329,8 @@ class PubSubSystem {
   seqgraph::BuildScratch graph_scratch_;
   std::unique_ptr<placement::Colocation> colocation_;
   std::unique_ptr<placement::Assignment> assignment_;
+  /// reconfigure_async's co-location and assignment extension buffers.
+  placement::ExtendScratch extend_scratch_;
 
   sim::Simulator sim_;
   std::unique_ptr<runtime::ShardedEngine> engine_;

@@ -14,23 +14,39 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdlib>
+#include <string_view>
 #include <thread>
 #include <vector>
 
+#include "common/parse.h"
+
 namespace decseq::runtime {
 
+/// The most layout workers DECSEQ_COMPILE_THREADS may ask for.
+inline constexpr std::size_t kMaxCompileThreads = 256;
+
+/// The worker count a DECSEQ_COMPILE_THREADS value asks for: a decimal
+/// integer from 0 to kMaxCompileThreads, where 0 and 1 both mean serial.
+/// Anything else (a sign, trailing junk, an empty value, a larger number)
+/// throws CheckFailure naming the variable. Starts no thread.
+inline std::size_t parse_compile_threads(std::string_view value) {
+  const std::size_t threads = common::parse_below(
+      value, kMaxCompileThreads + 1, "DECSEQ_COMPILE_THREADS");
+  return threads == 0 ? 1 : threads;
+}
+
 /// Worker count for control-plane compiles: DECSEQ_COMPILE_THREADS when set
-/// (0 or 1 disables parallelism), else the hardware concurrency, capped —
+/// (see parse_compile_threads), else the hardware concurrency, capped —
 /// component layout is memory-bound and more workers than that just contend.
 inline std::size_t compile_threads() {
   static const std::size_t cached = [] {
     if (const char* env = std::getenv("DECSEQ_COMPILE_THREADS")) {
-      return static_cast<std::size_t>(std::strtoull(env, nullptr, 10));
+      return parse_compile_threads(env);
     }
     const unsigned hw = std::thread::hardware_concurrency();
     return static_cast<std::size_t>(hw == 0 ? 1 : (hw > 16 ? 16 : hw));
   }();
-  return cached == 0 ? 1 : cached;
+  return cached;
 }
 
 /// Run fn(item, worker) for every item in [0, n), dynamically load-balanced

@@ -122,7 +122,7 @@ struct WorkerScratch {
   // chain layout
   std::vector<ChainEntry> chain;
   std::vector<std::pair<std::size_t, std::uint32_t>> label_pairs;
-  std::vector<std::vector<std::uint32_t>> span_pos;
+  std::vector<std::uint32_t> span_min, span_max;  ///< by group position
   std::vector<std::uint32_t> range_first, range_last;
 
   // tree layout
@@ -239,34 +239,6 @@ void order_groups(const std::vector<GroupId>& component,
     tail = best;
   }
 }
-
-/// Span positions as per-group sorted vectors (the legacy multiset, flat).
-/// Local-search moves shift one occurrence by +-1; replacing the last
-/// (resp. first) occurrence keeps the vector sorted without re-sorting.
-struct SpanTracker {
-  std::vector<std::vector<std::uint32_t>>& pos;
-
-  void insert_ascending(std::size_t group, std::uint32_t p) {
-    pos[group].push_back(p);  // caller inserts in ascending order
-  }
-  void move(std::size_t group, std::uint32_t from, std::uint32_t to) {
-    auto& v = pos[group];
-    if (to > from) {
-      auto it = std::upper_bound(v.begin(), v.end(), from);
-      DECSEQ_CHECK(it != v.begin() && *(it - 1) == from);
-      *(it - 1) = to;
-    } else {
-      auto it = std::lower_bound(v.begin(), v.end(), from);
-      DECSEQ_CHECK(it != v.end() && *it == from);
-      *it = to;
-    }
-  }
-  [[nodiscard]] std::size_t span(std::size_t group) const {
-    const auto& v = pos[group];
-    if (v.empty()) return 0;
-    return v.back() - v.front() + 1;
-  }
-};
 
 /// Greedy tree layout; false => caller falls back to the chain strategy.
 bool try_tree_layout(const std::vector<GroupId>& component,
@@ -498,18 +470,15 @@ void chain_layout(const std::vector<GroupId>& component,
   }
   if (options.colocation_labels != nullptr) {
     // Anchor each co-location cluster at the mean barycenter of its atoms.
-    // Stable-sorting (label, chain position) keeps each label's terms in
-    // chain order, so the double sums match the legacy map accumulation
-    // bit for bit.
+    // Sorting on (label, chain position) keeps each label's terms in chain
+    // order, so the double sums match the legacy map accumulation bit for
+    // bit.
     ws.label_pairs.clear();
-    ws.label_pairs.reserve(ws.chain.size());
     for (std::size_t p = 0; p < ws.chain.size(); ++p) {
       ws.label_pairs.emplace_back(ws.chain[p].label,
                                   static_cast<std::uint32_t>(p));
     }
-    std::stable_sort(
-        ws.label_pairs.begin(), ws.label_pairs.end(),
-        [](const auto& x, const auto& y) { return x.first < y.first; });
+    std::sort(ws.label_pairs.begin(), ws.label_pairs.end());
     for (std::size_t start = 0; start < ws.label_pairs.size();) {
       std::size_t end = start;
       double sum = 0.0;
@@ -541,14 +510,23 @@ void chain_layout(const std::vector<GroupId>& component,
               });
   }
 
-  // 3. Local search: adjacent swaps that shrink the total group span.
+  // 3. Local search: adjacent swaps that shrink the total group span (last
+  //    minus first chain position of each group, plus one). A swap of
+  //    entries p and p+1 moves one position of each of their groups by one,
+  //    and an entry's two groups differ, so it is priced in O(1) from each
+  //    group's first and last position: a group in both entries keeps its
+  //    positions; a group only in entry p moves p -> p+1, which lengthens
+  //    its span iff p was its last position and shortens it iff p was its
+  //    first; a group only in entry p+1 is the mirror image.
   if (ordered && ws.chain.size() > 2) {
-    if (ws.span_pos.size() < n) ws.span_pos.resize(n);
-    for (std::size_t i = 0; i < n; ++i) ws.span_pos[i].clear();
-    SpanTracker tracker{ws.span_pos};
+    ws.span_min.assign(n, kNone32);
+    ws.span_max.assign(n, 0);
     for (std::size_t p = 0; p < ws.chain.size(); ++p) {
-      tracker.insert_ascending(ws.chain[p].lo, static_cast<std::uint32_t>(p));
-      tracker.insert_ascending(ws.chain[p].hi, static_cast<std::uint32_t>(p));
+      const auto up = static_cast<std::uint32_t>(p);
+      for (const std::size_t g : {ws.chain[p].lo, ws.chain[p].hi}) {
+        ws.span_min[g] = std::min(ws.span_min[g], up);
+        ws.span_max[g] = up;
+      }
     }
     for (std::size_t pass = 0; pass < options.local_search_passes; ++pass) {
       bool improved = false;
@@ -556,28 +534,34 @@ void chain_layout(const std::vector<GroupId>& component,
         // Swaps may not break machine contiguity.
         if (ws.chain[p].label != ws.chain[p + 1].label) continue;
         const auto up = static_cast<std::uint32_t>(p);
-        const std::size_t before = tracker.span(ws.chain[p].lo) +
-                                   tracker.span(ws.chain[p].hi) +
-                                   tracker.span(ws.chain[p + 1].lo) +
-                                   tracker.span(ws.chain[p + 1].hi);
-        tracker.move(ws.chain[p].lo, up, up + 1);
-        tracker.move(ws.chain[p].hi, up, up + 1);
-        tracker.move(ws.chain[p + 1].lo, up + 1, up);
-        tracker.move(ws.chain[p + 1].hi, up + 1, up);
-        const std::size_t after = tracker.span(ws.chain[p].lo) +
-                                  tracker.span(ws.chain[p].hi) +
-                                  tracker.span(ws.chain[p + 1].lo) +
-                                  tracker.span(ws.chain[p + 1].hi);
-        if (after < before) {
-          std::swap(ws.chain[p], ws.chain[p + 1]);
-          improved = true;
-        } else {
-          // Revert.
-          tracker.move(ws.chain[p].lo, up + 1, up);
-          tracker.move(ws.chain[p].hi, up + 1, up);
-          tracker.move(ws.chain[p + 1].lo, up, up + 1);
-          tracker.move(ws.chain[p + 1].hi, up, up + 1);
+        const ChainEntry& x = ws.chain[p];
+        const ChainEntry& y = ws.chain[p + 1];
+        const auto moves = [](std::size_t g, const ChainEntry& other) {
+          return g != other.lo && g != other.hi;
+        };
+        int change = 0;
+        for (const std::size_t g : {x.lo, x.hi}) {
+          if (!moves(g, y)) continue;
+          change += int{ws.span_max[g] == up} - int{ws.span_min[g] == up};
         }
+        for (const std::size_t g : {y.lo, y.hi}) {
+          if (!moves(g, x)) continue;
+          change +=
+              int{ws.span_min[g] == up + 1} - int{ws.span_max[g] == up + 1};
+        }
+        if (change >= 0) continue;
+        for (const std::size_t g : {x.lo, x.hi}) {
+          if (!moves(g, y)) continue;
+          if (ws.span_max[g] == up) ws.span_max[g] = up + 1;
+          if (ws.span_min[g] == up) ws.span_min[g] = up + 1;
+        }
+        for (const std::size_t g : {y.lo, y.hi}) {
+          if (!moves(g, x)) continue;
+          if (ws.span_min[g] == up + 1) ws.span_min[g] = up;
+          if (ws.span_max[g] == up + 1) ws.span_max[g] = up;
+        }
+        std::swap(ws.chain[p], ws.chain[p + 1]);
+        improved = true;
       }
       if (!improved) break;
     }
@@ -761,6 +745,9 @@ SequencingGraph SequencingGraph::make_for_testing(
   graph.tree_ = std::move(tree);
   graph.num_overlap_atoms_ = num_overlap_atoms;
   DECSEQ_CHECK(graph.tree_.size() == graph.atoms_.size());
+  for (std::size_t a = 0; a < graph.atoms_.size(); ++a) {
+    graph.live_.emplace_back(static_cast<AtomId::underlying_type>(a));
+  }
   return graph;
 }
 

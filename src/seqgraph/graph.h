@@ -103,6 +103,13 @@ class SequencingGraph {
   }
   [[nodiscard]] std::size_t num_retired_atoms() const { return num_retired_; }
 
+  /// The atoms not retired, in ascending AtomId order.
+  [[nodiscard]] const std::vector<AtomId>& live_atoms() const {
+    DECSEQ_CHECK_MSG(live_.size() + num_retired_ == atoms_.size(),
+                     "graph without a live-atom list");
+    return live_;
+  }
+
   /// How each overlap component was laid out (kGreedyTree only): components
   /// the greedy tree handled vs components that fell back to a chain. The
   /// counters accumulate across delta rebuilds (a retired component stays
@@ -174,9 +181,9 @@ class SequencingGraph {
   std::vector<std::vector<AtomId>> tree_;   // undirected adjacency
   std::vector<char> retired_;               // indexed by AtomId; empty => none
   /// The atoms not retired, ascending, so a delta walks the live graph
-  /// rather than the retired history. Kept by build_sequencing_graph and
-  /// its delta; make_for_testing and the legacy reference builders, whose
-  /// graphs never enter a delta, leave it empty.
+  /// rather than the retired history. Kept by build_sequencing_graph, its
+  /// delta and make_for_testing; the legacy reference builders, whose
+  /// graphs are only compared, leave it empty.
   std::vector<AtomId> live_;
   std::size_t num_overlap_atoms_ = 0;
   std::size_t num_retired_ = 0;

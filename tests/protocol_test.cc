@@ -7,11 +7,19 @@
 #include <new>
 #include <vector>
 
+#include "membership/overlap.h"
+#include "placement/assignment.h"
+#include "placement/colocation.h"
 #include "protocol/message.h"
+#include "protocol/network.h"
 #include "protocol/receiver.h"
 #include "seqgraph/graph.h"
+#include "sim/simulator.h"
 #include "tests/alloc_probe.h"
 #include "tests/test_util.h"
+#include "topology/hosts.h"
+#include "topology/shortest_path.h"
+#include "topology/transit_stub.h"
 
 namespace decseq::protocol {
 namespace {
@@ -243,6 +251,81 @@ TEST(RelevantAtoms, ComputedFromOverlapMembership) {
   ASSERT_EQ(r1.size(), 1u);
   EXPECT_EQ(graph.atom(r1[0]).overlap_members,
             (std::vector<NodeId>{N(1), N(2)}));
+}
+
+TEST(RelevantAtoms, SkipRetiredAtomsAfterADelta) {
+  // A delta retires the touched component's atoms, keeps the other
+  // component's and appends the re-laid ones; the live-atom walk must list
+  // what a scan of every atom, retired ones skipped, lists, from the first
+  // atom and from the appended ones.
+  auto m = test::make_membership(
+      10, {{0, 1, 2}, {1, 2, 3}, {3, 4, 0}, {5, 6, 7}, {5, 6, 8}});
+  const membership::OverlapIndex idx(m);
+  seqgraph::SequencingGraph graph = seqgraph::build_sequencing_graph(m, idx);
+  const std::size_t old_atoms = graph.num_atoms();
+  m.add_member(G(0), N(3));
+  const std::vector<GroupId> dirty = {G(0)};
+  const membership::OverlapIndex next(idx, m, dirty);
+  graph = seqgraph::build_sequencing_graph_delta(std::move(graph), idx, m,
+                                                 next, dirty);
+  ASSERT_GT(graph.num_retired_atoms(), 0u);
+  for (const std::size_t first : {std::size_t{0}, old_atoms}) {
+    for (unsigned n = 0; n < 10; ++n) {
+      std::vector<AtomId> want;
+      for (std::size_t a = first; a < graph.num_atoms(); ++a) {
+        const seqgraph::Atom& atom = graph.atoms()[a];
+        if (atom.is_ingress_only() || graph.is_retired(atom.id)) continue;
+        if (std::binary_search(atom.overlap_members.begin(),
+                               atom.overlap_members.end(), N(n))) {
+          want.push_back(atom.id);
+        }
+      }
+      EXPECT_EQ(relevant_atoms_for(N(n), graph, first), want)
+          << "node " << n << " from atom " << first;
+    }
+  }
+}
+
+TEST(NetworkRoutes, ChannelTableStaysSortedWhenAnAtomBranches) {
+  // Atom 0 branches: group 0 leaves it for atom 2, group 1 for atom 1.
+  // The routes compile in group order, so the edge 0->2 is met before
+  // 0->1, and the channel hand-off must order each atom's out-edges
+  // itself. No layout of the builder's has been seen to produce this
+  // order, so a hand-made tree pins it.
+  const auto m = test::make_membership(
+      8, {{0, 1, 4, 5}, {0, 1, 2, 3}, {2, 3, 6}, {4, 5, 7}});
+  const auto A = [](unsigned v) { return AtomId(v); };
+  std::vector<seqgraph::Atom> atoms = {
+      {A(0), G(0), G(1), {N(0), N(1)}, 0},
+      {A(1), G(1), G(2), {N(2), N(3)}, 1},
+      {A(2), G(0), G(3), {N(4), N(5)}, 2}};
+  const auto graph = seqgraph::SequencingGraph::make_for_testing(
+      std::move(atoms), {{A(0), A(2)}, {A(0), A(1)}, {A(1)}, {A(2)}},
+      {{A(1), A(2)}, {A(0)}, {A(0)}}, 3);
+  Rng rng(5);
+  const auto topo =
+      topology::generate_transit_stub(test::small_topology(), rng);
+  const auto hosts = topology::attach_hosts(
+      topo, {.num_hosts = 8, .num_clusters = 2}, rng);
+  topology::DistanceOracle oracle(topo.graph);
+  const placement::Colocation colocation(
+      {{A(0)}, {A(1)}, {A(2)}}, {SeqNodeId(0), SeqNodeId(1), SeqNodeId(2)});
+  const placement::Assignment assignment(
+      {hosts.router_of(N(0)), hosts.router_of(N(2)), hosts.router_of(N(4))});
+  sim::Simulator sim;
+  SequencingNetwork network(sim, rng, graph, colocation, assignment, m, hosts,
+                            oracle);
+  std::size_t delivered = 0;
+  network.set_delivery_callback(
+      [&](NodeId, const Message&, sim::Time) { ++delivered; });
+  std::size_t expected = 0;
+  for (unsigned g = 0; g < 4; ++g) {
+    EXPECT_EQ(network.compiled_route(G(g)), graph.path(G(g))) << "group " << g;
+    (void)network.publish(m.members(G(g)).front(), G(g), g);
+    expected += m.members(G(g)).size();
+  }
+  sim.run();
+  EXPECT_EQ(delivered, expected);
 }
 
 }  // namespace

@@ -541,6 +541,56 @@ TEST(ReconfigureAsync, PaperChurnTraceMatchesGoldenDigest) {
   EXPECT_EQ(digest, 16424660069351214889ULL);
 }
 
+TEST(ReconfigureAsync, RoutesMatchTheGraphUnderEveryBuildStrategy) {
+  // The cutover hands the re-laid paths' edges to the channel table and
+  // compiles each hop's channel from it. Chain layouts run every path along
+  // AtomId order; greedy-tree layouts branch and may run a path against
+  // it. Under each strategy, every live group's compiled route must be its
+  // graph path after every cutover, with a publish per live group in
+  // flight at each cut, and every drain must leave the order intact. A
+  // drain delivers every message published before it, so each receiver
+  // sees one round's messages after the last round's, and checking each
+  // round's deliveries on their own checks the whole log.
+  using seqgraph::BuildStrategy;
+  for (const BuildStrategy strategy :
+       {BuildStrategy::kChain, BuildStrategy::kChainUnordered,
+        BuildStrategy::kGreedyTree}) {
+    SCOPED_TRACE(static_cast<int>(strategy));
+    const auto system = test::paper_system(strategy);
+    const ZipfSampler popularity(128, 1.0);
+    Rng rng(31);
+    std::uint64_t payload = 0;
+    std::size_t checked = 0;
+    for (std::size_t t = 0; t < 60; ++t) {
+      for (const GroupId g : system->membership().live_groups()) {
+        const auto& members = system->membership().members(g);
+        system->publish(members[t % members.size()], g, ++payload);
+      }
+      system->simulator().run_until(system->simulator().now() +
+                                    static_cast<double>(t % 5));
+      (void)system->reconfigure_async(
+          test::churn_batch(system->membership(), t, popularity, rng));
+      for (const GroupId g : system->membership().live_groups()) {
+        ASSERT_EQ(system->network().compiled_route(g),
+                  system->graph().path(g))
+            << "group " << g << " after cutover " << t;
+      }
+      system->run();
+      ASSERT_FALSE(system->transition_active()) << "cutover " << t;
+      const auto& log = system->deliveries();
+      const std::vector<Delivery> round(
+          log.begin() + static_cast<std::ptrdiff_t>(checked), log.end());
+      checked = log.size();
+      ASSERT_FALSE(test::find_order_violation(round).has_value())
+          << "after cutover " << t;
+    }
+    if (strategy == BuildStrategy::kGreedyTree) {
+      EXPECT_GT(system->graph().tree_components(), 0u)
+          << "no component was laid out as a tree";
+    }
+  }
+}
+
 TEST(Dot, RendersAtomsEdgesAndPaths) {
   PubSubSystem system(test::small_config(94));
   system.create_group({N(0), N(1), N(2), N(3)});

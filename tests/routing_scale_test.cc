@@ -6,8 +6,14 @@
 // identical RNG draw sequences, over 200 seeds of randomized workloads.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+#include <string>
 #include <utility>
 #include <vector>
+
+#include "common/check.h"
+#include "common/zipf.h"
 
 #include "membership/generators.h"
 #include "membership/membership.h"
@@ -15,6 +21,7 @@
 #include "placement/assignment.h"
 #include "placement/colocation.h"
 #include "placement/legacy.h"
+#include "runtime/parallel.h"
 #include "seqgraph/graph.h"
 #include "seqgraph/legacy.h"
 #include "tests/test_util.h"
@@ -197,6 +204,133 @@ TEST(RoutingScale, DeltaBuildMatchesLegacyMidReconfigure) {
         std::move(consumed), idx, m, new_idx, dirty, new_options,
         &moved_stats);
     expect_same_delta(moved, moved_stats, want, want_stats, m, seed);
+  }
+}
+
+TEST(RoutingScale, PaperSizedLabelledChainsMatchLegacy) {
+  // The paper deployment's shape: 128 hosts, 64 Zipf-popular groups,
+  // co-location labels, kChain. Its overlap components reach about 30
+  // groups and its chains about 40 entries, so the local search prices and
+  // makes many swaps. The full build and a run of successive labelled
+  // delta builds (one join and one leave each) must match the legacy
+  // builder, whose local search keeps every group's positions in a
+  // multiset.
+  using Kind = pubsub::PubSubSystem::MembershipChange::Kind;
+  seqgraph::BuildScratch scratch;
+  const ZipfSampler popularity(128, 1.0);
+  std::size_t largest_component = 0;
+  for (int seed = 0; seed < 4; ++seed) {
+    Rng rng(static_cast<std::uint64_t>(seed) + 20060102);
+    GroupMembership m = membership::zipf_membership(
+        {.num_nodes = 128, .num_groups = 64}, rng);
+    auto idx = std::make_unique<OverlapIndex>(m);
+    Rng label_rng(static_cast<std::uint64_t>(seed) + 41);
+    std::vector<std::size_t> labels =
+        placement::colocate_overlaps(*idx, {}, label_rng);
+    BuildOptions options;
+    options.strategy = BuildStrategy::kChain;
+    options.colocation_labels = &labels;
+    BuildOptions new_options = options;
+    new_options.scratch = &scratch;
+    SequencingGraph got = seqgraph::build_sequencing_graph(m, *idx, new_options);
+    SequencingGraph want =
+        seqgraph::legacy_build_sequencing_graph(m, *idx, options);
+    expect_same_graph(got, want, seed);
+    for (std::size_t t = 0; t < 24; ++t) {
+      for (const auto& component : idx->components()) {
+        largest_component = std::max(largest_component, component.size());
+      }
+      std::vector<GroupId> dirty;
+      for (const auto& change : test::churn_batch(m, t, popularity, rng)) {
+        if (change.kind == Kind::kJoin) {
+          m.add_member(change.group, change.node);
+        } else {
+          m.remove_member(change.group, change.node);
+        }
+        dirty.push_back(change.group);
+      }
+      auto next = std::make_unique<OverlapIndex>(*idx, m, dirty);
+      labels = placement::colocate_overlaps(*next, {}, label_rng);
+      seqgraph::DeltaBuildStats got_stats, want_stats;
+      SequencingGraph next_want = seqgraph::legacy_build_sequencing_graph_delta(
+          want, *idx, m, *next, dirty, options, &want_stats);
+      SequencingGraph next_got = seqgraph::build_sequencing_graph_delta(
+          std::move(got), *idx, m, *next, dirty, new_options, &got_stats);
+      expect_same_delta(next_got, got_stats, next_want, want_stats, m,
+                        seed * 100 + static_cast<int>(t));
+      got = std::move(next_got);
+      want = std::move(next_want);
+      idx = std::move(next);
+    }
+  }
+  EXPECT_GE(largest_component, 20u) << "the family lost its large components";
+}
+
+TEST(RoutingScale, ThreadedCompileMatchesLegacy) {
+  // The compile lays components out on runtime::compile_threads() workers
+  // once at least two components hold 512 groups between them. 300
+  // disjoint components of two to four groups (each group 4 or 5 of its
+  // component's 6 hosts, so any two share at least 2) cross that line,
+  // under every strategy and with co-location labels for the chains; the
+  // output must equal the serial legacy build's.
+  if (runtime::compile_threads() == 1) {
+    GTEST_SKIP() << "compile_threads() is 1: every compile runs serially";
+  }
+  Rng rng(300);
+  GroupMembership m(300 * 6);
+  for (std::uint32_t c = 0; c < 300; ++c) {
+    for (std::uint32_t j = 0; j < 2 + c % 3; ++j) {
+      std::vector<NodeId> members;
+      for (std::uint32_t h = 0; h < 6; ++h) members.push_back(NodeId(c * 6 + h));
+      rng.shuffle(members);
+      members.resize(4 + rng.next_below(2));
+      std::sort(members.begin(), members.end());
+      (void)m.add_group(std::move(members));
+    }
+  }
+  const OverlapIndex idx(m);
+  ASSERT_EQ(idx.components().size(), 300u);
+  Rng label_rng(301);
+  const std::vector<std::size_t> labels =
+      placement::colocate_overlaps(idx, {}, label_rng);
+  seqgraph::BuildScratch scratch;
+  for (const BuildStrategy strategy :
+       {BuildStrategy::kChain, BuildStrategy::kChainUnordered,
+        BuildStrategy::kGreedyTree}) {
+    for (const bool labelled : {false, true}) {
+      if (labelled && strategy == BuildStrategy::kGreedyTree) continue;
+      BuildOptions options;
+      options.strategy = strategy;
+      if (labelled) options.colocation_labels = &labels;
+      BuildOptions new_options = options;
+      new_options.scratch = &scratch;
+      const SequencingGraph got =
+          seqgraph::build_sequencing_graph(m, idx, new_options);
+      const SequencingGraph want =
+          seqgraph::legacy_build_sequencing_graph(m, idx, options);
+      expect_same_graph(got, want, static_cast<int>(strategy) * 2 + labelled);
+    }
+  }
+}
+
+TEST(CompileThreads, ParsesTheVariableStrictly) {
+  using runtime::parse_compile_threads;
+  EXPECT_EQ(parse_compile_threads("0"), 1u);
+  EXPECT_EQ(parse_compile_threads("1"), 1u);
+  EXPECT_EQ(parse_compile_threads("4"), 4u);
+  EXPECT_EQ(parse_compile_threads("256"), runtime::kMaxCompileThreads);
+  for (const char* bad : {"-1", "+4", "4x", "", "257", " 4",
+                          "18446744073709551616"}) {
+    EXPECT_THROW((void)parse_compile_threads(bad), CheckFailure)
+        << "'" << bad << "'";
+  }
+  try {
+    (void)parse_compile_threads("-1");
+    FAIL() << "-1 accepted";
+  } catch (const CheckFailure& e) {
+    EXPECT_NE(std::string(e.what()).find("DECSEQ_COMPILE_THREADS"),
+              std::string::npos)
+        << e.what();
   }
 }
 

@@ -86,10 +86,12 @@ inline std::vector<std::filesystem::path> corpus_files() {
 }
 
 /// The paper deployment: 128 hosts in 32 clusters on the 10,000-router
-/// topology, 64 Zipf groups.
-inline std::unique_ptr<pubsub::PubSubSystem> paper_system() {
+/// topology, 64 Zipf groups, laid out with `strategy`.
+inline std::unique_ptr<pubsub::PubSubSystem> paper_system(
+    seqgraph::BuildStrategy strategy = seqgraph::BuildStrategy::kChain) {
   pubsub::SystemConfig config;
   config.seed = 20060101;
+  config.graph.strategy = strategy;
   config.hosts.num_hosts = 128;
   config.hosts.num_clusters = 32;
   auto system = std::make_unique<pubsub::PubSubSystem>(config);
