@@ -21,6 +21,9 @@
 //  3. traced — the schedule once more with the Tracer enabled; its
 //     preallocated ring must keep the path allocation-free, so the same
 //     assertion holds with tracing on.
+// Every pass, and every point of the sharded sweep, also records the
+// simulator events fired per delivery (every shard's included): the
+// event-engine layer of the delivery rate.
 //
 // Environment knobs (besides the bench_util ones):
 //   DECSEQ_BENCH_ROUNDS — publish rounds per measured pass
@@ -48,6 +51,7 @@
 #include "membership/generators.h"
 #include "protocol/message.h"
 #include "pubsub/system.h"
+#include "runtime/sharded_engine.h"
 #include "sim/callback.h"
 #include "sim/simulator.h"
 
@@ -176,11 +180,21 @@ struct Publish {
 struct PassResult {
   std::size_t messages = 0;
   std::size_t deliveries = 0;
+  /// Simulator events fired, every shard's included.
+  std::size_t events = 0;
   std::size_t allocs = 0;
   std::size_t alloc_bytes = 0;
   std::size_t fresh_spills = 0;
   double wall_ms = 0.0;
 };
+
+/// Events fired so far on the system's simulator and, in sharded mode, on
+/// every shard's.
+std::size_t events_fired(pubsub::PubSubSystem& system) {
+  const runtime::ShardedEngine* engine = system.engine();
+  return system.simulator().events_fired() +
+         (engine != nullptr ? engine->events_fired() : 0);
+}
 
 /// Replay the schedule: one publish sweep per round, drained round by
 /// round (the fig3 cadence dataplane_bench's system section used).
@@ -189,6 +203,7 @@ PassResult run_pass(pubsub::PubSubSystem& system,
                     const std::uint8_t* body, std::size_t body_bytes) {
   PassResult result;
   const std::size_t deliveries0 = system.deliveries().size();
+  const std::size_t events0 = events_fired(system);
   const std::size_t allocs0 = g_allocs.load(std::memory_order_relaxed);
   const std::size_t bytes0 = g_alloc_bytes.load(std::memory_order_relaxed);
   const std::size_t spills0 = sim::spill_pool_stats().fresh;
@@ -206,6 +221,7 @@ PassResult run_pass(pubsub::PubSubSystem& system,
   result.alloc_bytes = g_alloc_bytes.load(std::memory_order_relaxed) - bytes0;
   result.fresh_spills = sim::spill_pool_stats().fresh - spills0;
   result.deliveries = system.deliveries().size() - deliveries0;
+  result.events = events_fired(system) - events0;
   return result;
 }
 
@@ -271,9 +287,12 @@ int main(int argc, char** argv) {
   const double warm_apd = per(static_cast<double>(warm.allocs),
                               static_cast<double>(warm.deliveries));
   printf("warmup,messages,%zu,deliveries,%zu,wall_ms,%.1f,msgs_per_sec,%.0f,"
-         "allocs_per_delivery,%.3f\n",
+         "events_per_delivery,%.3f,allocs_per_delivery,%.3f\n",
          warm.messages, warm.deliveries, warm.wall_ms,
-         msgs_per_sec(warm.deliveries, warm.wall_ms), warm_apd);
+         msgs_per_sec(warm.deliveries, warm.wall_ms),
+         per(static_cast<double>(warm.events),
+             static_cast<double>(warm.deliveries)),
+         warm_apd);
   const double warm_budget =
       quick ? kMaxQuickWarmupAllocsPerDelivery : kMaxWarmupAllocsPerDelivery;
   DECSEQ_CHECK_MSG(warm_apd <= warm_budget,
@@ -292,11 +311,13 @@ int main(int argc, char** argv) {
   const double steady_apd = per(static_cast<double>(steady.allocs),
                                 static_cast<double>(steady.deliveries));
   printf("steady_state,messages,%zu,deliveries,%zu,wall_ms,%.1f,"
-         "msgs_per_sec,%.0f,allocs,%zu,allocs_per_delivery,%.4f,"
-         "fresh_spills,%zu\n",
+         "msgs_per_sec,%.0f,events_per_delivery,%.3f,allocs,%zu,"
+         "allocs_per_delivery,%.4f,fresh_spills,%zu\n",
          steady.messages, steady.deliveries, steady.wall_ms,
-         msgs_per_sec(steady.deliveries, steady.wall_ms), steady.allocs,
-         steady_apd, steady.fresh_spills);
+         msgs_per_sec(steady.deliveries, steady.wall_ms),
+         per(static_cast<double>(steady.events),
+             static_cast<double>(steady.deliveries)),
+         steady.allocs, steady_apd, steady.fresh_spills);
   DECSEQ_CHECK_MSG(steady_apd <= kMaxSteadyAllocsPerDelivery,
                    "steady-state system path allocated "
                        << steady_apd << " per delivery (threshold "
@@ -403,6 +424,9 @@ int main(int argc, char** argv) {
          << ", \"deliveries\": " << r.deliveries
          << ", \"wall_ms\": " << r.wall_ms
          << ", \"msgs_per_sec\": " << msgs_per_sec(r.deliveries, r.wall_ms)
+         << ", \"events_per_delivery\": "
+         << per(static_cast<double>(r.events),
+                static_cast<double>(r.deliveries))
          << ", \"allocs\": " << r.allocs
          << ", \"allocs_per_delivery\": "
          << per(static_cast<double>(r.allocs),
@@ -437,6 +461,9 @@ int main(int argc, char** argv) {
     json << "    {\"shards\": " << point.shards << ", \"steady_wall_ms\": "
          << point.steady.wall_ms << ", \"msgs_per_sec\": "
          << msgs_per_sec(point.steady.deliveries, point.steady.wall_ms)
+         << ", \"events_per_delivery\": "
+         << per(static_cast<double>(point.steady.events),
+                static_cast<double>(point.steady.deliveries))
          << ", \"allocs_per_delivery\": "
          << per(static_cast<double>(point.steady.allocs),
                 static_cast<double>(point.steady.deliveries))

@@ -31,7 +31,9 @@
 // payloads across simulated delay; transport::SendChannel and RecvChannel
 // (transport/channel.h) hold one half each and move encoded frames over a
 // Transport. Once both rings reach the flow's high-water mark, neither
-// touches the heap again.
+// touches the heap again. A payload handed to the receiver without the
+// wire (sim::Channel's in-place pass) is counted through both halves'
+// pass_through(), so later sequence numbers stay gapless.
 #pragma once
 
 #include <algorithm>
@@ -171,6 +173,14 @@ class SendWindow {
     return {next_send_seq_++, packet};
   }
 
+  /// Number the next payload and release it at once, as sent: the channel
+  /// handed it to its receiver in place. Only for a drained window.
+  void pass_through() {
+    ++next_send_seq_;
+    ++send_base_;
+    ++transmissions_;
+  }
+
   /// The slot of `seq`; valid only while seq is unacked.
   [[nodiscard]] Slot& slot(std::uint64_t seq) {
     DECSEQ_CHECK(seq >= send_base_ && seq - send_base_ < out_.size());
@@ -278,6 +288,10 @@ class ReorderWindow {
     next_deliver_seq_ = 0;
     reorder_.clear();
   }
+
+  /// Count the next expected packet as delivered without an arrival: the
+  /// sender handed it over in place. Only with nothing parked.
+  void pass_through() { ++next_deliver_seq_; }
 
   /// One arrival of `seq`. The next expected packet with nothing parked
   /// goes straight to `deliver_now()`; a later one not yet parked is parked

@@ -317,8 +317,12 @@ std::unique_ptr<sim::Channel<Message>> SequencingNetwork::make_channel(
     spare_channels_.pop_back();
     channel->reset(*channel_sim, *channel_rng, delay, options_.channel);
   }
-  channel->set_receiver([this, to](Message&& m) {
-    handle_at_atom(to, std::move(m));
+  // An instant channel delivers as the last protocol action of its data
+  // event, so the hops after it may run in place. Any other channel
+  // schedules its ack after the delivery; a chain run there would take the
+  // ack's place in the queue.
+  channel->set_receiver([this, to, tail = channel->instant()](Message&& m) {
+    handle_at_atom(to, std::move(m), tail);
   });
   // Exhaustion surfaces here as an edge-tagged fault record instead of
   // killing the run; the channel keeps probing and recover_node /
@@ -579,7 +583,7 @@ void SequencingNetwork::arrive_at_ingress(AtomId ingress, PayloadRef payload,
   message.epoch = route.epoch;
   tracer_.record({TraceEvent::Kind::kIngress, message.id(), sim.now(),
                   ingress, node, NodeId{}, message.group_seq});
-  handle_at_atom(ingress, std::move(message));
+  handle_at_atom(ingress, std::move(message), /*tail=*/true);
 }
 
 void SequencingNetwork::fail_node(SeqNodeId node) {
@@ -663,7 +667,8 @@ std::vector<std::pair<AtomId, AtomId>> SequencingNetwork::faulted_edges()
   return edges;  // channel_edges_ order is already sorted (from, to)
 }
 
-void SequencingNetwork::handle_at_atom(AtomId atom, Message&& message) {
+void SequencingNetwork::handle_at_atom(AtomId atom, Message&& message,
+                                       bool tail) {
   // The whole forwarding decision: the group's compiled route plus the
   // message's position on it. No hash maps, no graph walks. A message
   // whose epoch predates the group's current span (sequenced before the
@@ -674,56 +679,67 @@ void SequencingNetwork::handle_at_atom(AtomId atom, Message&& message) {
       old_epoch ? route.prev_first_hop : route.first_hop;
   const std::uint32_t num_hops =
       old_epoch ? route.prev_num_hops : route.num_hops;
-  DECSEQ_CHECK_MSG(message.path_pos < num_hops,
-                   "message " << message.id() << " at " << atom
-                              << " off its compiled route");
-  const RouteHop& hop = route_hops_[first_hop + message.path_pos];
-  DECSEQ_CHECK_MSG(hop.atom == atom,
-                   "message " << message.id() << " at " << atom
-                              << " off its compiled route");
-  // Stamp if this atom sequences an overlap of the message's group;
-  // messages of other groups only transit (the Fig 2(b) redirection).
-  //
-  // An atom whose partner group was terminated keeps stamping the
-  // surviving group until the next graph rebuild removes it — the paper's
-  // §3.2 lazy removal: "adding ignored sequence numbers to a message does
-  // not hurt correctness, only efficiency." Stopping early would be a real
-  // bug: a pre-FIN message of the dead group can still be in flight
-  // carrying this atom's stamp, and a post-FIN message of the surviving
-  // group would then share no sequencer with it — two overlap members
-  // could order the pair differently (found by the chaos property test).
-  if (hop.stamps) {
-    message.stamps.push_back({atom, atom_next_seq_[atom.value()]++});
-    if (tracer_.enabled()) {
-      tracer_.record({TraceEvent::Kind::kStamped, message.id(), sim_->now(),
-                      atom, hop.node, NodeId{}, message.stamps.back().seq});
+  for (;;) {
+    DECSEQ_CHECK_MSG(message.path_pos < num_hops,
+                     "message " << message.id() << " at " << atom
+                                << " off its compiled route");
+    const RouteHop& hop = route_hops_[first_hop + message.path_pos];
+    DECSEQ_CHECK_MSG(hop.atom == atom,
+                     "message " << message.id() << " at " << atom
+                                << " off its compiled route");
+    // Stamp if this atom sequences an overlap of the message's group;
+    // messages of other groups only transit (the Fig 2(b) redirection).
+    //
+    // An atom whose partner group was terminated keeps stamping the
+    // surviving group until the next graph rebuild removes it — the
+    // paper's §3.2 lazy removal: "adding ignored sequence numbers to a
+    // message does not hurt correctness, only efficiency." Stopping early
+    // would be a real bug: a pre-FIN message of the dead group can still
+    // be in flight carrying this atom's stamp, and a post-FIN message of
+    // the surviving group would then share no sequencer with it — two
+    // overlap members could order the pair differently (found by the
+    // chaos property test).
+    if (hop.stamps) {
+      message.stamps.push_back({atom, atom_next_seq_[atom.value()]++});
+      if (tracer_.enabled()) {
+        tracer_.record({TraceEvent::Kind::kStamped, message.id(),
+                        sim_->now(), atom, hop.node, NodeId{},
+                        message.stamps.back().seq});
+      }
+    } else if (tracer_.enabled()) {
+      tracer_.record({TraceEvent::Kind::kTransited, message.id(), sim_->now(),
+                      atom, hop.node, NodeId{}, 0});
     }
-  } else if (tracer_.enabled()) {
-    tracer_.record({TraceEvent::Kind::kTransited, message.id(), sim_->now(),
-                    atom, hop.node, NodeId{}, 0});
-  }
-  if (hop.forward == nullptr) {
-    distribute(atom, std::move(message));
-    return;
-  }
-  // Count machine load once per visit: a hop between co-located atoms stays
-  // on the same sequencing node.
-  if (hop.crosses_machine) {
-    if (engine_ != nullptr) {
-      // Old-epoch events run on the previous span's shard; its counter
-      // vector is the one this thread owns.
-      ++shard_seqnode_load_[old_epoch ? route.prev_shard : route.shard]
-                           [hop.next_node.value()];
-    } else {
-      ++seqnode_load_[hop.next_node.value()];
+    if (hop.forward == nullptr) {
+      distribute(atom, std::move(message));
+      return;
     }
-    if (tracer_.enabled()) {
-      tracer_.record({TraceEvent::Kind::kForwarded, message.id(), sim_->now(),
-                      atom, hop.next_node, NodeId{}, 0});
+    // Count machine load once per visit: a hop between co-located atoms
+    // stays on the same sequencing node.
+    if (hop.crosses_machine) {
+      if (engine_ != nullptr) {
+        // Old-epoch events run on the previous span's shard; its counter
+        // vector is the one this thread owns.
+        ++shard_seqnode_load_[old_epoch ? route.prev_shard : route.shard]
+                             [hop.next_node.value()];
+      } else {
+        ++seqnode_load_[hop.next_node.value()];
+      }
+      if (tracer_.enabled()) {
+        tracer_.record({TraceEvent::Kind::kForwarded, message.id(),
+                        sim_->now(), atom, hop.next_node, NodeId{}, 0});
+      }
     }
+    ++message.path_pos;
+    // The next atom runs here, in the place of the data event a send would
+    // schedule, when that event would be the very next to fire; the hop
+    // table's next entry is the channel's to-atom.
+    if (!tail || !hop.forward->pass_in_place()) {
+      hop.forward->send(std::move(message));
+      return;
+    }
+    atom = route_hops_[first_hop + message.path_pos].atom;
   }
-  ++message.path_pos;
-  hop.forward->send(std::move(message));
 }
 
 SequencingNetwork::FanOutPlan& SequencingNetwork::fanout_plan(
@@ -1210,7 +1226,9 @@ void SequencingNetwork::sequence_fence(GroupId group, bool close_group,
   }
   tracer_.record({TraceEvent::Kind::kIngress, id, sim.now(), first.atom,
                   first.node, NodeId{}, message.group_seq});
-  handle_at_atom(first.atom, std::move(message));
+  // Not in tail position: begin_reconfigure sequences the next fence right
+  // after this one, so the first hop must queue behind them as an event.
+  handle_at_atom(first.atom, std::move(message), /*tail=*/false);
 }
 
 void SequencingNetwork::fence_delivery_committed(NodeId node, sim::Time at) {

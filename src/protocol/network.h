@@ -333,6 +333,13 @@ class SequencingNetwork {
   /// the protocol state worth pinning across rebuilds.
   [[nodiscard]] std::vector<AtomId> compiled_route(GroupId g) const;
 
+  /// The channel of the path edge `from -> to`. Introspection for tests:
+  /// its counters show how many hops crossed it and whether it drained.
+  [[nodiscard]] const sim::Channel<Message>& channel(AtomId from,
+                                                     AtomId to) const {
+    return *channels_[channel_index(from, to)];
+  }
+
  private:
   /// One compiled hop of a group's sequencing path. The routing state the
   /// seed kept in per-atom hash maps (`next_hop`, `prev_hop`, the
@@ -434,7 +441,21 @@ class SequencingNetwork {
   /// One hop: stamp, then forward or distribute. Takes the message by
   /// rvalue reference; it leaves by one move, into the next channel's
   /// output slot or the shared fan-out copy.
-  void handle_at_atom(AtomId atom, Message&& message);
+  ///
+  /// `tail` says the call is the last protocol action of its event: an
+  /// ingress arrival, or a delivery by an instant (0 ms, loss-free)
+  /// channel, whose only work after it is releasing that channel's own
+  /// output slot (and cancelling its retransmit timer if that drains a
+  /// window a fault had filled). Then each forward whose channel passes
+  /// in place (sim::Channel::pass_in_place(): the send's data event would
+  /// be the very next to fire) is handled by the same call at the next
+  /// atom, as a loop: no event, no buffer. The result is exact because in
+  /// place and as an event the next atom runs on the same state and
+  /// schedules the same events in the same queue order. Two callers are
+  /// not in tail position: sequence_fence, whose caller sequences more
+  /// fences after it, and a delivery by a channel with flight time or
+  /// loss, which schedules its ack after the delivery.
+  void handle_at_atom(AtomId atom, Message&& message, bool tail);
   MsgId inject(NodeId sender, GroupId group, std::uint64_t payload,
                const std::uint8_t* body, std::size_t body_size, bool is_fin);
   /// Ingress-leg arrival; retries with exponential backoff while the

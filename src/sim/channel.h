@@ -56,6 +56,14 @@
 //    still has a channel: node and link failures reach it, and a launch
 //    made while it is down needs the buffer and the timer. A lossy 0 ms
 //    channel keeps its acks, timers and loss-coin draws.
+//    A hop may also skip the data event (pass_in_place()). When the window
+//    is drained, link and receiver are up and no other event is due at
+//    now(), the event a send would schedule is the very next one to fire.
+//    A caller whose send would be the last protocol action of its event
+//    then runs the receiver itself, in that event's place: nothing with a
+//    protocol effect runs between the two either way, so every stamp,
+//    delivery, event order and RNG draw stays as it was. send() itself
+//    still costs one event.
 #pragma once
 
 #include <functional>
@@ -135,6 +143,25 @@ class Channel : public SendWindow<T>, public ReorderWindow<T> {
   }
   [[nodiscard]] bool link_down() const { return link_down_; }
 
+  /// Whether the next payload may skip its data event: true iff a send()
+  /// now would be delivered by the very next event to fire. That holds
+  /// when the channel is instant, link and receiver are up, nothing is
+  /// unacked, parked or in flight, and no other event is due at now().
+  /// Then the next sequence number counts as sent, delivered and released,
+  /// as that event would have left it, and the caller hands the payload to
+  /// the receiver itself, as the last protocol action of its event (see
+  /// "Failure model"). Otherwise nothing changes and the caller sends.
+  bool pass_in_place() {
+    if (!instant_ || link_down_ || receiver_down_ || pending_events_ != 0 ||
+        this->unacked() != 0 || this->reorder_buffered() != 0 ||
+        !sim_->nothing_due_now()) {
+      return false;
+    }
+    SendWindow<T>::pass_through();
+    ReorderWindow<T>::pass_through();
+    return true;
+  }
+
   /// Queue a payload for in-order delivery to the receiver. The payload
   /// moves into its output slot in place, and out of it once on delivery.
   void send(T&& payload) {
@@ -149,6 +176,8 @@ class Channel : public SendWindow<T>, public ReorderWindow<T> {
   void send(const T& payload) { send(T(payload)); }
 
   [[nodiscard]] Time delay_ms() const { return delay_ms_; }
+  /// Delay 0 and loss-free: a same-machine hand-off (see "Failure model").
+  [[nodiscard]] bool instant() const { return instant_; }
 
   /// No unacked packets, no armed retransmit timer, no in-flight data or
   /// ack events, and no surfaced fault: every scheduled lambda capturing

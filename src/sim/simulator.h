@@ -192,6 +192,17 @@ class Simulator {
   [[nodiscard]] bool idle() const { return occupied_ == 0; }
   [[nodiscard]] std::size_t pending() const { return pending_; }
 
+  /// True iff no pending event is due at now(), in O(1). Inside a callback
+  /// the answer is exact: the base is the firing event's key, so bucket 0
+  /// holds exactly the other events due at now(). Outside one, run_until()
+  /// or advance_to() may have moved the clock past the base; then only an
+  /// idle queue answers true, and false means "cannot tell", not "an event
+  /// is due".
+  [[nodiscard]] bool nothing_due_now() const {
+    return occupied_ == 0 || ((occupied_ & 1u) == 0 &&
+                              std::bit_cast<std::uint64_t>(now_) == base_);
+  }
+
   // --- Event counters (cumulative over the simulator's lifetime). ---
   [[nodiscard]] std::size_t events_fired() const { return events_fired_; }
   [[nodiscard]] std::size_t events_scheduled() const {

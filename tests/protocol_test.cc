@@ -5,6 +5,8 @@
 #include <cstdlib>
 #include <map>
 #include <new>
+#include <set>
+#include <utility>
 #include <vector>
 
 #include "membership/overlap.h"
@@ -326,6 +328,197 @@ TEST(NetworkRoutes, ChannelTableStaysSortedWhenAnAtomBranches) {
   }
   sim.run();
   EXPECT_EQ(delivered, expected);
+}
+
+/// A hand-made deployment of overlap atoms on one or two sequencing
+/// machines: machine 0 at host 0's router, machine 1 at another router.
+/// `machine_of_atom` names each atom's machine; empty puts them all on
+/// machine 0. Colocated atoms are joined by 0 ms loss-free channels.
+struct Deployment {
+  Deployment(const membership::GroupMembership& m,
+             std::vector<seqgraph::Atom> atoms,
+             std::vector<std::vector<AtomId>> paths,
+             std::vector<std::vector<AtomId>> tree,
+             const std::vector<unsigned>& machine_of_atom = {})
+      : membership(m),
+        graph(overlap_graph(std::move(atoms), std::move(paths),
+                            std::move(tree))),
+        rng(7),
+        topo(topology::generate_transit_stub(test::small_topology(), rng)),
+        hosts(topology::attach_hosts(
+            topo, {.num_hosts = m.num_nodes(), .num_clusters = 2}, rng)),
+        oracle(topo.graph),
+        colocation(colocate(machine_of_atom, graph.num_atoms())),
+        assignment(machines(colocation.num_nodes(), hosts.router_of(N(0)))),
+        network(sim, rng, graph, colocation, assignment, membership, hosts,
+                oracle) {}
+
+  /// Every atom is an overlap atom.
+  static seqgraph::SequencingGraph overlap_graph(
+      std::vector<seqgraph::Atom> atoms,
+      std::vector<std::vector<AtomId>> paths,
+      std::vector<std::vector<AtomId>> tree) {
+    const std::size_t num_atoms = atoms.size();
+    return seqgraph::SequencingGraph::make_for_testing(
+        std::move(atoms), std::move(paths), std::move(tree), num_atoms);
+  }
+
+  static placement::Colocation colocate(
+      const std::vector<unsigned>& machine_of_atom, std::size_t num_atoms) {
+    std::vector<std::vector<AtomId>> nodes(1);
+    std::vector<SeqNodeId> node_of(num_atoms, SeqNodeId(0));
+    for (unsigned a = 0; a < num_atoms; ++a) {
+      const unsigned n = machine_of_atom.empty() ? 0 : machine_of_atom[a];
+      if (n >= nodes.size()) nodes.resize(n + 1);
+      nodes[n].push_back(AtomId(a));
+      node_of[a] = SeqNodeId(n);
+    }
+    return placement::Colocation(std::move(nodes), std::move(node_of));
+  }
+
+  static placement::Assignment machines(std::size_t count, RouterId first) {
+    std::vector<RouterId> routers{first};
+    if (count > 1) routers.push_back(RouterId(first.value() == 0 ? 1 : 0));
+    return placement::Assignment(std::move(routers));
+  }
+
+  /// Span events one publish's fan-out from `egress` to group `g` fires:
+  /// one per distinct member delay.
+  std::size_t spans(AtomId egress, GroupId g) {
+    std::set<double> delays;
+    const RouterId from =
+        assignment.machine_of(colocation.node_of(egress));
+    for (const NodeId member : membership.members(g)) {
+      delays.insert(oracle.distance(from, hosts.router_of(member)));
+    }
+    return delays.size();
+  }
+
+  membership::GroupMembership membership;
+  seqgraph::SequencingGraph graph;
+  Rng rng;
+  topology::TransitStubTopology topo;
+  topology::HostMap hosts;
+  topology::DistanceOracle oracle;
+  placement::Colocation colocation;
+  placement::Assignment assignment;
+  sim::Simulator sim;
+  SequencingNetwork network;
+};
+
+TEST(InPlaceHops, ColocatedRunAloneInItsInstantFiresNoHopEvent) {
+  // Group 0's path is a run of four atoms on one machine; atom i also
+  // stamps group i + 1. Each publish reaches its ingress alone in its
+  // instant, so every hop passes in place: the simulator fires the ingress
+  // event and the fan-out spans and nothing else, and each channel of the
+  // run counts the hops as sent, delivered and released.
+  constexpr unsigned kAtoms = 4;
+  std::vector<std::vector<unsigned>> groups(kAtoms + 1);
+  std::vector<seqgraph::Atom> atoms;
+  std::vector<std::vector<AtomId>> paths(kAtoms + 1);
+  std::vector<std::vector<AtomId>> tree(kAtoms);
+  for (unsigned i = 0; i < kAtoms; ++i) {
+    groups[0].insert(groups[0].end(), {2 * i, 2 * i + 1});
+    groups[i + 1] = {2 * i, 2 * i + 1};
+    atoms.push_back({AtomId(i), G(0), G(i + 1), {N(2 * i), N(2 * i + 1)}, i});
+    paths[0].push_back(AtomId(i));
+    paths[i + 1] = {AtomId(i)};
+    if (i > 0) {
+      tree[i].push_back(AtomId(i - 1));
+      tree[i - 1].push_back(AtomId(i));
+    }
+  }
+  Deployment d(test::make_membership(2 * kAtoms, groups), std::move(atoms),
+               std::move(paths), std::move(tree));
+  std::size_t delivered = 0;
+  d.network.set_delivery_callback(
+      [&](NodeId, const Message&, sim::Time) { ++delivered; });
+  const std::size_t spans = d.spans(AtomId(kAtoms - 1), G(0));
+  constexpr std::size_t kPublishes = 3;
+  for (std::size_t p = 0; p < kPublishes; ++p) {
+    const std::size_t fired = d.sim.events_fired();
+    (void)d.network.publish(N(1), G(0), p);
+    d.sim.run();
+    EXPECT_EQ(d.sim.events_fired() - fired, 1 + spans)
+        << "publish " << p << ": the ingress event and the spans only";
+  }
+  EXPECT_EQ(delivered, kPublishes * 2 * kAtoms);
+  for (unsigned i = 0; i + 1 < kAtoms; ++i) {
+    const sim::Channel<Message>& ch =
+        d.network.channel(AtomId(i), AtomId(i + 1));
+    EXPECT_TRUE(ch.instant());
+    EXPECT_TRUE(ch.quiescent());
+    EXPECT_EQ(ch.transmissions(), kPublishes);
+    EXPECT_EQ(ch.next_deliver_seq(), kPublishes);
+  }
+}
+
+TEST(InPlaceHops, SharedAtomStampsInBreadthFirstOrder) {
+  // Group 0 runs P0 -> P1 -> P2 -> S and group 1 runs Q -> S, all on one
+  // machine. One sender publishes to group 0, then to group 1, so both
+  // ingress events fire in one instant, group 0's first. As events, group
+  // 1's message reaches S after one hop and group 0's after three, so S
+  // stamps group 1's first; running group 0's chain depth-first in place
+  // would stamp group 0's first. A hop passes in place only when nothing
+  // else is due in its instant, so S keeps the queue's order.
+  const auto A = [](unsigned v) { return AtomId(v); };
+  // P0, P1, P2 are atoms 0-2 (group 0 with groups 2-4), S is atom 3
+  // (groups 0 and 1) and Q atom 4 (group 1 with group 5).
+  const auto m = test::make_membership(
+      10, {{0, 1, 2, 3, 4, 5, 6, 7}, {0, 1, 8, 9}, {2, 3}, {4, 5}, {6, 7},
+           {8, 9}});
+  std::vector<seqgraph::Atom> atoms = {
+      {A(0), G(0), G(2), {N(2), N(3)}, 0},
+      {A(1), G(0), G(3), {N(4), N(5)}, 1},
+      {A(2), G(0), G(4), {N(6), N(7)}, 2},
+      {A(3), G(0), G(1), {N(0), N(1)}, 3},
+      {A(4), G(1), G(5), {N(8), N(9)}, 4}};
+  Deployment d(m, std::move(atoms),
+               {{A(0), A(1), A(2), A(3)},
+                {A(4), A(3)},
+                {A(0)},
+                {A(1)},
+                {A(2)},
+                {A(4)}},
+               {{A(1)}, {A(0), A(2)}, {A(1), A(3)}, {A(2), A(4)}, {A(3)}});
+  std::map<GroupId, SeqNo> stamp_at_s;
+  d.network.set_delivery_callback([&](NodeId, const Message& msg, sim::Time) {
+    for (const Stamp& stamp : msg.stamps) {
+      if (stamp.atom == A(3)) stamp_at_s[msg.group()] = stamp.seq;
+    }
+  });
+  (void)d.network.publish(N(0), G(0), 0);
+  (void)d.network.publish(N(0), G(1), 1);
+  d.sim.run();
+  EXPECT_EQ(stamp_at_s, (std::map<GroupId, SeqNo>{{G(0), 2}, {G(1), 1}}));
+}
+
+TEST(InPlaceHops, FirstHopAfterACrossMachineArrivalIsAnEvent) {
+  // Group 0 runs A0 -> A1 -> A2, with A0 on one machine and A1, A2 on
+  // another. The channel A0 -> A1 has flight time and schedules its ack
+  // after it delivers at A1, so A1's forward is not the last protocol
+  // action of its event and A1 -> A2 stays an event; run in place, its
+  // chain would take the ack's place in the queue. A2 is reached by a
+  // 0 ms loss-free delivery and hands on in place from there.
+  const auto A = [](unsigned v) { return AtomId(v); };
+  const auto m = test::make_membership(
+      8, {{0, 1, 2, 3, 4, 5}, {0, 1}, {2, 3}, {4, 5}});
+  std::vector<seqgraph::Atom> atoms = {
+      {A(0), G(0), G(1), {N(0), N(1)}, 0},
+      {A(1), G(0), G(2), {N(2), N(3)}, 1},
+      {A(2), G(0), G(3), {N(4), N(5)}, 2}};
+  Deployment d(m, std::move(atoms),
+               {{A(0), A(1), A(2)}, {A(0)}, {A(1)}, {A(2)}},
+               {{A(1)}, {A(0), A(2)}, {A(1)}}, {0, 1, 1});
+  ASSERT_FALSE(d.network.channel(A(0), A(1)).instant());
+  ASSERT_TRUE(d.network.channel(A(1), A(2)).instant());
+  (void)d.network.publish(N(0), G(0), 0);
+  d.sim.run();
+  // The ingress event, A0 -> A1's data event and its ack, A1 -> A2's
+  // data event, and the spans.
+  EXPECT_EQ(d.sim.events_fired(), 4 + d.spans(A(2), G(0)));
+  EXPECT_TRUE(d.network.channel(A(0), A(1)).quiescent());
+  EXPECT_TRUE(d.network.channel(A(1), A(2)).quiescent());
 }
 
 }  // namespace

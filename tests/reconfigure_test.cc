@@ -4,7 +4,9 @@
 
 #include <bit>
 #include <cstdint>
+#include <map>
 #include <set>
+#include <vector>
 
 #include "pubsub/system.h"
 #include "seqgraph/dot.h"
@@ -539,6 +541,63 @@ TEST(ReconfigureAsync, PaperChurnTraceMatchesGoldenDigest) {
   }
   EXPECT_EQ(system->deliveries().size(), 10502u);
   EXPECT_EQ(digest, 16424660069351214889ULL);
+}
+
+TEST(ReconfigureAsync, FenceTakesItsFirstHopAsAnEvent) {
+  // begin_reconfigure sequences a transition's fences one after another in
+  // one call, so no fence's first forward is the last protocol action of
+  // anything: each one queues as an event, even on a 0 ms loss-free
+  // channel with the queue idle. {0, 1} nests in {0, 1, 2}, so co-location
+  // puts all three overlap atoms on one sequencing machine and every path
+  // edge is such a channel.
+  PubSubSystem system(test::small_config(143));
+  const std::vector<GroupId> groups = system.create_groups(
+      {{N(0), N(1), N(2), N(3)}, {N(0), N(1), N(2)}, {N(0), N(1)}});
+  std::map<GroupId, std::vector<AtomId>> old_paths;
+  for (const GroupId g : groups) {
+    const std::vector<AtomId>& path = system.graph().path(g);
+    ASSERT_GE(path.size(), 2u) << "group " << g;
+    ASSERT_TRUE(system.network().channel(path[0], path[1]).instant())
+        << "group " << g;
+    old_paths[g] = path;
+  }
+  ASSERT_TRUE(system.simulator().idle());
+  protocol::Tracer& tracer = system.network_mutable().tracer();
+  tracer.enable(1024);
+  const std::size_t first_fence = system.network().published();
+  const auto result = system.reconfigure_async(
+      {PubSubSystem::MembershipChange::join(groups[0], N(4))});
+  ASSERT_EQ(result.report.groups_refenced, groups.size());
+  ASSERT_EQ(system.network().published() - first_fence, groups.size());
+  // Every fence stopped at its first atom, its first hop an event.
+  EXPECT_EQ(system.simulator().pending(), groups.size());
+  const auto group_of = [&](std::size_t id) {
+    return system.network()
+        .record(MsgId(static_cast<MsgId::underlying_type>(id)))
+        .group;
+  };
+  const auto hops_of = [&](std::size_t id) {
+    std::vector<AtomId> atoms;
+    for (const protocol::TraceEvent& e : tracer.events()) {
+      if (e.message.value() == id &&
+          (e.kind == protocol::TraceEvent::Kind::kStamped ||
+           e.kind == protocol::TraceEvent::Kind::kTransited)) {
+        atoms.push_back(e.atom);
+      }
+    }
+    return atoms;
+  };
+  for (std::size_t id = first_fence; id < system.network().published();
+       ++id) {
+    EXPECT_EQ(hops_of(id), std::vector<AtomId>{old_paths.at(group_of(id))[0]})
+        << "fence " << id;
+  }
+  system.run();
+  EXPECT_FALSE(system.transition_active());
+  for (std::size_t id = first_fence; id < first_fence + groups.size(); ++id) {
+    EXPECT_EQ(hops_of(id), old_paths.at(group_of(id)))
+        << "fence " << id;
+  }
 }
 
 TEST(ReconfigureAsync, RoutesMatchTheGraphUnderEveryBuildStrategy) {

@@ -122,6 +122,46 @@ TEST(Simulator, AdvanceToRefusesToSkipEvents) {
       << "advancing past a pending event would silently drop it";
 }
 
+TEST(Simulator, NothingDueNowSeesTheRestOfTheInstant) {
+  // Inside a callback the query is exact: false while another event is due
+  // at now(), true in the last event of an instant. Outside one it answers
+  // correctly or refuses (false), never true while an event is due.
+  Simulator sim;
+  EXPECT_TRUE(sim.nothing_due_now()) << "an idle queue";
+  sim.schedule_at(-0.0, [] {});
+  EXPECT_FALSE(sim.nothing_due_now()) << "-0.0 is due at time 0";
+  sim.run();
+  std::vector<std::pair<int, bool>> seen;
+  const auto probe = [&](int who) {
+    return [&seen, &sim, who] { seen.push_back({who, sim.nothing_due_now()}); };
+  };
+  sim.schedule_at(1.0, probe(0));
+  sim.schedule_at(1.0, probe(1));
+  sim.schedule_at(2.0, probe(4));
+  sim.schedule_at(1.0, [&] {
+    seen.push_back({2, sim.nothing_due_now()});
+    sim.schedule_after(0.0, probe(3));
+    seen.push_back({2, sim.nothing_due_now()});
+  });
+  sim.run_until(2.0);
+  EXPECT_EQ(seen, (std::vector<std::pair<int, bool>>{
+                      {0, false}, {1, false}, {2, true}, {2, false},
+                      {3, true}, {4, true}}));
+  EXPECT_TRUE(sim.nothing_due_now()) << "run_until stopped on an event";
+
+  sim.run_until(5.0);  // the clock leaves the last fired event behind
+  EXPECT_TRUE(sim.nothing_due_now()) << "idle";
+  sim.schedule_at(7.0, probe(5));
+  sim.schedule_at(7.0, probe(6));
+  EXPECT_FALSE(sim.nothing_due_now()) << "cannot tell: refuses";
+  sim.advance_to(7.0);
+  EXPECT_FALSE(sim.nothing_due_now()) << "two events are due at 7";
+  seen.clear();
+  sim.run();
+  EXPECT_EQ(seen,
+            (std::vector<std::pair<int, bool>>{{5, false}, {6, true}}));
+}
+
 TEST(Simulator, CancelPreventsFiring) {
   Simulator sim;
   int fired = 0;
@@ -680,6 +720,71 @@ TEST(Channel, InstantLaunchIsSampledOnce) {
       EXPECT_TRUE(ch.quiescent());
     }
   }
+}
+
+TEST(Channel, InPlacePassesKeepTheSequenceGapless) {
+  // In-place passes, a launch while the receiver is down, its recovery
+  // resend and more passes, on one 0 ms loss-free channel. A pass happens
+  // only where a send's data event would be the next to fire; each payload
+  // arrives once and in order, every pass advances both sequence numbers,
+  // and the retransmit timer is armed only for the buffered launches.
+  Simulator sim;
+  Rng rng(22);
+  ChannelOptions options;
+  options.retransmit_timeout_ms = 25.0;
+  Channel<int> ch(sim, rng, 0.0, options);
+  ASSERT_TRUE(ch.instant());
+  std::vector<int> got;
+  ch.set_receiver([&](int v) { got.push_back(v); });
+  // What a caller in tail position does: hand the payload over itself
+  // when the channel lets it pass, send it otherwise.
+  std::vector<int> passed;
+  const auto hand = [&](int v) {
+    if (ch.pass_in_place()) {
+      passed.push_back(v);
+      got.push_back(v);
+    } else {
+      ch.send(v);
+    }
+  };
+  sim.schedule_at(10.0, [&] {
+    const std::size_t pending = sim.pending();
+    hand(0);
+    hand(1);
+    EXPECT_EQ(sim.pending(), pending) << "a pass schedules nothing";
+    EXPECT_EQ(ch.next_deliver_seq(), 2u);
+  });
+  sim.schedule_at(20.0, [&] {
+    const std::size_t pending = sim.pending();
+    ch.set_receiver_down(true);
+    hand(2);
+    hand(3);
+    EXPECT_EQ(ch.unacked(), 2u);
+    EXPECT_EQ(sim.pending(), pending + 1)
+        << "one timer for the buffered launches";
+  });
+  sim.schedule_at(30.0, [&] {
+    ch.set_receiver_down(false);  // resends 2 and 3 as events
+    hand(4);  // the window is not drained: an event behind them
+  });
+  sim.schedule_at(40.0, [&] {
+    sim.schedule_after(0.0, [] {});
+    hand(5);  // another event is due in this instant: no pass
+  });
+  sim.schedule_at(50.0, [&] {
+    hand(6);
+    hand(7);
+  });
+  sim.run();
+  EXPECT_EQ(got, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7}));
+  EXPECT_EQ(passed, (std::vector<int>{0, 1, 6, 7}));
+  EXPECT_EQ(ch.next_deliver_seq(), 8u) << "sequence numbers stay gapless";
+  // Four passes, 2 and 3 twice (the launch and the resend), 4 and 5 once.
+  EXPECT_EQ(ch.transmissions(), 10u);
+  EXPECT_EQ(ch.retransmit_timer_fires(), 0u);
+  // The timer armed at 20 and the one recovery re-armed, both cancelled.
+  EXPECT_EQ(sim.timers_cancelled(), 2u);
+  EXPECT_TRUE(ch.quiescent());
 }
 
 TEST(Channel, AcksDrainRetransmissionBuffer) {
