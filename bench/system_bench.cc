@@ -21,18 +21,14 @@
 //  3. traced — the schedule once more with the Tracer enabled; its
 //     preallocated ring must keep the path allocation-free, so the same
 //     assertion holds with tracing on.
-// Every pass, and every point of the sharded sweep, also records the
-// simulator events fired per delivery (every shard's included): the
+// Every pass also records the simulator events fired per delivery: the
 // event-engine layer of the delivery rate.
 //
 // Environment knobs (besides the bench_util ones):
 //   DECSEQ_BENCH_ROUNDS — publish rounds per measured pass
 //   DECSEQ_BENCH_BODY   — body bytes per message (default 64, inline)
 //   DECSEQ_BENCH_JSON   — output path for BENCH_system.json
-// CLI: --quick shrinks rounds and the topology for CI smoke runs;
-//      --shards N caps the sharded sweep (default 8; counts are powers of
-//      two). Each sweep point asserts per-receiver delivery order identical
-//      to the single-threaded run and the steady-state alloc budget.
+// CLI: --quick shrinks rounds and the topology for CI smoke runs.
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -40,10 +36,8 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <map>
 #include <new>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -51,16 +45,13 @@
 #include "membership/generators.h"
 #include "protocol/message.h"
 #include "pubsub/system.h"
-#include "runtime/sharded_engine.h"
 #include "sim/callback.h"
 #include "sim/simulator.h"
 
 // ---------------------------------------------------------------------------
 // Instrumented allocator: every heap allocation in this binary bumps the
-// counters, so allocs-per-delivery is measured, not modeled. Atomic (not
-// thread-local) because the sharded sweep's worker threads allocate too —
-// a shard that heap-allocates on its steady-state path must show up in the
-// count, not hide on another thread.
+// counters, so allocs-per-delivery is measured, not modeled. Atomic, so an
+// allocation on any thread is counted.
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -180,21 +171,13 @@ struct Publish {
 struct PassResult {
   std::size_t messages = 0;
   std::size_t deliveries = 0;
-  /// Simulator events fired, every shard's included.
+  /// Simulator events fired.
   std::size_t events = 0;
   std::size_t allocs = 0;
   std::size_t alloc_bytes = 0;
   std::size_t fresh_spills = 0;
   double wall_ms = 0.0;
 };
-
-/// Events fired so far on the system's simulator and, in sharded mode, on
-/// every shard's.
-std::size_t events_fired(pubsub::PubSubSystem& system) {
-  const runtime::ShardedEngine* engine = system.engine();
-  return system.simulator().events_fired() +
-         (engine != nullptr ? engine->events_fired() : 0);
-}
 
 /// Replay the schedule: one publish sweep per round, drained round by
 /// round (the fig3 cadence dataplane_bench's system section used).
@@ -203,7 +186,7 @@ PassResult run_pass(pubsub::PubSubSystem& system,
                     const std::uint8_t* body, std::size_t body_bytes) {
   PassResult result;
   const std::size_t deliveries0 = system.deliveries().size();
-  const std::size_t events0 = events_fired(system);
+  const std::size_t events0 = system.simulator().events_fired();
   const std::size_t allocs0 = g_allocs.load(std::memory_order_relaxed);
   const std::size_t bytes0 = g_alloc_bytes.load(std::memory_order_relaxed);
   const std::size_t spills0 = sim::spill_pool_stats().fresh;
@@ -221,7 +204,7 @@ PassResult run_pass(pubsub::PubSubSystem& system,
   result.alloc_bytes = g_alloc_bytes.load(std::memory_order_relaxed) - bytes0;
   result.fresh_spills = sim::spill_pool_stats().fresh - spills0;
   result.deliveries = system.deliveries().size() - deliveries0;
-  result.events = events_fired(system) - events0;
+  result.events = system.simulator().events_fired() - events0;
   return result;
 }
 
@@ -234,12 +217,8 @@ int main(int argc, char** argv) {
   using std::printf;
 
   bool quick = false;
-  std::size_t max_shards = 8;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--quick") == 0) quick = true;
-    if (std::strcmp(argv[i], "--shards") == 0 && i + 1 < argc) {
-      max_shards = static_cast<std::size_t>(std::strtoul(argv[++i], nullptr, 10));
-    }
   }
 
   const std::uint64_t seed = base_seed();
@@ -345,76 +324,6 @@ int main(int argc, char** argv) {
                        << traced_apd << " per delivery (threshold "
                        << kMaxSteadyAllocsPerDelivery << ")");
 
-  // --- 4. Sharded runtime sweep: the same schedule on a fresh system per
-  // shard count. Two guarantees are *asserted* per point, not just
-  // recorded: (a) every receiver's delivery sequence is byte-identical to
-  // the legacy single-threaded run above — the sharded runtime's headline
-  // determinism claim, checked here on the full paper-scale deployment —
-  // and (b) the steady-state pass stays inside the same per-delivery
-  // allocation budget as the legacy path, workers included (the alloc
-  // counters are process-wide atomics). Throughput per shard count lands
-  // in the "shards" table of BENCH_system.json; on a single-core host the
-  // table honestly records no scaling (see the env block). ---
-  // Per-receiver delivery sequences over the first `n` log entries (two
-  // passes' worth: warmup + steady; the legacy log has a third, traced
-  // pass the sharded systems don't run).
-  const auto per_receiver_seqs = [](const std::vector<pubsub::Delivery>& log,
-                                    std::size_t n) {
-    std::map<std::uint32_t,
-             std::vector<std::tuple<std::uint64_t, std::uint32_t,
-                                    std::uint32_t, std::uint64_t, double,
-                                    double>>>
-        seqs;
-    for (std::size_t i = 0; i < n && i < log.size(); ++i) {
-      const pubsub::Delivery& d = log[i];
-      seqs[d.receiver.value()].emplace_back(d.message.value(),
-                                            d.group.value(),
-                                            d.sender.value(), d.payload,
-                                            d.sent_at, d.delivered_at);
-    }
-    return seqs;
-  };
-  const std::size_t compare_n = warm.deliveries + steady.deliveries;
-  const auto legacy_seqs = per_receiver_seqs(system.deliveries(), compare_n);
-
-  struct ShardPoint {
-    std::size_t shards = 0;
-    PassResult warm;
-    PassResult steady;
-  };
-  std::vector<ShardPoint> sweep;
-  for (std::size_t shards = 1; shards <= max_shards; shards *= 2) {
-    pubsub::SystemConfig sharded_config = config;
-    sharded_config.shards = shards;
-    pubsub::PubSubSystem sharded(sharded_config);
-    Rng group_rng(seed + 7);  // replays the exact group membership
-    install_zipf_groups(sharded, group_rng, num_groups);
-    ShardPoint point;
-    point.shards = shards;
-    point.warm = run_pass(sharded, schedule, body.data(), body.size());
-    sharded.reserve(point.warm.messages + messages_per_pass,
-                    point.warm.deliveries + deliveries_per_pass);
-    point.steady = run_pass(sharded, schedule, body.data(), body.size());
-    const double apd = per(static_cast<double>(point.steady.allocs),
-                           static_cast<double>(point.steady.deliveries));
-    printf("shards_%zu,messages,%zu,deliveries,%zu,wall_ms,%.1f,"
-           "msgs_per_sec,%.0f,allocs_per_delivery,%.4f,speedup_vs_1,%.2f\n",
-           shards, point.steady.messages, point.steady.deliveries,
-           point.steady.wall_ms,
-           msgs_per_sec(point.steady.deliveries, point.steady.wall_ms), apd,
-           sweep.empty() ? 1.0
-                         : sweep.front().steady.wall_ms /
-                               point.steady.wall_ms);
-    DECSEQ_CHECK_MSG(apd <= kMaxSteadyAllocsPerDelivery,
-                     "steady-state pass at " << shards << " shards allocated "
-                                             << apd << " per delivery");
-    DECSEQ_CHECK_MSG(
-        per_receiver_seqs(sharded.deliveries(), compare_n) == legacy_seqs,
-        "per-receiver delivery order at "
-            << shards << " shards diverged from the single-threaded run");
-    sweep.push_back(std::move(point));
-  }
-
   // --- BENCH_system.json ---
   const char* json_path = std::getenv("DECSEQ_BENCH_JSON");
   std::ofstream json(json_path != nullptr ? json_path : "BENCH_system.json");
@@ -455,26 +364,7 @@ int main(int argc, char** argv) {
   pass_json("steady_state", steady);
   json << ",\n";
   pass_json("traced", traced);
-  json << ",\n  \"shards\": [\n";
-  for (std::size_t i = 0; i < sweep.size(); ++i) {
-    const ShardPoint& point = sweep[i];
-    json << "    {\"shards\": " << point.shards << ", \"steady_wall_ms\": "
-         << point.steady.wall_ms << ", \"msgs_per_sec\": "
-         << msgs_per_sec(point.steady.deliveries, point.steady.wall_ms)
-         << ", \"events_per_delivery\": "
-         << per(static_cast<double>(point.steady.events),
-                static_cast<double>(point.steady.deliveries))
-         << ", \"allocs_per_delivery\": "
-         << per(static_cast<double>(point.steady.allocs),
-                static_cast<double>(point.steady.deliveries))
-         << ", \"speedup_vs_1\": "
-         << (point.steady.wall_ms <= 0.0
-                 ? 1.0
-                 : sweep.front().steady.wall_ms / point.steady.wall_ms)
-         << ", \"order_identical_to_legacy\": true}"
-         << (i + 1 < sweep.size() ? ",\n" : "\n");
-  }
-  json << "  ]\n}\n";
+  json << "\n}\n";
   json.flush();
   if (!json.good()) {
     std::fprintf(stderr, "error: could not write %s\n",

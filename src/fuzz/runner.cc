@@ -23,8 +23,7 @@ namespace {
 /// of magnitude below the experiments'), so a shrink loop re-runs hundreds
 /// of candidates in seconds. Channel retransmit budget is sized for crash
 /// windows (a down machine eats one retransmission per timeout).
-pubsub::SystemConfig scenario_config(const Scenario& s,
-                                     const RunnerOptions& options) {
+pubsub::SystemConfig scenario_config(const Scenario& s) {
   pubsub::SystemConfig config;
   config.seed = s.system_seed;
   config.topology.transit_domains = 2;
@@ -37,7 +36,6 @@ pubsub::SystemConfig scenario_config(const Scenario& s,
   config.network.channel.loss_probability = s.loss_probability;
   config.network.channel.retransmit_timeout_ms = s.retransmit_timeout_ms;
   config.network.channel.max_retransmits = s.max_retransmits;
-  config.shards = options.shards;
   return config;
 }
 
@@ -73,7 +71,7 @@ std::vector<NodeId> normalize_members(const std::vector<std::uint32_t>& raw,
 
 void execute(const Scenario& s, const RunnerOptions& options,
              RunTrace& trace) {
-  pubsub::PubSubSystem system(scenario_config(s, options));
+  pubsub::PubSubSystem system(scenario_config(s));
   sim::Simulator& sim = system.simulator();
 
   const std::size_t total_groups = s.num_groups();

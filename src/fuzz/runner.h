@@ -26,12 +26,6 @@ struct RunnerOptions {
   /// Re-check C1/C2 and path structure on every epoch's graph (cheap at
   /// fuzz scale; the graph-safety oracle reads the resulting errors).
   bool validate_graphs = true;
-  /// Worker shards for the sequencing runtime (SystemConfig::shards): 0 =
-  /// classic single-threaded path, N >= 1 = sharded. Every oracle must
-  /// report the same verdicts for every value — the determinism
-  /// cross-check in tests/fuzz_test.cc runs the corpus at several counts
-  /// and insists the traces match.
-  std::size_t shards = 0;
 };
 
 /// Execute `scenario` and record everything observable. The returned

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 #include <utility>
 
 #include "common/log.h"
@@ -49,7 +48,7 @@ SequencingNetwork::SequencingNetwork(
     const membership::GroupMembership& membership,
     const topology::HostMap& hosts, topology::DistanceOracle& oracle,
     NetworkOptions options, const topology::Graph* physical_network,
-    runtime::ShardedEngine* engine)
+    std::nullptr_t)
     : sim_(&sim),
       rng_(&rng),
       graph_(&graph),
@@ -64,38 +63,13 @@ SequencingNetwork::SequencingNetwork(
       seqnode_load_(colocation.num_nodes(), 0),
       node_down_(colocation.num_nodes(), false),
       publisher_down_(membership.num_nodes(), false),
-      physical_network_(physical_network),
-      engine_(engine) {
+      physical_network_(physical_network) {
   // The ingress retry backs off from the channels' timeout as well.
   DECSEQ_CHECK(std::isfinite(options_.channel.retransmit_timeout_ms) &&
                options_.channel.retransmit_timeout_ms > 0.0);
   DECSEQ_CHECK_MSG(!options_.tree_distribution || physical_network_ != nullptr,
                    "tree distribution needs the physical network graph");
-  DECSEQ_CHECK_MSG(engine_ == nullptr || !options_.tree_distribution,
-                   "tree distribution is not available in sharded mode");
-  if (engine_ != nullptr) {
-    shard_seqnode_load_.assign(
-        engine_->num_shards(),
-        std::vector<std::size_t>(colocation.num_nodes(), 0));
-    shard_channel_faults_.resize(engine_->num_shards());
-    engine_->set_ingest([this](std::uint32_t shard, runtime::IngressItem&& i) {
-      ingest(shard, std::move(i));
-    });
-  }
   compile_routes();
-
-  if (engine_ != nullptr) {
-    build_shard_receivers();
-    // Distribution plans are built lazily on first exit in single-threaded
-    // mode; in sharded mode the first exit happens on a worker, and the
-    // build reads the shared distance oracle — so build every plan here,
-    // at construction, on the coordinator.
-    fanout_plans_.resize(group_routes_.size());
-    for (const GroupId g : graph_->groups()) {
-      (void)fanout_plan(g, graph_->path(g).back());
-    }
-    return;
-  }
 
   // One receiver per subscriber that belongs to at least one group.
   for (std::size_t n = 0; n < membership.num_nodes(); ++n) {
@@ -106,8 +80,8 @@ SequencingNetwork::SequencingNetwork(
         node, std::move(subs), relevant_atoms_for(node, graph),
         local_delivery_fn(node));
   }
-  // Build every distribution plan at construction here too. Deferring them
-  // to first exit pushed their oracle work (one full row per uncached
+  // Build every distribution plan at construction. Deferring them to first
+  // exit pushed their oracle work (one full row per uncached
   // lower-id member router) into whatever window the first exit happened to
   // land in — measurably, the first reconfigure_async: its cutover fences
   // need the old member set's plans, so a transition on a freshly built
@@ -138,57 +112,6 @@ Receiver::DeliverFn SequencingNetwork::local_delivery_fn(NodeId node) {
                     SeqNodeId{}, node, 0});
     if (on_delivery_) on_delivery_(node, m, at);
   };
-}
-
-Receiver::DeliverFn SequencingNetwork::shard_delivery_fn(NodeId node,
-                                                         std::uint32_t s) {
-  return [this, node, s](const Message& m, sim::Time at) {
-    // Cross back to the coordinator as plain data: payload blocks are
-    // pooled per thread and must not leave this shard. An old-epoch
-    // delivery (sequenced before its group's cutover fence — the fence
-    // itself included) keeps the previous epoch's unit as its merge key:
-    // that is the stream it was sequenced in.
-    const GroupRoute& route = group_routes_[m.group().value()];
-    const std::uint32_t unit =
-        m.epoch != route.epoch ? route.prev_unit : route.unit;
-    engine_->push_delivery(s, {node, m.id(), m.group(), m.sender(),
-                               m.payload(), m.sent_at(), at, unit,
-                               engine_->next_unit_pos(unit), m.is_fin(),
-                               m.data->is_fence()});
-  };
-}
-
-void SequencingNetwork::build_shard_receivers() {
-  const runtime::ShardPlan& plan = engine_->plan();
-  shard_receivers_.resize(engine_->num_shards());
-  for (auto& per_node : shard_receivers_) {
-    per_node.resize(membership_->num_nodes());
-  }
-  for (std::size_t n = 0; n < membership_->num_nodes(); ++n) {
-    const NodeId node(static_cast<NodeId::underlying_type>(n));
-    const std::vector<GroupId> subs = membership_->groups_of(node);
-    if (subs.empty()) continue;
-    const std::vector<AtomId> relevant = relevant_atoms_for(node, *graph_);
-    for (std::uint32_t s = 0; s < engine_->num_shards(); ++s) {
-      std::vector<GroupId> shard_subs;
-      for (const GroupId g : subs) {
-        if (plan.shard(g) == s) shard_subs.push_back(g);
-      }
-      if (shard_subs.empty()) continue;
-      // An atom relevant to this node sequences two groups the node
-      // subscribes to, so its unit is one of shard_subs' units — filtering
-      // by shard keeps every counter the sub-receiver will ever consult.
-      std::vector<AtomId> shard_atoms;
-      for (const AtomId a : relevant) {
-        const std::uint32_t unit = plan.unit_of_atom[a.value()];
-        DECSEQ_CHECK(unit != runtime::kNoUnit);
-        if (plan.shard_of_unit[unit] == s) shard_atoms.push_back(a);
-      }
-      shard_receivers_[s][n] = std::make_unique<Receiver>(
-          node, std::move(shard_subs), std::move(shard_atoms),
-          shard_delivery_fn(node, s));
-    }
-  }
 }
 
 void SequencingNetwork::compile_routes() {
@@ -292,30 +215,15 @@ std::size_t SequencingNetwork::append_path_channels(
 
 std::unique_ptr<sim::Channel<Message>> SequencingNetwork::make_channel(
     AtomId from, AtomId to) {
-  // A path edge joins two atoms of the same unit, so in sharded mode the
-  // channel lives wholly on the unit's shard: its timers run on that
-  // shard's simulator and its retransmit jitter draws from the unit's
-  // own RNG stream (shard-count-invariant by construction).
-  sim::Simulator* channel_sim = sim_;
-  Rng* channel_rng = rng_;
-  std::uint32_t shard = 0;
-  if (engine_ != nullptr) {
-    const std::uint32_t unit = engine_->plan().unit_of_atom[from.value()];
-    DECSEQ_CHECK(unit != runtime::kNoUnit &&
-                 unit == engine_->plan().unit_of_atom[to.value()]);
-    shard = engine_->plan().shard_of_unit[unit];
-    channel_sim = &engine_->shard_sim(shard);
-    channel_rng = &engine_->unit_rng(unit);
-  }
   const double delay = machine_distance(from, to);
   std::unique_ptr<sim::Channel<Message>> channel;
   if (spare_channels_.empty()) {
-    channel = std::make_unique<sim::Channel<Message>>(
-        *channel_sim, *channel_rng, delay, options_.channel);
+    channel = std::make_unique<sim::Channel<Message>>(*sim_, *rng_, delay,
+                                                      options_.channel);
   } else {
     channel = std::move(spare_channels_.back());
     spare_channels_.pop_back();
-    channel->reset(*channel_sim, *channel_rng, delay, options_.channel);
+    channel->reset(*sim_, *rng_, delay, options_.channel);
   }
   // An instant channel delivers as the last protocol action of its data
   // event, so the hops after it may run in place. Any other channel
@@ -327,18 +235,9 @@ std::unique_ptr<sim::Channel<Message>> SequencingNetwork::make_channel(
   // Exhaustion surfaces here as an edge-tagged fault record instead of
   // killing the run; the channel keeps probing and recover_node /
   // recover_link clear the state (see channel_faults()).
-  if (engine_ != nullptr) {
-    channel->set_fault_callback(
-        [this, from, to, shard](const ChannelFault& f) {
-          shard_channel_faults_[shard].push_back(
-              {from, to, f.seq, f.attempts, f.at});
-        });
-  } else {
-    channel->set_fault_callback(
-        [this, from, to](const ChannelFault& f) {
-          channel_faults_.push_back({from, to, f.seq, f.attempts, f.at});
-        });
-  }
+  channel->set_fault_callback([this, from, to](const ChannelFault& f) {
+    channel_faults_.push_back({from, to, f.seq, f.attempts, f.at});
+  });
   return channel;
 }
 
@@ -350,10 +249,6 @@ void SequencingNetwork::append_route_span(GroupId g,
   route.ingress = path.front();
   route.ingress_node = colocation_->node_of(path.front());
   route.ingress_router = machine_of_atom(path.front());
-  if (engine_ != nullptr) {
-    route.unit = engine_->plan().unit(g);
-    route.shard = engine_->plan().shard_of_unit[route.unit];
-  }
   for (std::size_t i = 0; i < path.size(); ++i) {
     RouteHop hop;
     hop.atom = path[i];
@@ -455,25 +350,6 @@ MsgId SequencingNetwork::inject(NodeId sender, GroupId group,
     return id;
   }
 
-  if (engine_ != nullptr) {
-    DECSEQ_CHECK_MSG(!tracer_.enabled(),
-                     "per-message tracing is not available in sharded mode");
-    // Cross to the owning shard as raw bytes: the payload block is pooled
-    // per thread, so the worker materializes it at ingest (see ingest()).
-    const GroupRoute& route = group_route(group);
-    runtime::IngressItem item;
-    item.id = id;
-    item.group = group;
-    item.sender = sender;
-    item.payload = payload;
-    item.delay =
-        oracle_->distance(hosts_->router_of(sender), route.ingress_router);
-    item.is_fin = is_fin;
-    item.body.assign(body, body + body_size);
-    engine_->push_ingress(route.shard, std::move(item));
-    return id;
-  }
-
   // The one payload copy of the message's lifetime: publish bytes into the
   // shared block. Everything downstream passes the reference around.
   PayloadRef block = PayloadBlock::create(id, group, sender, sim_->now(),
@@ -495,43 +371,22 @@ MsgId SequencingNetwork::inject(NodeId sender, GroupId group,
   return id;
 }
 
-void SequencingNetwork::ingest(std::uint32_t shard,
-                               runtime::IngressItem&& item) {
-  sim::Simulator& shard_sim = engine_->shard_sim(shard);
-  // The fence protocol advanced this shard's clock to the publish time
-  // before the item could be drained, so sent_at and the arrival schedule
-  // match the single-threaded run exactly.
-  DECSEQ_CHECK(records_[item.id.value()].published_at == shard_sim.now());
-  PayloadRef block = PayloadBlock::create(
-      item.id, item.group, item.sender, shard_sim.now(), item.payload,
-      item.body.data(), item.body.size(), item.is_fin);
-  const GroupRoute& route = group_route(item.group);
-  shard_sim.schedule_after(item.delay,
-                           [this, ingress = route.ingress,
-                            block = std::move(block)] {
-                             arrive_at_ingress(ingress, block, /*attempts=*/0);
-                           });
-}
-
 void SequencingNetwork::arrive_at_ingress(AtomId ingress, PayloadRef payload,
                                           std::uint32_t attempts) {
   GroupRoute& route = group_route(payload->group());
-  sim::Simulator& sim = route_sim(route);
   if (route.num_hops > 0 && ingress != route.ingress) {
     // The group's ingress moved (zero-downtime reconfiguration) while this
     // message's ingress leg was in flight: redirect it from the old ingress
     // machine to the new one. The extra leg is a constant per
     // (old, new) machine pair, so each sender's publish order is preserved
     // — and the message is sequenced post-fence, in the new epoch, which
-    // is exactly what its arrival after the cutover means. (Sharded mode
-    // never gets here: queued publishes are rerouted at the fence, and
-    // reconfiguration only happens with the engine idle.)
+    // is exactly what its arrival after the cutover means.
     const RouterId from = machine_of_atom(ingress);
     const double leg = from == route.ingress_router
                            ? 0.0
                            : oracle_->distance(from, route.ingress_router);
-    sim.schedule_after(leg, [this, target = route.ingress,
-                             payload = std::move(payload), attempts] {
+    sim_->schedule_after(leg, [this, target = route.ingress,
+                               payload = std::move(payload), attempts] {
       arrive_at_ingress(target, payload, attempts);
     });
     return;
@@ -552,11 +407,11 @@ void SequencingNetwork::arrive_at_ingress(AtomId ingress, PayloadRef payload,
     // sender's serialized retry pipeline it would only scramble that order.
     ++rec.ingress_retries;
     const std::uint32_t next = attempts + 1;
-    sim.schedule_after(backoff_delay(options_.channel.retransmit_timeout_ms,
-                                     next),
-                       [this, ingress, payload = std::move(payload), next] {
-                         arrive_at_ingress(ingress, payload, next);
-                       });
+    sim_->schedule_after(
+        backoff_delay(options_.channel.retransmit_timeout_ms, next),
+        [this, ingress, payload = std::move(payload), next] {
+          arrive_at_ingress(ingress, payload, next);
+        });
     return;
   }
   if (route.ingress_closed) {
@@ -568,11 +423,7 @@ void SequencingNetwork::arrive_at_ingress(AtomId ingress, PayloadRef payload,
     return;
   }
   if (payload->is_fin()) route.ingress_closed = true;
-  if (engine_ != nullptr) {
-    ++shard_seqnode_load_[route.shard][node.value()];
-  } else {
-    ++seqnode_load_[node.value()];
-  }
+  ++seqnode_load_[node.value()];
   // Ingress: assign the group-local sequence number (paper §3.1). Only now
   // does the message grow its mutable ordering header. The routing epoch is
   // fixed here too: everything sequenced from now until the group's next
@@ -581,7 +432,7 @@ void SequencingNetwork::arrive_at_ingress(AtomId ingress, PayloadRef payload,
   message.data = std::move(payload);
   message.group_seq = route.next_seq++;
   message.epoch = route.epoch;
-  tracer_.record({TraceEvent::Kind::kIngress, message.id(), sim.now(),
+  tracer_.record({TraceEvent::Kind::kIngress, message.id(), sim_->now(),
                   ingress, node, NodeId{}, message.group_seq});
   handle_at_atom(ingress, std::move(message), /*tail=*/true);
 }
@@ -717,14 +568,7 @@ void SequencingNetwork::handle_at_atom(AtomId atom, Message&& message,
     // Count machine load once per visit: a hop between co-located atoms
     // stays on the same sequencing node.
     if (hop.crosses_machine) {
-      if (engine_ != nullptr) {
-        // Old-epoch events run on the previous span's shard; its counter
-        // vector is the one this thread owns.
-        ++shard_seqnode_load_[old_epoch ? route.prev_shard : route.shard]
-                             [hop.next_node.value()];
-      } else {
-        ++seqnode_load_[hop.next_node.value()];
-      }
+      ++seqnode_load_[hop.next_node.value()];
       if (tracer_.enabled()) {
         tracer_.record({TraceEvent::Kind::kForwarded, message.id(),
                         sim_->now(), atom, hop.next_node, NodeId{}, 0});
@@ -748,16 +592,14 @@ SequencingNetwork::FanOutPlan& SequencingNetwork::fanout_plan(
   if (gv >= fanout_plans_.size()) fanout_plans_.resize(gv + 1);
   auto& slot = fanout_plans_[gv];
   if (slot == nullptr) {
-    slot = build_fanout_plan(last_atom, membership_->members(group),
-                             group_routes_[gv].shard);
+    slot = build_fanout_plan(last_atom, membership_->members(group));
   }
   return *slot;
 }
 
 std::unique_ptr<SequencingNetwork::FanOutPlan>
 SequencingNetwork::build_fanout_plan(AtomId last_atom,
-                                     const std::vector<NodeId>& members,
-                                     std::uint32_t shard) {
+                                     const std::vector<NodeId>& members) {
   std::unique_ptr<FanOutPlan> plan = take_plan();
   const RouterId egress = machine_of_atom(last_atom);
   plan_routers_.clear();
@@ -793,10 +635,7 @@ SequencingNetwork::build_fanout_plan(AtomId last_atom,
   plan->targets.reserve(members.size());
   plan->spans.reserve(members.size());
   for (const auto& [delay, m] : plan_order_) {
-    // Sharded mode resolves the member's sub-receiver on the span's shard:
-    // the fan-out runs on that shard's thread and the target's counters
-    // live there.
-    Receiver* receiver = receiver_for(members[m], shard);
+    Receiver* receiver = receivers_[members[m].value()].get();
     DECSEQ_CHECK_MSG(receiver != nullptr,
                      "group member " << members[m] << " has no receiver");
     plan->targets.push_back({receiver, delay});
@@ -826,16 +665,12 @@ std::unique_ptr<SequencingNetwork::FanOutPlan> SequencingNetwork::take_plan() {
 void SequencingNetwork::distribute(AtomId last_atom, Message&& message) {
   GroupRoute& route = group_routes_[message.group().value()];
   const bool old_epoch = message.epoch != route.epoch;
-  sim::Simulator& sim =
-      engine_ != nullptr
-          ? engine_->shard_sim(old_epoch ? route.prev_shard : route.shard)
-          : *sim_;
   MessageRecord& rec = records_[message.id().value()];
-  rec.exited_at = sim.now();
+  rec.exited_at = sim_->now();
   rec.stamps = message.stamps.size();
   rec.header_bytes = ordering_header_bytes(message);
   if (tracer_.enabled()) {
-    tracer_.record({TraceEvent::Kind::kExited, message.id(), sim.now(),
+    tracer_.record({TraceEvent::Kind::kExited, message.id(), sim_->now(),
                     last_atom, colocation_->node_of(last_atom), NodeId{}, 0});
   }
 
@@ -860,7 +695,7 @@ void SequencingNetwork::distribute(AtomId last_atom, Message&& message) {
   FanOutPlan* plan_ptr;
   if (old_epoch) {
     // Old-epoch traffic fans out to the *old* member set along the old
-    // delays (its span's shard owns the stashed plan).
+    // delays.
     plan_ptr = prev_fanout_plans_[message.group().value()].get();
     DECSEQ_CHECK_MSG(plan_ptr != nullptr,
                      "old-epoch exit without a stashed fan-out plan");
@@ -871,20 +706,19 @@ void SequencingNetwork::distribute(AtomId last_atom, Message&& message) {
   if (plan.tree != nullptr) distribution_stress_.add_tree(*plan.tree);
   // The sequencing path is complete: freeze the message and share one copy
   // across the whole fan-out; each span wakes its whole same-time burst in
-  // one event. In sharded mode everything — the shared header, the span
-  // events, the target sub-receivers — stays on the group's shard.
+  // one event.
   auto shared = SharedMessage::create(std::move(message));
   for (std::uint32_t si = 0; si < plan.spans.size(); ++si) {
-    sim.schedule_after(plan.spans[si].delay,
-                       [plan = &plan, si, shared, sim = &sim] {
-                         const FanOutPlan::Span& span = plan->spans[si];
-                         const sim::Time now = sim->now();
-                         for (std::uint32_t t = span.begin; t < span.end;
-                              ++t) {
-                           plan->targets[t].receiver->receive(
-                               shared->message(), now);
-                         }
-                       });
+    sim_->schedule_after(plan.spans[si].delay,
+                         [plan = &plan, si, shared, sim = sim_] {
+                           const FanOutPlan::Span& span = plan->spans[si];
+                           const sim::Time now = sim->now();
+                           for (std::uint32_t t = span.begin; t < span.end;
+                                ++t) {
+                             plan->targets[t].receiver->receive(
+                                 shared->message(), now);
+                           }
+                         });
   }
 }
 
@@ -913,12 +747,6 @@ ReconfigureReport SequencingNetwork::begin_reconfigure(
                    "begin_reconfigure while a transition is still draining");
   DECSEQ_CHECK_MSG(!options_.tree_distribution,
                    "zero-downtime reconfiguration with tree distribution");
-  if (engine_ != nullptr) {
-    // Sharded transitions happen between runs: no protocol event may be
-    // pending. Queued publishes are fine — the facade reroutes them right
-    // after this call via reroute_pending_publish().
-    DECSEQ_CHECK_MSG(engine_->idle(), "sharded reconfigure mid-run");
-  }
   // Lazily retire the previous transition's plans: the final fence's
   // fan-out events may still reference them at the instant that
   // transition completes, so they are recycled here, at the start of the
@@ -939,9 +767,6 @@ ReconfigureReport SequencingNetwork::begin_reconfigure(
   atom_next_seq_.resize(graph_->num_atoms(), 1);
   seqnode_load_.resize(colocation_->num_nodes(), 0);
   node_down_.resize(colocation_->num_nodes(), false);
-  for (auto& per_shard : shard_seqnode_load_) {
-    per_shard.resize(colocation_->num_nodes(), 0);
-  }
   if (!cut_groups_.empty() &&
       group_routes_.size() < cut_groups_.back().value() + 1) {
     group_routes_.resize(cut_groups_.back().value() + 1);
@@ -980,14 +805,11 @@ ReconfigureReport SequencingNetwork::begin_reconfigure(
       const AtomId old_last =
           route_hops_[route.first_hop + route.num_hops - 1].atom;
       if (fanout_plans_[gv] == nullptr) {
-        fanout_plans_[gv] =
-            build_fanout_plan(old_last, old_members, route.shard);
+        fanout_plans_[gv] = build_fanout_plan(old_last, old_members);
       }
       prev_fanout_plans_[gv] = std::move(fanout_plans_[gv]);
       route.prev_first_hop = route.first_hop;
       route.prev_num_hops = route.num_hops;
-      route.prev_unit = route.unit;
-      route.prev_shard = route.shard;
       route.prev_ingress_router = route.ingress_router;
     }
     if (has_new) {
@@ -1019,96 +841,7 @@ ReconfigureReport SequencingNetwork::begin_reconfigure(
   // Receiver cutover: arm the epoch gates (every old member of a fenced
   // group must observe that group's fence before any of its new-epoch
   // traffic may deliver) and claim the new epoch's counter slots.
-  const std::uint32_t current_epoch = epoch_;
-  if (engine_ == nullptr) {
-    cut_over_receivers(old_num_atoms);
-  } else {
-    // Sharded: per-(shard, node) sub-receivers. The cutover gate is a
-    // *node*-wide condition — new-epoch traffic on any of the node's
-    // sub-receivers waits for all of the node's fences, which land on
-    // old-shard sub-receivers and are relayed at commit time by the
-    // coordinator (fence_delivery_committed).
-    const runtime::ShardPlan& plan = engine_->plan();
-    std::map<std::uint32_t, std::uint32_t> node_fences;
-    for (const GroupId g : cut_fenced_) {
-      for (const NodeId m : *cut_old_members_[g.value()]) {
-        ++node_fences[m.value()];
-      }
-    }
-    std::map<std::pair<std::uint32_t, std::uint32_t>, ReceiverReconfigure>
-        per_sub;
-    auto rc_of = [&](std::uint32_t s, NodeId n) -> ReceiverReconfigure& {
-      auto [it, inserted] = per_sub.try_emplace(std::pair{s, n.value()});
-      if (inserted) it->second.epoch = current_epoch;
-      return it->second;
-    };
-    for (const GroupId g : cut_groups_) {
-      const auto gv = g.value();
-      const GroupRoute& route = group_routes_[gv];
-      if (route.num_hops == 0) continue;
-      const std::uint32_t s_new = route.shard;
-      const std::vector<NodeId>* old_members = cut_old_members_[gv];
-      for (const NodeId m : membership_->members(g)) {
-        Receiver* sub = shard_receivers_[s_new][m.value()].get();
-        // Counters continue only if the same sub-receiver that held the
-        // group before the cut still owns it after (the group stayed on
-        // its shard); otherwise the slot (re)initializes post-fence.
-        const bool continuing =
-            old_members != nullptr && route.prev_shard == s_new &&
-            sub != nullptr &&
-            std::binary_search(old_members->begin(), old_members->end(), m);
-        ReceiverReconfigure& rc = rc_of(s_new, m);
-        if (!continuing) rc.group_inits.emplace_back(g, route.next_seq);
-      }
-    }
-    for (auto& [key, rc] : per_sub) {
-      const std::uint32_t s = key.first;
-      const std::uint32_t nv = key.second;
-      const NodeId node(static_cast<NodeId::underlying_type>(nv));
-      const auto fit = node_fences.find(nv);
-      if (fit != node_fences.end()) {
-        rc.external_fences = true;
-        rc.external_gate_fences = fit->second;
-      }
-      auto& sub = shard_receivers_[s][nv];
-      if (sub != nullptr) {
-        for (const AtomId a :
-             relevant_atoms_for(node, *graph_, old_num_atoms)) {
-          const std::uint32_t unit = plan.unit_of_atom[a.value()];
-          DECSEQ_CHECK(unit != runtime::kNoUnit);
-          if (plan.shard_of_unit[unit] == s) rc.new_atoms.push_back(a);
-        }
-        sub->apply_reconfigure(rc);
-      } else {
-        std::vector<GroupId> shard_subs;
-        for (const GroupId g2 : membership_->groups_of(node)) {
-          if (plan.shard(g2) == s) shard_subs.push_back(g2);
-        }
-        DECSEQ_CHECK(!shard_subs.empty());
-        std::vector<AtomId> shard_atoms;
-        for (const AtomId a : relevant_atoms_for(node, *graph_)) {
-          const std::uint32_t unit = plan.unit_of_atom[a.value()];
-          DECSEQ_CHECK(unit != runtime::kNoUnit);
-          if (plan.shard_of_unit[unit] == s) shard_atoms.push_back(a);
-        }
-        sub = std::make_unique<Receiver>(node, std::move(shard_subs),
-                                         std::move(shard_atoms),
-                                         shard_delivery_fn(node, s));
-        ReceiverReconfigure fresh;
-        fresh.epoch = current_epoch;
-        fresh.group_inits = rc.group_inits;
-        fresh.external_fences = rc.external_fences;
-        fresh.external_gate_fences = rc.external_gate_fences;
-        sub->apply_reconfigure(fresh);
-      }
-    }
-    // New-epoch distribution plans are built eagerly on the coordinator,
-    // like at construction (the first exit happens on a worker thread).
-    for (const GroupId g : cut_groups_) {
-      if (group_routes_[g.value()].num_hops == 0) continue;
-      (void)fanout_plan(g, graph_->path(g).back());
-    }
-  }
+  cut_over_receivers(old_num_atoms);
 
   report.fences_outstanding = fences_outstanding_;
   return report;
@@ -1195,11 +928,8 @@ void SequencingNetwork::sequence_fence(GroupId group, bool close_group,
                                        std::size_t old_member_count) {
   GroupRoute& route = group_route(group);
   DECSEQ_CHECK(route.prev_num_hops > 0);
-  sim::Simulator& sim = engine_ != nullptr
-                            ? engine_->shard_sim(route.prev_shard)
-                            : *sim_;
   const MsgId id(static_cast<MsgId::underlying_type>(records_.size()));
-  records_.push_back({NodeId{}, group, sim.now(), std::nullopt, 0, 0});
+  records_.push_back({NodeId{}, group, sim_->now(), std::nullopt, 0, 0});
   if (close_group) {
     route.terminated = true;
     route.ingress_closed = true;
@@ -1211,7 +941,7 @@ void SequencingNetwork::sequence_fence(GroupId group, bool close_group,
   // sequenced before it ahead of it; everything after it is new-epoch.
   Message message;
   message.data =
-      PayloadBlock::create(id, group, NodeId{}, sim.now(), 0, nullptr, 0,
+      PayloadBlock::create(id, group, NodeId{}, sim_->now(), 0, nullptr, 0,
                            /*is_fin=*/close_group, /*is_fence=*/true);
   message.group_seq = route.next_seq++;
   // Any value other than the new route epoch marks the fence old-epoch;
@@ -1219,36 +949,17 @@ void SequencingNetwork::sequence_fence(GroupId group, bool close_group,
   message.epoch = epoch_ - 1;
   fences_outstanding_ += old_member_count;
   const RouteHop& first = route_hops_[route.prev_first_hop];
-  if (engine_ != nullptr) {
-    ++shard_seqnode_load_[route.prev_shard][first.node.value()];
-  } else {
-    ++seqnode_load_[first.node.value()];
-  }
-  tracer_.record({TraceEvent::Kind::kIngress, id, sim.now(), first.atom,
+  ++seqnode_load_[first.node.value()];
+  tracer_.record({TraceEvent::Kind::kIngress, id, sim_->now(), first.atom,
                   first.node, NodeId{}, message.group_seq});
   // Not in tail position: begin_reconfigure sequences the next fence right
   // after this one, so the first hop must queue behind them as an event.
   handle_at_atom(first.atom, std::move(message), /*tail=*/false);
 }
 
-void SequencingNetwork::fence_delivery_committed(NodeId node, sim::Time at) {
-  DECSEQ_CHECK(engine_ != nullptr);
-  DECSEQ_CHECK_MSG(fences_outstanding_ > 0,
-                   "fence commit with no transition draining");
-  --fences_outstanding_;
-  for (auto& per_node : shard_receivers_) {
-    Receiver* r = per_node[node.value()].get();
-    if (r != nullptr && r->gated()) r->external_fence_delivered(at);
-  }
-  // Transition drained: compact synchronously. Commits happen with the
-  // workers parked, and the fence's span event completed when its delivery
-  // was pushed, so nothing references the stashed plans or old hop spans.
-  if (fences_outstanding_ == 0) compact_transition_state();
-}
-
 void SequencingNetwork::compact_transition_state() {
   // A new transition may have begun before the deferred zero-delay event
-  // fired (single-threaded mode); its own drain will compact instead.
+  // fired; its own drain will compact instead.
   if (fences_outstanding_ != 0) return;
 
   // The drained transition's stashed fan-out plans: every fence has
@@ -1343,95 +1054,22 @@ std::size_t SequencingNetwork::routing_table_bytes() const {
   return bytes;
 }
 
-std::uint32_t SequencingNetwork::reroute_pending_publish(
-    runtime::IngressItem& item) {
-  const GroupRoute& route = group_route(item.group);
-  if (route.epoch == epoch_ && route.num_hops > 0 &&
-      route.prev_ingress_router.valid() &&
-      route.prev_ingress_router != route.ingress_router) {
-    // The group's ingress moved this transition: the queued publish was
-    // aimed at the old ingress machine, so it pays the same redirect leg
-    // an in-flight single-threaded message would travel.
-    item.delay +=
-        oracle_->distance(route.prev_ingress_router, route.ingress_router);
-  }
-  return route.shard;
-}
-
 std::vector<std::size_t> SequencingNetwork::gate_held_by_group() const {
   std::vector<std::size_t> by_group(group_routes_.size(), 0);
-  if (engine_ != nullptr) {
-    for (const auto& per_node : shard_receivers_) {
-      for (const auto& r : per_node) {
-        if (r != nullptr) r->accumulate_gate_holds(by_group);
-      }
-    }
-  } else {
-    for (const auto& r : receivers_) {
-      if (r != nullptr) r->accumulate_gate_holds(by_group);
-    }
+  for (const auto& r : receivers_) {
+    if (r != nullptr) r->accumulate_gate_holds(by_group);
   }
   return by_group;
 }
 
-const std::vector<std::size_t>& SequencingNetwork::seqnode_load() const {
-  if (engine_ == nullptr) return seqnode_load_;
-  merged_seqnode_load_.assign(seqnode_load_.size(), 0);
-  for (const auto& per_shard : shard_seqnode_load_) {
-    for (std::size_t n = 0; n < per_shard.size(); ++n) {
-      merged_seqnode_load_[n] += per_shard[n];
-    }
-  }
-  return merged_seqnode_load_;
-}
-
-const std::vector<ChannelFaultRecord>& SequencingNetwork::channel_faults()
-    const {
-  if (engine_ == nullptr) return channel_faults_;
-  merged_channel_faults_.clear();
-  for (const auto& per_shard : shard_channel_faults_) {
-    merged_channel_faults_.insert(merged_channel_faults_.end(),
-                                  per_shard.begin(), per_shard.end());
-  }
-  // Each shard's log is time-ordered already; a global (at, from, to, seq)
-  // sort makes the merged view independent of the shard layout.
-  std::stable_sort(merged_channel_faults_.begin(),
-                   merged_channel_faults_.end(),
-                   [](const ChannelFaultRecord& a,
-                      const ChannelFaultRecord& b) {
-                     if (a.at != b.at) return a.at < b.at;
-                     if (a.from != b.from) return a.from < b.from;
-                     if (a.to != b.to) return a.to < b.to;
-                     return a.seq < b.seq;
-                   });
-  return merged_channel_faults_;
-}
-
 std::size_t SequencingNetwork::deliveries(NodeId node) const {
   if (!node.valid() || node.value() >= membership_->num_nodes()) return 0;
-  if (engine_ != nullptr) {
-    std::size_t total = 0;
-    for (const auto& per_node : shard_receivers_) {
-      if (per_node[node.value()] != nullptr) {
-        total += per_node[node.value()]->delivered();
-      }
-    }
-    return total;
-  }
   const auto& receiver = receivers_[node.value()];
   return receiver == nullptr ? 0 : receiver->delivered();
 }
 
 std::size_t SequencingNetwork::buffered_at_receivers() const {
   std::size_t total = 0;
-  if (engine_ != nullptr) {
-    for (const auto& per_node : shard_receivers_) {
-      for (const auto& receiver : per_node) {
-        if (receiver != nullptr) total += receiver->buffered();
-      }
-    }
-    return total;
-  }
   for (const auto& receiver : receivers_) {
     if (receiver != nullptr) total += receiver->buffered();
   }
@@ -1439,22 +1077,6 @@ std::size_t SequencingNetwork::buffered_at_receivers() const {
 }
 
 const Receiver& SequencingNetwork::receiver(NodeId node) const {
-  if (engine_ != nullptr) {
-    // A node's state may be split across shards; this accessor only makes
-    // sense when all of its subscriptions landed on one.
-    const Receiver* found = nullptr;
-    for (const auto& per_node : shard_receivers_) {
-      if (node.valid() && node.value() < per_node.size() &&
-          per_node[node.value()] != nullptr) {
-        DECSEQ_CHECK_MSG(found == nullptr,
-                         "node " << node
-                                 << " has sub-receivers on several shards");
-        found = per_node[node.value()].get();
-      }
-    }
-    DECSEQ_CHECK_MSG(found != nullptr, "node " << node << " has no receiver");
-    return *found;
-  }
   DECSEQ_CHECK_MSG(node.valid() && node.value() < receivers_.size() &&
                        receivers_[node.value()] != nullptr,
                    "node " << node << " has no receiver");

@@ -8,6 +8,7 @@
 // publishers to subscribers on the shortest path").
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -23,7 +24,6 @@
 #include "protocol/message.h"
 #include "protocol/receiver.h"
 #include "protocol/trace.h"
-#include "runtime/sharded_engine.h"
 #include "seqgraph/graph.h"
 #include "sim/channel.h"
 #include "sim/simulator.h"
@@ -107,13 +107,9 @@ class SequencingNetwork {
   /// `physical_network` is only needed for tree distribution (it is where
   /// the delivery trees are built); pass nullptr otherwise.
   ///
-  /// `engine` selects the sharded runtime: channels, sequencing state, and
-  /// receivers are pinned to the engine's shards (per the engine's
-  /// ShardPlan) instead of running on `sim`, publishes cross to the owning
-  /// shard via the engine's ingress rings, and deliveries come back through
-  /// its delivery rings (the facade merges and commits them — the
-  /// set_delivery_callback() path is bypassed). Restrictions in sharded
-  /// mode: no tree distribution, no per-message tracing.
+  /// The trailing parameter takes nothing: it remains only because
+  /// perfbench/src/layers.cc still passes a trailing nullptr, and goes
+  /// with that call.
   SequencingNetwork(sim::Simulator& sim, Rng& rng,
                     const seqgraph::SequencingGraph& graph,
                     const placement::Colocation& colocation,
@@ -123,10 +119,7 @@ class SequencingNetwork {
                     topology::DistanceOracle& oracle,
                     NetworkOptions options = {},
                     const topology::Graph* physical_network = nullptr,
-                    runtime::ShardedEngine* engine = nullptr);
-
-  /// Whether this network runs on a sharded engine.
-  [[nodiscard]] bool sharded() const { return engine_ != nullptr; }
+                    std::nullptr_t = nullptr);
 
   SequencingNetwork(const SequencingNetwork&) = delete;
   SequencingNetwork& operator=(const SequencingNetwork&) = delete;
@@ -167,7 +160,7 @@ class SequencingNetwork {
            group_routes_[group.value()].terminated;
   }
 
-  // --- Zero-downtime reconfiguration (dual-epoch routing, PROTOCOL §9). ---
+  // --- Zero-downtime reconfiguration (dual-epoch routing, PROTOCOL §3.4). ---
   // The graph/colocation/assignment/membership objects this network holds
   // references to have been extended in place (delta rebuild: old atom ids
   // preserved, re-laid paths appended). begin_reconfigure() cuts the
@@ -201,23 +194,6 @@ class SequencingNetwork {
   [[nodiscard]] std::size_t fences_outstanding() const {
     return fences_outstanding_;
   }
-
-  /// Sharded mode only: the facade calls this when it *commits* a delivery
-  /// carrying DeliveryEvent::fence. Decrements the outstanding-fence count
-  /// and relays the fence to every gated sub-receiver of `node` (the gate
-  /// is cross-unit, so it cannot be released shard-locally; commit time is
-  /// shard-count-invariant under the lockstep the facade runs during a
-  /// transition).
-  void fence_delivery_committed(NodeId node, sim::Time at);
-
-  /// Sharded mode only: reroute hook for the engine's ingress
-  /// redistribution, called once per still-queued publish immediately after
-  /// begin_reconfigure(). Adds the old-ingress -> new-ingress redirect leg
-  /// to the item's delay when its group moved ingress this transition
-  /// (mirroring the in-flight redirect single-threaded mode performs), and
-  /// returns the owning shard.
-  [[nodiscard]] std::uint32_t reroute_pending_publish(
-      runtime::IngressItem& item);
 
   /// Messages ever held by receiver cutover gates, per group id value
   /// (cumulative across all transitions) — the "messages stalled by
@@ -289,10 +265,10 @@ class SequencingNetwork {
   }
 
   /// Every channel-exhaustion event since construction, in the order the
-  /// channels surfaced them (deterministic under the simulator). Sharded
-  /// mode records per shard and merges here by (at, from, to, seq) — a
-  /// shard-count-independent order; call only at a fence (between run()s).
-  [[nodiscard]] const std::vector<ChannelFaultRecord>& channel_faults() const;
+  /// channels surfaced them (deterministic under the simulator).
+  [[nodiscard]] const std::vector<ChannelFaultRecord>& channel_faults() const {
+    return channel_faults_;
+  }
 
   /// Edges whose channel is faulted *right now* (budget exhausted, not yet
   /// recovered or drained), sorted by (from, to).
@@ -306,8 +282,9 @@ class SequencingNetwork {
 
   /// Messages handled per sequencing node (counted once per visit to the
   /// machine, however many co-located atoms touch the message there).
-  /// Sharded mode counts per shard and sums here; call only at a fence.
-  [[nodiscard]] const std::vector<std::size_t>& seqnode_load() const;
+  [[nodiscard]] const std::vector<std::size_t>& seqnode_load() const {
+    return seqnode_load_;
+  }
 
   /// Messages delivered per subscriber node.
   [[nodiscard]] std::size_t deliveries(NodeId node) const;
@@ -386,14 +363,8 @@ class SequencingNetwork {
     bool ingress_closed = false;
     /// A FIN was injected (or a closing fence sequenced) for the group:
     /// further publishes are an error. Sits in the padding after
-    /// ingress_closed, so the route stays 72 bytes.
+    /// ingress_closed.
     bool terminated = false;
-    /// Sharded mode: the overlap unit this group belongs to and the worker
-    /// shard the unit is pinned to (see runtime/shard_plan.h). The hot path
-    /// reads the shard straight off the route — no plan lookups per
-    /// message. Both 0 in single-threaded mode.
-    std::uint32_t unit = 0;
-    std::uint32_t shard = 0;
     /// Dual-epoch routing (zero-downtime reconfiguration). The epoch the
     /// *current* span belongs to; a message whose stamped epoch differs
     /// was sequenced before this group's last cutover fence and routes on
@@ -402,11 +373,6 @@ class SequencingNetwork {
     std::uint32_t epoch = 0;
     std::uint32_t prev_first_hop = 0;
     std::uint32_t prev_num_hops = 0;  ///< 0: no old span draining
-    /// Merge/placement identity of the previous epoch's span (sharded
-    /// mode): old-epoch deliveries keep the old unit's merge keys and the
-    /// old span's events stay on the old shard.
-    std::uint32_t prev_unit = 0;
-    std::uint32_t prev_shard = 0;
     /// Old ingress machine, kept for the redirect leg a stale in-flight
     /// publish travels from the old ingress to the new one.
     RouterId prev_ingress_router;
@@ -468,12 +434,11 @@ class SequencingNetwork {
                          std::uint32_t attempts);
   void distribute(AtomId last_atom, Message&& message);
   [[nodiscard]] FanOutPlan& fanout_plan(GroupId group, AtomId last_atom);
-  /// Materialize a group's distribution plan from its egress atom, an
-  /// explicit member list and its shard (fanout_plan() uses the current
-  /// membership; the reconfiguration path uses the old-member snapshot).
+  /// Materialize a group's distribution plan from its egress atom and an
+  /// explicit member list (fanout_plan() uses the current membership; the
+  /// reconfiguration path uses the old-member snapshot).
   [[nodiscard]] std::unique_ptr<FanOutPlan> build_fanout_plan(
-      AtomId last_atom, const std::vector<NodeId>& members,
-      std::uint32_t shard);
+      AtomId last_atom, const std::vector<NodeId>& members);
   /// A plan to fill: a drained one from spare_plans_ (its lists keep
   /// their capacity), or a new one.
   [[nodiscard]] std::unique_ptr<FanOutPlan> take_plan();
@@ -490,7 +455,7 @@ class SequencingNetwork {
   std::size_t append_path_channels(const std::vector<GroupId>& groups,
                                    std::size_t base);
   /// Compile `path` as `route`'s current span at the end of route_hops_
-  /// (ingress identity, unit/shard in sharded mode, hop table entries).
+  /// (ingress identity and hop table entries).
   /// Every edge of `path` must be a channel the last append_path_channels()
   /// call appended; each hop takes its Channel* from that call's index.
   void append_route_span(GroupId g, const std::vector<AtomId>& path,
@@ -500,9 +465,9 @@ class SequencingNetwork {
   [[nodiscard]] const std::vector<NodeId>& old_members_of(
       GroupId g,
       const std::vector<std::vector<NodeId>>& old_members_by_slot) const;
-  /// Single-threaded receiver cutover of begin_reconfigure(): one
-  /// ReceiverReconfigure per touched node in rc_pool_, applied in node
-  /// order (the previous cutover's entries are cleared first).
+  /// Receiver cutover of begin_reconfigure(): one ReceiverReconfigure per
+  /// touched node in rc_pool_, applied in node order (the previous
+  /// cutover's entries are cleared first).
   void cut_over_receivers(std::size_t old_num_atoms);
   /// Sequence `group`'s cutover fence: synchronously take the next group
   /// sequence number and enter the *previous* span as the last old-epoch
@@ -515,11 +480,10 @@ class SequencingNetwork {
   /// (fences_outstanding_ back to 0): free the stashed previous-epoch
   /// fan-out plans, destroy quiescent channels whose endpoints the delta
   /// rebuild retired, and fold the hop table down to the live spans
-  /// (remapping every route's first_hop). Single-threaded mode reaches
-  /// here via a zero-delay event — the span lambda delivering the final
-  /// fence still iterates a stashed plan — so the fence count is
-  /// re-checked in case a new transition began first. Sharded mode calls
-  /// it directly from fence_delivery_committed (workers parked).
+  /// (remapping every route's first_hop). Reached via a zero-delay event —
+  /// the span lambda delivering the final fence still iterates a stashed
+  /// plan — so the fence count is re-checked in case a new transition
+  /// began first.
   void compact_transition_state();
   [[nodiscard]] double machine_distance(AtomId a, AtomId b);
   [[nodiscard]] RouterId machine_of_atom(AtomId a) const;
@@ -535,32 +499,10 @@ class SequencingNetwork {
   /// edges (cold paths only: failure injection and fault introspection;
   /// the hot path reads Channel* straight from the hop table).
   [[nodiscard]] std::size_t channel_index(AtomId from, AtomId to) const;
-  /// The simulator a group's protocol events run on: its shard's simulator
-  /// in sharded mode, the shared one otherwise.
-  [[nodiscard]] sim::Simulator& route_sim(const GroupRoute& route) {
-    return engine_ != nullptr ? engine_->shard_sim(route.shard) : *sim_;
-  }
-  /// The receiver that handles `member`'s subscriptions living on `shard`.
-  [[nodiscard]] Receiver* receiver_for(NodeId member, std::uint32_t shard) {
-    return engine_ != nullptr ? shard_receivers_[shard][member.value()].get()
-                              : receivers_[member.value()].get();
-  }
-  /// Delivery callback for `node`'s receiver (single-threaded mode):
-  /// consumes cutover fences into the transition accounting, traces, and
-  /// forwards real deliveries to the delivery callback.
+  /// Delivery callback for `node`'s receiver: consumes cutover fences into
+  /// the transition accounting, traces, and forwards real deliveries to
+  /// the delivery callback.
   [[nodiscard]] Receiver::DeliverFn local_delivery_fn(NodeId node);
-  /// Delivery callback for `node`'s sub-receiver on shard `s`: crosses the
-  /// delivery back to the coordinator with the epoch's merge keys.
-  [[nodiscard]] Receiver::DeliverFn shard_delivery_fn(NodeId node,
-                                                      std::uint32_t s);
-  /// Worker-side ingest hook (sharded mode): materialize the payload block
-  /// on the owning shard's thread and schedule the ingress arrival.
-  void ingest(std::uint32_t shard, runtime::IngressItem&& item);
-  /// Build the per-(shard, node) sub-receivers for sharded mode: each holds
-  /// the slice of the node's subscriptions (and relevant atoms) whose unit
-  /// lives on that shard, so its counters are disjoint from every other
-  /// shard's and delivery decisions stay shard-local.
-  void build_shard_receivers();
 
   sim::Simulator* sim_;
   Rng* rng_;
@@ -585,14 +527,7 @@ class SequencingNetwork {
   std::vector<std::pair<AtomId, AtomId>> channel_edges_;
   std::vector<std::unique_ptr<sim::Channel<Message>>> channels_;
   /// Receivers indexed by node id value; null for non-subscribers.
-  /// Single-threaded mode only — sharded mode uses shard_receivers_.
   std::vector<std::unique_ptr<Receiver>> receivers_;
-  /// Sharded mode: sub-receivers indexed [shard][node id value]; null where
-  /// the node subscribes to nothing on that shard. A node with groups in
-  /// several units may have one sub-receiver per shard; their counter
-  /// spaces are disjoint (a group and all atoms relevant to it live in one
-  /// unit), so splitting them changes no deliver-or-buffer decision.
-  std::vector<std::vector<std::unique_ptr<Receiver>>> shard_receivers_;
   std::vector<MessageRecord> records_;
   std::vector<std::size_t> seqnode_load_;
   std::vector<bool> node_down_;
@@ -600,13 +535,6 @@ class SequencingNetwork {
   std::vector<bool> publisher_down_;
   /// Channel-exhaustion log (append-only; see channel_faults()).
   std::vector<ChannelFaultRecord> channel_faults_;
-  /// Sharded mode: per-shard counters the workers write during slices,
-  /// merged into the mutable caches below when an accessor is called at a
-  /// fence (workers parked — the dispatch mutex orders the accesses).
-  std::vector<std::vector<std::size_t>> shard_seqnode_load_;
-  std::vector<std::vector<ChannelFaultRecord>> shard_channel_faults_;
-  mutable std::vector<std::size_t> merged_seqnode_load_;
-  mutable std::vector<ChannelFaultRecord> merged_channel_faults_;
   Tracer tracer_;
   /// Lazily built distribution plans indexed by group id value.
   std::vector<std::unique_ptr<FanOutPlan>> fanout_plans_;
@@ -617,8 +545,8 @@ class SequencingNetwork {
   std::vector<std::pair<double, std::uint32_t>> plan_order_;
   /// Previous-epoch distribution plans for groups draining behind a fence.
   /// Freed by epoch compaction once the transition drains (one zero-delay
-  /// event after the final fence delivery in single-threaded mode, because
-  /// that fence's fan-out event still references its plan), and defensively
+  /// event after the final fence delivery, because that fence's fan-out
+  /// event still references its plan), and defensively
   /// again at the next begin_reconfigure().
   std::vector<std::unique_ptr<FanOutPlan>> prev_fanout_plans_;
   /// Drained previous-epoch plans, refilled by build_fanout_plan().
@@ -645,7 +573,7 @@ class SequencingNetwork {
   std::vector<GroupId> cut_groups_;
   std::vector<GroupId> cut_fenced_;
   std::vector<const std::vector<NodeId>*> cut_old_members_;
-  /// The single-threaded receiver cutover: rc_slot_ maps a node value to
+  /// The receiver cutover: rc_slot_ maps a node value to
   /// its entry in rc_pool_ (kNoCutSlot: untouched by the last cutover),
   /// and rc_nodes_ lists the touched nodes.
   static constexpr std::uint32_t kNoCutSlot = 0xffffffffu;
@@ -661,7 +589,6 @@ class SequencingNetwork {
   std::size_t channels_reclaimed_ = 0;
   topology::LinkStress distribution_stress_;
   const topology::Graph* physical_network_ = nullptr;
-  runtime::ShardedEngine* engine_ = nullptr;
   DeliveryFn on_delivery_;
 };
 

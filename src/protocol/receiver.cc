@@ -28,7 +28,6 @@ std::int32_t Receiver::claim_slot(std::vector<std::int32_t>& slots,
 
 void Receiver::apply_reconfigure(const ReceiverReconfigure& rc) {
   gate_epoch_ = rc.epoch;
-  external_fences_ = rc.external_fences;
   for (const auto& [g, first] : rc.group_inits) {
     const std::int32_t s = claim_slot(group_slot_, g.value(), first);
     // Rejoining a group whose slot survived from an earlier epoch: the node
@@ -37,10 +36,6 @@ void Receiver::apply_reconfigure(const ReceiverReconfigure& rc) {
     next_[static_cast<std::size_t>(s)] = first;
   }
   for (const AtomId a : rc.new_atoms) claim_slot(atom_slot_, a.value(), 1);
-  if (rc.external_fences) {
-    fence_wait_ += rc.external_gate_fences;
-    return;
-  }
   for (const GroupId g : rc.awaited_fences) {
     const std::int32_t s = group_slot(g);
     DECSEQ_CHECK_MSG(s >= 0, "awaited fence for unknown group " << g);
@@ -49,12 +44,6 @@ void Receiver::apply_reconfigure(const ReceiverReconfigure& rc) {
       ++fence_wait_;
     }
   }
-}
-
-void Receiver::external_fence_delivered(sim::Time now) {
-  DECSEQ_CHECK_MSG(fence_wait_ > 0, "fence relay without an armed gate");
-  --fence_wait_;
-  maybe_release(now);
 }
 
 void Receiver::accumulate_gate_holds(std::vector<std::size_t>& by_group) const {
@@ -231,7 +220,7 @@ void Receiver::deliver(const Message& message, sim::Time now) {
     advance(as);
   }
   if (message.is_fin()) closed_[static_cast<std::size_t>(gs)] = true;
-  if (message.data->is_fence() && !external_fences_ &&
+  if (message.data->is_fence() &&
       awaiting_fence_[static_cast<std::size_t>(gs)] != 0) {
     awaiting_fence_[static_cast<std::size_t>(gs)] = 0;
     DECSEQ_CHECK(fence_wait_ > 0);

@@ -54,15 +54,10 @@ struct ReceiverReconfigure {
   /// The new routing epoch; messages tagged with it are gated until every
   /// awaited fence has been delivered.
   std::uint32_t epoch = 0;
-  /// Groups whose fence (or FIN+fence) this receiver itself delivers and
-  /// must wait for. The receiver already holds slots for them (it was an
-  /// old-epoch member). Ignored when external_fences is set.
+  /// Groups whose fence (or FIN+fence) this receiver delivers and must
+  /// wait for. The receiver already holds slots for them (it was an
+  /// old-epoch member).
   std::vector<GroupId> awaited_fences;
-  /// Sharded mode: fences for this node land on *other* shard-slice
-  /// receivers, so the coordinator relays each delivery via
-  /// external_fence_delivered(); this is how many to wait for.
-  std::uint32_t external_gate_fences = 0;
-  bool external_fences = false;
   /// Group slots to claim or re-initialize: (group, first expected seq).
   /// A new or rejoining subscriber starts at the group's first new-epoch
   /// sequence number (the fence consumed the last old one).
@@ -97,11 +92,6 @@ class Receiver {
 
   /// True while the epoch gate is armed (fences still outstanding).
   [[nodiscard]] bool gated() const { return fence_wait_ > 0; }
-
-  /// Sharded relay: the coordinator committed one of this node's fences
-  /// (delivered on some shard-slice receiver). Opens the gate and replays
-  /// held messages once the count reaches zero.
-  void external_fence_delivered(sim::Time now);
 
   /// Messages ever held at the epoch gate, per group — the bench's
   /// "messages stalled by reconfiguration" metric (untouched groups are
@@ -221,9 +211,7 @@ class Receiver {
   /// a group untouched by the reconfiguration never waits here.
   std::uint32_t gate_epoch_ = 0;
   std::uint32_t fence_wait_ = 0;
-  bool external_fences_ = false;
-  /// Per-slot flag: delivering this group's fence decrements fence_wait_
-  /// (internal mode only; sharded relays via external_fence_delivered).
+  /// Per-slot flag: delivering this group's fence decrements fence_wait_.
   std::vector<char> awaiting_fence_;
   /// Gate-held messages in arrival order (replayed in the same order).
   std::vector<std::pair<Message, sim::Time>> held_;

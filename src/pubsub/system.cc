@@ -1,7 +1,6 @@
 #include "pubsub/system.h"
 
 #include <algorithm>
-#include <cmath>
 #include <utility>
 
 #include "common/log.h"
@@ -48,12 +47,6 @@ void PubSubSystem::require_quiescent(const char* op) const {
   // table whose sequencing graph still reflects the old world.
   DECSEQ_CHECK_MSG(sim_.idle(), op << " while " << sim_.pending()
                                    << " simulator event(s) are in flight");
-  if (engine_ != nullptr) {
-    DECSEQ_CHECK_MSG(engine_->idle(),
-                     op << " while the sharded runtime has pending events");
-    DECSEQ_CHECK_MSG(!engine_->ingress_pending(),
-                     op << " while the sharded runtime has queued ingress");
-  }
   for (const auto& [sender, state] : causal_) {
     const std::size_t pending =
         state.queue.size() + (state.in_flight.has_value() ? 1u : 0u);
@@ -84,26 +77,10 @@ void PubSubSystem::rebuild() {
   assignment_ = std::make_unique<placement::Assignment>(
       placement::assign_machines(*graph_, *colocation_, membership_, *hosts_,
                                  net_graph_, config_.assignment, rng_));
-  // The engine (and its thread pool) is rebuilt per epoch, like the
-  // network: units are a property of the current sequencing graph. Its
-  // shard clocks start at zero and are advanced to the facade's clock so
-  // payload timestamps line up across epochs.
-  network_.reset();  // old network's channels hold timers on the old engine
-  if (config_.shards > 0) {
-    engine_ = std::make_unique<runtime::ShardedEngine>(
-        runtime::build_shard_plan(
-            *graph_, membership_,
-            static_cast<std::uint32_t>(config_.shards)),
-        config_.seed, epoch_counter_);
-    engine_->advance_to(sim_.now());
-  } else {
-    engine_.reset();
-  }
-  ++epoch_counter_;
+  network_.reset();  // the two epochs' networks never coexist
   network_ = std::make_unique<protocol::SequencingNetwork>(
       sim_, rng_, *graph_, *colocation_, *assignment_, membership_, *hosts_,
-      *oracle_, config_.network, &net_graph_, engine_.get());
-  if (engine_ != nullptr) return;  // deliveries merge via the engine's rings
+      *oracle_, config_.network, &net_graph_);
   network_->set_delivery_callback(
       [this](NodeId receiver, const protocol::Message& m, sim::Time at) {
         if (m.is_fin()) return;  // control message: closes the group quietly
@@ -302,27 +279,12 @@ PubSubSystem::ReconfigureResult PubSubSystem::reconfigure_async(
                                config_.assignment, rng_,
                                result.delta.affected_groups, first_new_atom,
                                extend_scratch_);
-  ++transition_counter_;
-  if (engine_ != nullptr) {
-    engine_->extend_plan(*graph_, membership_, result.delta.affected_groups,
-                         transition_counter_);
-  }
 
   // 4. Cut over: compile the affected groups' new spans next to their old
   //    ones and flush a fence down each old span. From here on the network
   //    routes by epoch; run() drains the transition.
   result.report = network_->begin_reconfigure(result.delta.affected_groups,
                                               old_members_);
-
-  // 5. Sharded mode: publishes still queued in the ingress rings were
-  //    routed under the old plan; re-route them (adding the old-ingress ->
-  //    new-ingress leg their single-threaded in-flight counterparts would
-  //    travel) onto the shards that now own their groups.
-  if (engine_ != nullptr) {
-    engine_->redistribute_ingress([this](runtime::IngressItem& item) {
-      return network_->reroute_pending_publish(item);
-    });
-  }
   return result;
 }
 
@@ -368,117 +330,7 @@ void PubSubSystem::resolve_failed_causal() {
   }
 }
 
-void PubSubSystem::commit_deliveries() {
-  // A committed cutover fence is relayed to the node's gated receivers,
-  // which replay their gate-held messages *now* (workers are parked, so
-  // touching shard state is fence-legal) — producing fresh delivery events
-  // in the rings. Re-drain until a pass commits no fences; released
-  // messages are ordinary payload deliveries and cannot cascade further
-  // relays. During a transition run_sharded() holds lockstep, so every
-  // event in a pass (and every release) shares the slice's fence time and
-  // the (time, unit, unit_pos) merge stays shard-count-invariant.
-  bool relayed_fence = true;
-  while (relayed_fence) {
-    relayed_fence = false;
-    batch_.clear();
-    engine_->drain_deliveries(batch_);
-    // The shard-count-invariant merge: time first; ties across units by
-    // unit id, within a unit by the unit's own delivery-stream position
-    // (which preserves the exact order a lone simulator would produce).
-    std::sort(batch_.begin(), batch_.end(),
-              [](const runtime::DeliveryEvent& a,
-                 const runtime::DeliveryEvent& b) {
-                if (a.delivered_at != b.delivered_at) {
-                  return a.delivered_at < b.delivered_at;
-                }
-                if (a.unit != b.unit) return a.unit < b.unit;
-                return a.unit_pos < b.unit_pos;
-              });
-    for (const runtime::DeliveryEvent& ev : batch_) {
-      if (ev.fence) {
-        network_->fence_delivery_committed(ev.receiver, ev.delivered_at);
-        relayed_fence = true;
-        continue;  // control message: never reaches the application log
-      }
-      if (!ev.fin) {
-        log_.push_back({ev.receiver, MsgId(epoch_base_ + ev.message.value()),
-                        ev.group, ev.sender, ev.payload, ev.sent_at,
-                        ev.delivered_at});
-      }
-      // A sender receiving its own message back releases its next queued
-      // causal publish; in lockstep the control clock sits at the delivery
-      // time, so the release publishes exactly when the callback would
-      // have.
-      if (ev.receiver == ev.sender) {
-        const auto it = causal_.find(ev.sender);
-        if (it != causal_.end() && it->second.in_flight == ev.message) {
-          it->second.in_flight.reset();
-          pump_causal_queue(ev.sender);
-        }
-      }
-    }
-  }
-}
-
-sim::Time PubSubSystem::run_sharded() {
-  DECSEQ_CHECK_MSG(user_callback_ == nullptr,
-                   "delivery callbacks are not available in sharded mode");
-  while (true) {
-    resolve_failed_causal();
-    if (sim_.idle() && engine_->idle() && !engine_->ingress_pending() &&
-        !causal_pending()) {
-      break;
-    }
-    if (!causal_pending() && !network_->transition_active()) {
-      // Free-run: nothing on a shard can feed back into the control plane,
-      // so every shard races ahead to the next control event in parallel.
-      // (During a cutover transition fences feed back — a fence commit
-      // relays to gated receivers on other shards — so lockstep holds
-      // until the transition drains, making the relay instant equal the
-      // fence's delivery time for every shard count.)
-      // Exclusive fences (run_before) keep fence-time protocol events
-      // after fence-time control events, like the FIFO tie-break would.
-      const sim::Time fence = sim_.next_event_time();
-      engine_->run_before(fence);
-      if (std::isinf(fence)) {  // control idle: the shards just drained
-        commit_deliveries();
-        continue;
-      }
-      engine_->advance_to(fence);
-      sim_.run_until(fence);
-      commit_deliveries();
-      continue;
-    }
-    // Lockstep: a delivery can release a causal publish, so fences fall on
-    // every event time — the release re-enters the network at exactly the
-    // simulated instant the single-threaded callback would have fired.
-    sim::Time fence;
-    if (engine_->ingress_pending()) {
-      // Queued publishes were stamped at the current instant; they must be
-      // ingested before any clock moves past it, so re-fence at "now" (the
-      // slice ingests first, then runs whatever lands at this time).
-      fence = std::max(sim_.now(), engine_->max_now());
-    } else {
-      fence = std::min(sim_.next_event_time(), engine_->next_event_time());
-      DECSEQ_CHECK_MSG(std::isfinite(fence),
-                       "causal publishes stuck with an idle simulator");
-    }
-    engine_->advance_to(fence);
-    sim_.advance_to(fence);
-    sim_.run_until(fence);
-    engine_->run_until(fence);
-    commit_deliveries();
-  }
-  // Leave every clock at the run's completion time, like the lone
-  // simulator's clock would be.
-  const sim::Time end = std::max(sim_.now(), engine_->max_now());
-  sim_.advance_to(end);
-  if (std::isfinite(end)) engine_->advance_to(end);
-  return end;
-}
-
 sim::Time PubSubSystem::run() {
-  if (engine_ != nullptr) return run_sharded();
   sim_.run();
   // Causal queues may release messages upon delivery; keep draining until
   // nothing is pending anywhere.

@@ -38,8 +38,6 @@
 #include "placement/assignment.h"
 #include "placement/colocation.h"
 #include "protocol/network.h"
-#include "runtime/shard_plan.h"
-#include "runtime/sharded_engine.h"
 #include "seqgraph/graph.h"
 #include "sim/simulator.h"
 #include "topology/hosts.h"
@@ -65,14 +63,6 @@ struct SystemConfig {
   placement::ColocationOptions colocation;
   placement::AssignmentOptions assignment;
   protocol::NetworkOptions network;
-  /// Worker shards for the sequencing runtime. 0 = classic single-threaded
-  /// path (everything on the facade's simulator). N >= 1 = the sharded
-  /// runtime: overlap units are pinned to N shards (clamped to the number
-  /// of units; shard 1 of N runs inline, the rest on worker threads), and
-  /// the delivery log is byte-identical for every N — see
-  /// runtime/sharded_engine.h for the determinism argument. Restrictions:
-  /// no per-message tracing, no tree distribution, no delivery callbacks.
-  std::size_t shards = 0;
 };
 
 /// One in-order delivery, as observed by the application.
@@ -141,10 +131,10 @@ class PubSubSystem {
   };
 
   /// Zero-downtime reconfiguration: apply the batch *without* draining
-  /// in-flight traffic. The overlap index, sequencing graph, colocation,
-  /// machine assignment, and (sharded) shard plan are all extended
-  /// incrementally — untouched groups keep their atoms, routes, counters,
-  /// and jitter streams verbatim, and their messages are never stalled.
+  /// in-flight traffic. The overlap index, sequencing graph, colocation and
+  /// machine assignment are all extended incrementally — untouched groups
+  /// keep their atoms, routes and counters verbatim, and their messages
+  /// are never stalled.
   /// Each affected group is cut over by an in-band fence (see
   /// protocol/network.h "Zero-downtime reconfiguration"): messages
   /// sequenced before it drain on the old routes, messages sequenced after
@@ -152,8 +142,7 @@ class PubSubSystem {
   /// fence lands. The transition drains during subsequent run() calls;
   /// only one may be in flight (wait for transition_active() before the
   /// next). Publishing remains legal throughout — including from delivery
-  /// callbacks in single-threaded mode, where this may even be called with
-  /// messages mid-flight.
+  /// callbacks, where this may even be called with messages mid-flight.
   ReconfigureResult reconfigure_async(std::vector<MembershipChange> changes);
 
   /// True while cutover fences from the last reconfigure_async() are still
@@ -269,11 +258,6 @@ class PubSubSystem {
     return *network_;
   }
   [[nodiscard]] sim::Simulator& simulator() { return sim_; }
-  /// The sharded engine, or null in single-threaded mode. Rebuilt (like the
-  /// network) on every membership change.
-  [[nodiscard]] const runtime::ShardedEngine* engine() const {
-    return engine_.get();
-  }
 
  private:
   /// Router count above which the oracle switches from its unbounded cache
@@ -282,21 +266,13 @@ class PubSubSystem {
   /// topologies (10k routers) stay below it.
   static constexpr std::size_t kScaledOracleRouterThreshold = 20'000;
 
-  /// Assert nothing is in flight (simulator, sharded runtime, causal
-  /// queues), naming `op` and the offending counts. Every membership entry
+  /// Assert nothing is in flight (simulator, causal queues), naming `op`
+  /// and the offending counts. Every membership entry
   /// point calls this BEFORE touching the membership table, so a violation
   /// aborts with the system state unmodified.
   void require_quiescent(const char* op) const;
   void rebuild();
   void pump_causal_queue(NodeId sender);
-  sim::Time run_sharded();
-  /// Drain the shards' delivery rings, merge by (time, unit, unit position)
-  /// — the shard-count-invariant order — and append to the log; releases
-  /// causal chains whose head came back to its sender. Cutover fences in
-  /// the batch are relayed to the node's gated receivers instead of being
-  /// logged, and the rings are re-drained until no fences remain (a relay
-  /// can release gate-held messages, which deliver at commit time).
-  void commit_deliveries();
   [[nodiscard]] bool causal_pending() const;
   /// Drop causal chains whose in-flight head failed ingress (the publisher
   /// host crashed): nobody is left to release them.
@@ -333,17 +309,7 @@ class PubSubSystem {
   placement::ExtendScratch extend_scratch_;
 
   sim::Simulator sim_;
-  std::unique_ptr<runtime::ShardedEngine> engine_;
   std::unique_ptr<protocol::SequencingNetwork> network_;
-  /// Membership epochs seen so far; parameterizes the per-unit RNG streams
-  /// so channel jitter differs across epochs like the shared stream would.
-  std::uint64_t epoch_counter_ = 0;
-  /// reconfigure_async() calls so far; mixed into the unit seeds of shard
-  /// units appended by a transition (units are never rebuilt in place, so
-  /// the ordinal keeps repeated transitions' jitter streams distinct).
-  std::uint64_t transition_counter_ = 0;
-  /// Scratch for commit_deliveries (reused across fences).
-  std::vector<runtime::DeliveryEvent> batch_;
 
   std::vector<Delivery> log_;
   protocol::SequencingNetwork::DeliveryFn user_callback_;

@@ -1,8 +1,7 @@
 // Control-plane worker pool: a minimal parallel-for over independent work
 // items, used by the epoch compile (seqgraph lays out overlap components in
-// parallel — they are independent, the same decomposition the sharded
-// engine's units come from). Header-only so compile-side libraries can use
-// it without linking the data-plane runtime.
+// parallel — they are independent). Header-only; its users link
+// Threads::Threads.
 //
 // Determinism contract: callers must make fn(i, worker) independent of both
 // the worker index and the interleaving (pure function of item i into

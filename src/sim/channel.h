@@ -50,10 +50,10 @@
 //    been cancelled by its ack inside that instant. The one difference
 //    from sampling at arrival is a fault call that lands after a launch
 //    and before its arrival, inside the same instant: the packet now
-//    arrives. The fuzz runner, the sharded fences and the benches schedule
-//    their fault events ahead of the protocol events of that instant, so
-//    none of them produces the case. The fault path is why a 0 ms hop
-//    still has a channel: node and link failures reach it, and a launch
+//    arrives. The fuzz runner and the benches schedule their fault events
+//    ahead of the protocol events of that instant, so none of them
+//    produces the case. The fault path is why a 0 ms hop still has a
+//    channel: node and link failures reach it, and a launch
 //    made while it is down needs the buffer and the timer. A lossy 0 ms
 //    channel keeps its acks, timers and loss-coin draws.
 //    A hop may also skip the data event (pass_in_place()). When the window

@@ -151,42 +151,13 @@ class Simulator {
     return fired;
   }
 
-  /// Fire every event strictly before `deadline` and stop, WITHOUT bumping
-  /// the clock to the deadline (now() stays at the last fired event). This
-  /// is the sharded runtime's slice primitive: a worker shard runs its
-  /// events up to — but excluding — the next coordination fence, and the
-  /// coordinator advances every clock to the fence together (advance_to),
-  /// so events *at* the fence time still fire after the fence's control
-  /// events, exactly like the single-simulator FIFO tie-break.
-  std::size_t run_before(Time deadline) {
-    std::size_t fired = 0;
-    while (!idle() && next_event_time() < deadline) {
-      fire_next();
-      ++fired;
-    }
-    return fired;
-  }
-
   /// Time of the earliest pending event; +infinity when idle. A peek only:
   /// the base moves when an event fires, never here, so callers may still
-  /// advance_to() any time up to the answer and schedule there.
+  /// schedule at any time from now() up to the answer.
   [[nodiscard]] Time next_event_time() const {
     if (idle()) return std::numeric_limits<Time>::infinity();
     if ((occupied_ & 1u) != 0) return std::bit_cast<Time>(base_);
     return std::bit_cast<Time>(bucket_min(lowest_bucket()));
-  }
-
-  /// Jump the clock forward to `t` (no-op if already past it). Only legal
-  /// when no pending event would thereby fire late — the virtual-time
-  /// coordination fence: every shard is advanced to the fence before any
-  /// fence-time mutation (channel recovery, fence-time publishes) runs, so
-  /// those mutations observe the same now() they would in a single
-  /// simulator.
-  void advance_to(Time t) {
-    DECSEQ_CHECK_MSG(idle() || next_event_time() >= t,
-                     "advance_to(" << t << ") would skip an event at "
-                                   << next_event_time());
-    if (now_ < t) now_ = t;
   }
 
   [[nodiscard]] bool idle() const { return occupied_ == 0; }
@@ -195,9 +166,8 @@ class Simulator {
   /// True iff no pending event is due at now(), in O(1). Inside a callback
   /// the answer is exact: the base is the firing event's key, so bucket 0
   /// holds exactly the other events due at now(). Outside one, run_until()
-  /// or advance_to() may have moved the clock past the base; then only an
-  /// idle queue answers true, and false means "cannot tell", not "an event
-  /// is due".
+  /// may have moved the clock past the base; then only an idle queue
+  /// answers true, and false means "cannot tell", not "an event is due".
   [[nodiscard]] bool nothing_due_now() const {
     return occupied_ == 0 || ((occupied_ & 1u) == 0 &&
                               std::bit_cast<std::uint64_t>(now_) == base_);

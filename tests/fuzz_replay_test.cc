@@ -54,27 +54,25 @@ std::uint64_t fnv1a64(const std::string& bytes,
   return h;
 }
 
-/// FNV-1a digests of every corpus file's fingerprint(), on the classic
-/// single-threaded runtime and on the sharded runtime with one shard. The
-/// replay is libm-free (no transcendental function on the fuzz path), so
-/// the digests hold in optimised and sanitizer builds alike. Regenerate an
-/// entry only for a deliberate change of observable behaviour, and say so
-/// in the commit; an engine refactor must leave the table untouched.
+/// FNV-1a digests of every corpus file's fingerprint(). The replay is
+/// libm-free (no transcendental function on the fuzz path), so the digests
+/// hold in optimised and sanitizer builds alike. Regenerate an entry only
+/// for a deliberate change of observable behaviour, and say so in the
+/// commit; an engine refactor must leave the table untouched.
 struct GoldenDigest {
   const char* file;
-  std::uint64_t unsharded;
-  std::uint64_t one_shard;
+  std::uint64_t digest;
 };
 constexpr GoldenDigest kGoldenDigests[] = {
-    {"hostile-seed-2.repro", 0xb16c69f9967dd9c1ULL, 0x179161e020608046ULL},
-    {"hostile-seed-9.repro", 0x6b0f69eb7e685b45ULL, 0x6b0f69eb7e685b45ULL},
-    {"seed-1.repro", 0xdd2f0236e8339c8cULL, 0x4d347c9f51d3e4e4ULL},
-    {"seed-10.repro", 0x01518951486e3ef3ULL, 0x01518951486e3ef3ULL},
-    {"seed-22.repro", 0xed4e4360d291da2fULL, 0xed4e4360d291da2fULL},
-    {"seed-25.repro", 0xb2a1f58007e8e2daULL, 0xb2a1f58007e8e2daULL},
-    {"seed-29.repro", 0xe21206492eb3e101ULL, 0x349df3a8cc497707ULL},
-    {"seed-6.repro", 0x8be4853624998ee9ULL, 0x8be4853624998ee9ULL},
-    {"seed-7.repro", 0xe35b8edad75d20b5ULL, 0xe35b8edad75d20b5ULL},
+    {"hostile-seed-2.repro", 0xb16c69f9967dd9c1ULL},
+    {"hostile-seed-9.repro", 0x6b0f69eb7e685b45ULL},
+    {"seed-1.repro", 0xdd2f0236e8339c8cULL},
+    {"seed-10.repro", 0x01518951486e3ef3ULL},
+    {"seed-22.repro", 0xed4e4360d291da2fULL},
+    {"seed-25.repro", 0xb2a1f58007e8e2daULL},
+    {"seed-29.repro", 0xe21206492eb3e101ULL},
+    {"seed-6.repro", 0x8be4853624998ee9ULL},
+    {"seed-7.repro", 0xe35b8edad75d20b5ULL},
 };
 
 TEST(FuzzReplay, CorpusPassesAllOracles) {
@@ -94,37 +92,10 @@ TEST(FuzzReplay, CorpusPassesAllOracles) {
   }
 }
 
-TEST(FuzzReplay, CorpusMatchesAcrossShardCounts) {
-  // Every regression scenario in the corpus must replay to the identical
-  // observable trace under 1, 2, and 4 worker shards — the corpus doubles
-  // as the determinism regression net for the sharded runtime.
-  const auto files = corpus_files();
-  ASSERT_FALSE(files.empty());
-  const std::vector<Oracle> oracles = default_oracles();
-  for (const auto& file : files) {
-    SCOPED_TRACE(file.filename().string());
-    const Scenario scenario = load_repro(file.string());
-    RunnerOptions options;
-    options.shards = 1;
-    const RunTrace one = run_scenario(scenario, options);
-    EXPECT_FALSE(one.threw) << one.exception_what;
-    const auto verdict = check_oracles(one, oracles);
-    EXPECT_FALSE(verdict.has_value())
-        << "sharded replay violated [" << verdict->oracle
-        << "]: " << verdict->detail;
-    const std::string want = fingerprint(one);
-    for (const std::size_t shards : {std::size_t{2}, std::size_t{4}}) {
-      options.shards = shards;
-      EXPECT_EQ(want, fingerprint(run_scenario(scenario, options)))
-          << "1 vs " << shards << " shards";
-    }
-  }
-}
-
 TEST(FuzzReplay, CorpusTracesMatchGoldenDigests) {
-  // The oracle and shard-count tests above stay green if an engine change
-  // reorders same-instant events consistently everywhere; these digests
-  // pin the traces themselves.
+  // The oracle test above stays green if an engine change reorders
+  // same-instant events consistently everywhere; these digests pin the
+  // traces themselves.
   const auto files = corpus_files();
   ASSERT_FALSE(files.empty());
   std::size_t matched = 0;
@@ -137,30 +108,24 @@ TEST(FuzzReplay, CorpusTracesMatchGoldenDigests) {
     }
     if (golden != nullptr) ++matched;
     const Scenario scenario = load_repro(file.string());
-    for (const std::size_t shards : {std::size_t{0}, std::size_t{1}}) {
-      RunnerOptions options;
-      options.shards = shards;
-      const RunTrace trace = run_scenario(scenario, options);
-      EXPECT_FALSE(trace.threw) << trace.exception_what;
-      const std::uint64_t got = fnv1a64(fingerprint(trace));
-      if (golden == nullptr) {
-        ADD_FAILURE() << "no golden digest; shards " << shards << " gives 0x"
-                      << std::hex << got;
-        continue;
-      }
-      const std::uint64_t want =
-          shards == 0 ? golden->unsharded : golden->one_shard;
-      EXPECT_EQ(want, got) << "shards " << shards << ": want 0x" << std::hex
-                           << want << ", got 0x" << got;
+    const RunTrace trace = run_scenario(scenario);
+    EXPECT_FALSE(trace.threw) << trace.exception_what;
+    const std::uint64_t got = fnv1a64(fingerprint(trace));
+    if (golden == nullptr) {
+      ADD_FAILURE() << "no golden digest; the trace gives 0x" << std::hex
+                    << got;
+      continue;
     }
+    EXPECT_EQ(golden->digest, got) << "want 0x" << std::hex << golden->digest
+                                   << ", got 0x" << got;
   }
   EXPECT_EQ(matched, std::size(kGoldenDigests))
       << "a golden digest names a file missing from the corpus";
 }
 
 /// Digests of generated scenarios with the channel loss forced to 0, one
-/// per fuzz_driver generator setting and shard count (0 = classic runtime,
-/// 1 = one shard). Each folds, for seeds 1..kGeneratedSeeds, the run's
+/// per fuzz_driver generator setting. Each folds, for seeds
+/// 1..kGeneratedSeeds, the run's
 /// fingerprint() and its channel_fault_events into one FNV-1a digest. The
 /// corpus holds only two loss-free scenarios with faults; these runs put
 /// crashes, partitions, publisher crashes, FINs and reconfigurations on 0 ms
@@ -171,46 +136,38 @@ struct GeneratedDigest {
   const char* setting;
   bool hostile;
   bool churn;
-  std::uint64_t unsharded;
-  std::uint64_t one_shard;
+  std::uint64_t digest;
 };
 constexpr std::uint64_t kGeneratedSeeds = 32;
 constexpr GeneratedDigest kGeneratedDigests[] = {
-    {"default", false, false, 0xd62b110a1c895e00ULL, 0x9bd9a457c96f9184ULL},
-    {"hostile", true, false, 0xa00ff5bdeb412668ULL, 0x183fbb6d28114a0aULL},
-    {"hostile+churn", true, true, 0x8cfc04fecd132f4eULL,
-     0xc6eb57b386b0cbffULL},
+    {"default", false, false, 0xd62b110a1c895e00ULL},
+    {"hostile", true, false, 0xa00ff5bdeb412668ULL},
+    {"hostile+churn", true, true, 0x8cfc04fecd132f4eULL},
 };
 
 TEST(FuzzReplay, LossFreeGeneratedTracesMatchGoldenDigests) {
   for (const GeneratedDigest& golden : kGeneratedDigests) {
     SCOPED_TRACE(golden.setting);
     const GeneratorOptions gen = sweep_options(golden.hostile, golden.churn);
-    for (const std::size_t shards : {std::size_t{0}, std::size_t{1}}) {
-      RunnerOptions options;
-      options.shards = shards;
-      std::uint64_t digest = kFnvOffsetBasis;
-      std::size_t deliveries = 0;
-      std::size_t faults = 0;
-      for (std::uint64_t seed = 1; seed <= kGeneratedSeeds; ++seed) {
-        Scenario scenario = generate_scenario(seed, gen);
-        scenario.loss_probability = 0.0;
-        const RunTrace trace = run_scenario(scenario, options);
-        EXPECT_FALSE(trace.threw)
-            << "seed " << seed << ": " << trace.exception_what;
-        digest = fnv1a64(fingerprint(trace), digest);
-        digest = fnv1a64(
-            '#' + std::to_string(trace.channel_fault_events) + '\n', digest);
-        deliveries += trace.log.size();
-        faults += trace.channel_fault_events;
-      }
-      const std::uint64_t want =
-          shards == 0 ? golden.unsharded : golden.one_shard;
-      EXPECT_EQ(want, digest)
-          << "shards " << shards << ": want 0x" << std::hex << want
-          << ", got 0x" << digest << std::dec << " (" << deliveries
-          << " deliveries, " << faults << " channel faults)";
+    std::uint64_t digest = kFnvOffsetBasis;
+    std::size_t deliveries = 0;
+    std::size_t faults = 0;
+    for (std::uint64_t seed = 1; seed <= kGeneratedSeeds; ++seed) {
+      Scenario scenario = generate_scenario(seed, gen);
+      scenario.loss_probability = 0.0;
+      const RunTrace trace = run_scenario(scenario);
+      EXPECT_FALSE(trace.threw)
+          << "seed " << seed << ": " << trace.exception_what;
+      digest = fnv1a64(fingerprint(trace), digest);
+      digest = fnv1a64(
+          '#' + std::to_string(trace.channel_fault_events) + '\n', digest);
+      deliveries += trace.log.size();
+      faults += trace.channel_fault_events;
     }
+    EXPECT_EQ(golden.digest, digest)
+        << "want 0x" << std::hex << golden.digest << ", got 0x" << digest
+        << std::dec << " (" << deliveries << " deliveries, " << faults
+        << " channel faults)";
   }
 }
 

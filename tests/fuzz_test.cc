@@ -328,41 +328,6 @@ TEST(FuzzOracle, LivenessCatchesUnexplainedIngressFailure) {
   EXPECT_EQ(verdict->oracle, "liveness");
 }
 
-/// True when the legacy single-threaded runtime must produce the exact
-/// trace the sharded one does: the comparison requires a schedule where the
-/// channel RNGs never draw, because legacy channels share the system RNG
-/// while sharded channels draw per-unit streams — one draw desynchronizes
-/// not just that channel's jitter but the system RNG's position at every
-/// later epoch rebuild (placement shifts, so whole pipelines move).
-/// Channels draw on loss (loss coin per packet) and on retransmit (backoff
-/// jitter) — and retransmits fire even on a loss-free channel whenever its
-/// round trip exceeds the retransmit timeout, so the rto must be too large
-/// for any spurious retransmit as well. Fault windows are excluded because
-/// a harness event can collide with a same-instant protocol event (where
-/// the two runtimes order the tie differently), and causal publishes
-/// because two same-instant deliveries in different units can both release
-/// a queued publish (legacy pumps those in heap interleaving order, the
-/// sharded commit pumps them in merge order — either order is a valid
-/// consistent order, but the released messages get different ids and
-/// schedules). Shard-count invariance needs none of these exclusions; they
-/// only gate the cross-runtime comparison.
-bool legacy_comparable(const Scenario& s) {
-  if (s.loss_probability > 0.0) return false;
-  // Fuzz-topology round trips top out far below 1s; anything smaller risks
-  // a spurious retransmit, whose jitter draw splits the RNG streams.
-  if (s.retransmit_timeout_ms < 1000.0) return false;
-  for (const Phase& p : s.phases) {
-    if (!p.crashes.empty() || !p.partitions.empty() ||
-        !p.publisher_crashes.empty()) {
-      return false;
-    }
-    for (const PublishOp& op : p.publishes) {
-      if (op.causal) return false;
-    }
-  }
-  return true;
-}
-
 /// Hand-built scenario for the mutation-algebra tests:
 ///   phase 0: create g0, create g1; fin g1; pubs to g0 and g1
 ///   phase 1: create g2; join(g0), leave(g2); pub to g2; crash
@@ -474,56 +439,6 @@ TEST(FuzzShrink, HostFaultWindowsDroppedAndNarrowed) {
 
 /// Generator knobs matching the driver's --hostile mode.
 GeneratorOptions hostile_options() { return sweep_options(true, false); }
-
-TEST(FuzzSharded, GeneratedScenariosMatchAcrossShardCounts) {
-  // The sharded runtime's headline guarantee, pushed through the fuzzer's
-  // full behavior space (reconfiguration, FINs, crashes, partitions,
-  // causal chains, lossy channels): the observable trace is identical at
-  // every shard count, and identical to the legacy runtime whenever the
-  // RNG streams and tie-break schedules coincide.
-  std::size_t legacy_checked = 0;
-  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
-    const Scenario scenario =
-        seed % 2 == 0 ? generate_scenario(seed, hostile_options())
-                      : generate_scenario(seed);
-    RunnerOptions options;
-    options.shards = 1;
-    const std::string one = fingerprint(run_scenario(scenario, options));
-    options.shards = 2;
-    EXPECT_EQ(one, fingerprint(run_scenario(scenario, options)))
-        << "seed " << seed << ": 1 vs 2 shards";
-    options.shards = 4;
-    EXPECT_EQ(one, fingerprint(run_scenario(scenario, options)))
-        << "seed " << seed << ": 1 vs 4 shards";
-    if (legacy_comparable(scenario)) {
-      ++legacy_checked;
-      EXPECT_EQ(fingerprint(run_scenario(scenario)), one)
-          << "seed " << seed << ": legacy vs sharded";
-    }
-  }
-  // The generator rarely emits an eligible scenario on its own, so also
-  // compare against stripped-down variants that are eligible by
-  // construction (same membership/traffic script, drawless schedule).
-  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
-    Scenario scenario = generate_scenario(seed);
-    scenario.loss_probability = 0.0;
-    scenario.retransmit_timeout_ms = 10000.0;  // no spurious retransmits
-    for (Phase& p : scenario.phases) {
-      p.crashes.clear();
-      p.partitions.clear();
-      p.publisher_crashes.clear();
-      for (PublishOp& op : p.publishes) op.causal = false;
-    }
-    ASSERT_TRUE(legacy_comparable(scenario));
-    ++legacy_checked;
-    RunnerOptions options;
-    options.shards = 4;
-    EXPECT_EQ(fingerprint(run_scenario(scenario)),
-              fingerprint(run_scenario(scenario, options)))
-        << "seed " << seed << " (stripped): legacy vs 4 shards";
-  }
-  EXPECT_GE(legacy_checked, 4u);
-}
 
 TEST(FuzzRunner, HostileSeedsPassOraclesAndExerciseFaults) {
   // Host-fault-heavy generation: every scenario must run abort-free and

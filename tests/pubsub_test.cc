@@ -2,6 +2,7 @@
 
 #include <map>
 #include <set>
+#include <type_traits>
 #include <vector>
 
 #include "pubsub/system.h"
@@ -12,6 +13,12 @@ namespace {
 
 using test::G;
 using test::N;
+
+// The network and the oracle hold references to the system's simulator and
+// router graph, which a copy or a move would leave behind.
+static_assert(!std::is_copy_constructible_v<PubSubSystem>);
+static_assert(!std::is_move_constructible_v<PubSubSystem>);
+static_assert(!std::is_move_assignable_v<PubSubSystem>);
 
 TEST(PubSub, SingleGroupDeliversToAllMembers) {
   PubSubSystem system(test::small_config(1));

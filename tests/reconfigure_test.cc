@@ -350,12 +350,9 @@ struct ChurnRun {
 
 // One mid-burst churn scenario, either zero-downtime (reconfigure_async
 // with the first burst still pending) or stop-the-world (drain, rebuild).
-// Six initial groups span four overlap components, so a 4-shard engine
-// really gets four units.
-ChurnRun run_churn(std::size_t shards, bool async) {
-  auto config = test::small_config(142);
-  config.shards = shards;
-  PubSubSystem system(config);
+// Six initial groups span four overlap components.
+ChurnRun run_churn(bool async) {
+  PubSubSystem system(test::small_config(142));
   ChurnRun out;
   // ga-gb and gu-gv are genuine overlap pairs (two shared subscribers
   // each): the reconfigured component and the untouched component both
@@ -410,67 +407,40 @@ ChurnRun run_churn(std::size_t shards, bool async) {
   return out;
 }
 
-TEST(ReconfigureAsync, ShardedMidBurstMatchesStopTheWorldForUntouchedGroups) {
-  // The satellite scenario: reconfigure mid-burst at 1/2/4 shards (plus the
-  // single-threaded path) and hold the async runs against the
-  // stop-the-world rebuild — untouched groups must behave identically, and
-  // the sharded log must stay byte-identical across shard counts even with
-  // a cutover in the middle.
-  const ChurnRun sync1 = run_churn(1, /*async=*/false);
-  const ChurnRun async0 = run_churn(0, /*async=*/true);
-  const ChurnRun async1 = run_churn(1, /*async=*/true);
-  const ChurnRun async2 = run_churn(2, /*async=*/true);
-  const ChurnRun async4 = run_churn(4, /*async=*/true);
-
-  // Byte-identical merge across shard counts, cutover included.
-  ASSERT_EQ(async1.log.size(), async2.log.size());
-  ASSERT_EQ(async1.log.size(), async4.log.size());
-  for (std::size_t i = 0; i < async1.log.size(); ++i) {
-    for (const ChurnRun* other : {&async2, &async4}) {
-      const Delivery& a = async1.log[i];
-      const Delivery& b = other->log[i];
-      EXPECT_EQ(a.receiver, b.receiver);
-      EXPECT_EQ(a.message, b.message);
-      EXPECT_EQ(a.group, b.group);
-      EXPECT_EQ(a.payload, b.payload);
-      EXPECT_EQ(a.delivered_at, b.delivered_at);
-    }
-  }
+TEST(ReconfigureAsync, MidBurstMatchesStopTheWorldForUntouchedGroups) {
+  // Reconfigure mid-burst and hold the async run against the stop-the-world
+  // rebuild: untouched groups must behave identically.
+  const ChurnRun sync = run_churn(/*async=*/false);
+  const ChurnRun async = run_churn(/*async=*/true);
 
   // Untouched groups (gu, gv, gw, gx with their subscribers): per-receiver
-  // per-group traces match the stop-the-world result in every mode, and no
-  // gate ever held one of their messages.
-  for (const ChurnRun* run : {&async0, &async1, &async2, &async4}) {
-    for (std::size_t gi = 2; gi < run->groups.size(); ++gi) {
-      const GroupId g = run->groups[gi];
-      for (unsigned n = 8; n <= 15; ++n) {
-        EXPECT_EQ(group_trace(run->log, N(n), g),
-                  group_trace(sync1.log, N(n), g))
-            << "untouched group " << g << " diverged at node " << n;
-      }
-      EXPECT_EQ(run->gate_held[g.value()], 0u)
-          << "untouched group " << g << " stalled by the cutover";
+  // per-group traces match the stop-the-world result, and no gate ever
+  // held one of their messages.
+  for (std::size_t gi = 2; gi < async.groups.size(); ++gi) {
+    const GroupId g = async.groups[gi];
+    for (unsigned n = 8; n <= 15; ++n) {
+      EXPECT_EQ(group_trace(async.log, N(n), g), group_trace(sync.log, N(n), g))
+          << "untouched group " << g << " diverged at node " << n;
     }
+    EXPECT_EQ(async.gate_held[g.value()], 0u)
+        << "untouched group " << g << " stalled by the cutover";
   }
 
   // The async cutover lands mid-burst, so burst 1 of the *affected* groups
   // is sequenced post-fence and reaches the new membership; burst 2 too.
   const std::vector<NodeId> new_ga{N(0), N(1), N(2), N(5)};
   const std::vector<NodeId> new_gb{N(1), N(2), N(4)};
-  for (const ChurnRun* run : {&async0, &async1, &async2, &async4}) {
-    for (const std::uint64_t p : {1u, 2u, 101u}) {
-      EXPECT_EQ(receivers_of(run->log, p), new_ga) << "payload " << p;
-    }
-    for (const std::uint64_t p : {3u, 4u, 102u}) {
-      EXPECT_EQ(receivers_of(run->log, p), new_gb) << "payload " << p;
-    }
-    EXPECT_EQ(receivers_of(run->log, 107),
-              (std::vector<NodeId>{N(5), N(6), N(7)}));
+  for (const std::uint64_t p : {1u, 2u, 101u}) {
+    EXPECT_EQ(receivers_of(async.log, p), new_ga) << "payload " << p;
   }
+  for (const std::uint64_t p : {3u, 4u, 102u}) {
+    EXPECT_EQ(receivers_of(async.log, p), new_gb) << "payload " << p;
+  }
+  EXPECT_EQ(receivers_of(async.log, 107),
+            (std::vector<NodeId>{N(5), N(6), N(7)}));
   // Stop-the-world sequenced burst 1 pre-change, under the old membership.
-  EXPECT_EQ(receivers_of(sync1.log, 1),
-            (std::vector<NodeId>{N(0), N(1), N(2)}));
-  EXPECT_EQ(receivers_of(sync1.log, 3),
+  EXPECT_EQ(receivers_of(sync.log, 1), (std::vector<NodeId>{N(0), N(1), N(2)}));
+  EXPECT_EQ(receivers_of(sync.log, 3),
             (std::vector<NodeId>{N(1), N(2), N(3), N(4)}));
 }
 
