@@ -19,8 +19,8 @@
 //    quick tiers) — measured *before* the legacy pipeline runs, so the
 //    ceiling binds the new code, not the baseline's bloat.
 //  * the 100k-host new-pipeline compile finishes under
-//    DECSEQ_SCALE_WALL_MS (default 20,000 ms; single-core CI containers
-//    are the budget's floor, see BENCH_routing.json's env block).
+//    DECSEQ_SCALE_WALL_MS (default 20,000 ms, sized for single-core CI
+//    containers).
 //  * new beats legacy by >= 5x at the largest tier both run.
 //
 // Output: CSV rows on stdout + BENCH_routing.json (DECSEQ_BENCH_JSON

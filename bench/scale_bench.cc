@@ -4,11 +4,12 @@
 //
 // Two tiers, written to BENCH_scale.json (path overridable via
 // DECSEQ_BENCH_JSON):
-//  * legacy_comparison — streaming build vs the retained materialized
-//    O(G²·N/64) pairwise reference on the same membership, at a scale the
-//    reference can still finish. Equality of the results is asserted.
+//  * legacy_comparison — the default build (the overlap delta from an
+//    empty index) vs the retained materialized O(G²·N/64) pairwise
+//    reference on the same membership, at a scale the reference can still
+//    finish. Equality of the results is asserted.
 //  * full_scale — the ROADMAP tier: 1M hosts × 100k Zipf(1) groups,
-//    streaming build only (the reference would need ~5·10⁹ pairwise
+//    default build only (the reference would need ~5·10⁹ pairwise
 //    intersections of 1M-bit rows). The peak-RSS memory ceiling is
 //    asserted, so CI catches space regressions, not just time ones.
 //
@@ -83,33 +84,32 @@ int main(int argc, char** argv) {
   }
   const std::uint64_t seed = decseq::bench::base_seed();
 
-  // --- Tier 1: streaming vs the materialized pairwise reference ---------
+  // --- Tier 1: default vs the materialized pairwise reference -----------
   const std::size_t cmp_hosts = quick ? 20000 : 50000;
   const std::size_t cmp_groups = quick ? 800 : 2000;
   const auto cmp_membership = make_workload(cmp_hosts, cmp_groups, seed);
   const std::size_t cmp_subs = total_subscriptions(cmp_membership);
 
-  const auto stream_start = Clock::now();
-  const OverlapIndex streaming(cmp_membership, OverlapBuild::kStreaming);
-  const double streaming_ms = ms_since(stream_start);
+  const auto default_start = Clock::now();
+  const OverlapIndex built(cmp_membership);
+  const double default_ms = ms_since(default_start);
 
   const auto ref_start = Clock::now();
   const OverlapIndex reference(cmp_membership,
                                OverlapBuild::kMaterializedReference);
   const double reference_ms = ms_since(ref_start);
 
-  if (streaming.num_overlaps() != reference.num_overlaps() ||
-      streaming.components().size() != reference.components().size()) {
+  if (built.num_overlaps() != reference.num_overlaps() ||
+      built.components().size() != reference.components().size()) {
     std::fprintf(stderr,
-                 "FAIL: streaming build diverged from the reference "
+                 "FAIL: default build diverged from the reference "
                  "(%zu vs %zu overlaps, %zu vs %zu components)\n",
-                 streaming.num_overlaps(), reference.num_overlaps(),
-                 streaming.components().size(),
-                 reference.components().size());
+                 built.num_overlaps(), reference.num_overlaps(),
+                 built.components().size(), reference.components().size());
     return 1;
   }
-  for (std::size_t i = 0; i < streaming.num_overlaps(); ++i) {
-    const auto& s = streaming.overlap(i);
+  for (std::size_t i = 0; i < built.num_overlaps(); ++i) {
+    const auto& s = built.overlap(i);
     const auto& r = reference.overlap(i);
     if (s.first != r.first || s.second != r.second ||
         s.members != r.members) {
@@ -118,10 +118,10 @@ int main(int argc, char** argv) {
     }
   }
   std::printf("legacy_comparison,%zu,%zu,%zu,%.1f,%.1f,%.1fx\n", cmp_hosts,
-              cmp_groups, streaming.num_overlaps(), streaming_ms,
-              reference_ms, reference_ms / streaming_ms);
+              cmp_groups, built.num_overlaps(), default_ms, reference_ms,
+              reference_ms / default_ms);
 
-  // --- Tier 2: the full-scale streaming tier ----------------------------
+  // --- Tier 2: the full-scale tier --------------------------------------
   const std::size_t hosts =
       decseq::bench::env_or("DECSEQ_SCALE_HOSTS", quick ? 200000 : 1000000);
   const std::size_t groups =
@@ -136,7 +136,7 @@ int main(int argc, char** argv) {
   const std::size_t subscriptions = total_subscriptions(membership);
 
   const auto overlap_start = Clock::now();
-  const OverlapIndex index(membership, OverlapBuild::kStreaming);
+  const OverlapIndex index(membership);
   const double overlap_ms = ms_since(overlap_start);
 
   const std::size_t membership_bytes = membership.memory_bytes();
@@ -164,10 +164,10 @@ int main(int argc, char** argv) {
        << "  \"legacy_comparison\": {\"hosts\": " << cmp_hosts
        << ", \"groups\": " << cmp_groups
        << ", \"subscriptions\": " << cmp_subs
-       << ", \"overlaps\": " << streaming.num_overlaps()
-       << ", \"streaming_build_ms\": " << streaming_ms
+       << ", \"overlaps\": " << built.num_overlaps()
+       << ", \"default_build_ms\": " << default_ms
        << ", \"reference_build_ms\": " << reference_ms
-       << ", \"speedup\": " << reference_ms / streaming_ms << "},\n"
+       << ", \"speedup\": " << reference_ms / default_ms << "},\n"
        << "  \"full_scale\": {\"hosts\": " << hosts
        << ", \"groups\": " << groups
        << ", \"subscriptions\": " << subscriptions
@@ -176,8 +176,6 @@ int main(int argc, char** argv) {
        << ", \"overlap_build_ms\": " << overlap_ms
        << ", \"pair_increments\": " << stats.pair_increments
        << ", \"candidate_pairs\": " << stats.candidate_pairs
-       << ", \"probe_rows_built\": " << stats.rows_built
-       << ", \"probe_row_bytes\": " << stats.row_bytes
        << ", \"membership_bytes\": " << membership_bytes
        << ", \"overlap_index_bytes\": " << overlap_bytes
        << ", \"bytes_per_subscription\": " << bytes_per_subscription

@@ -1,23 +1,5 @@
-// Bit-level membership-set structures.
-//
-// DynamicBitset: a plain mutable bitmap with word-parallel AND+popcount,
-// used where the universe is small (paper scale: N <= 128) or a scratch
-// set is needed.
-//
-// RankSelectBitset: an immutable rank/select-capable membership row for the
-// succinct membership engine. A row over a 1M-host universe with 50
-// subscribers must cost hundreds of bytes, not 125 KB, so the row picks its
-// representation automatically by density at build time:
-//  * Dense — the raw bits in 512-bit blocks with an interleaved rank
-//    directory (each block stores the number of set bits before it next to
-//    its eight payload words), so rank() is one directory read plus at most
-//    eight popcounts and stays cache-local; select() binary-searches the
-//    directory.
-//  * Sparse (Elias–Fano) — positions split into packed low bits and a
-//    unary-coded high-bits bit vector with select samples every 256
-//    ones/zeros: ~(2 + log2(universe/count)) bits per member, rank/test by
-//    a sampled select0 jump to the high-bits bucket plus a short in-bucket
-//    walk, select by a sampled select1 scan.
+// DynamicBitset: a plain mutable bitmap with word-parallel AND+popcount.
+// The overlap index's materialized reference build holds one per group.
 #pragma once
 
 #include <bit>
@@ -114,305 +96,6 @@ class DynamicBitset {
  private:
   std::size_t bits_ = 0;
   std::vector<std::uint64_t> words_;
-};
-
-/// Immutable rank/select membership row; representation chosen by density.
-class RankSelectBitset {
- public:
-  RankSelectBitset() = default;
-
-  /// Build from strictly ascending positions, all < universe.
-  static RankSelectBitset from_sorted(
-      const std::vector<std::uint32_t>& positions, std::size_t universe) {
-    RankSelectBitset row;
-    row.universe_ = universe;
-    row.count_ = positions.size();
-    for (std::size_t i = 0; i < positions.size(); ++i) {
-      DECSEQ_CHECK(positions[i] < universe);
-      DECSEQ_CHECK(i == 0 || positions[i - 1] < positions[i]);
-    }
-    if (sparse_is_smaller(positions.size(), universe)) {
-      row.build_sparse(positions);
-    } else {
-      row.build_dense(positions);
-    }
-    return row;
-  }
-
-  static RankSelectBitset from_bitset(const DynamicBitset& bits) {
-    std::vector<std::uint32_t> positions;
-    positions.reserve(bits.count());
-    for (const std::size_t i : bits.set_bits()) {
-      positions.push_back(static_cast<std::uint32_t>(i));
-    }
-    return from_sorted(positions, bits.size());
-  }
-
-  /// Universe size (number of addressable positions).
-  [[nodiscard]] std::size_t size() const { return universe_; }
-  /// Number of set positions.
-  [[nodiscard]] std::size_t count() const { return count_; }
-  [[nodiscard]] bool is_sparse() const { return sparse_; }
-  [[nodiscard]] bool empty() const { return count_ == 0; }
-
-  [[nodiscard]] bool test(std::size_t i) const {
-    DECSEQ_CHECK(i < universe_);
-    if (count_ == 0) return false;
-    if (!sparse_) {
-      return (block_word(i) >> (i & 63)) & 1;
-    }
-    return locate(i).present;
-  }
-
-  /// Number of set positions in [0, i). i == size() gives count().
-  [[nodiscard]] std::size_t rank(std::size_t i) const {
-    DECSEQ_CHECK(i <= universe_);
-    if (count_ == 0 || i == 0) return 0;
-    if (i >= universe_) return count_;
-    if (!sparse_) {
-      const std::size_t b = i >> 9;
-      std::size_t total = blocks_[b * 9];
-      const std::size_t word_in_block = (i >> 6) & 7;
-      for (std::size_t w = 0; w < word_in_block; ++w) {
-        total += static_cast<std::size_t>(
-            std::popcount(blocks_[b * 9 + 1 + w]));
-      }
-      const std::uint64_t partial =
-          blocks_[b * 9 + 1 + word_in_block] & ((1ULL << (i & 63)) - 1);
-      return total + static_cast<std::size_t>(std::popcount(partial));
-    }
-    return locate(i).rank;
-  }
-
-  /// Position of the k-th (0-based) set bit; k < count().
-  [[nodiscard]] std::size_t select(std::size_t k) const {
-    DECSEQ_CHECK(k < count_);
-    if (!sparse_) {
-      // Binary search the interleaved directory for the last block whose
-      // rank-before is <= k, then scan its eight words.
-      std::size_t lo = 0, hi = blocks_.size() / 9 - 1;
-      while (lo < hi) {
-        const std::size_t mid = (lo + hi + 1) / 2;
-        if (blocks_[mid * 9] <= k) {
-          lo = mid;
-        } else {
-          hi = mid - 1;
-        }
-      }
-      std::size_t seen = blocks_[lo * 9];
-      for (std::size_t w = 0; w < 8; ++w) {
-        const std::uint64_t word = blocks_[lo * 9 + 1 + w];
-        const auto pc = static_cast<std::size_t>(std::popcount(word));
-        if (seen + pc > k) {
-          return lo * 512 + w * 64 + select_in_word(word, k - seen);
-        }
-        seen += pc;
-      }
-      DECSEQ_CHECK(false);  // directory and payload disagree
-    }
-    const std::size_t one_pos = select1_upper(k);
-    const std::size_t bucket = one_pos - k;  // zeros before = high bits value
-    return (bucket << low_bits_) | lower_value(k);
-  }
-
-  /// Set positions, ascending (test/debug convenience; O(count)).
-  [[nodiscard]] std::vector<std::size_t> set_bits() const {
-    std::vector<std::size_t> result;
-    result.reserve(count_);
-    if (!sparse_) {
-      for (std::size_t b = 0; b * 9 < blocks_.size(); ++b) {
-        for (std::size_t w = 0; w < 8; ++w) {
-          std::uint64_t word = blocks_[b * 9 + 1 + w];
-          while (word != 0) {
-            const int bit = std::countr_zero(word);
-            result.push_back(b * 512 + w * 64 +
-                             static_cast<std::size_t>(bit));
-            word &= word - 1;
-          }
-        }
-      }
-      return result;
-    }
-    // Decode Elias–Fano in one pass: zeros advance the bucket, ones emit.
-    std::size_t bucket = 0, idx = 0;
-    for (std::size_t pos = 0; idx < count_; ++pos) {
-      if ((upper_[pos >> 6] >> (pos & 63)) & 1) {
-        result.push_back((bucket << low_bits_) | lower_value(idx));
-        ++idx;
-      } else {
-        ++bucket;
-      }
-    }
-    return result;
-  }
-
-  /// Heap bytes actually held by this row.
-  [[nodiscard]] std::size_t memory_bytes() const {
-    return blocks_.capacity() * 8 + lower_.capacity() * 8 +
-           upper_.capacity() * 8 + sel1_samples_.capacity() * 4 +
-           sel0_samples_.capacity() * 4;
-  }
-
- private:
-  static constexpr std::size_t kSelectSample = 256;
-
-  /// Density rule: build the representation that costs fewer bytes.
-  static bool sparse_is_smaller(std::size_t n, std::size_t universe) {
-    if (n == 0) return true;
-    const std::size_t dense_bytes = ((universe + 511) / 512) * 9 * 8;
-    const std::uint32_t l = low_bit_count(n, universe);
-    const std::size_t upper_bits = n + (universe >> l) + 1;
-    const std::size_t sparse_bytes =
-        ((n * l + 63) / 64 + 1) * 8 + ((upper_bits + 63) / 64) * 8 +
-        (upper_bits / kSelectSample + 2) * 8;
-    return sparse_bytes < dense_bytes;
-  }
-
-  static std::uint32_t low_bit_count(std::size_t n, std::size_t universe) {
-    if (n == 0 || universe / n < 2) return 0;
-    return static_cast<std::uint32_t>(
-        63 - std::countl_zero(static_cast<std::uint64_t>(universe / n)));
-  }
-
-  static std::size_t select_in_word(std::uint64_t word, std::size_t r) {
-    while (r-- > 0) word &= word - 1;  // clear r lowest set bits
-    return static_cast<std::size_t>(std::countr_zero(word));
-  }
-
-  void build_dense(const std::vector<std::uint32_t>& positions) {
-    sparse_ = false;
-    const std::size_t num_blocks = (universe_ + 511) / 512;
-    blocks_.assign(num_blocks * 9, 0);
-    for (const std::uint32_t v : positions) {
-      blocks_[(v >> 9) * 9 + 1 + ((v >> 6) & 7)] |= 1ULL << (v & 63);
-    }
-    std::size_t running = 0;
-    for (std::size_t b = 0; b < num_blocks; ++b) {
-      blocks_[b * 9] = running;
-      for (std::size_t w = 0; w < 8; ++w) {
-        running +=
-            static_cast<std::size_t>(std::popcount(blocks_[b * 9 + 1 + w]));
-      }
-    }
-  }
-
-  void build_sparse(const std::vector<std::uint32_t>& positions) {
-    sparse_ = true;
-    if (count_ == 0) return;
-    low_bits_ = low_bit_count(count_, universe_);
-    const std::size_t upper_bits = count_ + (universe_ >> low_bits_) + 1;
-    // +1 spare word so unaligned lower_value reads never run off the end.
-    lower_.assign((count_ * low_bits_ + 63) / 64 + 1, 0);
-    upper_.assign((upper_bits + 63) / 64, 0);
-    for (std::size_t idx = 0; idx < count_; ++idx) {
-      const std::uint64_t v = positions[idx];
-      const std::size_t one_pos = (v >> low_bits_) + idx;
-      upper_[one_pos >> 6] |= 1ULL << (one_pos & 63);
-      if (low_bits_ > 0) {
-        const std::uint64_t lo = v & ((1ULL << low_bits_) - 1);
-        const std::size_t bit = idx * low_bits_;
-        lower_[bit >> 6] |= lo << (bit & 63);
-        if ((bit & 63) + low_bits_ > 64) {
-          lower_[(bit >> 6) + 1] |= lo >> (64 - (bit & 63));
-        }
-      }
-    }
-    // Select samples: bit position of every kSelectSample-th one and zero.
-    std::size_t ones = 0, zeros = 0;
-    for (std::size_t pos = 0; pos < upper_bits; ++pos) {
-      if ((upper_[pos >> 6] >> (pos & 63)) & 1) {
-        if (ones % kSelectSample == 0) {
-          sel1_samples_.push_back(static_cast<std::uint32_t>(pos));
-        }
-        ++ones;
-      } else {
-        if (zeros % kSelectSample == 0) {
-          sel0_samples_.push_back(static_cast<std::uint32_t>(pos));
-        }
-        ++zeros;
-      }
-    }
-  }
-
-  [[nodiscard]] std::uint64_t block_word(std::size_t i) const {
-    return blocks_[(i >> 9) * 9 + 1 + ((i >> 6) & 7)];
-  }
-
-  [[nodiscard]] std::uint64_t lower_value(std::size_t idx) const {
-    if (low_bits_ == 0) return 0;
-    const std::size_t bit = idx * low_bits_;
-    std::uint64_t v = lower_[bit >> 6] >> (bit & 63);
-    if ((bit & 63) + low_bits_ > 64) {
-      v |= lower_[(bit >> 6) + 1] << (64 - (bit & 63));
-    }
-    return v & ((1ULL << low_bits_) - 1);
-  }
-
-  /// Bit position of the k-th (0-based) one in the upper bit vector.
-  [[nodiscard]] std::size_t select1_upper(std::size_t k) const {
-    const std::size_t sample = k / kSelectSample;
-    std::size_t pos = sel1_samples_[sample];
-    std::size_t seen = sample * kSelectSample;
-    std::size_t w = pos >> 6;
-    std::uint64_t word = upper_[w] & (~0ULL << (pos & 63));
-    while (true) {
-      const auto pc = static_cast<std::size_t>(std::popcount(word));
-      if (seen + pc > k) return w * 64 + select_in_word(word, k - seen);
-      seen += pc;
-      word = upper_[++w];
-    }
-  }
-
-  /// Bit position of the z-th (0-based) zero in the upper bit vector.
-  [[nodiscard]] std::size_t select0_upper(std::size_t z) const {
-    const std::size_t sample = z / kSelectSample;
-    std::size_t pos = sel0_samples_[sample];
-    std::size_t seen = sample * kSelectSample;
-    std::size_t w = pos >> 6;
-    std::uint64_t word = ~upper_[w] & (~0ULL << (pos & 63));
-    while (true) {
-      const auto pc = static_cast<std::size_t>(std::popcount(word));
-      if (seen + pc > z) return w * 64 + select_in_word(word, z - seen);
-      seen += pc;
-      word = ~upper_[++w];
-    }
-  }
-
-  struct Locate {
-    std::size_t rank;  ///< values strictly below the query
-    bool present;      ///< query value is a member
-  };
-
-  /// Sparse point query: select0-jump to the query's high-bits bucket, then
-  /// walk the (short) run of ones comparing packed low bits.
-  [[nodiscard]] Locate locate(std::size_t i) const {
-    const std::size_t bucket = i >> low_bits_;
-    const std::uint64_t lo =
-        low_bits_ == 0 ? 0 : i & ((1ULL << low_bits_) - 1);
-    std::size_t start = 0, base = 0;
-    if (bucket > 0) {
-      start = select0_upper(bucket - 1) + 1;
-      base = start - bucket;  // ones before the bucket's run
-    }
-    std::size_t t = 0;
-    while (base + t < count_ &&
-           ((upper_[(start + t) >> 6] >> ((start + t) & 63)) & 1)) {
-      const std::uint64_t v = lower_value(base + t);
-      if (v >= lo) return {base + t, v == lo};
-      ++t;
-    }
-    return {base + t, false};
-  }
-
-  std::size_t universe_ = 0;
-  std::size_t count_ = 0;
-  bool sparse_ = true;
-  std::uint32_t low_bits_ = 0;
-  std::vector<std::uint64_t> blocks_;  // dense: 9 words/block [rank, w0..w7]
-  std::vector<std::uint64_t> lower_;   // sparse: packed low bits
-  std::vector<std::uint64_t> upper_;   // sparse: unary-coded high bits
-  std::vector<std::uint32_t> sel1_samples_;
-  std::vector<std::uint32_t> sel0_samples_;
 };
 
 }  // namespace decseq

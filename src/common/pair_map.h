@@ -1,11 +1,9 @@
 // Flat open-addressing map keyed by a packed pair of 32-bit ids
 // (first << 32 | second).
 //
-// Two hot tables use it: the overlap build's pair-count accumulator, which
-// takes O(Σ_node k_node²) increments, and the distance oracle's memo of
-// settled router pairs. A node/bucket map would pay an allocation and a
-// pointer chase per distinct pair; this pays one mixed probe into two flat
-// arrays, and a lookup never allocates.
+// The distance oracle's memo of settled router pairs uses it. A node/bucket
+// map would pay an allocation and a pointer chase per distinct pair; this
+// pays one mixed probe into two flat arrays, and a lookup never allocates.
 #pragma once
 
 #include <algorithm>
@@ -64,13 +62,6 @@ class PairMap {
     return keys_.size() * (sizeof(std::uint64_t) + sizeof(Value));
   }
 
-  template <typename Fn>
-  void for_each(Fn&& fn) const {
-    for (std::size_t i = 0; i < keys_.size(); ++i) {
-      if (keys_[i] != kEmpty) fn(keys_[i], values_[i]);
-    }
-  }
-
  private:
   /// splitmix64 finalizer.
   [[nodiscard]] static std::uint64_t mix(std::uint64_t z) {
@@ -105,8 +96,5 @@ class PairMap {
   std::vector<Value> values_;
   std::size_t size_ = 0;
 };
-
-/// The overlap build's accumulator: shared-member counts per group pair.
-using PairCountMap = PairMap<std::uint32_t>;
 
 }  // namespace decseq::common

@@ -3,32 +3,23 @@
 #include <algorithm>
 #include <limits>
 #include <type_traits>
-#include <unordered_map>
 #include <utility>
 
 #include "common/bitset.h"
-#include "common/pair_map.h"
 
 namespace decseq::membership {
 
-namespace {
-
-/// Threshold above which a group's member list is worth compiling into a
-/// rank/select row for O(1) probing (instead of per-pair binary searches).
-constexpr std::size_t kProbeRowThreshold = 512;
-
-}  // namespace
-
 OverlapIndex::OverlapIndex(const GroupMembership& membership,
                            OverlapBuild mode) {
+  if (mode == OverlapBuild::kDeltaFromEmpty) {
+    const OverlapIndex empty;
+    build_delta(empty, membership, membership.live_groups());
+    return;
+  }
   by_group_.resize(membership.num_group_slots());
   component_of_.assign(membership.num_group_slots(),
                        std::numeric_limits<std::size_t>::max());
-  if (mode == OverlapBuild::kStreaming) {
-    build_streaming(membership);
-  } else {
-    build_reference(membership);
-  }
+  build_reference(membership);
   build_adjacency_and_components(membership);
 }
 
@@ -85,8 +76,9 @@ void OverlapIndex::build_delta(Previous& previous,
 
   // Recompute each dirty live group's overlaps from the inverted index:
   // count co-subscriptions of its members, confirm pairs with >= 2 shared
-  // nodes. A dirty-dirty pair is found from both sides; keep the
-  // lower-slot orientation only.
+  // nodes. A group counted before this one (2) already counted their
+  // co-subscriptions, so it is skipped: each pair is found once, and a
+  // build from empty counts Σ_node k_node·(k_node-1)/2 increments.
   std::vector<std::uint32_t>& count = scratch_.count;
   std::vector<std::uint32_t>& touched = scratch_.touched;
   if (count.size() < slots) count.resize(slots, 0);
@@ -97,17 +89,17 @@ void OverlapIndex::build_delta(Previous& previous,
     touched.clear();
     for (const NodeId n : membership.members(d)) {
       for (const GroupId g : membership.subscriptions(n)) {
-        if (g == d) continue;
+        if (is_dirty[g.value()] == 2) continue;  // d itself, or counted
         if (count[g.value()]++ == 0) touched.push_back(g.value());
         ++stats_.pair_increments;
       }
     }
+    stats_.candidate_pairs += touched.size();
     for (const std::uint32_t other_slot : touched) {
       const std::uint32_t shared = count[other_slot];
       count[other_slot] = 0;
       if (shared < 2) continue;
       const GroupId other(static_cast<GroupId::underlying_type>(other_slot));
-      if (is_dirty[other_slot] && d.value() > other_slot) continue;
       const GroupId a = d.value() < other_slot ? d : other;
       const GroupId b = d.value() < other_slot ? other : d;
       std::vector<NodeId> members;
@@ -116,11 +108,11 @@ void OverlapIndex::build_delta(Previous& previous,
         scratch_.spare_members.pop_back();
       }
       membership.intersect(a, b, members);
+      DECSEQ_CHECK(members.size() == shared);
       overlaps_.push_back({a, b, std::move(members)});
       ++stats_.delta_recomputed;
     }
   }
-  stats_.candidate_pairs = stats_.delta_recomputed;
 
   // Restore the fresh build's (first, second) order; survivors and
   // recomputed pairs are disjoint sets, so this is a pure reordering.
@@ -130,89 +122,6 @@ void OverlapIndex::build_delta(Previous& previous,
               return x.second.value() < y.second.value();
             });
   build_adjacency_and_components(membership);
-}
-
-void OverlapIndex::build_streaming(const GroupMembership& membership) {
-  // Phase 1 — streaming candidate generation: every node emits its
-  // co-subscription pairs into the flat accumulator. Total work is
-  // O(Σ_node k_node²) on the inverted index, independent of how many hosts
-  // exist or how many group pairs *don't* co-occur anywhere.
-  common::PairCountMap counts(membership.num_groups() * 2);
-  for (std::size_t n = 0; n < membership.num_nodes(); ++n) {
-    const auto& subs =
-        membership.subscriptions(NodeId(static_cast<NodeId::underlying_type>(n)));
-    const std::size_t k = subs.size();
-    if (k < 2) continue;
-    stats_.pair_increments += k * (k - 1) / 2;
-    for (std::size_t i = 0; i + 1 < k; ++i) {
-      const std::uint64_t hi = std::uint64_t{subs[i].value()} << 32;
-      for (std::size_t j = i + 1; j < k; ++j) {
-        ++counts[hi | subs[j].value()];
-      }
-    }
-  }
-  stats_.candidate_pairs = counts.size();
-
-  // Phase 2 — confirmed double overlaps (>= 2 shared members), sorted into
-  // the same (first, second) order the pairwise reference scan produces.
-  std::vector<std::pair<std::uint64_t, std::uint32_t>> confirmed;
-  counts.for_each([&](std::uint64_t key, std::uint32_t count) {
-    if (count >= 2) confirmed.emplace_back(key, count);
-  });
-  std::sort(confirmed.begin(), confirmed.end());
-
-  // Phase 3 — materialize shared-member lists, only for confirmed pairs
-  // (the only thing seqgraph/placement consume). Groups reused across many
-  // overlaps get a succinct probe row: build cost O(|g|) once, then each
-  // pair costs |small| O(1) probes instead of an O(|small|+|large|) merge.
-  std::vector<std::uint32_t> occurrences(membership.num_group_slots(), 0);
-  for (const auto& [key, count] : confirmed) {
-    ++occurrences[key >> 32];
-    ++occurrences[key & 0xffffffffu];
-  }
-  std::unordered_map<std::uint32_t, RankSelectBitset> rows;
-  const auto row_for = [&](GroupId g) -> const RankSelectBitset& {
-    const auto [it, inserted] = rows.try_emplace(g.value());
-    if (inserted) {
-      const auto& members = membership.members(g);
-      std::vector<std::uint32_t> positions;
-      positions.reserve(members.size());
-      for (const NodeId m : members) positions.push_back(m.value());
-      it->second =
-          RankSelectBitset::from_sorted(positions, membership.num_nodes());
-      ++stats_.rows_built;
-      stats_.row_bytes += it->second.memory_bytes();
-    }
-    return it->second;
-  };
-
-  overlaps_.reserve(confirmed.size());
-  for (const auto& [key, count] : confirmed) {
-    const GroupId a(static_cast<GroupId::underlying_type>(key >> 32));
-    const GroupId b(static_cast<GroupId::underlying_type>(key & 0xffffffffu));
-    const auto& ma = membership.members(a);
-    const auto& mb = membership.members(b);
-    const bool a_small = ma.size() <= mb.size();
-    const auto& small = a_small ? ma : mb;
-    const GroupId large_id = a_small ? b : a;
-    const std::size_t large_size = a_small ? mb.size() : ma.size();
-
-    std::vector<NodeId> shared;
-    shared.reserve(count);
-    if (large_size >= kProbeRowThreshold &&
-        occurrences[large_id.value()] >= 2) {
-      const RankSelectBitset& row = row_for(large_id);
-      for (const NodeId m : small) {
-        if (row.test(m.value())) shared.push_back(m);
-      }
-    } else {
-      shared = membership.intersect(a, b);
-    }
-    DECSEQ_CHECK_MSG(shared.size() == count,
-                     "pair count " << count << " != |" << a << " ∩ " << b
-                                   << "| = " << shared.size());
-    overlaps_.push_back({a, b, std::move(shared)});
-  }
 }
 
 void OverlapIndex::build_reference(const GroupMembership& membership) {

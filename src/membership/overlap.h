@@ -34,16 +34,16 @@ struct Overlap {
 
 /// How the index is built.
 enum class OverlapBuild {
-  /// Streaming candidate generation off the inverted node→groups index:
-  /// every node emits its co-subscription pairs into a flat open-addressing
-  /// accumulator, so cost is O(Σ_node k_node²) on the co-subscription
-  /// structure — independent of the host universe — and shared-member lists
-  /// are materialized only for the confirmed double overlaps (via succinct
-  /// rank/select rows for large groups). Scales to 1M hosts × 100k groups.
-  kStreaming,
+  /// The delta build run from an empty index with every live group dirty:
+  /// each group counts its co-subscriptions over the inverted node→groups
+  /// index, skipping groups already counted, so cost is
+  /// O(Σ_node k_node²) on the co-subscription structure — independent of
+  /// the host universe — and shared-member lists are materialized only for
+  /// the confirmed double overlaps. Scales to 1M hosts × 100k groups.
+  kDeltaFromEmpty,
   /// The original materialized pairwise product: one bitset per group,
   /// every pair intersected — O(G² · N/64). Retained as the differential
-  /// oracle for tests and as the scale bench's legacy comparator.
+  /// oracle for tests and as the scale bench's reference.
   kMaterializedReference,
 };
 
@@ -53,10 +53,11 @@ enum class OverlapBuild {
 /// property test.
 class OverlapIndex {
  public:
-  /// An empty index over no groups: a target for rebuild_delta().
+  /// An empty index over no groups: the previous index of a full build,
+  /// and a target for rebuild_delta().
   OverlapIndex() = default;
   explicit OverlapIndex(const GroupMembership& membership,
-                        OverlapBuild mode = OverlapBuild::kStreaming);
+                        OverlapBuild mode = OverlapBuild::kDeltaFromEmpty);
 
   /// Delta rebuild: recompute only the overlaps incident to `dirty` groups,
   /// carrying every other overlap over from `previous` verbatim (a group's
@@ -65,8 +66,9 @@ class OverlapIndex {
   /// must have been built against the same table before the dirty groups
   /// changed. Produces an index identical to a fresh build — same overlaps
   /// in the same order, same members, same components (asserted by a
-  /// differential test) — at cost O(E + Σ_{n ∈ members(dirty)} k_n) instead
-  /// of the full O(Σ_node k_node²) streaming pass.
+  /// differential test) — at cost O(E + Σ_{n ∈ members(dirty)} k_n). A
+  /// full build is this delta from an empty index with every live group
+  /// dirty.
   OverlapIndex(const OverlapIndex& previous, const GroupMembership& membership,
                const std::vector<GroupId>& dirty);
 
@@ -108,14 +110,16 @@ class OverlapIndex {
   /// Component index of a group, or SIZE_MAX if it has no overlaps.
   [[nodiscard]] std::size_t component_of(GroupId g) const;
 
-  /// Build instrumentation (streaming mode; zeros for the reference build).
+  /// Build instrumentation (delta builds; zeros for the reference build).
+  /// Each co-subscription involving a dirty group is counted once, from
+  /// whichever of its two groups is counted first, so a full build reads
+  /// pair_increments = Σ_node k_node·(k_node-1)/2 and candidate_pairs =
+  /// the distinct co-subscribed group pairs.
   struct BuildStats {
-    std::size_t candidate_pairs = 0;  ///< distinct co-subscribed group pairs
-    std::size_t pair_increments = 0;  ///< Σ_node k_node·(k_node-1)/2
-    std::size_t rows_built = 0;       ///< succinct probe rows materialized
-    std::size_t row_bytes = 0;        ///< their total heap bytes
-    std::size_t delta_copied = 0;     ///< overlaps carried over (delta build)
-    std::size_t delta_recomputed = 0; ///< overlaps recomputed (delta build)
+    std::size_t candidate_pairs = 0;  ///< distinct co-subscribed pairs counted
+    std::size_t pair_increments = 0;  ///< co-subscriptions counted
+    std::size_t delta_copied = 0;     ///< overlaps carried over
+    std::size_t delta_recomputed = 0; ///< overlaps recomputed
   };
   [[nodiscard]] const BuildStats& build_stats() const { return stats_; }
 
@@ -124,7 +128,6 @@ class OverlapIndex {
   [[nodiscard]] std::size_t memory_bytes() const;
 
  private:
-  void build_streaming(const GroupMembership& membership);
   void build_reference(const GroupMembership& membership);
   /// The one delta implementation: `Previous` is `const OverlapIndex`
   /// (survivors are copied) or `OverlapIndex` (survivors are moved).
@@ -140,7 +143,7 @@ class OverlapIndex {
   std::vector<std::size_t> empty_;
   BuildStats stats_;
   /// Delta-build scratch, kept so an index rebuilt in place reuses it:
-  /// per-slot dirty marks (2: dirty and recomputed) and co-subscription
+  /// per-slot dirty marks (2: dirty and counted) and co-subscription
   /// counts with the slots they touched, the BFS frontier, and spare member
   /// and component lists to refill.
   struct Scratch {

@@ -51,112 +51,10 @@ Assignment assign_machines(const seqgraph::SequencingGraph& graph,
                            const topology::HostMap& hosts,
                            const topology::Graph& network,
                            const AssignmentOptions& options, Rng& rng) {
-  std::vector<RouterId> machine(colocation.num_nodes(), RouterId{});
-
-  // Ingress-only sequencing nodes sit at a random member's attachment
-  // router regardless of mode.
-  for (const seqgraph::Atom& atom : graph.atoms()) {
-    if (!atom.is_ingress_only()) continue;
-    const SeqNodeId n = colocation.node_of(atom.id);
-    const auto& members = membership.members(atom.group_a);
-    DECSEQ_CHECK(!members.empty());
-    machine[n.value()] = hosts.router_of(rng.pick(members));
-  }
-
-  if (options.mode == AssignmentMode::kAllRandom) {
-    for (std::size_t n = 0; n < machine.size(); ++n) {
-      if (!machine[n].valid()) machine[n] = random_router(network, rng);
-    }
-    return Assignment(std::move(machine));
-  }
-
-  // §3.4 heuristic, run on behalf of each group. The reference form is an
-  // ascending-scan fixpoint ("place any node whose path neighbor has a
-  // machine, next to that machine") repeated until no progress — O(path²)
-  // when a long unassigned prefix fills one position per pass. With all
-  // path nodes distinct, that fixpoint has a closed form: the prefix before
-  // the first assigned position f fills leftward (m[t] = neighbor(m[t+1])),
-  // then everything after f fills in one rightward cascade with the left
-  // anchor winning (m[i] = neighbor(m[i-1])), because by the time the
-  // ascending scan reaches an unassigned i > f its left neighbor is always
-  // live. Duplicate nodes on a path alias writes in pass order, so those
-  // (rare) paths take the verbatim reference loop instead. Same machines
-  // either way; no RNG involved.
-  std::vector<std::uint32_t> dup_stamp(machine.size(), 0);
-  std::uint32_t dup_gen = 0;
-  for (const GroupId g : graph.groups()) {
-    const std::vector<SeqNodeId> path = seq_node_path(graph, colocation, g);
-
-    // Positions on this group's path that already have machines.
-    auto assigned = [&](std::size_t i) {
-      return machine[path[i].value()].valid();
-    };
-    if (std::none_of(path.begin(), path.end(), [&](SeqNodeId n) {
-          return machine[n.value()].valid();
-        })) {
-      // No sequencing node of this group is placed yet: place one at
-      // "random" — a random machine of the pub/sub infrastructure (a group
-      // member's router) or a uniformly random router, per the seed policy.
-      machine[path.front().value()] =
-          options.seed == SeedPolicy::kGroupMember
-              ? hosts.router_of(rng.pick(membership.members(g)))
-              : random_router(network, rng);
-    }
-
-    ++dup_gen;
-    bool unique_nodes = true;
-    for (const SeqNodeId n : path) {
-      if (dup_stamp[n.value()] == dup_gen) {
-        unique_nodes = false;
-        break;
-      }
-      dup_stamp[n.value()] = dup_gen;
-    }
-
-    if (unique_nodes) {
-      std::size_t first = 0;
-      while (!assigned(first)) ++first;  // seeded above, so this terminates
-      for (std::size_t t = first; t-- > 0;) {
-        machine[path[t].value()] =
-            neighboring_router(network, machine[path[t + 1].value()]);
-      }
-      for (std::size_t i = first + 1; i < path.size(); ++i) {
-        if (assigned(i)) continue;
-        machine[path[i].value()] =
-            neighboring_router(network, machine[path[i - 1].value()]);
-      }
-    } else {
-      // Repeatedly place the unassigned node adjacent (on the path) to an
-      // assigned one, next to its neighbor's machine. Every pass assigns at
-      // least one node, so this terminates.
-      bool progress = true;
-      while (progress) {
-        progress = false;
-        for (std::size_t i = 0; i < path.size(); ++i) {
-          if (assigned(i)) continue;
-          RouterId anchor{};
-          if (i > 0 && assigned(i - 1)) {
-            anchor = machine[path[i - 1].value()];
-          } else if (i + 1 < path.size() && assigned(i + 1)) {
-            anchor = machine[path[i + 1].value()];
-          }
-          if (anchor.valid()) {
-            machine[path[i].value()] = neighboring_router(network, anchor);
-            progress = true;
-          }
-        }
-      }
-    }
-    // A group's path lies in one co-location component, and we seeded it if
-    // empty, so everything is assigned by now.
-    for (const SeqNodeId n : path) {
-      DECSEQ_CHECK_MSG(machine[n.value()].valid(),
-                       "unassigned sequencing node " << n << " for group "
-                                                     << g);
-    }
-  }
-
-  return Assignment(std::move(machine));
+  Assignment assignment;
+  extend_assignment(assignment, graph, colocation, membership, hosts, network,
+                    options, rng, graph.groups(), 0);
+  return assignment;
 }
 
 void extend_assignment(Assignment& assignment,
@@ -184,8 +82,8 @@ void extend_assignment(Assignment& assignment,
                        std::size_t first_new_atom, ExtendScratch& scratch) {
   assignment.resize(colocation.num_nodes());
 
-  // Appended ingress-only sequencing nodes: random member's router, same as
-  // the full pass.
+  // Appended ingress-only sequencing nodes sit at a random member's
+  // attachment router regardless of mode.
   for (std::size_t i = first_new_atom; i < graph.num_atoms(); ++i) {
     const seqgraph::Atom& atom = graph.atoms()[i];
     if (!atom.is_ingress_only()) continue;
@@ -208,35 +106,91 @@ void extend_assignment(Assignment& assignment,
 
   // §3.4 heuristic on behalf of each affected group only; paths of
   // untouched groups are fully assigned already and are not revisited.
+  // The reference form is an ascending-scan fixpoint ("place any node whose
+  // path neighbor has a machine, next to that machine") repeated until no
+  // progress — O(path²) when a long unassigned prefix fills one position
+  // per pass. With all path nodes distinct, that fixpoint has a closed
+  // form: the prefix before the first assigned position f fills leftward
+  // (m[t] = neighbor(m[t+1])), then every unassigned position after f fills
+  // in one rightward cascade with the left anchor winning
+  // (m[i] = neighbor(m[i-1])), because by the time the ascending scan
+  // reaches an unassigned i > f its left neighbor is always live. A node
+  // visited twice on a path aliases writes in pass order, so those (rare)
+  // paths take the verbatim reference loop instead. Same machines either
+  // way; no RNG involved.
+  std::vector<std::uint32_t>& node_stamp = scratch.node_stamp;
+  if (node_stamp.size() < colocation.num_nodes()) {
+    node_stamp.resize(colocation.num_nodes(), 0);
+  }
   for (const GroupId g : affected) {
     if (!graph.has_path(g)) continue;  // removed by this reconfiguration
     std::vector<SeqNodeId>& path = scratch.path;
     seq_node_path(graph, colocation, g, path);
+    const auto assigned = [&](std::size_t i) {
+      return assignment.assigned(path[i]);
+    };
     if (std::none_of(path.begin(), path.end(), [&](SeqNodeId n) {
           return assignment.assigned(n);
         })) {
+      // No sequencing node of this group is placed yet: place one at
+      // "random" — a random machine of the pub/sub infrastructure (a group
+      // member's router) or a uniformly random router, per the seed policy.
       assignment.place(path.front(),
                        options.seed == SeedPolicy::kGroupMember
                            ? hosts.router_of(rng.pick(membership.members(g)))
                            : random_router(network, rng));
     }
-    bool progress = true;
-    while (progress) {
-      progress = false;
-      for (std::size_t i = 0; i < path.size(); ++i) {
-        if (assignment.assigned(path[i])) continue;
-        RouterId anchor{};
-        if (i > 0 && assignment.assigned(path[i - 1])) {
-          anchor = assignment.machine_of(path[i - 1]);
-        } else if (i + 1 < path.size() && assignment.assigned(path[i + 1])) {
-          anchor = assignment.machine_of(path[i + 1]);
-        }
-        if (anchor.valid()) {
-          assignment.place(path[i], neighboring_router(network, anchor));
-          progress = true;
+
+    // A new stamp forgets the previous path's nodes in O(1).
+    if (++scratch.node_gen == 0) {
+      std::fill(node_stamp.begin(), node_stamp.end(), 0u);
+      scratch.node_gen = 1;
+    }
+    bool unique_nodes = true;
+    for (const SeqNodeId n : path) {
+      if (node_stamp[n.value()] == scratch.node_gen) {
+        unique_nodes = false;
+        break;
+      }
+      node_stamp[n.value()] = scratch.node_gen;
+    }
+
+    if (unique_nodes) {
+      std::size_t first = 0;
+      while (!assigned(first)) ++first;  // seeded above, so this terminates
+      for (std::size_t t = first; t-- > 0;) {
+        const RouterId right = assignment.machine_of(path[t + 1]);
+        assignment.place(path[t], neighboring_router(network, right));
+      }
+      for (std::size_t i = first + 1; i < path.size(); ++i) {
+        if (assigned(i)) continue;
+        const RouterId left = assignment.machine_of(path[i - 1]);
+        assignment.place(path[i], neighboring_router(network, left));
+      }
+    } else {
+      // Repeatedly place the unassigned node adjacent (on the path) to an
+      // assigned one, next to its neighbor's machine. Every pass assigns at
+      // least one node, so this terminates.
+      bool progress = true;
+      while (progress) {
+        progress = false;
+        for (std::size_t i = 0; i < path.size(); ++i) {
+          if (assigned(i)) continue;
+          RouterId anchor{};
+          if (i > 0 && assigned(i - 1)) {
+            anchor = assignment.machine_of(path[i - 1]);
+          } else if (i + 1 < path.size() && assigned(i + 1)) {
+            anchor = assignment.machine_of(path[i + 1]);
+          }
+          if (anchor.valid()) {
+            assignment.place(path[i], neighboring_router(network, anchor));
+            progress = true;
+          }
         }
       }
     }
+    // A group's path lies in one co-location component, and we seeded it if
+    // empty, so everything is assigned by now.
     for (const SeqNodeId n : path) {
       DECSEQ_CHECK_MSG(assignment.assigned(n),
                        "unassigned sequencing node " << n << " for group "

@@ -44,6 +44,8 @@ struct AssignmentOptions {
 /// Machines (routers) hosting each sequencing node.
 class Assignment {
  public:
+  /// No sequencing nodes: the assignment a full pass extends.
+  Assignment() = default;
   explicit Assignment(std::vector<RouterId> machine_of_node)
       : machine_of_node_(std::move(machine_of_node)) {}
 
@@ -58,7 +60,7 @@ class Assignment {
     return machine_of_node_.size();
   }
 
-  /// Delta-extension support: grow to `n` sequencing nodes, the new ones
+  /// Extension support: grow to `n` sequencing nodes, the new ones
   /// unassigned (extend_assignment fills them in).
   void resize(std::size_t n) {
     if (n > machine_of_node_.size()) machine_of_node_.resize(n, RouterId{});
@@ -77,9 +79,11 @@ class Assignment {
   std::vector<RouterId> machine_of_node_;
 };
 
-/// Map every sequencing node to a router. Ingress-only sequencing nodes are
-/// placed at the attachment router of a random member of their group (the
-/// "elect a member as per-group sequencer" baseline from the introduction).
+/// Map every sequencing node to a router: extend_assignment of an empty
+/// Assignment from atom 0 on behalf of every group with a path. Ingress-only
+/// sequencing nodes are placed at the attachment router of a random member
+/// of their group (the "elect a member as per-group sequencer" baseline
+/// from the introduction).
 [[nodiscard]] Assignment assign_machines(
     const seqgraph::SequencingGraph& graph, const Colocation& colocation,
     const membership::GroupMembership& membership,
@@ -99,9 +103,9 @@ void seq_node_path(const seqgraph::SequencingGraph& graph,
 
 /// Extend `assignment` in place after a delta graph rebuild: the sequencing
 /// nodes Colocation::extend appended for atoms >= `first_new_atom` get
-/// machines via the same §3.4 per-group heuristic, run only on behalf of
-/// the `affected` groups. Already-assigned nodes are never moved —
-/// old-epoch traffic keeps draining where it was.
+/// machines via the §3.4 per-group heuristic, run only on behalf of the
+/// `affected` groups. Already-assigned nodes are never moved — old-epoch
+/// traffic keeps draining where it was.
 void extend_assignment(Assignment& assignment,
                        const seqgraph::SequencingGraph& graph,
                        const Colocation& colocation,

@@ -313,30 +313,9 @@ std::size_t Colocation::num_overlap_nodes(
 
 Colocation apply_labels(const SequencingGraph& graph,
                         const std::vector<std::size_t>& labels) {
-  // Dense-renumber the labels that actually occur, then append one node per
-  // ingress-only atom.
-  std::vector<std::vector<AtomId>> nodes;
-  std::vector<SeqNodeId> node_of_atom(graph.num_atoms());
-  std::vector<std::size_t> dense(labels.size(), static_cast<std::size_t>(-1));
-  for (const Atom& atom : graph.atoms()) {
-    std::size_t node;
-    if (atom.is_ingress_only()) {
-      node = nodes.size();
-      nodes.emplace_back();
-    } else {
-      DECSEQ_CHECK(atom.overlap_index < labels.size());
-      std::size_t& d = dense[labels[atom.overlap_index]];
-      if (d == static_cast<std::size_t>(-1)) {
-        d = nodes.size();
-        nodes.emplace_back();
-      }
-      node = d;
-    }
-    nodes[node].push_back(atom.id);
-    node_of_atom[atom.id.value()] =
-        SeqNodeId(static_cast<SeqNodeId::underlying_type>(node));
-  }
-  return Colocation(std::move(nodes), std::move(node_of_atom));
+  Colocation colocation;
+  colocation.extend(graph, 0, labels);
+  return colocation;
 }
 
 Colocation colocate_atoms(const SequencingGraph& graph,

@@ -72,21 +72,26 @@ void colocate_overlaps(const membership::OverlapIndex& overlaps,
                        ColocationScratch& scratch,
                        std::vector<std::size_t>& labels);
 
-/// Reusable buffers for a delta extension (Colocation::extend, then
+/// Reusable buffers for an extension (Colocation::extend, then
 /// extend_assignment): the label -> fresh sequencing node map, whose
-/// entries count only under the current call's stamp, and one group's
-/// sequencing-node path. A caller that extends on every reconfiguration
-/// (PubSubSystem) owns one, so a warm extension allocates neither.
+/// entries count only under the current call's stamp; one group's
+/// sequencing-node path, and the stamps that find a node it visits twice.
+/// A caller that extends on every reconfiguration (PubSubSystem) owns one,
+/// so a warm extension allocates none of them.
 struct ExtendScratch {
   std::vector<std::uint32_t> label_stamp;
   std::vector<std::size_t> label_node;
   std::uint32_t stamp = 0;
   std::vector<SeqNodeId> path;
+  std::vector<std::uint32_t> node_stamp;
+  std::uint32_t node_gen = 0;
 };
 
 /// The atom -> sequencing-node mapping.
 class Colocation {
  public:
+  /// No atoms: the colocation a full build extends from atom 0.
+  Colocation() = default;
   Colocation(std::vector<std::vector<AtomId>> nodes,
              std::vector<SeqNodeId> node_of_atom);
 
@@ -107,13 +112,13 @@ class Colocation {
     return node_of_atom_[atom.value()];
   }
 
-  /// Delta-rebuild extension: absorb the atoms appended at or beyond
-  /// `first_new_atom` by a build_sequencing_graph_delta pass. Existing
-  /// atoms keep their sequencing nodes (old-epoch traffic still resolves
-  /// them); appended atoms cluster among themselves by the new overlap
-  /// labels — the same rule apply_labels() uses, restricted to the suffix —
-  /// on *fresh* sequencing nodes. (apply_labels itself cannot run on a
-  /// delta graph: retired atoms have no overlap index.)
+  /// Absorb the atoms appended at or beyond `first_new_atom` by a
+  /// build_sequencing_graph_delta pass. Existing atoms keep their
+  /// sequencing nodes (old-epoch traffic still resolves them); appended
+  /// atoms cluster among themselves by the new overlap labels on *fresh*
+  /// sequencing nodes, numbered in order of first appearance (ingress-only
+  /// atoms get one each). apply_labels() is this extension of an empty
+  /// colocation from atom 0.
   void extend(const seqgraph::SequencingGraph& graph,
               std::size_t first_new_atom,
               const std::vector<std::size_t>& labels);
@@ -127,8 +132,11 @@ class Colocation {
   std::vector<SeqNodeId> node_of_atom_;
 };
 
-/// Materialize the Colocation for a built graph from per-overlap labels
-/// (ingress-only atoms get one fresh sequencing node each).
+/// Materialize the Colocation for a full build from per-overlap labels:
+/// an empty Colocation extended from atom 0 (ingress-only atoms get one
+/// fresh sequencing node each). A graph with retired atoms needs
+/// Colocation::extend from its first appended atom instead: retired atoms
+/// have no overlap index.
 [[nodiscard]] Colocation apply_labels(const seqgraph::SequencingGraph& graph,
                                       const std::vector<std::size_t>& labels);
 

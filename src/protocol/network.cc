@@ -377,10 +377,14 @@ void SequencingNetwork::arrive_at_ingress(AtomId ingress, PayloadRef payload,
   if (route.num_hops > 0 && ingress != route.ingress) {
     // The group's ingress moved (zero-downtime reconfiguration) while this
     // message's ingress leg was in flight: redirect it from the old ingress
-    // machine to the new one. The extra leg is a constant per
-    // (old, new) machine pair, so each sender's publish order is preserved
-    // — and the message is sequenced post-fence, in the new epoch, which
-    // is exactly what its arrival after the cutover means.
+    // machine to the new one, where it is sequenced post-fence, in the new
+    // epoch — exactly what its arrival after the cutover means. The extra
+    // leg is a constant per (old, new) machine pair, so a sender's publish
+    // order holds among the messages redirected together. It does not hold
+    // against a later publish sent straight to the new ingress: that one
+    // skips the detour and can take a group sequence number first. Only
+    // publish_causal chains, which never overlap, keep a sender's order
+    // across a cutover.
     const RouterId from = machine_of_atom(ingress);
     const double leg = from == route.ingress_router
                            ? 0.0

@@ -61,25 +61,17 @@ void PubSubSystem::rebuild() {
   if (network_ != nullptr) {
     epoch_base_ += static_cast<MsgId::underlying_type>(network_->published());
   }
-  overlaps_ = std::make_unique<membership::OverlapIndex>(membership_);
-  // Co-locate before layout so the chain keeps same-machine atoms
-  // contiguous (§3.4: related atoms on the same machine recover the
-  // performance that distributing them would cost).
-  placement::colocate_overlaps(*overlaps_, config_.colocation, rng_,
-                               colocation_scratch_, labels_);
-  seqgraph::BuildOptions graph_options = config_.graph;
-  graph_options.colocation_labels = &labels_;
-  graph_options.scratch = &graph_scratch_;
-  graph_ = std::make_unique<seqgraph::SequencingGraph>(
-      build_sequencing_graph(membership_, *overlaps_, graph_options));
-  colocation_ = std::make_unique<placement::Colocation>(
-      placement::apply_labels(*graph_, labels_));
-  assignment_ = std::make_unique<placement::Assignment>(
-      placement::assign_machines(*graph_, *colocation_, membership_, *hosts_,
-                                 net_graph_, config_.assignment, rng_));
-  network_.reset();  // the two epochs' networks never coexist
+  // The network holds references to the layers emptied below; the two
+  // epochs' networks never coexist.
+  network_.reset();
+  overlaps_ = membership::OverlapIndex{};
+  graph_ = seqgraph::SequencingGraph{};
+  colocation_ = placement::Colocation{};
+  assignment_ = placement::Assignment{};
+  seqgraph::DeltaBuildStats delta;
+  compile(membership_.live_groups(), delta);
   network_ = std::make_unique<protocol::SequencingNetwork>(
-      sim_, rng_, *graph_, *colocation_, *assignment_, membership_, *hosts_,
+      sim_, rng_, graph_, colocation_, assignment_, membership_, *hosts_,
       *oracle_, config_.network, &net_graph_);
   network_->set_delivery_callback(
       [this](NodeId receiver, const protocol::Message& m, sim::Time at) {
@@ -97,6 +89,34 @@ void PubSubSystem::rebuild() {
           }
         }
       });
+}
+
+void PubSubSystem::compile(const std::vector<GroupId>& dirty,
+                           seqgraph::DeltaBuildStats& delta) {
+  // The next overlap index is built in the spare one, taking the surviving
+  // overlaps' member lists from overlaps_, which keeps the old components
+  // the graph delta reads; then the two swap.
+  spare_overlaps_.rebuild_delta(overlaps_, membership_, dirty);
+  // Co-locate before layout so the chain keeps same-machine atoms
+  // contiguous (§3.4: related atoms on the same machine recover the
+  // performance that distributing them would cost).
+  placement::colocate_overlaps(spare_overlaps_, config_.colocation, rng_,
+                               colocation_scratch_, labels_);
+  seqgraph::BuildOptions graph_options = config_.graph;
+  graph_options.colocation_labels = &labels_;
+  graph_options.scratch = &graph_scratch_;
+  // The delta edits the graph in place; nothing reads graph_ while it is
+  // moved out.
+  const std::size_t first_new_atom = graph_.num_atoms();
+  graph_ = seqgraph::build_sequencing_graph_delta(
+      std::move(graph_), overlaps_, membership_, spare_overlaps_, dirty,
+      graph_options, &delta);
+  std::swap(overlaps_, spare_overlaps_);
+  colocation_.extend(graph_, first_new_atom, labels_, extend_scratch_);
+  placement::extend_assignment(assignment_, graph_, colocation_, membership_,
+                               *hosts_, net_graph_, config_.assignment, rng_,
+                               delta.affected_groups, first_new_atom,
+                               extend_scratch_);
 }
 
 GroupId PubSubSystem::create_group(std::vector<NodeId> members) {
@@ -253,32 +273,9 @@ PubSubSystem::ReconfigureResult PubSubSystem::reconfigure_async(
     }
   }
 
-  // 3. Extend the stack layer by layer, in place — the network holds
-  //    references to the graph/colocation/assignment objects, so each is
-  //    mutated or move-assigned at its existing address. Old atoms keep
-  //    their ids, sequencing nodes, and machines; re-laid paths append.
-  //    The next overlap index is built in the spare one, taking the
-  //    surviving overlaps' member lists from *overlaps_, which keeps the
-  //    old components the graph delta reads; then the two swap.
-  spare_overlaps_.rebuild_delta(*overlaps_, membership_, dirty_);
-  placement::colocate_overlaps(spare_overlaps_, config_.colocation, rng_,
-                               colocation_scratch_, labels_);
-  seqgraph::BuildOptions graph_options = config_.graph;
-  graph_options.colocation_labels = &labels_;
-  graph_options.scratch = &graph_scratch_;
-  // The delta edits the graph in place; nothing reads *graph_ while it is
-  // moved out.
-  const std::size_t first_new_atom = graph_->num_atoms();
-  *graph_ = seqgraph::build_sequencing_graph_delta(
-      std::move(*graph_), *overlaps_, membership_, spare_overlaps_, dirty_,
-      graph_options, &result.delta);
-  std::swap(*overlaps_, spare_overlaps_);
-  colocation_->extend(*graph_, first_new_atom, labels_, extend_scratch_);
-  placement::extend_assignment(*assignment_, *graph_, *colocation_,
-                               membership_, *hosts_, net_graph_,
-                               config_.assignment, rng_,
-                               result.delta.affected_groups, first_new_atom,
-                               extend_scratch_);
+  // 3. Extend the stack layer by layer, in place. Old atoms keep their
+  //    ids, sequencing nodes, and machines; re-laid paths append.
+  compile(dirty_, result.delta);
 
   // 4. Cut over: compile the affected groups' new spans next to their old
   //    ones and flush a fence down each old span. From here on the network

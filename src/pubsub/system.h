@@ -16,11 +16,14 @@
 //                      is also a causal order.
 //
 // Membership changes rebuild the sequencing graph from the global picture
-// (§3.2). The classic entry points (join/leave/reconfigure/...) are allowed
-// between runs, while no messages are in flight — the static-membership
-// regime the paper evaluates (§4). reconfigure_async() instead extends
-// every layer incrementally and cuts the affected groups over with in-band
-// fences, so untouched groups keep flowing with zero downtime.
+// (§3.2), through one compile that extends every layer by the delta of the
+// changed groups. The classic entry points (join/leave/reconfigure/...) are
+// allowed between runs, while no messages are in flight — the
+// static-membership regime the paper evaluates (§4) — and compile from the
+// empty epoch with every live group dirty, then replace the network.
+// reconfigure_async() instead compiles the delta of the batch's groups
+// alone and cuts the affected groups over with in-band fences, so untouched
+// groups keep flowing with zero downtime.
 #pragma once
 
 #include <cstdint>
@@ -233,16 +236,16 @@ class PubSubSystem {
     return membership_;
   }
   [[nodiscard]] const membership::OverlapIndex& overlaps() const {
-    return *overlaps_;
+    return overlaps_;
   }
   [[nodiscard]] const seqgraph::SequencingGraph& graph() const {
-    return *graph_;
+    return graph_;
   }
   [[nodiscard]] const placement::Colocation& colocation() const {
-    return *colocation_;
+    return colocation_;
   }
   [[nodiscard]] const placement::Assignment& assignment() const {
-    return *assignment_;
+    return assignment_;
   }
   [[nodiscard]] const topology::HostMap& hosts() const { return *hosts_; }
   [[nodiscard]] const topology::Graph& topology_graph() const {
@@ -271,7 +274,17 @@ class PubSubSystem {
   /// point calls this BEFORE touching the membership table, so a violation
   /// aborts with the system state unmodified.
   void require_quiescent(const char* op) const;
+  /// The full compile: drop the network, empty the layers, compile() with
+  /// every live group dirty, and build a fresh network on the result.
   void rebuild();
+  /// The one epoch compile, shared by rebuild() and reconfigure_async():
+  /// extend every layer in place by the delta of the `dirty` groups — the
+  /// overlap index, co-location labels, sequencing graph, colocation and
+  /// machine assignment — writing the graph delta's telemetry to `delta`.
+  /// The network holds references to the layers, so each is mutated or
+  /// move-assigned at its own address.
+  void compile(const std::vector<GroupId>& dirty,
+               seqgraph::DeltaBuildStats& delta);
   void pump_causal_queue(NodeId sender);
   [[nodiscard]] bool causal_pending() const;
   /// Drop causal chains whose in-flight head failed ingress (the publisher
@@ -284,10 +297,10 @@ class PubSubSystem {
   std::unique_ptr<topology::DistanceOracle> oracle_;
   std::unique_ptr<topology::HostMap> hosts_;
   membership::GroupMembership membership_;
-  std::unique_ptr<membership::OverlapIndex> overlaps_;
-  /// reconfigure_async builds the next overlap index here, in place, then
-  /// swaps it with *overlaps_: the two indexes alternate, so a warm
-  /// transition reuses both one's lists.
+  membership::OverlapIndex overlaps_;
+  /// compile() builds the next overlap index here, in place, then swaps it
+  /// with overlaps_: the two indexes alternate, so a warm transition reuses
+  /// both one's lists.
   membership::OverlapIndex spare_overlaps_;
   /// Co-location buffers and labels, reused by every compile.
   placement::ColocationScratch colocation_scratch_;
@@ -298,14 +311,14 @@ class PubSubSystem {
   /// lists keep their capacity.
   std::vector<GroupId> dirty_;
   std::vector<std::vector<NodeId>> old_members_;
-  std::unique_ptr<seqgraph::SequencingGraph> graph_;
-  /// Reused across every graph compile (initial rebuild and each
+  seqgraph::SequencingGraph graph_;
+  /// Reused across every graph compile (each rebuild and each
   /// reconfigure_async delta) so repeated transitions — including the first
   /// after construction — run against warm, pre-sized layout buffers.
   seqgraph::BuildScratch graph_scratch_;
-  std::unique_ptr<placement::Colocation> colocation_;
-  std::unique_ptr<placement::Assignment> assignment_;
-  /// reconfigure_async's co-location and assignment extension buffers.
+  placement::Colocation colocation_;
+  placement::Assignment assignment_;
+  /// compile()'s co-location and assignment extension buffers.
   placement::ExtendScratch extend_scratch_;
 
   sim::Simulator sim_;

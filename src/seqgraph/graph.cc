@@ -610,9 +610,9 @@ void compute_component_layout(const std::vector<GroupId>& component,
   chain_layout(component, overlaps, options, ws, out);
 }
 
-/// Mutable views into a SequencingGraph under construction, so the
-/// per-component layout is shared between the full builder and the delta
-/// builder (both are friends; internal-linkage helpers are not).
+/// Mutable views into a SequencingGraph under construction, for the
+/// internal-linkage layout helpers (the delta builder is a friend; they are
+/// not).
 struct GraphParts {
   std::vector<Atom>& atoms;
   std::vector<std::vector<AtomId>>& paths;
@@ -764,40 +764,9 @@ std::vector<GroupId> SequencingGraph::groups() const {
 SequencingGraph build_sequencing_graph(const GroupMembership& membership,
                                        const OverlapIndex& overlaps,
                                        const BuildOptions& options) {
-  SequencingGraph graph;
-  graph.paths_.resize(membership.num_group_slots());
-  GraphParts gp{graph.atoms_,          graph.paths_,
-                graph.tree_,           graph.retired_,
-                graph.live_,           graph.num_overlap_atoms_,
-                graph.tree_components_, graph.chain_components_};
-
-  // One chain (or greedy tree) per connected component of the group
-  // overlap graph.
-  BuildScratch transient;
-  BuildScratch::Impl& impl =
-      (options.scratch != nullptr ? *options.scratch : transient).impl();
-  const auto& components = overlaps.components();
-  impl.todo.clear();
-  for (std::size_t c = 0; c < components.size(); ++c) impl.todo.push_back(c);
-  impl.compile(gp, components, overlaps, options,
-               membership.num_group_slots());
-
-  // Ingress-only atoms for live groups with no double overlaps.
-  for (const GroupId g : membership.live_groups()) {
-    if (!overlaps.has_overlaps(g)) {
-      const AtomId id =
-          append_atom(gp, g, GroupId{}, {}, static_cast<std::size_t>(-1));
-      graph.paths_[g.value()] = {id};
-    }
-  }
-
-  DECSEQ_LOG(kDebug, "seqgraph",
-             "built " << graph.num_atoms() << " atoms ("
-                      << graph.num_overlap_atoms_ << " overlap, "
-                      << graph.num_atoms() - graph.num_overlap_atoms_
-                      << " ingress-only) for " << membership.num_groups()
-                      << " groups");
-  return graph;
+  return build_sequencing_graph_delta(SequencingGraph{}, OverlapIndex{},
+                                      membership, overlaps,
+                                      membership.live_groups(), options);
 }
 
 SequencingGraph build_sequencing_graph_delta(

@@ -75,7 +75,8 @@ class BuildScratch {
 };
 
 /// Immutable sequencing graph: atoms, per-group directed paths, and the
-/// undirected forest of inter-atom links. Built by build_sequencing_graph().
+/// undirected forest of inter-atom links. Built by
+/// build_sequencing_graph_delta(), from the empty graph for a full build.
 class SequencingGraph {
  public:
   SequencingGraph() = default;
@@ -156,9 +157,6 @@ class SequencingGraph {
       std::vector<std::vector<AtomId>> tree, std::size_t num_overlap_atoms);
 
  private:
-  friend SequencingGraph build_sequencing_graph(
-      const membership::GroupMembership& membership,
-      const membership::OverlapIndex& overlaps, const BuildOptions& options);
   friend SequencingGraph build_sequencing_graph_delta(
       SequencingGraph old_graph, const membership::OverlapIndex& old_overlaps,
       const membership::GroupMembership& membership,
@@ -181,9 +179,9 @@ class SequencingGraph {
   std::vector<std::vector<AtomId>> tree_;   // undirected adjacency
   std::vector<char> retired_;               // indexed by AtomId; empty => none
   /// The atoms not retired, ascending, so a delta walks the live graph
-  /// rather than the retired history. Kept by build_sequencing_graph, its
-  /// delta and make_for_testing; the legacy reference builders, whose
-  /// graphs are only compared, leave it empty.
+  /// rather than the retired history. Kept by the delta builder and
+  /// make_for_testing; the legacy reference builders, whose graphs are
+  /// only compared, leave it empty.
   std::vector<AtomId> live_;
   std::size_t num_overlap_atoms_ = 0;
   std::size_t num_retired_ = 0;
@@ -227,7 +225,8 @@ struct BuildOptions {
   BuildScratch* scratch = nullptr;
 };
 
-/// Construct a sequencing graph for the given membership snapshot.
+/// Construct a sequencing graph for the given membership snapshot: the
+/// delta below from the empty graph and index, every live group dirty.
 [[nodiscard]] SequencingGraph build_sequencing_graph(
     const membership::GroupMembership& membership,
     const membership::OverlapIndex& overlaps, const BuildOptions& options = {});
@@ -257,7 +256,8 @@ struct DeltaBuildStats {
 /// the groups whose membership changed (created, removed, joined, or left).
 /// For every group outside the affected closure the resulting path is
 /// *identical* — same AtomIds, same order — and for affected groups the
-/// layout equals what a full rebuild would produce (differentially tested).
+/// layout equals the one a build from empty gives them (tested against the
+/// legacy builders in seqgraph/legacy.h).
 ///
 /// The old graph is consumed: the delta edits it in place (retire, remap,
 /// clear dropped path slots, append), so it allocates for the affected

@@ -8,8 +8,9 @@
 // (OverlapIndex's delta constructor) and re-lays only the overlap
 // components the change actually touched (build_sequencing_graph_delta),
 // preserving every other group's path — and AtomIds — verbatim. The global
-// recompute is kept as the differential-tested fallback (incremental=false)
-// and as the compaction step once retired atoms outnumber live ones.
+// recompute is the same two builders run from the empty epoch with every
+// live group dirty; it serves as the fallback (incremental=false) and as
+// the compaction step once retired atoms outnumber live ones.
 // ChangeStats reports how much of the graph actually changed (atoms
 // created/retired, groups whose paths moved), which the churn bench uses to
 // quantify the disruption of membership dynamics (the paper's §5
@@ -41,8 +42,8 @@ struct ChangeStats {
 class SequencingGraphManager {
  public:
   /// `incremental` selects delta maintenance (the default); false forces a
-  /// global overlap + graph recompute on every change, which is the
-  /// differential oracle the delta path is tested against.
+  /// global recompute (the delta from the empty epoch) on every change,
+  /// which the per-change delta path is tested against.
   explicit SequencingGraphManager(membership::GroupMembership membership,
                                   BuildOptions options = {},
                                   bool incremental = true);

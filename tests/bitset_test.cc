@@ -1,6 +1,6 @@
 #include <gtest/gtest.h>
 
-#include <algorithm>
+#include <vector>
 
 #include "common/bitset.h"
 #include "common/rng.h"
@@ -57,150 +57,6 @@ TEST(DynamicBitset, MismatchedSizesRejected) {
   DynamicBitset a(10), b(20);
   EXPECT_THROW((void)a.intersection_count(b), CheckFailure);
   EXPECT_THROW((void)a.is_subset_of(b), CheckFailure);
-}
-
-TEST(RankSelectBitset, EmptyRows) {
-  const auto zero = RankSelectBitset::from_sorted({}, 0);
-  EXPECT_EQ(zero.size(), 0u);
-  EXPECT_EQ(zero.count(), 0u);
-
-  const auto empty = RankSelectBitset::from_sorted({}, 1000);
-  EXPECT_EQ(empty.count(), 0u);
-  EXPECT_TRUE(empty.is_sparse());
-  EXPECT_FALSE(empty.test(0));
-  EXPECT_FALSE(empty.test(999));
-  EXPECT_EQ(empty.rank(500), 0u);
-  EXPECT_EQ(empty.rank(1000), 0u);
-  EXPECT_TRUE(empty.set_bits().empty());
-  EXPECT_THROW((void)empty.select(0), CheckFailure);
-}
-
-TEST(RankSelectBitset, FullRow) {
-  std::vector<std::uint32_t> all(300);
-  for (std::uint32_t i = 0; i < 300; ++i) all[i] = i;
-  const auto full = RankSelectBitset::from_sorted(all, 300);
-  EXPECT_EQ(full.count(), 300u);
-  EXPECT_FALSE(full.is_sparse()) << "a full row must choose the dense form";
-  for (std::size_t i = 0; i < 300; ++i) {
-    EXPECT_TRUE(full.test(i));
-    EXPECT_EQ(full.rank(i), i);
-    EXPECT_EQ(full.select(i), i);
-  }
-  EXPECT_EQ(full.rank(300), 300u);
-}
-
-TEST(RankSelectBitset, DenseWordAndDirectoryBoundaries) {
-  // Dense row (every even bit over 2048 = four 512-bit directory blocks);
-  // probe rank/select exactly at word (64) and directory-block (512) edges.
-  std::vector<std::uint32_t> evens;
-  for (std::uint32_t i = 0; i < 2048; i += 2) evens.push_back(i);
-  const auto row = RankSelectBitset::from_sorted(evens, 2048);
-  ASSERT_FALSE(row.is_sparse());
-  for (const std::size_t i : {0u, 1u, 63u, 64u, 65u, 511u, 512u, 513u,
-                              1023u, 1024u, 1535u, 1536u, 2047u}) {
-    EXPECT_EQ(row.rank(i), (i + 1) / 2) << "rank at " << i;
-    EXPECT_EQ(row.test(i), i % 2 == 0) << "test at " << i;
-  }
-  for (const std::size_t k : {0u, 31u, 32u, 255u, 256u, 257u, 767u, 1023u}) {
-    EXPECT_EQ(row.select(k), 2 * k) << "select at " << k;
-  }
-  EXPECT_EQ(row.rank(2048), 1024u);
-}
-
-TEST(RankSelectBitset, SparseClusteredBucketWalk) {
-  // 21 consecutive positions land in the same Elias–Fano high-bits bucket,
-  // exercising the in-bucket low-bits walk of rank/test.
-  std::vector<std::uint32_t> run;
-  for (std::uint32_t i = 5000; i < 5021; ++i) run.push_back(i);
-  const auto row = RankSelectBitset::from_sorted(run, 10000);
-  ASSERT_TRUE(row.is_sparse());
-  EXPECT_EQ(row.rank(5000), 0u);
-  EXPECT_EQ(row.rank(5010), 10u);
-  EXPECT_EQ(row.rank(5021), 21u);
-  EXPECT_EQ(row.rank(9999), 21u);
-  EXPECT_TRUE(row.test(5020));
-  EXPECT_FALSE(row.test(5021));
-  EXPECT_FALSE(row.test(4999));
-  for (std::size_t k = 0; k < 21; ++k) EXPECT_EQ(row.select(k), 5000 + k);
-}
-
-TEST(RankSelectBitset, DensityCrossover) {
-  // Sweep density upward at a fixed universe: the representation must
-  // switch sparse -> dense exactly once and never back.
-  const std::size_t universe = 4096;
-  bool saw_sparse = false, saw_dense = false;
-  bool previous_sparse = true;
-  for (std::size_t n = 1; n <= universe; n *= 2) {
-    std::vector<std::uint32_t> positions;
-    const std::size_t stride = universe / n;
-    for (std::size_t i = 0; i < n; ++i) {
-      positions.push_back(static_cast<std::uint32_t>(i * stride));
-    }
-    const auto row = RankSelectBitset::from_sorted(positions, universe);
-    if (row.is_sparse()) {
-      EXPECT_TRUE(previous_sparse) << "dense must not revert to sparse";
-      saw_sparse = true;
-    } else {
-      saw_dense = true;
-    }
-    previous_sparse = row.is_sparse();
-    EXPECT_EQ(row.count(), n);
-    EXPECT_EQ(row.select(n - 1), (n - 1) * stride);
-  }
-  EXPECT_TRUE(saw_sparse);
-  EXPECT_TRUE(saw_dense);
-}
-
-TEST(RankSelectBitset, MillionHostRowCostsHundredsOfBytes) {
-  // The headline economics: 50 subscribers over a 1M-host universe must
-  // cost hundreds of bytes, not the 125 KB of a plain bitmap.
-  Rng rng(99);
-  std::vector<std::uint32_t> subs;
-  while (subs.size() < 50) {
-    subs.push_back(static_cast<std::uint32_t>(rng.next_below(1000000)));
-    std::sort(subs.begin(), subs.end());
-    subs.erase(std::unique(subs.begin(), subs.end()), subs.end());
-  }
-  const auto row = RankSelectBitset::from_sorted(subs, 1000000);
-  EXPECT_TRUE(row.is_sparse());
-  EXPECT_LT(row.memory_bytes(), 1024u);
-  for (const std::uint32_t v : subs) EXPECT_TRUE(row.test(v));
-}
-
-TEST(RankSelectBitset, RandomizedEquivalenceAgainstDynamicBitset) {
-  Rng rng(23);
-  for (int trial = 0; trial < 40; ++trial) {
-    const std::size_t n = 1 + rng.next_below(3000);
-    // Sweep density across trials so both representations are exercised.
-    const double density = rng.next_double();
-    DynamicBitset reference(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      if (rng.next_bool(density)) reference.set(i);
-    }
-    const auto row = RankSelectBitset::from_bitset(reference);
-    ASSERT_EQ(row.size(), n);
-    ASSERT_EQ(row.count(), reference.count());
-    EXPECT_EQ(row.set_bits(), reference.set_bits());
-
-    std::size_t running = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      ASSERT_EQ(row.rank(i), running) << "trial " << trial << " rank " << i;
-      ASSERT_EQ(row.test(i), reference.test(i))
-          << "trial " << trial << " test " << i;
-      if (reference.test(i)) {
-        ASSERT_EQ(row.select(running), i)
-            << "trial " << trial << " select " << running;
-        ++running;
-      }
-    }
-    ASSERT_EQ(row.rank(n), reference.count());
-  }
-}
-
-TEST(RankSelectBitset, RejectsUnsortedAndOutOfRange) {
-  EXPECT_THROW((void)RankSelectBitset::from_sorted({5, 5}, 10), CheckFailure);
-  EXPECT_THROW((void)RankSelectBitset::from_sorted({7, 3}, 10), CheckFailure);
-  EXPECT_THROW((void)RankSelectBitset::from_sorted({10}, 10), CheckFailure);
 }
 
 TEST(DynamicBitset, RandomizedAgainstReference) {

@@ -1,9 +1,11 @@
-// Differential property test for the streaming overlap index.
+// Differential property test for the overlap index.
 //
-// The streaming build (inverted-index pair counting + lazy shared-member
-// materialization) must be *exactly* equivalent to the retained brute-force
-// reference (materialized pairwise bitset product): same overlaps in the
-// same order, same shared-member lists, same adjacency, same components.
+// The default build — the delta from an empty index with every live group
+// dirty (per-group co-subscription counting over the inverted index, shared
+// members materialized for confirmed pairs only) — must be *exactly*
+// equivalent to the retained brute-force reference (materialized pairwise
+// bitset product): same overlaps in the same order, same shared-member
+// lists, same adjacency, same components.
 // 200 seeded random memberships cover dead groups (tombstoned and drained),
 // singleton overlaps (one shared member — not a double overlap), and
 // disconnected overlap components.
@@ -59,45 +61,45 @@ GroupMembership random_membership(std::uint64_t seed) {
   return m;
 }
 
-TEST(OverlapDifferential, StreamingMatchesBruteForceOn200Seeds) {
+TEST(OverlapDifferential, DeltaFromEmptyMatchesBruteForceOn200Seeds) {
   std::size_t total_overlaps = 0, total_singletons = 0, multi_component = 0,
               dead_slots = 0;
   for (std::uint64_t seed = 1; seed <= 200; ++seed) {
     const GroupMembership m = random_membership(seed);
-    const OverlapIndex streaming(m, OverlapBuild::kStreaming);
+    const OverlapIndex built(m, OverlapBuild::kDeltaFromEmpty);
     const OverlapIndex reference(m, OverlapBuild::kMaterializedReference);
 
-    ASSERT_EQ(streaming.num_overlaps(), reference.num_overlaps())
+    ASSERT_EQ(built.num_overlaps(), reference.num_overlaps())
         << "seed " << seed;
     for (std::size_t i = 0; i < reference.num_overlaps(); ++i) {
-      const Overlap& s = streaming.overlap(i);
+      const Overlap& s = built.overlap(i);
       const Overlap& r = reference.overlap(i);
       ASSERT_EQ(s.first, r.first) << "seed " << seed << " overlap " << i;
       ASSERT_EQ(s.second, r.second) << "seed " << seed << " overlap " << i;
       ASSERT_EQ(s.members, r.members) << "seed " << seed << " overlap " << i;
       ASSERT_GE(s.members.size(), 2u);
     }
-    ASSERT_EQ(streaming.components().size(), reference.components().size())
+    ASSERT_EQ(built.components().size(), reference.components().size())
         << "seed " << seed;
     for (std::size_t c = 0; c < reference.components().size(); ++c) {
-      ASSERT_EQ(streaming.components()[c], reference.components()[c])
+      ASSERT_EQ(built.components()[c], reference.components()[c])
           << "seed " << seed << " component " << c;
     }
     for (std::size_t slot = 0; slot < m.num_group_slots(); ++slot) {
       const GroupId g(static_cast<GroupId::underlying_type>(slot));
-      ASSERT_EQ(streaming.overlaps_of(g), reference.overlaps_of(g))
+      ASSERT_EQ(built.overlaps_of(g), reference.overlaps_of(g))
           << "seed " << seed << " group " << g;
-      ASSERT_EQ(streaming.component_of(g), reference.component_of(g))
+      ASSERT_EQ(built.component_of(g), reference.component_of(g))
           << "seed " << seed << " group " << g;
       if (!m.is_alive(g)) {
         ++dead_slots;
-        ASSERT_TRUE(streaming.overlaps_of(g).empty());
+        ASSERT_TRUE(built.overlaps_of(g).empty());
       }
     }
 
     // Coverage accounting so the generator can't silently degenerate.
-    total_overlaps += streaming.num_overlaps();
-    if (streaming.components().size() > 1) ++multi_component;
+    total_overlaps += built.num_overlaps();
+    if (built.components().size() > 1) ++multi_component;
     for (const GroupId a : m.live_groups()) {
       for (const GroupId b : m.live_groups()) {
         if (a < b && m.intersect(a, b).size() == 1) ++total_singletons;
@@ -112,14 +114,37 @@ TEST(OverlapDifferential, StreamingMatchesBruteForceOn200Seeds) {
   EXPECT_GT(dead_slots, 100u) << "workload must exercise tombstoned groups";
 }
 
-TEST(OverlapDifferential, StreamingStatsReflectTheBuild) {
+TEST(OverlapDifferential, DeltaFromEmptyCountsEachCoSubscriptionOnce) {
   Rng rng(7);
   const auto m = zipf_membership({.num_nodes = 256, .num_groups = 64}, rng);
-  const OverlapIndex idx(m, OverlapBuild::kStreaming);
+  const OverlapIndex idx(m, OverlapBuild::kDeltaFromEmpty);
   const auto& stats = idx.build_stats();
-  EXPECT_GT(stats.pair_increments, 0u);
-  EXPECT_GE(stats.candidate_pairs, idx.num_overlaps());
-  // The reference build reports no streaming stats.
+
+  // Each co-subscription is counted from one of its two groups only, so
+  // pair_increments is exactly Σ_node k_node·(k_node-1)/2 (counting a pair
+  // of dirty groups from both sides would double it), and candidate_pairs
+  // is exactly the number of distinct group pairs sharing a member.
+  std::size_t increments = 0;
+  for (std::size_t n = 0; n < m.num_nodes(); ++n) {
+    const std::size_t k =
+        m.subscriptions(NodeId(static_cast<NodeId::underlying_type>(n)))
+            .size();
+    increments += k * (k - 1) / 2;
+  }
+  std::size_t co_subscribed = 0;
+  const auto live = m.live_groups();
+  for (std::size_t i = 0; i < live.size(); ++i) {
+    for (std::size_t j = i + 1; j < live.size(); ++j) {
+      if (!m.intersect(live[i], live[j]).empty()) ++co_subscribed;
+    }
+  }
+  EXPECT_GT(increments, 0u);
+  EXPECT_EQ(stats.pair_increments, increments);
+  EXPECT_EQ(stats.candidate_pairs, co_subscribed);
+  EXPECT_GT(stats.candidate_pairs, idx.num_overlaps());
+  EXPECT_EQ(stats.delta_recomputed, idx.num_overlaps());
+  EXPECT_EQ(stats.delta_copied, 0u);
+  // The reference build reports no build stats.
   const OverlapIndex ref(m, OverlapBuild::kMaterializedReference);
   EXPECT_EQ(ref.build_stats().pair_increments, 0u);
 }
