@@ -2,12 +2,16 @@
 // inside the object, spilling to the heap only past that.
 //
 // The protocol's hot containers are bounded-but-variable: a message's stamp
-// list is bounded by its group's overlap degree (almost always <= 8), and
-// application bodies are usually tens of bytes. Keeping them inline makes a
-// Message a flat, allocation-free object that moves with a memcpy — the
-// std::vector versions paid one heap allocation per list per message per
-// hop. clear() keeps any heap capacity, so pooled objects that recycle a
-// SmallVector stay allocation-free even when their content once spilled.
+// list is bounded by its group's overlap degree, and application bodies are
+// usually tens of bytes. Keeping them inline makes a Message a flat,
+// allocation-free object that moves with a memcpy — the std::vector
+// versions paid one heap allocation per list per message per hop. Lists do
+// outgrow the inline storage: the paper deployment's longest paths cross 37
+// atoms and stamp more than 16 of them. clear() keeps any heap capacity, so
+// pooled objects that recycle a SmallVector stay allocation-free even when
+// their content once spilled; a list whose owner is not recycled can take
+// its spilled block from a per-thread free list instead (`Spill` =
+// PooledSpill below).
 //
 // Elements must be trivially copyable (body bytes, stamps), so every copy,
 // inline move and growth is one memcpy and nothing is ever destroyed. An
@@ -19,6 +23,7 @@
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cstddef>
 #include <cstring>
 #include <initializer_list>
@@ -30,7 +35,43 @@
 
 namespace decseq::common {
 
-template <typename T, std::size_t N>
+/// Where a SmallVector's spilled storage comes from: `fit(bytes)` rounds a
+/// request up to the block size actually taken, `take(bytes)` returns a
+/// block of that size and `give(block, bytes)` takes it back.
+///
+/// HeapSpill: straight from the global heap, exactly the bytes asked for.
+struct HeapSpill {
+  [[nodiscard]] static std::size_t fit(std::size_t bytes) { return bytes; }
+  [[nodiscard]] static void* take(std::size_t bytes) {
+    return ::operator new(bytes);
+  }
+  static void give(void* block, std::size_t bytes) {
+    ::operator delete(block, bytes);
+  }
+};
+
+/// PooledSpill: power-of-two blocks recycled through a per-thread free list
+/// binned by size, as common/buffer_pool.h bins byte buffers. A list that
+/// spills takes a parked block of its class when there is one and parks
+/// its block again when it grows, is move-assigned over or dies, so a warm
+/// thread stops touching the allocator. The free list holds no more blocks
+/// per class than were once live at the same time. Single-threaded by
+/// design, like common/ref_pool.h: a block is taken and given back on one
+/// thread (a list that moves to another thread parks its block there).
+/// take() and give() are out of line (small_vector.cc): every destructor
+/// of a list may call give(), and inlining the free list there would grow
+/// each caller.
+struct PooledSpill {
+  [[nodiscard]] static std::size_t fit(std::size_t bytes) {
+    return std::bit_ceil(bytes);
+  }
+  [[nodiscard]] static void* take(std::size_t bytes);
+  static void give(void* block, std::size_t bytes);
+  /// Blocks parked on this thread's free list (test visibility).
+  [[nodiscard]] static std::size_t pooled();
+};
+
+template <typename T, std::size_t N, typename Spill = HeapSpill>
 class SmallVector {
   static_assert(N > 0, "inline capacity must be positive");
   static_assert(std::is_trivially_copyable_v<T>,
@@ -148,19 +189,23 @@ class SmallVector {
 
   void release_heap() {
     if (data_ != inline_data()) {
-      ::operator delete(data_);
+      Spill::give(data_, Spill::fit(capacity_ * sizeof(T)));
       data_ = inline_data();
       capacity_ = N;
     }
   }
 
+  /// Spill::fit() rounds the request up to the block size taken, and the
+  /// capacity is what that block holds; fit() of the capacity's bytes
+  /// names the same block size again when release_heap() gives it back.
   void grow_to(std::size_t wanted) {
-    const std::size_t new_capacity = std::max(wanted, capacity_ * 2);
-    T* fresh = static_cast<T*>(::operator new(new_capacity * sizeof(T)));
+    const std::size_t bytes =
+        Spill::fit(std::max(wanted, capacity_ * 2) * sizeof(T));
+    T* fresh = static_cast<T*>(Spill::take(bytes));
     copy_bytes(fresh, data_, size_);
-    if (data_ != inline_data()) ::operator delete(data_);
+    release_heap();
     data_ = fresh;
-    capacity_ = new_capacity;
+    capacity_ = bytes / sizeof(T);
   }
 
   /// Move: steal the heap block when there is one, copy the inline bytes

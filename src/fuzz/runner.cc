@@ -380,7 +380,7 @@ void execute(const Scenario& s, const RunnerOptions& options,
     system.run();
 
     for (const auto& [index, id] : plain_ids) {
-      const protocol::MessageRecord& rec = system.record(id);
+      const protocol::MessageRecord rec = system.record(id);
       trace.publishes[index].rejected = rec.rejected;
       trace.publishes[index].ingress_failed = rec.ingress_failed;
       trace.publishes[index].ingress_retried = rec.ingress_retries > 0;

@@ -14,6 +14,7 @@ OverlapIndex::OverlapIndex(const GroupMembership& membership,
   if (mode == OverlapBuild::kDeltaFromEmpty) {
     const OverlapIndex empty;
     build_delta(empty, membership, membership.live_groups());
+    release_build_state();
     return;
   }
   by_group_.resize(membership.num_group_slots());
@@ -27,6 +28,12 @@ OverlapIndex::OverlapIndex(const OverlapIndex& previous,
                            const GroupMembership& membership,
                            const std::vector<GroupId>& dirty) {
   build_delta(previous, membership, dirty);
+  release_build_state();
+}
+
+void OverlapIndex::release_build_state() {
+  scratch_ = Scratch{};
+  overlaps_.shrink_to_fit();
 }
 
 void OverlapIndex::rebuild_delta(OverlapIndex& previous,
@@ -107,6 +114,7 @@ void OverlapIndex::build_delta(Previous& previous,
         members = std::move(scratch_.spare_members.back());
         scratch_.spare_members.pop_back();
       }
+      members.reserve(shared);
       membership.intersect(a, b, members);
       DECSEQ_CHECK(members.size() == shared);
       overlaps_.push_back({a, b, std::move(members)});

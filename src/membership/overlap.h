@@ -124,7 +124,7 @@ class OverlapIndex {
   [[nodiscard]] const BuildStats& build_stats() const { return stats_; }
 
   /// Heap bytes held by the index (overlap lists, adjacency, components,
-  /// delta scratch).
+  /// and the delta scratch of an index rebuilt in place).
   [[nodiscard]] std::size_t memory_bytes() const;
 
  private:
@@ -135,6 +135,10 @@ class OverlapIndex {
   void build_delta(Previous& previous, const GroupMembership& membership,
                    const std::vector<GroupId>& dirty);
   void build_adjacency_and_components(const GroupMembership& membership);
+  /// The constructors build once, and nothing rebuilds their index in
+  /// place (rebuild_delta() does that), so they keep neither the delta
+  /// scratch nor the overlap list's growth slack.
+  void release_build_state();
 
   std::vector<Overlap> overlaps_;
   std::vector<std::vector<std::size_t>> by_group_;  // slot-indexed
@@ -142,10 +146,11 @@ class OverlapIndex {
   std::vector<std::size_t> component_of_;           // slot-indexed
   std::vector<std::size_t> empty_;
   BuildStats stats_;
-  /// Delta-build scratch, kept so an index rebuilt in place reuses it:
-  /// per-slot dirty marks (2: dirty and counted) and co-subscription
-  /// counts with the slots they touched, the BFS frontier, and spare member
-  /// and component lists to refill.
+  /// Delta-build scratch, kept so an index rebuilt in place
+  /// (rebuild_delta()) reuses it: per-slot dirty marks (2: dirty and
+  /// counted) and co-subscription counts with the slots they touched, the
+  /// BFS frontier, and spare member and component lists to refill. The
+  /// constructors build once and release it (release_build_state()).
   struct Scratch {
     std::vector<char> dirty;
     std::vector<std::uint32_t> count;

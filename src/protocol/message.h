@@ -21,10 +21,12 @@
 //  * Message — the small mutable header that actually travels: the shared
 //    block reference, the group-local sequence number assigned at ingress,
 //    and the stamp list collected along the path. The stamp list is an
-//    inline small-vector sized for the overlap degrees the paper's
-//    workloads produce (<= kInlineStamps stamps never allocate), so a
-//    Message is a flat object that moves hop to hop without touching the
-//    allocator.
+//    inline small-vector of kInlineStamps stamps, so a Message is a flat
+//    object that moves hop to hop without touching the allocator. Longer
+//    lists are common — the paper deployment's paths cross up to 37 atoms
+//    and stamp more than 16 of them — and spill to blocks recycled through
+//    a per-thread free list, so a warm thread allocates nothing for them
+//    either.
 #pragma once
 
 #include <cstddef>
@@ -48,15 +50,22 @@ struct Stamp {
   friend constexpr bool operator==(Stamp, Stamp) = default;
 };
 
-/// Stamps a message can carry without heap allocation. Stamp counts are
-/// bounded by the group's overlap degree; in the paper's Zipf workloads the
-/// 128-host/64-group regime stays within this.
+/// Stamps a message carries inside its header. Stamp counts are bounded by
+/// the group's overlap degree, and most messages of the paper's Zipf
+/// workloads stay within this; a longer list spills to a power-of-two
+/// block from a per-thread free list (common::PooledSpill), which takes it
+/// back when the list grows, is overwritten or dies — so once warm, a
+/// spilled list allocates nothing either, even where its owner is not
+/// recycled (a decoded wire message, a reorder-buffer copy).
 inline constexpr std::size_t kInlineStamps = 8;
-using StampVec = common::SmallVector<Stamp, kInlineStamps>;
+using StampVec =
+    common::SmallVector<Stamp, kInlineStamps, common::PooledSpill>;
 
 /// Body bytes stored inline in a payload block; larger bodies spill to heap
 /// capacity that the block pool recycles, so steady-state traffic of any
-/// one size class stops allocating once the pool is warm.
+/// one size class stops allocating once the pool is warm. The spill is an
+/// exact-size heap block (common::HeapSpill): the pool already keeps it,
+/// and a power-of-two block could hold up to twice a large body's bytes.
 inline constexpr std::size_t kInlineBodyBytes = 64;
 using BodyBytes = common::SmallVector<std::uint8_t, kInlineBodyBytes>;
 
@@ -142,7 +151,8 @@ struct MessageSpec {
 /// shared reference to the immutable payload block plus the mutable
 /// ordering header. Copying a Message shares the block and copies the
 /// inline header; moving it is a flat relocation. Neither allocates for
-/// <= kInlineStamps stamps.
+/// <= kInlineStamps stamps, nor for more once the thread's spill free list
+/// holds a block of the list's size.
 struct Message {
   /// Shared immutable payload block; never null for a routed message.
   PayloadRef data;
@@ -193,10 +203,16 @@ struct Message {
 /// small ids and sequence numbers — and are reported separately by
 /// wire_ordering_header_bytes() in protocol/codec.h; a codec test pins the
 /// relationship between the two.
-[[nodiscard]] inline std::size_t ordering_header_bytes(const Message& m) {
+/// The size depends on the stamp count alone: the first overload prices a
+/// header of `stamps` stamps, the second a message's own.
+[[nodiscard]] constexpr std::size_t ordering_header_bytes(
+    std::size_t stamps) {
   constexpr std::size_t kGroupId = 4, kSender = 4, kGroupSeq = 8;
   constexpr std::size_t kPerStamp = 4 + 8;  // atom id + sequence number
-  return kGroupId + kSender + kGroupSeq + m.stamps.size() * kPerStamp;
+  return kGroupId + kSender + kGroupSeq + stamps * kPerStamp;
+}
+[[nodiscard]] inline std::size_t ordering_header_bytes(const Message& m) {
+  return ordering_header_bytes(m.stamps.size());
 }
 
 /// What an O(N) vector timestamp would cost for `num_nodes` participants

@@ -329,6 +329,29 @@ MsgId SequencingNetwork::terminate_group(GroupId group, NodeId initiator) {
   return inject(initiator, group, 0, nullptr, 0, /*is_fin=*/true);
 }
 
+MessageRecord SequencingNetwork::record(MsgId id) const {
+  DECSEQ_CHECK(id.valid() && id.value() < records_.size());
+  const StoredRecord& stored = records_[id.value()];
+  MessageRecord rec;
+  rec.sender = stored.sender;
+  rec.group = stored.group;
+  if (!std::isnan(stored.exited_at)) rec.exited_at = stored.exited_at;
+  rec.stamps = stored.stamps;
+  rec.header_bytes = ordering_header_bytes(rec.stamps);
+  rec.rejected = stored.rejected;
+  rec.ingress_failed = stored.ingress_failed;
+  rec.ingress_retries = stored.ingress_retries;
+  return rec;
+}
+
+MsgId SequencingNetwork::append_record(NodeId sender, GroupId group) {
+  const MsgId id(static_cast<MsgId::underlying_type>(records_.size()));
+  StoredRecord& rec = records_.emplace_back();
+  rec.group = group;
+  rec.sender = sender;
+  return id;
+}
+
 MsgId SequencingNetwork::inject(NodeId sender, GroupId group,
                                 std::uint64_t payload,
                                 const std::uint8_t* body,
@@ -341,8 +364,7 @@ MsgId SequencingNetwork::inject(NodeId sender, GroupId group,
                    "group termination initiated from crashed publisher "
                        << sender);
   if (is_fin) group_route(group).terminated = true;
-  const MsgId id(static_cast<MsgId::underlying_type>(records_.size()));
-  records_.push_back({sender, group, sim_->now(), std::nullopt, 0, 0});
+  const MsgId id = append_record(sender, group);
   if (publisher_failed(sender)) {
     // The publisher host is down: the publish never leaves it. Recorded as
     // an ingress failure the publisher (and the fuzzer's oracles) can see.
@@ -397,7 +419,7 @@ void SequencingNetwork::arrive_at_ingress(AtomId ingress, PayloadRef payload,
   }
   const SeqNodeId node = route.ingress_node;
   if (node_down_[node.value()]) {
-    MessageRecord& rec = records_[payload->id().value()];
+    StoredRecord& rec = records_[payload->id().value()];
     if (publisher_failed(rec.sender)) {
       // The retrying publisher died: nobody is left to drive the loop.
       rec.ingress_failed = true;
@@ -409,6 +431,8 @@ void SequencingNetwork::arrive_at_ingress(AtomId ingress, PayloadRef payload,
     // lockstep, so the FIFO tie-break keeps them in publish order through
     // the outage. Jitter decorrelates independent hosts; within one
     // sender's serialized retry pipeline it would only scramble that order.
+    DECSEQ_CHECK(rec.ingress_retries <
+                 std::numeric_limits<std::uint32_t>::max());
     ++rec.ingress_retries;
     const std::uint32_t next = attempts + 1;
     sim_->schedule_after(
@@ -669,10 +693,13 @@ std::unique_ptr<SequencingNetwork::FanOutPlan> SequencingNetwork::take_plan() {
 void SequencingNetwork::distribute(AtomId last_atom, Message&& message) {
   GroupRoute& route = group_routes_[message.group().value()];
   const bool old_epoch = message.epoch != route.epoch;
-  MessageRecord& rec = records_[message.id().value()];
+  StoredRecord& rec = records_[message.id().value()];
   rec.exited_at = sim_->now();
-  rec.stamps = message.stamps.size();
-  rec.header_bytes = ordering_header_bytes(message);
+  DECSEQ_CHECK_MSG(
+      message.stamps.size() <= std::numeric_limits<std::uint16_t>::max(),
+      "message " << message.id() << " exits with " << message.stamps.size()
+                 << " stamps, more than its record holds");
+  rec.stamps = static_cast<std::uint16_t>(message.stamps.size());
   if (tracer_.enabled()) {
     tracer_.record({TraceEvent::Kind::kExited, message.id(), sim_->now(),
                     last_atom, colocation_->node_of(last_atom), NodeId{}, 0});
@@ -932,8 +959,7 @@ void SequencingNetwork::sequence_fence(GroupId group, bool close_group,
                                        std::size_t old_member_count) {
   GroupRoute& route = group_route(group);
   DECSEQ_CHECK(route.prev_num_hops > 0);
-  const MsgId id(static_cast<MsgId::underlying_type>(records_.size()));
-  records_.push_back({NodeId{}, group, sim_->now(), std::nullopt, 0, 0});
+  const MsgId id = append_record(NodeId{}, group);
   if (close_group) {
     route.terminated = true;
     route.ingress_closed = true;

@@ -11,6 +11,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <utility>
@@ -45,16 +46,20 @@ struct NetworkOptions {
   bool tree_distribution = false;
 };
 
-/// Everything recorded about one published message.
+/// Everything recorded about one published message, as record() reports
+/// it. The network stores each message in 24 bytes (see StoredRecord in
+/// SequencingNetwork) and assembles this value from them on every call.
 struct MessageRecord {
   NodeId sender;
   GroupId group;
-  sim::Time published_at = 0.0;
   /// When the message left the sequencing network for distribution.
   std::optional<sim::Time> exited_at;
-  /// Number of sequence-number stamps collected (== atoms of its group).
+  /// Number of sequence-number stamps collected (== atoms of its group);
+  /// 0 until the message exits.
   std::size_t stamps = 0;
-  /// Final ordering-header size in bytes.
+  /// Nominal ordering-header size in bytes, ordering_header_bytes() of a
+  /// message carrying `stamps` stamps: 16 + 12 × stamps (16 for a message
+  /// that never left the network).
   std::size_t header_bytes = 0;
   /// The message raced a concurrent group termination and reached the
   /// ingress after the FIN closed the sequence space: never sequenced,
@@ -142,9 +147,10 @@ class SequencingNetwork {
   MsgId publish(NodeId sender, GroupId group, std::uint64_t payload,
                 const std::uint8_t* body, std::size_t body_size);
 
-  /// Pre-size the message-record log: publishing up to `messages` messages
-  /// over this network's lifetime will not reallocate it (capacity
-  /// planning for allocation-free steady state; see bench/system_bench).
+  /// Pre-size the message-record log (24 bytes a message): publishing up
+  /// to `messages` messages over this network's lifetime will not
+  /// reallocate it (capacity planning for allocation-free steady state;
+  /// see bench/system_bench).
   void reserve_messages(std::size_t messages) { records_.reserve(messages); }
 
   /// End `group`'s sequence space (§3.2): a termination message — the
@@ -274,10 +280,9 @@ class SequencingNetwork {
   /// recovered or drained), sorted by (from, to).
   [[nodiscard]] std::vector<std::pair<AtomId, AtomId>> faulted_edges() const;
 
-  [[nodiscard]] const MessageRecord& record(MsgId id) const {
-    DECSEQ_CHECK(id.valid() && id.value() < records_.size());
-    return records_[id.value()];
-  }
+  /// What is recorded about message `id` (a runtime id below
+  /// published()), assembled by value from its stored 24 bytes.
+  [[nodiscard]] MessageRecord record(MsgId id) const;
   [[nodiscard]] std::size_t published() const { return records_.size(); }
 
   /// Messages handled per sequencing node (counted once per visit to the
@@ -504,6 +509,26 @@ class SequencingNetwork {
   /// the delivery callback.
   [[nodiscard]] Receiver::DeliverFn local_delivery_fn(NodeId node);
 
+  /// What the network keeps per published message, for its lifetime: the
+  /// fields of MessageRecord that are not derived. `header_bytes` follows
+  /// from the stamp count, and the exit time is NaN until the message
+  /// exits, so the record fits in 24 bytes whatever the path.
+  struct StoredRecord {
+    sim::Time exited_at = std::numeric_limits<sim::Time>::quiet_NaN();
+    GroupId group;
+    NodeId sender;
+    std::uint32_t ingress_retries = 0;
+    /// Stamps collected; written once, at exit, range-checked there.
+    std::uint16_t stamps = 0;
+    bool rejected = false;
+    bool ingress_failed = false;
+  };
+  static_assert(sizeof(StoredRecord) <= 24,
+                "a published message keeps at most 24 bytes");
+  /// Append the record of a message published now (its id is the
+  /// record's index).
+  [[nodiscard]] MsgId append_record(NodeId sender, GroupId group);
+
   sim::Simulator* sim_;
   Rng* rng_;
   const seqgraph::SequencingGraph* graph_;
@@ -528,7 +553,7 @@ class SequencingNetwork {
   std::vector<std::unique_ptr<sim::Channel<Message>>> channels_;
   /// Receivers indexed by node id value; null for non-subscribers.
   std::vector<std::unique_ptr<Receiver>> receivers_;
-  std::vector<MessageRecord> records_;
+  std::vector<StoredRecord> records_;
   std::vector<std::size_t> seqnode_load_;
   std::vector<bool> node_down_;
   /// Per-publisher-host fail-stop flags, indexed by NodeId value.

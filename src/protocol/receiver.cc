@@ -120,12 +120,20 @@ void Receiver::receive(const Message& message, sim::Time now) {
 
 void Receiver::maybe_release(sim::Time now) {
   while (fence_wait_ == 0 && !held_.empty()) {
+    // Drain from a local buffer: a nested receive() may arm a new gate (a
+    // delivery callback can start the next transition) and refill held_.
     std::vector<std::pair<Message, sim::Time>> drain;
     drain.swap(held_);
     for (auto& [message, arrived_at] : drain) {
       total_buffer_wait_ += now - arrived_at;
       --buffered_count_;
       receive(message, now);
+    }
+    // Nothing was held meanwhile: hand the drained buffer back, so the
+    // next cutover holds into the capacity this one grew.
+    if (held_.empty()) {
+      drain.clear();
+      held_.swap(drain);
     }
   }
 }

@@ -214,6 +214,8 @@ class Receiver {
   /// Per-slot flag: delivering this group's fence decrements fence_wait_.
   std::vector<char> awaiting_fence_;
   /// Gate-held messages in arrival order (replayed in the same order).
+  /// The release hands the drained buffer back, so its capacity serves
+  /// the next cutover.
   std::vector<std::pair<Message, sim::Time>> held_;
   /// Cumulative gate holds per group value (metric only).
   std::vector<std::size_t> gate_holds_by_group_;

@@ -180,7 +180,7 @@ void PubSubSystem::reserve(std::size_t messages, std::size_t deliveries) {
   log_.reserve(deliveries);
 }
 
-const protocol::MessageRecord& PubSubSystem::record(MsgId id) const {
+protocol::MessageRecord PubSubSystem::record(MsgId id) const {
   DECSEQ_CHECK_MSG(id.valid() && id.value() >= epoch_base_,
                    "message " << id << " predates the current epoch");
   return network_->record(MsgId(id.value() - epoch_base_));

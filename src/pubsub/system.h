@@ -178,8 +178,10 @@ class PubSubSystem {
   void reserve(std::size_t messages, std::size_t deliveries);
 
   /// The runtime record of a message published through this facade (by its
-  /// global id). Valid until the next membership change.
-  [[nodiscard]] const protocol::MessageRecord& record(MsgId id) const;
+  /// global id), as a value assembled from the network's 24-byte stored
+  /// record. Available until the next membership change replaces the
+  /// network; a message of an earlier epoch is an error.
+  [[nodiscard]] protocol::MessageRecord record(MsgId id) const;
 
   /// Human-readable trace of a message published through this facade
   /// (enable network_mutable().tracer() first). Unlike the raw tracer,

@@ -242,6 +242,48 @@ TEST_F(ReceiverTest, ParkWakeDeliverPathIsAllocationFree) {
   EXPECT_EQ(delivered_.size(), 232u);
 }
 
+TEST_F(ReceiverTest, SecondGateCycleAllocatesNothing) {
+  // A cutover gate holds new-epoch messages until the old epoch's fence
+  // delivers, then replays them. The hold buffer survives the release, so
+  // a second identical cycle holds into the capacity the first one grew.
+  Receiver r = make({G(0), G(1)}, {});
+  delivered_.reserve(64);
+  constexpr SeqNo kHeld = 12;
+  ReceiverReconfigure rc;
+  rc.awaited_fences = {G(0)};
+
+  // Cycle c: epoch c arms the gate on G(0)'s fence; kHeld epoch-c messages
+  // of G(1) are held; the old-epoch fence (G(0)'s next number) opens it.
+  const auto cycle = [&](std::uint32_t c) {
+    rc.epoch = c;
+    r.apply_reconfigure(rc);
+    for (SeqNo k = 1; k <= kHeld; ++k) {
+      Message m = make_msg(100 * c + static_cast<unsigned>(k), G(1),
+                           (c - 1) * kHeld + k);
+      m.epoch = c;
+      r.receive(m, 0.0);
+    }
+    EXPECT_EQ(r.buffered(), kHeld);
+    Message fence;
+    fence.data = PayloadBlock::create(MsgId(100 * c), G(0), N(0), 0.0, 0,
+                                      nullptr, 0, /*is_fin=*/false,
+                                      /*is_fence=*/true);
+    fence.group_seq = c;
+    fence.epoch = c - 1;
+    r.receive(fence, 1.0);
+    EXPECT_FALSE(r.gated());
+    EXPECT_EQ(r.buffered(), 0u);
+  };
+
+  cycle(1);  // grows the hold buffer and the payload pool
+  ASSERT_EQ(delivered_.size(), kHeld + 1);
+  const std::size_t allocs_before = test::alloc_count();
+  cycle(2);
+  const std::size_t allocs = test::alloc_count() - allocs_before;
+  EXPECT_EQ(allocs, 0u) << "the second gate cycle allocated";
+  EXPECT_EQ(delivered_.size(), 2 * (kHeld + 1));
+}
+
 TEST(RelevantAtoms, ComputedFromOverlapMembership) {
   const auto m = test::make_membership(5, {{0, 1, 2}, {1, 2, 3}, {3, 4, 0}});
   const membership::OverlapIndex idx(m);

@@ -5,6 +5,7 @@
 #include <type_traits>
 #include <vector>
 
+#include "protocol/message.h"
 #include "pubsub/system.h"
 #include "tests/test_util.h"
 
@@ -223,6 +224,130 @@ TEST(PubSub, BodyBytesReachDeliveryCallbacks) {
   system.publish(N(0), g, 1, body);
   system.run();
   EXPECT_EQ(seen, 2u);
+}
+
+/// Every field record() reports, against the expected values.
+void expect_record(const protocol::MessageRecord& rec, NodeId sender,
+                   GroupId group, bool exited, std::size_t stamps,
+                   bool rejected, bool ingress_failed) {
+  EXPECT_EQ(rec.sender, sender);
+  EXPECT_EQ(rec.group, group);
+  EXPECT_EQ(rec.exited_at.has_value(), exited);
+  EXPECT_EQ(rec.stamps, stamps);
+  EXPECT_EQ(rec.header_bytes, protocol::ordering_header_bytes(stamps));
+  EXPECT_EQ(rec.rejected, rejected);
+  EXPECT_EQ(rec.ingress_failed, ingress_failed);
+}
+
+TEST(PubSub, RecordReportsEveryFieldForEachFate) {
+  // The network stores 24 bytes per message; record() assembles the full
+  // view from them. Five fates: delivered, rejected behind a FIN, from a
+  // crashed publisher, retried into a downed ingress machine, and a
+  // cutover fence.
+  {
+    SCOPED_TRACE("delivered");
+    PubSubSystem system(test::small_config(12));
+    const GroupId g0 = system.create_group({N(0), N(1), N(2)});
+    system.create_group({N(1), N(2), N(3)});
+    const MsgId id = system.publish(N(0), g0, 5);
+    system.run();
+    const protocol::MessageRecord rec = system.record(id);
+    expect_record(rec, N(0), g0, /*exited=*/true, /*stamps=*/1,
+                  /*rejected=*/false, /*ingress_failed=*/false);
+    EXPECT_EQ(rec.header_bytes, 28u);
+    EXPECT_EQ(rec.ingress_retries, 0u);
+    ASSERT_EQ(system.deliveries().size(), 3u);
+    for (const Delivery& d : system.deliveries()) {
+      EXPECT_GE(*rec.exited_at, d.sent_at);
+      EXPECT_LE(*rec.exited_at, d.delivered_at);
+    }
+  }
+  {
+    SCOPED_TRACE("rejected behind a FIN");
+    // As Termination.PublishRacingFinIsRejectedAtIngress: the member
+    // farthest from the ingress publishes, the nearest terminates.
+    PubSubSystem system(test::small_config(68));
+    const GroupId g = system.create_group({N(0), N(1), N(2)});
+    const RouterId ingress_router = system.assignment().machine_of(
+        system.colocation().node_of(system.graph().path(g).front()));
+    const auto distance = [&](NodeId n) {
+      return system.oracle().distance(system.hosts().router_of(n),
+                                      ingress_router);
+    };
+    NodeId near = N(0), far = N(0);
+    for (const NodeId m : system.membership().members(g)) {
+      if (distance(m) < distance(near)) near = m;
+      if (distance(m) > distance(far)) far = m;
+    }
+    ASSERT_NE(near, far);
+    const MsgId racer = system.publish(far, g, 42);
+    system.terminate_group(g, near);
+    system.run();
+    const protocol::MessageRecord rec = system.record(racer);
+    expect_record(rec, far, g, /*exited=*/false, /*stamps=*/0,
+                  /*rejected=*/true, /*ingress_failed=*/false);
+    EXPECT_EQ(rec.ingress_retries, 0u);
+  }
+  {
+    SCOPED_TRACE("crashed publisher");
+    PubSubSystem system(test::small_config(12));
+    const GroupId g = system.create_group({N(0), N(1), N(2)});
+    system.fail_publisher(N(1));
+    const MsgId id = system.publish(N(1), g, 7);
+    system.run();
+    const protocol::MessageRecord rec = system.record(id);
+    expect_record(rec, N(1), g, /*exited=*/false, /*stamps=*/0,
+                  /*rejected=*/false, /*ingress_failed=*/true);
+    EXPECT_EQ(rec.ingress_retries, 0u);
+    EXPECT_TRUE(system.deliveries().empty());
+  }
+  {
+    SCOPED_TRACE("retried into a downed ingress machine");
+    auto config = test::small_config(79);
+    config.network.channel.retransmit_timeout_ms = 50.0;
+    PubSubSystem system(config);
+    const GroupId g0 = system.create_group({N(0), N(1), N(2)});
+    system.create_group({N(1), N(2), N(3)});
+    const SeqNodeId ingress_node =
+        system.colocation().node_of(system.graph().path(g0).front());
+    system.fail_sequencing_node(ingress_node);
+    const MsgId id = system.publish(N(3), g0, 11);
+    system.simulator().schedule_at(600.0, [&] {
+      system.recover_sequencing_node(ingress_node);
+    });
+    system.run();
+    const protocol::MessageRecord rec = system.record(id);
+    expect_record(rec, N(3), g0, /*exited=*/true, /*stamps=*/1,
+                  /*rejected=*/false, /*ingress_failed=*/false);
+    EXPECT_GE(rec.ingress_retries, 1u);
+    EXPECT_GE(*rec.exited_at, 600.0) << "sequenced after the recovery";
+    EXPECT_EQ(system.deliveries().size(), 3u);
+  }
+  {
+    SCOPED_TRACE("cutover fence");
+    PubSubSystem system(test::small_config(12));
+    const GroupId g0 = system.create_group({N(0), N(1), N(2)});
+    const GroupId g1 = system.create_group({N(1), N(2), N(3)});
+    const std::size_t before = system.network().published();
+    const auto result = system.reconfigure_async(
+        {PubSubSystem::MembershipChange::join(g0, N(4))});
+    const std::size_t fences = system.network().published() - before;
+    ASSERT_EQ(fences, result.report.groups_refenced);
+    ASSERT_GE(fences, 1u);
+    system.run();
+    ASSERT_FALSE(system.transition_active());
+    // Fences have runtime ids only; each travelled its group's old path,
+    // whose one overlap atom stamps both groups.
+    for (std::size_t i = before; i < before + fences; ++i) {
+      const protocol::MessageRecord rec = system.network().record(
+          MsgId(static_cast<MsgId::underlying_type>(i)));
+      EXPECT_TRUE(rec.group == g0 || rec.group == g1);
+      expect_record(rec, NodeId{}, rec.group, /*exited=*/true,
+                    /*stamps=*/1, /*rejected=*/false,
+                    /*ingress_failed=*/false);
+      EXPECT_EQ(rec.ingress_retries, 0u);
+    }
+  }
 }
 
 TEST(PubSub, MessageRecordTracksStampsAndExit) {
