@@ -7,11 +7,9 @@
 // allocation-free object that moves with a memcpy — the std::vector
 // versions paid one heap allocation per list per message per hop. Lists do
 // outgrow the inline storage: the paper deployment's longest paths cross 37
-// atoms and stamp more than 16 of them. clear() keeps any heap capacity, so
-// pooled objects that recycle a SmallVector stay allocation-free even when
-// their content once spilled; a list whose owner is not recycled can take
-// its spilled block from a per-thread free list instead (`Spill` =
-// PooledSpill below).
+// atoms and stamp more than 16 of them, and such a list allocates when it
+// spills. clear() keeps any heap capacity, so pooled objects that recycle a
+// SmallVector stay allocation-free even when their content once spilled.
 //
 // Elements must be trivially copyable (body bytes, stamps), so every copy,
 // inline move and growth is one memcpy and nothing is ever destroyed. An
@@ -23,7 +21,6 @@
 #pragma once
 
 #include <algorithm>
-#include <bit>
 #include <cstddef>
 #include <cstring>
 #include <initializer_list>
@@ -35,43 +32,7 @@
 
 namespace decseq::common {
 
-/// Where a SmallVector's spilled storage comes from: `fit(bytes)` rounds a
-/// request up to the block size actually taken, `take(bytes)` returns a
-/// block of that size and `give(block, bytes)` takes it back.
-///
-/// HeapSpill: straight from the global heap, exactly the bytes asked for.
-struct HeapSpill {
-  [[nodiscard]] static std::size_t fit(std::size_t bytes) { return bytes; }
-  [[nodiscard]] static void* take(std::size_t bytes) {
-    return ::operator new(bytes);
-  }
-  static void give(void* block, std::size_t bytes) {
-    ::operator delete(block, bytes);
-  }
-};
-
-/// PooledSpill: power-of-two blocks recycled through a per-thread free list
-/// binned by size, as common/buffer_pool.h bins byte buffers. A list that
-/// spills takes a parked block of its class when there is one and parks
-/// its block again when it grows, is move-assigned over or dies, so a warm
-/// thread stops touching the allocator. The free list holds no more blocks
-/// per class than were once live at the same time. Single-threaded by
-/// design, like common/ref_pool.h: a block is taken and given back on one
-/// thread (a list that moves to another thread parks its block there).
-/// take() and give() are out of line (small_vector.cc): every destructor
-/// of a list may call give(), and inlining the free list there would grow
-/// each caller.
-struct PooledSpill {
-  [[nodiscard]] static std::size_t fit(std::size_t bytes) {
-    return std::bit_ceil(bytes);
-  }
-  [[nodiscard]] static void* take(std::size_t bytes);
-  static void give(void* block, std::size_t bytes);
-  /// Blocks parked on this thread's free list (test visibility).
-  [[nodiscard]] static std::size_t pooled();
-};
-
-template <typename T, std::size_t N, typename Spill = HeapSpill>
+template <typename T, std::size_t N>
 class SmallVector {
   static_assert(N > 0, "inline capacity must be positive");
   static_assert(std::is_trivially_copyable_v<T>,
@@ -189,23 +150,19 @@ class SmallVector {
 
   void release_heap() {
     if (data_ != inline_data()) {
-      Spill::give(data_, Spill::fit(capacity_ * sizeof(T)));
+      ::operator delete(data_);
       data_ = inline_data();
       capacity_ = N;
     }
   }
 
-  /// Spill::fit() rounds the request up to the block size taken, and the
-  /// capacity is what that block holds; fit() of the capacity's bytes
-  /// names the same block size again when release_heap() gives it back.
   void grow_to(std::size_t wanted) {
-    const std::size_t bytes =
-        Spill::fit(std::max(wanted, capacity_ * 2) * sizeof(T));
-    T* fresh = static_cast<T*>(Spill::take(bytes));
+    const std::size_t new_capacity = std::max(wanted, capacity_ * 2);
+    T* fresh = static_cast<T*>(::operator new(new_capacity * sizeof(T)));
     copy_bytes(fresh, data_, size_);
-    release_heap();
+    if (data_ != inline_data()) ::operator delete(data_);
     data_ = fresh;
-    capacity_ = bytes / sizeof(T);
+    capacity_ = new_capacity;
   }
 
   /// Move: steal the heap block when there is one, copy the inline bytes

@@ -75,12 +75,11 @@ void encode_message(const Message& m, std::vector<std::uint8_t>& out);
 [[nodiscard]] std::vector<std::uint8_t> encode_message(const Message& m);
 
 /// Parse `in[0, size)` as produced by encode_message, straight into a
-/// pooled payload block: no intermediate copy, and no allocation once the
-/// block pool and the stamp spill free list are warm (a body over
-/// kInlineBodyBytes needs a recycled block that once held one as large).
-/// Returns nullopt for any malformed input (bad magic, truncation,
-/// non-canonical varints, a stamp count or body length the buffer cannot
-/// hold, trailing garbage). `is_fin` sets the block's FIN
+/// pooled payload block: no intermediate copy, and no allocation for
+/// <= kInlineStamps stamps and <= kInlineBodyBytes of body once the block
+/// pool is warm. Returns nullopt for any malformed input (bad magic,
+/// truncation, non-canonical varints, a stamp count or body length the
+/// buffer cannot hold, trailing garbage). `is_fin` sets the block's FIN
 /// flag, which travels outside the codec (in the transport frame header).
 /// The decoded message's sent_at is zero — wall-clock time does not travel
 /// on the wire.

@@ -23,10 +23,8 @@
 //    and the stamp list collected along the path. The stamp list is an
 //    inline small-vector of kInlineStamps stamps, so a Message is a flat
 //    object that moves hop to hop without touching the allocator. Longer
-//    lists are common — the paper deployment's paths cross up to 37 atoms
-//    and stamp more than 16 of them — and spill to blocks recycled through
-//    a per-thread free list, so a warm thread allocates nothing for them
-//    either.
+//    lists occur — the paper deployment's paths cross up to 37 atoms and
+//    stamp more than 16 of them — and spill to the heap.
 #pragma once
 
 #include <cstddef>
@@ -50,22 +48,18 @@ struct Stamp {
   friend constexpr bool operator==(Stamp, Stamp) = default;
 };
 
-/// Stamps a message carries inside its header. Stamp counts are bounded by
-/// the group's overlap degree, and most messages of the paper's Zipf
-/// workloads stay within this; a longer list spills to a power-of-two
-/// block from a per-thread free list (common::PooledSpill), which takes it
-/// back when the list grows, is overwritten or dies — so once warm, a
-/// spilled list allocates nothing either, even where its owner is not
-/// recycled (a decoded wire message, a reorder-buffer copy).
+/// Stamps a message carries inside its header, without heap allocation.
+/// Stamp counts are bounded by the group's overlap degree. Most messages of
+/// the paper's Zipf workloads stay within this, but not all: the paper
+/// deployment's longest paths stamp more than 16 atoms. A longer list
+/// spills to the heap, allocating when it spills and again each time it
+/// doubles.
 inline constexpr std::size_t kInlineStamps = 8;
-using StampVec =
-    common::SmallVector<Stamp, kInlineStamps, common::PooledSpill>;
+using StampVec = common::SmallVector<Stamp, kInlineStamps>;
 
 /// Body bytes stored inline in a payload block; larger bodies spill to heap
 /// capacity that the block pool recycles, so steady-state traffic of any
-/// one size class stops allocating once the pool is warm. The spill is an
-/// exact-size heap block (common::HeapSpill): the pool already keeps it,
-/// and a power-of-two block could hold up to twice a large body's bytes.
+/// one size class stops allocating once the pool is warm.
 inline constexpr std::size_t kInlineBodyBytes = 64;
 using BodyBytes = common::SmallVector<std::uint8_t, kInlineBodyBytes>;
 
@@ -151,8 +145,7 @@ struct MessageSpec {
 /// shared reference to the immutable payload block plus the mutable
 /// ordering header. Copying a Message shares the block and copies the
 /// inline header; moving it is a flat relocation. Neither allocates for
-/// <= kInlineStamps stamps, nor for more once the thread's spill free list
-/// holds a block of the list's size.
+/// <= kInlineStamps stamps.
 struct Message {
   /// Shared immutable payload block; never null for a routed message.
   PayloadRef data;

@@ -335,9 +335,11 @@ MessageRecord SequencingNetwork::record(MsgId id) const {
   MessageRecord rec;
   rec.sender = stored.sender;
   rec.group = stored.group;
-  if (!std::isnan(stored.exited_at)) rec.exited_at = stored.exited_at;
-  rec.stamps = stored.stamps;
-  rec.header_bytes = ordering_header_bytes(rec.stamps);
+  if (!std::isnan(stored.exited_at)) {
+    rec.exited_at = stored.exited_at;
+    rec.stamps = stored.stamps;
+    rec.header_bytes = ordering_header_bytes(rec.stamps);
+  }
   rec.rejected = stored.rejected;
   rec.ingress_failed = stored.ingress_failed;
   rec.ingress_retries = stored.ingress_retries;

@@ -57,9 +57,9 @@ struct MessageRecord {
   /// Number of sequence-number stamps collected (== atoms of its group);
   /// 0 until the message exits.
   std::size_t stamps = 0;
-  /// Nominal ordering-header size in bytes, ordering_header_bytes() of a
-  /// message carrying `stamps` stamps: 16 + 12 × stamps (16 for a message
-  /// that never left the network).
+  /// Final ordering-header size in bytes, ordering_header_bytes() of a
+  /// message carrying `stamps` stamps: 16 + 12 × stamps once the message
+  /// exits, 0 until then.
   std::size_t header_bytes = 0;
   /// The message raced a concurrent group termination and reached the
   /// ingress after the FIN closed the sequence space: never sequenced,

@@ -256,30 +256,20 @@ TEST(RingBuffer, ResizeDefaultFillsAndSteadyStateStopsAllocating) {
 }
 
 /// A SmallVector case: element type, inline capacity and the i-th value.
-/// `Vec` is the protocol's own list of that element type, spill policy
-/// included: the message body bytes (heap) or the stamp list (pooled).
 template <typename T, std::size_t Inline>
 struct SmallVectorCase {
-  using Vec = std::conditional_t<std::is_same_v<T, protocol::Stamp>,
-                                 protocol::StampVec, protocol::BodyBytes>;
+  using Vec = common::SmallVector<T, Inline>;
   static constexpr std::size_t kInline = Inline;
   static T value(std::size_t i);
 };
 
-using BodyCase = SmallVectorCase<std::uint8_t, 64>;
-using StampCase = SmallVectorCase<protocol::Stamp, 8>;
-static_assert(std::is_same_v<BodyCase::Vec::value_type, std::uint8_t> &&
-              BodyCase::kInline == protocol::kInlineBodyBytes);
-static_assert(std::is_same_v<StampCase::Vec::value_type, protocol::Stamp> &&
-              StampCase::kInline == protocol::kInlineStamps);
-
 template <>
-std::uint8_t BodyCase::value(std::size_t i) {
+std::uint8_t SmallVectorCase<std::uint8_t, 64>::value(std::size_t i) {
   return static_cast<std::uint8_t>(7 * i + 1);
 }
 
 template <>
-protocol::Stamp StampCase::value(std::size_t i) {
+protocol::Stamp SmallVectorCase<protocol::Stamp, 8>::value(std::size_t i) {
   return {AtomId(static_cast<std::uint32_t>(i)), 3 * i + 1};
 }
 
@@ -314,7 +304,9 @@ class SmallVectorTest : public ::testing::Test {
   }
 };
 
-using SmallVectorCases = ::testing::Types<BodyCase, StampCase>;
+using SmallVectorCases =
+    ::testing::Types<SmallVectorCase<std::uint8_t, 64>,
+                     SmallVectorCase<protocol::Stamp, 8>>;
 TYPED_TEST_SUITE(SmallVectorTest, SmallVectorCases);
 
 TYPED_TEST(SmallVectorTest, AssignsPointerRanges) {
@@ -401,41 +393,6 @@ TYPED_TEST(SmallVectorTest, MovesInlineAndSpilled) {
     moved = TestFixture::filled(n + 1, 300);
     TestFixture::expect_holds(moved, TestFixture::values(n + 1, 300));
   }
-}
-
-TEST(PooledSpill, SpilledStampListsRecycleTheirBlocks) {
-  // A stamp list past its inline capacity takes a power-of-two block from
-  // the thread's free list and parks it there again when it grows, is
-  // move-assigned over or dies; once the blocks a round needs have been
-  // used, the same round allocates nothing.
-  const auto fill = [](protocol::StampVec& v, std::size_t count) {
-    for (std::size_t i = 0; i < count; ++i) {
-      v.push_back({AtomId(static_cast<std::uint32_t>(i)), i + 1});
-    }
-  };
-  const auto round = [&] {
-    protocol::StampVec a;
-    fill(a, 20);  // spills into 16 stamps, then grows into 32
-    EXPECT_FALSE(a.is_inline());
-    EXPECT_EQ(a.capacity(), 32u);
-    protocol::StampVec b(a);  // a copy spills too
-    protocol::StampVec c;
-    fill(c, 9);
-    c = std::move(b);  // c's 16-stamp block goes back, b's moves in
-    EXPECT_EQ(c.size(), 20u);
-    protocol::StampVec d;
-    d.reserve(17);  // rounded up to the 32-stamp block size
-    EXPECT_EQ(d.capacity(), 32u);
-  };
-  round();
-  const std::size_t parked = common::PooledSpill::pooled();
-  EXPECT_GE(parked, 3u);
-
-  const std::size_t allocs_before = test::alloc_count();
-  for (int i = 0; i < 100; ++i) round();
-  EXPECT_EQ(test::alloc_count() - allocs_before, 0u);
-  EXPECT_EQ(common::PooledSpill::pooled(), parked)
-      << "every block taken was given back";
 }
 
 TEST(Stats, SummaryFields) {

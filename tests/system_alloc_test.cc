@@ -17,7 +17,6 @@
 // number of transitions before it.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -50,119 +49,79 @@ const std::vector<std::vector<NodeId>> kMembers = {
     {N(12), N(13), N(14), N(15), N(0), N(1)},
 };
 
-/// A long path: one group of all 16 hosts sharing two members with each
-/// of 20 two-member groups (distinct pairs, so the pairs overlap nothing
-/// but the hub). Each pair is a double overlap on the hub's path, so a hub
-/// message collects 20 stamps: its list spills past the 8 inline stamps
-/// and then past the 16 of its first block.
-std::vector<std::vector<NodeId>> long_path_members() {
-  std::vector<std::vector<NodeId>> lists(1);
-  for (unsigned h = 0; h < 16; ++h) lists[0].push_back(N(h));
-  for (unsigned k = 0; k < 20; ++k) {
-    const unsigned a = k % 16;
-    const unsigned b = (a + 1 + k / 16) % 16;
-    lists.push_back({N(std::min(a, b)), N(std::max(a, b))});
-  }
-  return lists;
-}
-
 struct Publish {
   NodeId sender;
   GroupId group;
 };
 
-/// One precomputed schedule over `members`, replayed identically by every
+/// One precomputed schedule over kMembers, replayed identically by every
 /// pass so the warm passes touch exactly the state (oracle memo, fan-out
-/// plans, channel rings, buffer pools, receiver slabs, stamp blocks) the
-/// measured pass needs. Each of the kRounds rounds publishes once to every
-/// group.
+/// plans, channel rings, buffer pools, receiver slabs) the measured pass
+/// needs. Each of the kRounds rounds publishes once to every group.
 constexpr std::size_t kRounds = 12;
 
-std::vector<Publish> replay_schedule(
-    const std::vector<std::vector<NodeId>>& members,
-    const std::vector<GroupId>& groups) {
+std::vector<Publish> replay_schedule(const std::vector<GroupId>& groups) {
   std::vector<Publish> schedule;
   for (std::size_t round = 0; round < kRounds; ++round) {
     for (std::size_t g = 0; g < groups.size(); ++g) {
       schedule.push_back(
-          {members[g][round % members[g].size()], groups[g]});
+          {kMembers[g][round % kMembers[g].size()], groups[g]});
     }
   }
   return schedule;
 }
 
-std::size_t deliveries_per_pass(
-    const std::vector<std::vector<NodeId>>& members) {
+std::size_t deliveries_per_pass() {
   std::size_t deliveries = 0;
-  for (const auto& m : members) deliveries += kRounds * m.size();
+  for (const auto& m : kMembers) deliveries += kRounds * m.size();
   return deliveries;
 }
 
-/// What the measured (third) pass of a replay did.
-struct MeasuredPass {
-  std::size_t allocs = 0;
-  /// The most stamps any message of the pass collected.
-  std::size_t max_stamps = 0;
-};
-
-/// Replay `members`' schedule three times through the facade and measure
-/// the third pass.
-MeasuredPass facade_steady_state(
-    const std::vector<std::vector<NodeId>>& members) {
+TEST(SystemAlloc, SteadyStatePublishDeliverIsAllocationFree) {
   PubSubSystem system(test::small_config(/*seed=*/7));
   const std::vector<Publish> schedule =
-      replay_schedule(members, system.create_groups(members));
-  const std::size_t deliveries = deliveries_per_pass(members);
+      replay_schedule(system.create_groups(kMembers));
 
   const std::uint8_t body[32] = {0xab};
   std::uint64_t payload = 0;
-  std::vector<MsgId> ids;
-  ids.reserve(schedule.size());
   const auto run_pass = [&] {
-    ids.clear();
     for (const Publish& p : schedule) {
-      ids.push_back(
-          system.publish(p.sender, p.group, payload++, body, sizeof(body)));
+      system.publish(p.sender, p.group, payload++, body, sizeof(body));
     }
     system.run();
   };
 
   // Logs grow for the epoch's lifetime — reserve for all three passes up
   // front so the warm passes also warm the vectors' final capacity.
-  system.reserve(3 * schedule.size(), 3 * deliveries);
+  system.reserve(3 * schedule.size(), 3 * deliveries_per_pass());
 
   run_pass();  // cold: builds pools, slabs, rings, oracle memo
   run_pass();  // confirms the high-water marks
-  EXPECT_EQ(system.deliveries().size(), 2 * deliveries);
+  ASSERT_EQ(system.deliveries().size(), 2 * deliveries_per_pass());
 
-  MeasuredPass measured;
   const std::size_t allocs_before = test::alloc_count();
   const std::size_t fresh_spills_before = sim::spill_pool_stats().fresh;
   run_pass();
-  measured.allocs = test::alloc_count() - allocs_before;
+  const std::size_t allocs = test::alloc_count() - allocs_before;
   const std::size_t fresh_spills =
       sim::spill_pool_stats().fresh - fresh_spills_before;
 
+  EXPECT_EQ(allocs, 0u)
+      << "full-system publish→deliver steady state allocated";
   EXPECT_EQ(fresh_spills, 0u)
       << "a callback spill missed the warm freelist";
-  EXPECT_EQ(system.deliveries().size(), 3 * deliveries);
-  for (const MsgId id : ids) {
-    measured.max_stamps =
-        std::max(measured.max_stamps, system.record(id).stamps);
-  }
-  return measured;
+  EXPECT_EQ(system.deliveries().size(), 3 * deliveries_per_pass());
 }
 
-/// The wire twin of facade_steady_state: the same groups compiled into
-/// three NodeEngine ranks over loss-free, jitter-free SimNet edges. Every
-/// cross-rank hop runs the message codec, the frame codec and its CRC, a
-/// reliable channel with its ack, and the fabric's datagram copy.
-MeasuredPass wire_steady_state(
-    const std::vector<std::vector<NodeId>>& members) {
+TEST(TransportAlloc, SteadyStatePublishDeliverIsAllocationFree) {
+  // The wire twin of the test above: the same four overlapping groups,
+  // compiled into three NodeEngine ranks over loss-free, jitter-free
+  // SimNet edges. Every cross-rank hop runs the message codec, the frame
+  // codec and its CRC, a reliable channel with its ack, and the fabric's
+  // datagram copy; once warm, none of it may touch the heap.
   PubSubSystem system(test::small_config(/*seed=*/7));
   const std::vector<Publish> schedule =
-      replay_schedule(members, system.create_groups(members));
-  const std::size_t deliveries = deliveries_per_pass(members);
+      replay_schedule(system.create_groups(kMembers));
   constexpr std::uint32_t kRanks = 3;
   const app::ClusterConfig config = app::build_cluster_config(
       system, kRanks, /*retransmit_timeout_ms=*/50.0,
@@ -180,16 +139,14 @@ MeasuredPass wire_steady_state(
     net.add_edge(edge.id, edge.src_rank, edge.dst_rank);
   }
   std::size_t delivered = 0;
-  MeasuredPass measured;
   std::vector<std::unique_ptr<transport::ChannelSet>> sets;
   std::vector<std::unique_ptr<app::NodeEngine>> engines;
   for (std::uint32_t r = 0; r < kRanks; ++r) {
     sets.push_back(std::make_unique<transport::ChannelSet>());
     engines.push_back(std::make_unique<app::NodeEngine>(
         net.endpoint(r), *sets.back(), config, r,
-        [&](NodeId, const protocol::Message& m, double) {
+        [&delivered](NodeId, const protocol::Message&, double) {
           ++delivered;
-          measured.max_stamps = std::max(measured.max_stamps, m.stamps.size());
         }));
     transport::ChannelSet* set = sets.back().get();
     net.endpoint(r).set_datagram_sink(
@@ -209,13 +166,14 @@ MeasuredPass wire_steady_state(
 
   run_pass();  // cold: builds channel rings, buffer pools, block pool
   run_pass();  // confirms the high-water marks
-  EXPECT_EQ(delivered, 2 * deliveries);
+  ASSERT_EQ(delivered, 2 * deliveries_per_pass());
 
   const std::size_t allocs_before = test::alloc_count();
   run_pass();
-  measured.allocs = test::alloc_count() - allocs_before;
+  const std::size_t allocs = test::alloc_count() - allocs_before;
 
-  EXPECT_EQ(delivered, 3 * deliveries);
+  EXPECT_EQ(allocs, 0u) << "wire-path publish→deliver steady state allocated";
+  EXPECT_EQ(delivered, 3 * deliveries_per_pass());
   std::uint64_t cross_rank_sends = 0;
   for (std::uint32_t r = 0; r < kRanks; ++r) {
     EXPECT_EQ(sets[r]->rejected(), 0u) << "rank " << r;
@@ -223,34 +181,6 @@ MeasuredPass wire_steady_state(
         engines[r]->stats().forwarded + engines[r]->stats().distributed;
   }
   EXPECT_GT(cross_rank_sends, 0u) << "nothing crossed the wire";
-  return measured;
-}
-
-TEST(SystemAlloc, SteadyStatePublishDeliverIsAllocationFree) {
-  EXPECT_EQ(facade_steady_state(kMembers).allocs, 0u)
-      << "full-system publish→deliver steady state allocated";
-}
-
-TEST(SystemAlloc, LongPathPublishDeliverIsAllocationFree) {
-  // Stamp lists past the inline capacity take their blocks from the
-  // per-thread spill free list and give them back there, so a warm pass
-  // allocates nothing at any path length.
-  const MeasuredPass pass = facade_steady_state(long_path_members());
-  ASSERT_GT(pass.max_stamps, 16u) << "the hub path should stamp 20 atoms";
-  EXPECT_EQ(pass.allocs, 0u) << "long-path publish→deliver allocated";
-}
-
-TEST(TransportAlloc, SteadyStatePublishDeliverIsAllocationFree) {
-  EXPECT_EQ(wire_steady_state(kMembers).allocs, 0u)
-      << "wire-path publish→deliver steady state allocated";
-}
-
-TEST(TransportAlloc, LongPathPublishDeliverIsAllocationFree) {
-  // Decoded messages and per-hop stamping on the wire path spill past the
-  // inline stamps too; once warm, neither may touch the heap.
-  const MeasuredPass pass = wire_steady_state(long_path_members());
-  ASSERT_GT(pass.max_stamps, 16u) << "the hub path should stamp 20 atoms";
-  EXPECT_EQ(pass.allocs, 0u) << "long-path wire publish→deliver allocated";
 }
 
 using test::churn_batch;
@@ -301,14 +231,14 @@ TEST(SystemAlloc, WarmCutoverStaysUnderAllocationBound) {
   // and drained fan-out plans; the placement extension keeps its label
   // map and path buffer in a facade-held scratch, and the chain layout's
   // label sort takes no temporary buffer. One warm transition of the paper
-  // deployment, drain included, makes 147 allocations: the fences' stamp
-  // lists past 8 stamps now take pooled blocks (152 before that, 176
-  // before those two, 758 before the layers edited in place). No message
-  // is in flight here, so no gate holds one. A layer-by-layer mirror
-  // of the same transition put the 176 at: snapshot and batch 4, overlap
-  // delta 7, co-location 2, graph delta 97 (the appended atoms' member
-  // lists and tree adjacency), placement extend 36, begin_reconfigure 39,
-  // drain 6 (before: 71, 199, 75, 100, 36, 269, 24).
+  // deployment, drain included, makes 151 allocations (152 before the
+  // overlap delta reserved each recomputed member list at its size, 176
+  // before the placement and layout scratch, 758 before the layers edited
+  // in place). No message is in flight, so no gate holds one. A
+  // layer-by-layer mirror of the same transition put the 176 at: snapshot
+  // and batch 4, overlap delta 7, co-location 2, graph delta 97 (the
+  // appended atoms' member lists and tree adjacency), placement extend 36,
+  // begin_reconfigure 39, drain 6 (before: 71, 199, 75, 100, 36, 269, 24).
   const auto system = paper_system();
   const ZipfSampler popularity(128, 1.0);
   Rng rng(13);
