@@ -25,6 +25,22 @@ RouterId neighboring_router(const topology::Graph& network, RouterId at) {
   return best->to;
 }
 
+/// The router to seed a group with members `members` at: `previous`, its
+/// ingress router before a live cutover, while a member still attaches
+/// there (no RNG draw); otherwise a random member's router.
+RouterId member_router(const std::vector<NodeId>& members,
+                       const topology::HostMap& hosts, RouterId previous,
+                       Rng& rng) {
+  DECSEQ_CHECK(!members.empty());
+  if (previous.valid() &&
+      std::any_of(members.begin(), members.end(), [&](NodeId m) {
+        return hosts.router_of(m) == previous;
+      })) {
+    return previous;
+  }
+  return hosts.router_of(rng.pick(members));
+}
+
 }  // namespace
 
 std::vector<SeqNodeId> seq_node_path(const seqgraph::SequencingGraph& graph,
@@ -79,19 +95,23 @@ void extend_assignment(Assignment& assignment,
                        const topology::Graph& network,
                        const AssignmentOptions& options, Rng& rng,
                        const std::vector<GroupId>& affected,
-                       std::size_t first_new_atom, ExtendScratch& scratch) {
+                       std::size_t first_new_atom, ExtendScratch& scratch,
+                       std::span<const RouterId> previous_ingress) {
   assignment.resize(colocation.num_nodes());
+  const auto previous = [&](GroupId g) {
+    return g.value() < previous_ingress.size() ? previous_ingress[g.value()]
+                                               : RouterId{};
+  };
 
-  // Appended ingress-only sequencing nodes sit at a random member's
-  // attachment router regardless of mode.
+  // Appended ingress-only sequencing nodes sit at a member's attachment
+  // router regardless of mode.
   for (std::size_t i = first_new_atom; i < graph.num_atoms(); ++i) {
     const seqgraph::Atom& atom = graph.atoms()[i];
     if (!atom.is_ingress_only()) continue;
     const SeqNodeId n = colocation.node_of(atom.id);
     if (assignment.assigned(n)) continue;
-    const auto& members = membership.members(atom.group_a);
-    DECSEQ_CHECK(!members.empty());
-    assignment.place(n, hosts.router_of(rng.pick(members)));
+    assignment.place(n, member_router(membership.members(atom.group_a), hosts,
+                                      previous(atom.group_a), rng));
   }
 
   if (options.mode == AssignmentMode::kAllRandom) {
@@ -134,10 +154,12 @@ void extend_assignment(Assignment& assignment,
         })) {
       // No sequencing node of this group is placed yet: place one at
       // "random" — a random machine of the pub/sub infrastructure (a group
-      // member's router) or a uniformly random router, per the seed policy.
+      // member's router, the previous ingress router while a member still
+      // attaches there) or a uniformly random router, per the seed policy.
       assignment.place(path.front(),
                        options.seed == SeedPolicy::kGroupMember
-                           ? hosts.router_of(rng.pick(membership.members(g)))
+                           ? member_router(membership.members(g), hosts,
+                                           previous(g), rng)
                            : random_router(network, rng));
     }
 

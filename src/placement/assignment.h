@@ -7,6 +7,7 @@
 // keeps consecutive path hops short without global optimization.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "common/ids.h"
@@ -105,7 +106,9 @@ void seq_node_path(const seqgraph::SequencingGraph& graph,
 /// nodes Colocation::extend appended for atoms >= `first_new_atom` get
 /// machines via the §3.4 per-group heuristic, run only on behalf of the
 /// `affected` groups. Already-assigned nodes are never moved — old-epoch
-/// traffic keeps draining where it was.
+/// traffic keeps draining where it was. A group seeded afresh is seeded at
+/// a random member's router (SeedPolicy), as is an appended ingress-only
+/// node.
 void extend_assignment(Assignment& assignment,
                        const seqgraph::SequencingGraph& graph,
                        const Colocation& colocation,
@@ -115,7 +118,15 @@ void extend_assignment(Assignment& assignment,
                        const AssignmentOptions& options, Rng& rng,
                        const std::vector<GroupId>& affected,
                        std::size_t first_new_atom);
-/// The same extension, building each group's path in `scratch`.
+/// The same extension, building each group's path in `scratch`, for a live
+/// cutover that keeps ingress machines. `previous_ingress[g]`, if valid, is
+/// group g's ingress router in the epoch being replaced. A group seeded
+/// afresh under SeedPolicy::kGroupMember, or an appended ingress-only node
+/// of g, goes back to that router while a current member of g still
+/// attaches there, with no RNG draw: publishes already on their ingress
+/// leg then land at the new ingress machine and are sequenced on arrival.
+/// Otherwise it takes a random member's router, as above. A full build has
+/// no previous epoch and passes none.
 void extend_assignment(Assignment& assignment,
                        const seqgraph::SequencingGraph& graph,
                        const Colocation& colocation,
@@ -124,6 +135,7 @@ void extend_assignment(Assignment& assignment,
                        const topology::Graph& network,
                        const AssignmentOptions& options, Rng& rng,
                        const std::vector<GroupId>& affected,
-                       std::size_t first_new_atom, ExtendScratch& scratch);
+                       std::size_t first_new_atom, ExtendScratch& scratch,
+                       std::span<const RouterId> previous_ingress = {});
 
 }  // namespace decseq::placement

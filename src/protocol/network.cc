@@ -399,25 +399,30 @@ void SequencingNetwork::arrive_at_ingress(AtomId ingress, PayloadRef payload,
                                           std::uint32_t attempts) {
   GroupRoute& route = group_route(payload->group());
   if (route.num_hops > 0 && ingress != route.ingress) {
-    // The group's ingress moved (zero-downtime reconfiguration) while this
-    // message's ingress leg was in flight: redirect it from the old ingress
-    // machine to the new one, where it is sequenced post-fence, in the new
-    // epoch — exactly what its arrival after the cutover means. The extra
-    // leg is a constant per (old, new) machine pair, so a sender's publish
-    // order holds among the messages redirected together. It does not hold
-    // against a later publish sent straight to the new ingress: that one
-    // skips the detour and can take a group sequence number first. Only
-    // publish_causal chains, which never overlap, keep a sender's order
-    // across a cutover.
+    // The group's ingress atom changed (zero-downtime reconfiguration)
+    // while this message's ingress leg was in flight. It is sequenced at
+    // the new ingress, post-fence, in the new epoch — exactly what its
+    // arrival after the cutover means. A cutover keeps the group's ingress
+    // machine while a member still attaches there (placement::
+    // extend_assignment); then the message is already at the new ingress
+    // machine and is sequenced here and now, so a later publish from the
+    // same sender, which arrives no earlier, cannot take a group sequence
+    // number first. If the ingress machine moved, the message is
+    // redirected from the old machine to the new one. That leg is a
+    // constant per (old, new) machine pair, so a sender's publish order
+    // holds among the messages redirected together, but not against a
+    // later publish sent straight to the new machine: that one skips the
+    // detour and can be sequenced first. Only publish_causal chains, which
+    // never overlap, keep a sender's order across every cutover.
     const RouterId from = machine_of_atom(ingress);
-    const double leg = from == route.ingress_router
-                           ? 0.0
-                           : oracle_->distance(from, route.ingress_router);
-    sim_->schedule_after(leg, [this, target = route.ingress,
-                               payload = std::move(payload), attempts] {
-      arrive_at_ingress(target, payload, attempts);
-    });
-    return;
+    if (from != route.ingress_router) {
+      sim_->schedule_after(
+          oracle_->distance(from, route.ingress_router),
+          [this, target = route.ingress, payload = std::move(payload),
+           attempts] { arrive_at_ingress(target, payload, attempts); });
+      return;
+    }
+    ingress = route.ingress;
   }
   const SeqNodeId node = route.ingress_node;
   if (node_down_[node.value()]) {

@@ -435,6 +435,9 @@ class SequencingNetwork {
   /// publisher itself dies mid-retry. Takes the shared payload block: the
   /// ordering header does not exist until the ingress sequencer assigns
   /// the group sequence number here. `attempts` counts the retries so far.
+  /// A message whose group's ingress atom changed while its leg was in
+  /// flight is sequenced at the new ingress: here, when that sits on the
+  /// same machine, else after a redirect leg between the two machines.
   void arrive_at_ingress(AtomId ingress, PayloadRef payload,
                          std::uint32_t attempts);
   void distribute(AtomId last_atom, Message&& message);

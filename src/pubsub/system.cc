@@ -105,6 +105,17 @@ void PubSubSystem::compile(const std::vector<GroupId>& dirty,
   seqgraph::BuildOptions graph_options = config_.graph;
   graph_options.colocation_labels = &labels_;
   graph_options.scratch = &graph_scratch_;
+  // Each live group's ingress router, before the delta replaces its path.
+  prev_ingress_.clear();
+  if (graph_.num_atoms() > 0) {
+    prev_ingress_.resize(membership_.num_group_slots());
+    for (std::size_t slot = 0; slot < prev_ingress_.size(); ++slot) {
+      const GroupId g(static_cast<GroupId::underlying_type>(slot));
+      if (!graph_.has_path(g)) continue;
+      prev_ingress_[slot] =
+          assignment_.machine_of(colocation_.node_of(graph_.path(g).front()));
+    }
+  }
   // The delta edits the graph in place; nothing reads graph_ while it is
   // moved out.
   const std::size_t first_new_atom = graph_.num_atoms();
@@ -116,7 +127,7 @@ void PubSubSystem::compile(const std::vector<GroupId>& dirty,
   placement::extend_assignment(assignment_, graph_, colocation_, membership_,
                                *hosts_, net_graph_, config_.assignment, rng_,
                                delta.affected_groups, first_new_atom,
-                               extend_scratch_);
+                               extend_scratch_, prev_ingress_);
 }
 
 GroupId PubSubSystem::create_group(std::vector<NodeId> members) {

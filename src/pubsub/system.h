@@ -284,7 +284,10 @@ class PubSubSystem {
   /// overlap index, co-location labels, sequencing graph, colocation and
   /// machine assignment — writing the graph delta's telemetry to `delta`.
   /// The network holds references to the layers, so each is mutated or
-  /// move-assigned at its own address.
+  /// move-assigned at its own address. A group the delta re-lays keeps its
+  /// ingress router while a member still attaches there
+  /// (placement::extend_assignment); a full build starts from the empty
+  /// graph, so no group has one.
   void compile(const std::vector<GroupId>& dirty,
                seqgraph::DeltaBuildStats& delta);
   void pump_causal_queue(NodeId sender);
@@ -322,6 +325,9 @@ class PubSubSystem {
   placement::Assignment assignment_;
   /// compile()'s co-location and assignment extension buffers.
   placement::ExtendScratch extend_scratch_;
+  /// Per group slot, the ingress router before compile()'s graph delta
+  /// (invalid for a group with no path then).
+  std::vector<RouterId> prev_ingress_;
 
   sim::Simulator sim_;
   std::unique_ptr<protocol::SequencingNetwork> network_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <set>
+#include <span>
 
 #include "common/rng.h"
 #include "membership/generators.h"
@@ -209,6 +210,68 @@ TEST_F(AssignmentTest, SeqNodePathCollapsesColocatedAtoms) {
       EXPECT_NE(path[i], path[i + 1]);
     }
   }
+}
+
+TEST_F(AssignmentTest, SeedKeepsThePreviousIngressWhileAMemberAttaches) {
+  // g0 and g1 share {0, 1, 2}: one overlap atom that g0, first in slot
+  // order, seeds. g2 and g3 share at most one member with anyone, so each
+  // is one ingress-only node. Extending the empty assignment seeds every
+  // group, as a live cutover seeds each re-laid one.
+  const auto b = build(test::make_membership(
+      16, {{0, 1, 2, 3, 4}, {0, 1, 2, 5, 6}, {8, 9}, {12, 13, 14}}));
+  ASSERT_EQ(b.graph.num_overlap_atoms(), 1u);
+  ASSERT_TRUE(b.graph.atom(b.graph.path(G(2)).front()).is_ingress_only());
+  ASSERT_TRUE(b.graph.atom(b.graph.path(G(3)).front()).is_ingress_only());
+  Rng colocate_rng(16);
+  const Colocation c = colocate_atoms(b.graph, b.overlaps, {}, colocate_rng);
+  const auto ingress = [&](const Assignment& a, GroupId g) {
+    return a.machine_of(c.node_of(b.graph.path(g).front()));
+  };
+  const auto extend = [&](std::span<const RouterId> previous, Rng& rng) {
+    Assignment a;
+    ExtendScratch scratch;
+    extend_assignment(a, b.graph, c, b.membership, *hosts_, topo_.graph, {},
+                      rng, b.graph.groups(), 0, scratch, previous);
+    return a;
+  };
+  const auto member_attaches = [&](GroupId g, RouterId router) {
+    const auto& members = b.membership.members(g);
+    return std::any_of(members.begin(), members.end(), [&](NodeId m) {
+      return hosts_->router_of(m) == router;
+    });
+  };
+
+  // Each previous ingress router still hosts a member: every seed and
+  // every ingress-only node goes back there, and nothing is drawn.
+  const std::vector<RouterId> kept{hosts_->router_of(N(4)), RouterId{},
+                                   hosts_->router_of(N(9)),
+                                   hosts_->router_of(N(14))};
+  Rng rng(17), untouched(17);
+  const Assignment a = extend(kept, rng);
+  EXPECT_EQ(ingress(a, G(0)), kept[0]);
+  EXPECT_EQ(ingress(a, G(2)), kept[2]) << "ingress-only node";
+  EXPECT_EQ(ingress(a, G(3)), kept[3]) << "ingress-only node";
+  EXPECT_EQ(rng(), untouched()) << "a kept ingress drew from the RNG";
+
+  // The previous ingress routers are those of nodes that have left: no
+  // current member attaches there, so every seed takes the draw of a full
+  // build.
+  const std::vector<RouterId> left{hosts_->router_of(N(7)), RouterId{},
+                                   hosts_->router_of(N(10)),
+                                   hosts_->router_of(N(15))};
+  ASSERT_FALSE(member_attaches(G(0), left[0]));
+  ASSERT_FALSE(member_attaches(G(2), left[2]));
+  ASSERT_FALSE(member_attaches(G(3), left[3]));
+  Rng reseeded_rng(18), full_rng(18);
+  const Assignment reseeded = extend(left, reseeded_rng);
+  const Assignment full = assign_machines(b.graph, c, b.membership, *hosts_,
+                                          topo_.graph, {}, full_rng);
+  ASSERT_EQ(reseeded.num_nodes(), full.num_nodes());
+  for (std::size_t n = 0; n < full.num_nodes(); ++n) {
+    const SeqNodeId id(static_cast<SeqNodeId::underlying_type>(n));
+    EXPECT_EQ(reseeded.machine_of(id), full.machine_of(id)) << "node " << n;
+  }
+  EXPECT_EQ(reseeded_rng(), full_rng());
 }
 
 }  // namespace

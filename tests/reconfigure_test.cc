@@ -509,8 +509,80 @@ TEST(ReconfigureAsync, PaperChurnTraceMatchesGoldenDigest) {
     digest = fold(digest, std::bit_cast<std::uint64_t>(d.sent_at));
     digest = fold(digest, std::bit_cast<std::uint64_t>(d.delivered_at));
   }
-  EXPECT_EQ(system->deliveries().size(), 10502u);
-  EXPECT_EQ(digest, 16424660069351214889ULL);
+  // Re-recorded when cutovers began to keep a group's ingress machine
+  // while a member still attaches there (10,502 deliveries and digest
+  // 16424660069351214889 before): in-flight publishes fall into different
+  // epochs, and the deliveries out of per-sender order fell from 873 to
+  // 324.
+  EXPECT_EQ(system->deliveries().size(), 10500u);
+  EXPECT_EQ(digest, 7471340698605395434ULL);
+}
+
+TEST(ReconfigureAsync, CutoverKeepingTheIngressMachineKeepsSenderOrder) {
+  // Before each cut one member of every live group publishes; the cut
+  // lands at once, and the same member publishes again to each affected
+  // group, so both publishes leave the sender at the same instant. Where
+  // the cut kept the group's ingress router, the first publish lands on
+  // the new ingress machine no later than the second and must take the
+  // lower group sequence number: every receiver of both delivers it
+  // first. (A redirect scheduled as a zero-delay event let the second
+  // overtake it.)
+  const auto system = test::paper_system();
+  const ZipfSampler popularity(128, 1.0);
+  Rng rng(29);
+  const auto ingress_router = [&](GroupId g) {
+    return system->assignment().machine_of(
+        system->colocation().node_of(system->graph().path(g).front()));
+  };
+  std::uint64_t payload = 0;
+  std::size_t kept = 0;
+  std::size_t checked = 0;
+  for (std::size_t t = 0; t < 40; ++t) {
+    struct First {
+      NodeId sender;
+      RouterId ingress;
+      MsgId message;
+    };
+    std::map<GroupId, First> first;
+    for (const GroupId g : system->membership().live_groups()) {
+      const auto& members = system->membership().members(g);
+      const NodeId sender = members[t % members.size()];
+      first[g] = {sender, ingress_router(g),
+                  system->publish(sender, g, ++payload)};
+    }
+    const auto result = system->reconfigure_async(
+        test::churn_batch(system->membership(), t, popularity, rng));
+    std::vector<std::pair<MsgId, MsgId>> ordered;  // kept groups' pairs
+    for (const GroupId g : result.delta.affected_groups) {
+      const First& f = first.at(g);
+      const MsgId second = system->publish(f.sender, g, ++payload);
+      if (ingress_router(g) == f.ingress) ordered.emplace_back(f.message, second);
+    }
+    kept += ordered.size();
+    const std::size_t round_begin = system->deliveries().size();
+    system->run();
+    ASSERT_FALSE(system->transition_active()) << "cutover " << t;
+    // Where in this round's log each (receiver, message) was delivered.
+    const auto& log = system->deliveries();
+    std::map<std::pair<NodeId, MsgId>, std::size_t> position;
+    for (std::size_t i = round_begin; i < log.size(); ++i) {
+      position[{log[i].receiver, log[i].message}] = i;
+    }
+    for (const auto& [earlier, later] : ordered) {
+      for (std::size_t i = round_begin; i < log.size(); ++i) {
+        if (log[i].message != later) continue;
+        const auto it = position.find({log[i].receiver, earlier});
+        if (it == position.end()) continue;  // joined after, or left before
+        ++checked;
+        EXPECT_LT(it->second, i)
+            << "receiver " << log[i].receiver << " got message " << later
+            << " before " << earlier << " at cutover " << t;
+      }
+    }
+  }
+  EXPECT_GT(kept, 0u) << "no cut kept an ingress router";
+  EXPECT_GT(checked, 0u);
+  EXPECT_FALSE(test::find_order_violation(system->deliveries()).has_value());
 }
 
 TEST(ReconfigureAsync, FenceTakesItsFirstHopAsAnEvent) {
