@@ -509,11 +509,6 @@ TEST(ReconfigureAsync, PaperChurnTraceMatchesGoldenDigest) {
     digest = fold(digest, std::bit_cast<std::uint64_t>(d.sent_at));
     digest = fold(digest, std::bit_cast<std::uint64_t>(d.delivered_at));
   }
-  // Re-recorded when cutovers began to keep a group's ingress machine
-  // while a member still attaches there (10,502 deliveries and digest
-  // 16424660069351214889 before): in-flight publishes fall into different
-  // epochs, and the deliveries out of per-sender order fell from 873 to
-  // 324.
   EXPECT_EQ(system->deliveries().size(), 10500u);
   EXPECT_EQ(digest, 7471340698605395434ULL);
 }
