@@ -38,8 +38,19 @@ inline std::size_t env_or(const char* name, std::size_t fallback) {
   return fallback;
 }
 
+inline constexpr std::uint64_t kDefaultSeed = 20060101;  // Middleware 2006
+
 inline std::uint64_t base_seed() {
-  return env_or("DECSEQ_BENCH_SEED", 20060101);  // Middleware 2006
+  return env_or("DECSEQ_BENCH_SEED", kDefaultSeed);
+}
+
+/// A 64-bit digest as "0x" and 16 hex digits, as the benches print it and
+/// write it to JSON (most JSON readers would round it as a number).
+inline std::string hex_digest(std::uint64_t digest) {
+  char text[19];
+  std::snprintf(text, sizeof text, "0x%016llx",
+                static_cast<unsigned long long>(digest));
+  return text;
 }
 
 inline std::size_t bench_threads() {

@@ -42,6 +42,7 @@
 
 #include "bench/bench_util.h"
 #include "common/check.h"
+#include "common/fnv1a.h"
 #include "common/rng.h"
 #include "membership/generators.h"
 #include "membership/membership.h"
@@ -49,6 +50,7 @@
 #include "placement/assignment.h"
 #include "placement/colocation.h"
 #include "placement/legacy.h"
+#include "pubsub/epoch_digest.h"
 #include "runtime/parallel.h"
 #include "seqgraph/graph.h"
 #include "seqgraph/legacy.h"
@@ -82,6 +84,9 @@ struct TierResult {
   double legacy_assign_ms = 0.0;
   bool legacy_ran = false;
   std::size_t rss_after_new_bytes = 0;
+  /// pubsub::epoch_digest of the compiled tier (labels included), then
+  /// the RNG's next draw.
+  std::uint64_t digest = 0;
 
   [[nodiscard]] double new_total_ms() const {
     return new_colocate_ms + new_graph_ms + new_assign_ms;
@@ -143,6 +148,11 @@ TierResult run_tier(std::size_t hosts, std::size_t groups, bool run_legacy,
   r.new_assign_ms = ms_since(a0);
 
   r.rss_after_new_bytes = decseq::bench::peak_rss_bytes();
+  const std::uint64_t next_draw = new_rng();
+  r.digest = decseq::fnv1a_word(
+      decseq::pubsub::epoch_digest(membership, overlaps, &labels, graph,
+                                   colocation, assignment),
+      next_draw);
 
   // --- Legacy pipeline, differentially checked. ---
   if (run_legacy) {
@@ -185,7 +195,7 @@ TierResult run_tier(std::size_t hosts, std::size_t groups, bool run_legacy,
                            legacy_assignment.machine_of(id),
                        "machine diverged from legacy for node " << n);
     }
-    DECSEQ_CHECK_MSG(new_rng() == legacy_rng(),
+    DECSEQ_CHECK_MSG(next_draw == legacy_rng(),
                      "RNG stream diverged from legacy at " << hosts
                                                            << " hosts");
   }
@@ -196,14 +206,15 @@ void print_tier(const TierResult& r) {
   std::printf(
       "tier,%zu,groups,%zu,overlaps,%zu,atoms,%zu,overlap_ms,%.1f,"
       "new_ms,%.1f,colocate,%.1f,graph,%.1f,assign,%.1f,"
-      "legacy_ms,%.1f,speedup,%.2f,rss_mb,%.1f\n",
+      "legacy_ms,%.1f,speedup,%.2f,rss_mb,%.1f,digest,%s\n",
       r.hosts, r.groups, r.overlaps, r.atoms, r.overlap_ms, r.new_total_ms(),
       r.new_colocate_ms, r.new_graph_ms, r.new_assign_ms,
       r.legacy_ran ? r.legacy_total_ms() : 0.0,
       r.legacy_ran && r.new_total_ms() > 0.0
           ? r.legacy_total_ms() / r.new_total_ms()
           : 0.0,
-      static_cast<double>(r.rss_after_new_bytes) / (1024.0 * 1024.0));
+      static_cast<double>(r.rss_after_new_bytes) / (1024.0 * 1024.0),
+      decseq::bench::hex_digest(r.digest).c_str());
 }
 
 }  // namespace
@@ -241,17 +252,24 @@ int main(int argc, char** argv) {
   const auto topo =
       decseq::topology::generate_transit_stub(topo_params, topo_rng);
 
+  // `golden` is the tier's recorded digest at the default seed; another
+  // seed only prints its digests.
   struct Tier {
     std::size_t hosts;
     bool legacy;
     bool assert_budgets;
+    std::uint64_t golden;
   };
   std::vector<Tier> tiers;
   if (quick) {
-    tiers = {{1000, true, false}, {10000, true, true}};
+    tiers = {{1000, true, false, 0x1f884d8bb5462d2eULL},
+             {10000, true, true, 0x3f60426159d61934ULL}};
   } else {
-    tiers = {{10000, true, false}, {100000, true, true}};
-    if (full_tier) tiers.push_back({1000000, false, false});
+    tiers = {{10000, true, false, 0x8339ed44b54dbaa3ULL},
+             {100000, true, true, 0xb0cfe17accccabebULL}};
+    if (full_tier) {
+      tiers.push_back({1000000, false, false, 0x0ad5c6752c7e7a65ULL});
+    }
   }
 
   decseq::seqgraph::BuildScratch scratch;
@@ -266,6 +284,11 @@ int main(int argc, char** argv) {
                                topo, host_map, scratch, seed + 17));
     const TierResult& r = results.back();
     print_tier(r);
+    DECSEQ_CHECK_MSG(seed != kDefaultSeed || r.digest == tier.golden,
+                     "epoch digest " << hex_digest(r.digest)
+                                     << " differs from the recorded "
+                                     << hex_digest(tier.golden) << " at "
+                                     << r.hosts << " hosts");
     if (tier.assert_budgets) {
       asserted_tier = &r;
       DECSEQ_CHECK_MSG(
@@ -345,7 +368,7 @@ int main(int argc, char** argv) {
          << ", \"legacy_total_ms\": " << r.legacy_total_ms()
          << ", \"rss_after_new_mb\": "
          << static_cast<double>(r.rss_after_new_bytes) / (1024.0 * 1024.0)
-         << "}" << (i + 1 < results.size() ? ",\n" : "\n");
+         << ", \"digest\": \"" << hex_digest(r.digest) << "\"}" << (i + 1 < results.size() ? ",\n" : "\n");
   }
   json << "  ]\n}\n";
   json.flush();

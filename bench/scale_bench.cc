@@ -31,10 +31,12 @@
 #include <string>
 
 #include "bench/bench_util.h"
+#include "common/fnv1a.h"
 #include "common/rng.h"
 #include "membership/generators.h"
 #include "membership/membership.h"
 #include "membership/overlap.h"
+#include "pubsub/epoch_digest.h"
 
 namespace {
 
@@ -122,10 +124,12 @@ int main(int argc, char** argv) {
               reference_ms / default_ms);
 
   // --- Tier 2: the full-scale tier --------------------------------------
+  const std::size_t default_hosts = quick ? 200000 : 1000000;
+  const std::size_t default_groups = quick ? 20000 : 100000;
   const std::size_t hosts =
-      decseq::bench::env_or("DECSEQ_SCALE_HOSTS", quick ? 200000 : 1000000);
+      decseq::bench::env_or("DECSEQ_SCALE_HOSTS", default_hosts);
   const std::size_t groups =
-      decseq::bench::env_or("DECSEQ_SCALE_GROUPS", quick ? 20000 : 100000);
+      decseq::bench::env_or("DECSEQ_SCALE_GROUPS", default_groups);
   const std::size_t ceiling_mb = decseq::bench::env_or(
       "DECSEQ_SCALE_CEILING_MB", quick ? 64 : 256);
   const std::size_t ceiling_bytes = ceiling_mb * 1024 * 1024;
@@ -147,9 +151,12 @@ int main(int argc, char** argv) {
   const std::size_t peak_rss = decseq::bench::peak_rss_bytes();
   const auto& stats = index.build_stats();
 
-  std::printf("full_scale,%zu,%zu,%zu,%zu,%.1f,%.1f,%.2f,%zu\n", hosts,
+  const std::uint64_t digest = decseq::pubsub::fold_overlaps(
+      decseq::kFnvOffsetBasis, index, membership);
+  std::printf("full_scale,%zu,%zu,%zu,%zu,%.1f,%.1f,%.2f,%zu,%s\n", hosts,
               groups, subscriptions, index.num_overlaps(), membership_ms,
-              overlap_ms, bytes_per_subscription, peak_rss);
+              overlap_ms, bytes_per_subscription, peak_rss,
+              decseq::bench::hex_digest(digest).c_str());
 
   // --- BENCH_scale.json -------------------------------------------------
   const char* json_path = std::getenv("DECSEQ_BENCH_JSON");
@@ -179,12 +186,25 @@ int main(int argc, char** argv) {
        << ", \"membership_bytes\": " << membership_bytes
        << ", \"overlap_index_bytes\": " << overlap_bytes
        << ", \"bytes_per_subscription\": " << bytes_per_subscription
-       << ", \"peak_rss_bytes\": " << peak_rss << "}\n"
+       << ", \"peak_rss_bytes\": " << peak_rss
+       << ", \"digest\": \"" << decseq::bench::hex_digest(digest) << "\"}\n"
        << "}\n";
   json.flush();
   if (!json.good()) {
     std::fprintf(stderr, "error: could not write %s\n",
                  json_path != nullptr ? json_path : "BENCH_scale.json");
+    return 1;
+  }
+
+  // --- The recorded overlap digest, at the default seed and sizes -------
+  const std::uint64_t golden =
+      quick ? 0x18780267adca36c8ULL : 0x864a245c1a77cfe2ULL;
+  if (seed == decseq::bench::kDefaultSeed && hosts == default_hosts &&
+      groups == default_groups && digest != golden) {
+    std::fprintf(stderr,
+                 "FAIL: overlap digest %s differs from the recorded %s\n",
+                 decseq::bench::hex_digest(digest).c_str(),
+                 decseq::bench::hex_digest(golden).c_str());
     return 1;
   }
 

@@ -96,17 +96,4 @@ class ReplicaSet {
   std::size_t cursor_ = 0;
 };
 
-/// FNV-1a over a byte view — a convenient DigestFn building block.
-[[nodiscard]] inline std::uint64_t fnv1a(const void* data, std::size_t size,
-                                         std::uint64_t seed =
-                                             1469598103934665603ULL) {
-  const auto* bytes = static_cast<const unsigned char*>(data);
-  std::uint64_t h = seed;
-  for (std::size_t i = 0; i < size; ++i) {
-    h ^= bytes[i];
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
 }  // namespace decseq::app

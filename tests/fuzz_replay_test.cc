@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/fnv1a.h"
 #include "fuzz/oracle.h"
 #include "fuzz/repro.h"
 #include "fuzz/runner.h"
@@ -39,19 +40,6 @@ std::string fingerprint(const RunTrace& t) {
   }
   os << '\n' << t.threw << ':' << t.exception_what;
   return os.str();
-}
-
-constexpr std::uint64_t kFnvOffsetBasis = 14695981039346656037ULL;
-
-/// 64-bit FNV-1a over `bytes`, continuing from the digest `h` (the offset
-/// basis starts a fresh one).
-std::uint64_t fnv1a64(const std::string& bytes,
-                      std::uint64_t h = kFnvOffsetBasis) {
-  for (const unsigned char c : bytes) {
-    h ^= c;
-    h *= 1099511628211ULL;
-  }
-  return h;
 }
 
 /// FNV-1a digests of every corpus file's fingerprint(). The replay is
@@ -110,7 +98,7 @@ TEST(FuzzReplay, CorpusTracesMatchGoldenDigests) {
     const Scenario scenario = load_repro(file.string());
     const RunTrace trace = run_scenario(scenario);
     EXPECT_FALSE(trace.threw) << trace.exception_what;
-    const std::uint64_t got = fnv1a64(fingerprint(trace));
+    const std::uint64_t got = fnv1a_bytes(kFnvOffsetBasis, fingerprint(trace));
     if (golden == nullptr) {
       ADD_FAILURE() << "no golden digest; the trace gives 0x" << std::hex
                     << got;
@@ -158,9 +146,9 @@ TEST(FuzzReplay, LossFreeGeneratedTracesMatchGoldenDigests) {
       const RunTrace trace = run_scenario(scenario);
       EXPECT_FALSE(trace.threw)
           << "seed " << seed << ": " << trace.exception_what;
-      digest = fnv1a64(fingerprint(trace), digest);
-      digest = fnv1a64(
-          '#' + std::to_string(trace.channel_fault_events) + '\n', digest);
+      digest = fnv1a_bytes(digest, fingerprint(trace));
+      digest = fnv1a_bytes(
+          digest, '#' + std::to_string(trace.channel_fault_events) + '\n');
       deliveries += trace.log.size();
       faults += trace.channel_fault_events;
     }

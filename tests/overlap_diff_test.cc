@@ -13,13 +13,19 @@
 
 #include <algorithm>
 
+#include "common/fnv1a.h"
 #include "common/rng.h"
 #include "membership/generators.h"
 #include "membership/membership.h"
 #include "membership/overlap.h"
+#include "pubsub/epoch_digest.h"
 
 namespace decseq::membership {
 namespace {
+
+/// The overlap layer of all 200 seeds below, folded in order. Regenerate
+/// only for a deliberate change of the overlap build.
+constexpr std::uint64_t kOverlapDigest = 0x81b615418ae856f2ULL;
 
 GroupMembership random_membership(std::uint64_t seed) {
   Rng rng(seed);
@@ -64,6 +70,7 @@ GroupMembership random_membership(std::uint64_t seed) {
 TEST(OverlapDifferential, DeltaFromEmptyMatchesBruteForceOn200Seeds) {
   std::size_t total_overlaps = 0, total_singletons = 0, multi_component = 0,
               dead_slots = 0;
+  std::uint64_t digest = kFnvOffsetBasis;
   for (std::uint64_t seed = 1; seed <= 200; ++seed) {
     const GroupMembership m = random_membership(seed);
     const OverlapIndex built(m, OverlapBuild::kDeltaFromEmpty);
@@ -97,6 +104,8 @@ TEST(OverlapDifferential, DeltaFromEmptyMatchesBruteForceOn200Seeds) {
       }
     }
 
+    digest = pubsub::fold_overlaps(digest, built, m);
+
     // Coverage accounting so the generator can't silently degenerate.
     total_overlaps += built.num_overlaps();
     if (built.components().size() > 1) ++multi_component;
@@ -112,6 +121,7 @@ TEST(OverlapDifferential, DeltaFromEmptyMatchesBruteForceOn200Seeds) {
   EXPECT_GT(multi_component, 20u)
       << "workload must exercise disconnected components";
   EXPECT_GT(dead_slots, 100u) << "workload must exercise tombstoned groups";
+  EXPECT_EQ(digest, kOverlapDigest);
 }
 
 TEST(OverlapDifferential, DeltaFromEmptyCountsEachCoSubscriptionOnce) {

@@ -8,6 +8,8 @@
 #include <set>
 #include <vector>
 
+#include "common/fnv1a.h"
+#include "pubsub/epoch_digest.h"
 #include "pubsub/system.h"
 #include "seqgraph/dot.h"
 #include "tests/test_util.h"
@@ -444,15 +446,6 @@ TEST(ReconfigureAsync, MidBurstMatchesStopTheWorldForUntouchedGroups) {
             (std::vector<NodeId>{N(1), N(2), N(3), N(4)}));
 }
 
-/// 64-bit FNV-1a, folding `value`'s eight bytes (little end first) into `h`.
-std::uint64_t fold(std::uint64_t h, std::uint64_t value) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (value >> (8 * i)) & 0xffu;
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
 TEST(ReconfigureAsync, PaperChurnTraceMatchesGoldenDigest) {
   // Pins the zero-downtime path end to end on the paper deployment: 40
   // join+leave cutovers, each cut while a publish per live group is in
@@ -460,12 +453,15 @@ TEST(ReconfigureAsync, PaperChurnTraceMatchesGoldenDigest) {
   // The digest folds every delivery (receiver, message, group, payload and
   // the bits of both times), each cutover's report and its affected
   // groups, so any change to an RNG draw, an AtomId, a channel, an event
-  // or a delivery of the path shows here.
+  // or a delivery of the path shows here. A second digest folds the epoch
+  // each cutover compiles (epoch_digest.h): overlaps, graph, sequencing
+  // nodes and machines.
   const auto system = test::paper_system();
   const ZipfSampler popularity(128, 1.0);
   Rng rng(29);
   std::uint64_t payload = 0;
-  std::uint64_t digest = 14695981039346656037ULL;
+  std::uint64_t digest = kFnvOffsetBasis;
+  std::uint64_t epochs = kFnvOffsetBasis;
   for (std::size_t t = 0; t < 40; ++t) {
     const std::vector<GroupId> live = system->membership().live_groups();
     for (const GroupId g : live) {
@@ -478,15 +474,16 @@ TEST(ReconfigureAsync, PaperChurnTraceMatchesGoldenDigest) {
                                   static_cast<double>(t % 7));
     const auto result = system->reconfigure_async(
         test::churn_batch(system->membership(), t, popularity, rng));
+    epochs = fnv1a_word(epochs, epoch_digest(*system));
     const protocol::ReconfigureReport& r = result.report;
     for (const std::size_t v :
          {r.groups_refenced, r.groups_created, r.groups_removed,
           r.fences_outstanding, r.channels_created, r.hops_appended}) {
-      digest = fold(digest, v);
+      digest = fnv1a_word(digest, v);
     }
-    digest = fold(digest, result.delta.affected_groups.size());
+    digest = fnv1a_word(digest, result.delta.affected_groups.size());
     for (const GroupId g : result.delta.affected_groups) {
-      digest = fold(digest, g.value());
+      digest = fnv1a_word(digest, g.value());
       if (system->membership().is_alive(g)) {
         system->publish(system->membership().members(g).front(), g,
                         ++payload);
@@ -502,15 +499,16 @@ TEST(ReconfigureAsync, PaperChurnTraceMatchesGoldenDigest) {
   }
   EXPECT_GT(gate_held, 0u) << "no new-epoch message waited on a fence";
   for (const Delivery& d : system->deliveries()) {
-    digest = fold(digest, d.receiver.value());
-    digest = fold(digest, d.message.value());
-    digest = fold(digest, d.group.value());
-    digest = fold(digest, d.payload);
-    digest = fold(digest, std::bit_cast<std::uint64_t>(d.sent_at));
-    digest = fold(digest, std::bit_cast<std::uint64_t>(d.delivered_at));
+    digest = fnv1a_word(digest, d.receiver.value());
+    digest = fnv1a_word(digest, d.message.value());
+    digest = fnv1a_word(digest, d.group.value());
+    digest = fnv1a_word(digest, d.payload);
+    digest = fnv1a_word(digest, std::bit_cast<std::uint64_t>(d.sent_at));
+    digest = fnv1a_word(digest, std::bit_cast<std::uint64_t>(d.delivered_at));
   }
   EXPECT_EQ(system->deliveries().size(), 10500u);
   EXPECT_EQ(digest, 7471340698605395434ULL);
+  EXPECT_EQ(epochs, 0x50b23ff0f5f08235ULL);
 }
 
 TEST(ReconfigureAsync, CutoverKeepingTheIngressMachineKeepsSenderOrder) {

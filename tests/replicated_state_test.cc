@@ -3,6 +3,7 @@
 #include <map>
 
 #include "app/replicated_state.h"
+#include "common/fnv1a.h"
 #include "tests/test_util.h"
 
 namespace decseq::app {
@@ -24,10 +25,9 @@ ReplicaSet<Registers> make_set(pubsub::PubSubSystem& system) {
         s.values[d.payload >> 32] = d.payload & 0xffffffffULL;
       },
       [](const Registers& s) {
-        std::uint64_t h = 14695981039346656037ULL;
+        std::uint64_t h = kFnvOffsetBasis;
         for (const auto& [k, v] : s.values) {
-          h = fnv1a(&k, sizeof(k), h);
-          h = fnv1a(&v, sizeof(v), h);
+          h = fnv1a_word(fnv1a_word(h, k), v);
         }
         return h;
       });
@@ -120,10 +120,9 @@ TEST(ReplicatedState, DivergenceDetectorFires) {
         s.values[d.payload >> 32] = (d.payload & 0xffffffffULL) ^ flip;
       },
       [](const Registers& s) {
-        std::uint64_t h = 14695981039346656037ULL;
+        std::uint64_t h = kFnvOffsetBasis;
         for (const auto& [k, v] : s.values) {
-          h = fnv1a(&k, sizeof(k), h);
-          h = fnv1a(&v, sizeof(v), h);
+          h = fnv1a_word(fnv1a_word(h, k), v);
         }
         return h;
       });

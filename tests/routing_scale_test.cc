@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "common/check.h"
+#include "common/fnv1a.h"
 #include "common/zipf.h"
 
 #include "membership/generators.h"
@@ -21,9 +22,11 @@
 #include "placement/assignment.h"
 #include "placement/colocation.h"
 #include "placement/legacy.h"
+#include "pubsub/epoch_digest.h"
 #include "runtime/parallel.h"
 #include "seqgraph/graph.h"
 #include "seqgraph/legacy.h"
+#include "seqgraph/validator.h"
 #include "tests/test_util.h"
 #include "topology/hosts.h"
 #include "topology/transit_stub.h"
@@ -38,6 +41,24 @@ using seqgraph::BuildStrategy;
 using seqgraph::SequencingGraph;
 
 constexpr int kSeeds = 200;
+
+/// Recorded digests of each test's builds, every seed folded in order.
+/// Regenerate one only for a deliberate change of the compiled epoch.
+constexpr std::uint64_t kFullBuildDigest = 0x7eecb3f27703c1b7ULL;
+constexpr std::uint64_t kDeltaBuildDigest = 0x2295c988cf2951fbULL;
+constexpr std::uint64_t kPaperSizedChainsDigest = 0xc2feac011b930cf0ULL;
+constexpr std::uint64_t kThreadedCompileDigest = 0x69ac2bc74bbebc09ULL;
+constexpr std::uint64_t kColocationDigest = 0x50042c6ed9f4527eULL;
+constexpr std::uint64_t kAssignmentDigest = 0x2139d2f0205bc5acULL;
+
+/// A golden digest names no seed, so each build must also keep C1/C2: a
+/// miss that breaks them names its seed here.
+void expect_valid(const SequencingGraph& graph, const GroupMembership& m,
+                  const OverlapIndex& idx, int seed) {
+  const seqgraph::ValidationReport report =
+      seqgraph::validate_sequencing_graph(graph, m, idx);
+  ASSERT_TRUE(report.ok) << "seed " << seed << ": " << report.errors.front();
+}
 
 void expect_same_graph(const SequencingGraph& a, const SequencingGraph& b,
                        int seed) {
@@ -118,6 +139,7 @@ TEST(RoutingScale, FullBuildMatchesLegacyOver200Seeds) {
   // One scratch shared across all seeds: reuse across workloads of
   // different shapes must not leak state between compiles.
   seqgraph::BuildScratch scratch;
+  std::uint64_t digest = kFnvOffsetBasis;
   for (int seed = 0; seed < kSeeds; ++seed) {
     const GroupMembership m = workload(seed);
     const OverlapIndex idx(m);
@@ -135,11 +157,15 @@ TEST(RoutingScale, FullBuildMatchesLegacyOver200Seeds) {
     const SequencingGraph want =
         seqgraph::legacy_build_sequencing_graph(m, idx, options);
     expect_same_graph(got, want, seed);
+    expect_valid(got, m, idx, seed);
+    digest = pubsub::fold_graph(digest, got, m);
   }
+  EXPECT_EQ(digest, kFullBuildDigest);
 }
 
 TEST(RoutingScale, DeltaBuildMatchesLegacyMidReconfigure) {
   seqgraph::BuildScratch scratch;
+  std::uint64_t digest = kFnvOffsetBasis;
   for (int seed = 0; seed < kSeeds; ++seed) {
     GroupMembership m = workload(seed);
     const OverlapIndex idx(m);
@@ -151,6 +177,8 @@ TEST(RoutingScale, DeltaBuildMatchesLegacyMidReconfigure) {
     const SequencingGraph legacy_base =
         seqgraph::legacy_build_sequencing_graph(m, idx, options);
     expect_same_graph(base, legacy_base, seed);
+    expect_valid(base, m, idx, seed);
+    digest = pubsub::fold_graph(digest, base, m);
 
     // One membership mutation, then the delta rebuild both ways — the path
     // a live reconfigure_async compiles mid-transition.
@@ -195,6 +223,9 @@ TEST(RoutingScale, DeltaBuildMatchesLegacyMidReconfigure) {
     const SequencingGraph want = seqgraph::legacy_build_sequencing_graph_delta(
         legacy_base, idx, m, new_idx, dirty, options, &want_stats);
     expect_same_delta(got, got_stats, want, want_stats, m, seed);
+    expect_valid(got, m, new_idx, seed);
+    digest = pubsub::fold_graph(digest, got, m);
+    digest = pubsub::fold_delta_stats(digest, got_stats);
 
     // The form PubSubSystem uses: the old graph moved in and edited in
     // place rather than copied.
@@ -204,7 +235,10 @@ TEST(RoutingScale, DeltaBuildMatchesLegacyMidReconfigure) {
         std::move(consumed), idx, m, new_idx, dirty, new_options,
         &moved_stats);
     expect_same_delta(moved, moved_stats, want, want_stats, m, seed);
+    digest = pubsub::fold_graph(digest, moved, m);
+    digest = pubsub::fold_delta_stats(digest, moved_stats);
   }
+  EXPECT_EQ(digest, kDeltaBuildDigest);
 }
 
 TEST(RoutingScale, PaperSizedLabelledChainsMatchLegacy) {
@@ -219,6 +253,7 @@ TEST(RoutingScale, PaperSizedLabelledChainsMatchLegacy) {
   seqgraph::BuildScratch scratch;
   const ZipfSampler popularity(128, 1.0);
   std::size_t largest_component = 0;
+  std::uint64_t digest = kFnvOffsetBasis;
   for (int seed = 0; seed < 4; ++seed) {
     Rng rng(static_cast<std::uint64_t>(seed) + 20060102);
     GroupMembership m = membership::zipf_membership(
@@ -236,6 +271,8 @@ TEST(RoutingScale, PaperSizedLabelledChainsMatchLegacy) {
     SequencingGraph want =
         seqgraph::legacy_build_sequencing_graph(m, *idx, options);
     expect_same_graph(got, want, seed);
+    expect_valid(got, m, *idx, seed);
+    digest = pubsub::fold_graph(digest, got, m);
     for (std::size_t t = 0; t < 24; ++t) {
       for (const auto& component : idx->components()) {
         largest_component = std::max(largest_component, component.size());
@@ -258,12 +295,16 @@ TEST(RoutingScale, PaperSizedLabelledChainsMatchLegacy) {
           std::move(got), *idx, m, *next, dirty, new_options, &got_stats);
       expect_same_delta(next_got, got_stats, next_want, want_stats, m,
                         seed * 100 + static_cast<int>(t));
+      expect_valid(next_got, m, *next, seed * 100 + static_cast<int>(t));
+      digest = pubsub::fold_graph(digest, next_got, m);
+      digest = pubsub::fold_delta_stats(digest, got_stats);
       got = std::move(next_got);
       want = std::move(next_want);
       idx = std::move(next);
     }
   }
   EXPECT_GE(largest_component, 20u) << "the family lost its large components";
+  EXPECT_EQ(digest, kPaperSizedChainsDigest);
 }
 
 TEST(RoutingScale, ThreadedCompileMatchesLegacy) {
@@ -294,6 +335,7 @@ TEST(RoutingScale, ThreadedCompileMatchesLegacy) {
   const std::vector<std::size_t> labels =
       placement::colocate_overlaps(idx, {}, label_rng);
   seqgraph::BuildScratch scratch;
+  std::uint64_t digest = kFnvOffsetBasis;
   for (const BuildStrategy strategy :
        {BuildStrategy::kChain, BuildStrategy::kChainUnordered,
         BuildStrategy::kGreedyTree}) {
@@ -308,9 +350,13 @@ TEST(RoutingScale, ThreadedCompileMatchesLegacy) {
           seqgraph::build_sequencing_graph(m, idx, new_options);
       const SequencingGraph want =
           seqgraph::legacy_build_sequencing_graph(m, idx, options);
-      expect_same_graph(got, want, static_cast<int>(strategy) * 2 + labelled);
+      const int run = static_cast<int>(strategy) * 2 + labelled;
+      expect_same_graph(got, want, run);
+      expect_valid(got, m, idx, run);
+      digest = pubsub::fold_graph(digest, got, m);
     }
   }
+  EXPECT_EQ(digest, kThreadedCompileDigest);
 }
 
 TEST(CompileThreads, ParsesTheVariableStrictly) {
@@ -338,6 +384,7 @@ TEST(RoutingScale, ColocationMatchesLegacyOver200Seeds) {
   constexpr placement::ColocationMode kModes[] = {
       placement::ColocationMode::kNone, placement::ColocationMode::kSubsetOnly,
       placement::ColocationMode::kFull};
+  std::uint64_t digest = kFnvOffsetBasis;
   for (int seed = 0; seed < kSeeds; ++seed) {
     const GroupMembership m = workload(seed);
     const OverlapIndex idx(m);
@@ -348,10 +395,14 @@ TEST(RoutingScale, ColocationMatchesLegacyOver200Seeds) {
     const auto want =
         placement::legacy_colocate_overlaps(idx, options, want_rng);
     ASSERT_EQ(got, want) << "seed " << seed;
+    digest = pubsub::fold_labels(digest, got);
     // Both must consume the exact same RNG draw sequence: the streams stay
     // aligned for everything the pipeline draws afterwards.
-    EXPECT_EQ(got_rng(), want_rng()) << "seed " << seed;
+    const std::uint64_t next_draw = got_rng();
+    EXPECT_EQ(next_draw, want_rng()) << "seed " << seed;
+    digest = fnv1a_word(digest, next_draw);
   }
+  EXPECT_EQ(digest, kColocationDigest);
 }
 
 TEST(RoutingScale, AssignmentMatchesLegacyOver200Seeds) {
@@ -360,6 +411,7 @@ TEST(RoutingScale, AssignmentMatchesLegacyOver200Seeds) {
       topology::generate_transit_stub(test::small_topology(), topo_rng);
   const auto hosts = topology::attach_hosts(
       topo, {.num_hosts = 64, .num_clusters = 8}, topo_rng);
+  std::uint64_t digest = kFnvOffsetBasis;
   for (int seed = 0; seed < kSeeds; ++seed) {
     const GroupMembership m = workload(seed);
     const OverlapIndex idx(m);
@@ -369,6 +421,7 @@ TEST(RoutingScale, AssignmentMatchesLegacyOver200Seeds) {
     options.colocation_labels = &labels;
     const SequencingGraph graph =
         seqgraph::build_sequencing_graph(m, idx, options);
+    expect_valid(graph, m, idx, seed);
     const placement::Colocation colocation =
         placement::apply_labels(graph, labels);
     placement::AssignmentOptions assign_options;
@@ -393,8 +446,12 @@ TEST(RoutingScale, AssignmentMatchesLegacyOver200Seeds) {
             << "seed " << seed << " node " << n;
       }
     }
-    EXPECT_EQ(got_rng(), want_rng()) << "seed " << seed;
+    digest = pubsub::fold_assignment(digest, got);
+    const std::uint64_t next_draw = got_rng();
+    EXPECT_EQ(next_draw, want_rng()) << "seed " << seed;
+    digest = fnv1a_word(digest, next_draw);
   }
+  EXPECT_EQ(digest, kAssignmentDigest);
 }
 
 }  // namespace

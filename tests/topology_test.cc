@@ -11,6 +11,7 @@
 #include <type_traits>
 #include <vector>
 
+#include "common/fnv1a.h"
 #include "common/rng.h"
 #include "tests/alloc_probe.h"
 #include "tests/test_util.h"
@@ -504,20 +505,13 @@ TEST(TransitStub, DefaultParamsProduceTenThousandRouters) {
 /// count and its arcs in order (target id and delay bits), each word as
 /// eight little-endian bytes.
 std::uint64_t graph_digest(const Graph& g) {
-  std::uint64_t h = 14695981039346656037ULL;
-  const auto fold = [&h](std::uint64_t word) {
-    for (int byte = 0; byte < 8; ++byte) {
-      h ^= (word >> (8 * byte)) & 0xff;
-      h *= 1099511628211ULL;
-    }
-  };
-  fold(g.num_routers());
+  std::uint64_t h = fnv1a_word(kFnvOffsetBasis, g.num_routers());
   for (std::uint32_t r = 0; r < g.num_routers(); ++r) {
     const auto& arcs = g.neighbors(RouterId(r));
-    fold(arcs.size());
+    h = fnv1a_word(h, arcs.size());
     for (const Edge& e : arcs) {
-      fold(e.to.value());
-      fold(std::bit_cast<std::uint64_t>(e.delay_ms));
+      h = fnv1a_word(h, e.to.value());
+      h = fnv1a_word(h, std::bit_cast<std::uint64_t>(e.delay_ms));
     }
   }
   return h;

@@ -18,6 +18,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/fnv1a.h"
 #include "common/rng.h"
 #include "fuzz/repro.h"
 #include "app/cluster_config.h"
@@ -567,14 +568,6 @@ Trace reference_trace(const std::vector<pubsub::Delivery>& deliveries) {
   return trace;
 }
 
-/// Fold the eight bytes of `value` into the 64-bit FNV-1a digest `h`.
-void fnv1a64_fold(std::uint64_t& h, std::uint64_t value) {
-  for (int byte = 0; byte < 8; ++byte) {
-    h ^= (value >> (8 * byte)) & 0xffu;
-    h *= 1099511628211ULL;
-  }
-}
-
 /// Replay a committed fuzz scenario on `num_ranks` NodeEngines over a
 /// chaotic SimNet and require the per-receiver delivery traces to equal
 /// the in-memory PubSubSystem's on the same lockstep workload. Delivery
@@ -620,7 +613,7 @@ void run_sim_cluster_conformance(const std::string& repro,
   }
 
   Trace actual;
-  std::uint64_t digest = 14695981039346656037ULL;  // FNV-1a offset basis
+  std::uint64_t digest = kFnvOffsetBasis;
   std::vector<std::unique_ptr<ChannelSet>> sets;
   std::vector<std::unique_ptr<app::NodeEngine>> engines;
   for (std::uint32_t r = 0; r < num_ranks; ++r) {
@@ -629,8 +622,8 @@ void run_sim_cluster_conformance(const std::string& repro,
         net.endpoint(r), *sets.back(), config, r,
         [&actual, &digest](NodeId receiver, const protocol::Message& m,
                            double now_ms) {
-          fnv1a64_fold(digest, receiver.value());
-          fnv1a64_fold(digest, std::bit_cast<std::uint64_t>(now_ms));
+          digest = fnv1a_word(digest, receiver.value());
+          digest = fnv1a_word(digest, std::bit_cast<std::uint64_t>(now_ms));
           if (m.is_fin()) return;  // the facade's log excludes FINs too
           actual[receiver.value()].emplace_back(
               m.group().value(), m.sender().value(), m.payload());
@@ -652,22 +645,22 @@ void run_sim_cluster_conformance(const std::string& repro,
     } else {
       sim.run();  // lockstep: full drain between ops
     }
-    fnv1a64_fold(digest, std::bit_cast<std::uint64_t>(sim.now()));
+    digest = fnv1a_word(digest, std::bit_cast<std::uint64_t>(sim.now()));
   }
   if (overlap_ms > 0.0) {
     sim.run();
     for (const auto& [receiver, deliveries] : actual) {
       for (const auto& [group, sender, payload] : deliveries) {
-        fnv1a64_fold(digest, receiver);
-        fnv1a64_fold(digest, group);
-        fnv1a64_fold(digest, sender);
-        fnv1a64_fold(digest, payload);
+        digest = fnv1a_word(digest, receiver);
+        digest = fnv1a_word(digest, group);
+        digest = fnv1a_word(digest, sender);
+        digest = fnv1a_word(digest, payload);
       }
     }
   }
-  fnv1a64_fold(digest, net.datagrams_delivered());
-  fnv1a64_fold(digest, net.datagrams_dropped());
-  for (const auto& set : sets) fnv1a64_fold(digest, set->accepted());
+  digest = fnv1a_word(digest, net.datagrams_delivered());
+  digest = fnv1a_word(digest, net.datagrams_dropped());
+  for (const auto& set : sets) digest = fnv1a_word(digest, set->accepted());
   if (timing_digest != nullptr) *timing_digest = digest;
 
   std::size_t delivered = 0;
