@@ -1,27 +1,25 @@
 // Routing control-plane compile at the million-host tier: how long does one
 // full epoch compile — overlap index → co-location → sequencing graph →
-// machine assignment — take as the subscriber population grows, and how
-// much does the CSR/arena rework buy over the legacy map/set pipeline it
-// replaced?
+// machine assignment — take as the subscriber population grows, and does
+// it still compile the recorded epoch?
 //
 // Tiers by host count (Zipf(1) groups, uniform member selection, hosts/10
 // groups): 10k and 100k always; the 1M-host stretch tier only when
-// DECSEQ_SCALE_FULL=1 (minutes of wall time). At every tier the new
-// pipeline runs first and its output is differentially checked against the
-// legacy implementations wherever legacy runs (same seeds, same RNG draw
-// sequences, identical labels/atoms/paths/machines — mismatch fails the
-// bench). Legacy is skipped at the 1M tier: its dense per-component weight
-// matrices alone would need tens of GiB.
+// DECSEQ_SCALE_FULL=1. Each tier's compiled epoch is folded into one
+// digest (pubsub::epoch_digest with the labels, then the RNG's next
+// draw). At the default seed every tier's digest must equal the one
+// recorded when the legacy map/set pipeline still ran beside this one and
+// agreed with it; a mismatch fails the bench. Another seed prints its
+// digests and asserts none. The digest is the same for any layout thread
+// count.
 //
 // Asserted (CI runs --quick; the full tiers gate local/nightly runs):
-//  * peak RSS after the 100k-host new-pipeline compile stays under
+//  * each tier's epoch digest, at the default seed.
+//  * peak RSS after the 100k-host compile stays under
 //    DECSEQ_SCALE_CEILING_MB (default 512 MiB; quick: 256 MiB after the
-//    quick tiers) — measured *before* the legacy pipeline runs, so the
-//    ceiling binds the new code, not the baseline's bloat.
-//  * the 100k-host new-pipeline compile finishes under
-//    DECSEQ_SCALE_WALL_MS (default 20,000 ms, sized for single-core CI
-//    containers).
-//  * new beats legacy by >= 5x at the largest tier both run.
+//    quick tiers).
+//  * the 100k-host compile finishes under DECSEQ_SCALE_WALL_MS (default
+//    20,000 ms, sized for single-core CI containers).
 //
 // Output: CSV rows on stdout + BENCH_routing.json (DECSEQ_BENCH_JSON
 // overrides the path).
@@ -49,21 +47,16 @@
 #include "membership/overlap.h"
 #include "placement/assignment.h"
 #include "placement/colocation.h"
-#include "placement/legacy.h"
 #include "pubsub/epoch_digest.h"
 #include "runtime/parallel.h"
 #include "seqgraph/graph.h"
-#include "seqgraph/legacy.h"
 #include "topology/hosts.h"
 #include "topology/transit_stub.h"
 
 namespace {
 
 using Clock = std::chrono::steady_clock;
-using decseq::GroupId;
-using decseq::NodeId;
 using decseq::Rng;
-using decseq::SeqNodeId;
 
 double ms_since(Clock::time_point start) {
   return std::chrono::duration<double, std::milli>(Clock::now() - start)
@@ -76,27 +69,18 @@ struct TierResult {
   std::size_t overlaps = 0;
   std::size_t atoms = 0;
   double overlap_ms = 0.0;
-  double new_colocate_ms = 0.0;
-  double new_graph_ms = 0.0;
-  double new_assign_ms = 0.0;
-  double legacy_colocate_ms = 0.0;
-  double legacy_graph_ms = 0.0;
-  double legacy_assign_ms = 0.0;
-  bool legacy_ran = false;
-  std::size_t rss_after_new_bytes = 0;
-  /// pubsub::epoch_digest of the compiled tier (labels included), then
-  /// the RNG's next draw.
+  double colocate_ms = 0.0;
+  double graph_ms = 0.0;
+  double assign_ms = 0.0;
+  std::size_t rss_after_compile_bytes = 0;
   std::uint64_t digest = 0;
 
-  [[nodiscard]] double new_total_ms() const {
-    return new_colocate_ms + new_graph_ms + new_assign_ms;
-  }
-  [[nodiscard]] double legacy_total_ms() const {
-    return legacy_colocate_ms + legacy_graph_ms + legacy_assign_ms;
+  [[nodiscard]] double compile_ms() const {
+    return colocate_ms + graph_ms + assign_ms;
   }
 };
 
-TierResult run_tier(std::size_t hosts, std::size_t groups, bool run_legacy,
+TierResult run_tier(std::size_t hosts, std::size_t groups,
                     const decseq::topology::TransitStubTopology& topo,
                     const decseq::topology::HostMap& host_map,
                     decseq::seqgraph::BuildScratch& scratch,
@@ -124,12 +108,11 @@ TierResult run_tier(std::size_t hosts, std::size_t groups, bool run_legacy,
   r.overlap_ms = ms_since(o0);
   r.overlaps = overlaps.num_overlaps();
 
-  // --- New pipeline (the production path PubSubSystem::rebuild runs). ---
-  Rng new_rng(seed + 1);
+  // The production path PubSubSystem::rebuild runs.
+  Rng rng(seed + 1);
   const auto c0 = Clock::now();
-  const auto labels =
-      decseq::placement::colocate_overlaps(overlaps, {}, new_rng);
-  r.new_colocate_ms = ms_since(c0);
+  const auto labels = decseq::placement::colocate_overlaps(overlaps, {}, rng);
+  r.colocate_ms = ms_since(c0);
 
   decseq::seqgraph::BuildOptions options;
   options.strategy = decseq::seqgraph::BuildStrategy::kGreedyTree;
@@ -138,82 +121,31 @@ TierResult run_tier(std::size_t hosts, std::size_t groups, bool run_legacy,
   const auto g0 = Clock::now();
   const auto graph =
       decseq::seqgraph::build_sequencing_graph(membership, overlaps, options);
-  r.new_graph_ms = ms_since(g0);
+  r.graph_ms = ms_since(g0);
   r.atoms = graph.num_atoms();
 
   const auto colocation = decseq::placement::apply_labels(graph, labels);
   const auto a0 = Clock::now();
   const auto assignment = decseq::placement::assign_machines(
-      graph, colocation, membership, host_map, topo.graph, {}, new_rng);
-  r.new_assign_ms = ms_since(a0);
+      graph, colocation, membership, host_map, topo.graph, {}, rng);
+  r.assign_ms = ms_since(a0);
 
-  r.rss_after_new_bytes = decseq::bench::peak_rss_bytes();
-  const std::uint64_t next_draw = new_rng();
+  r.rss_after_compile_bytes = decseq::bench::peak_rss_bytes();
   r.digest = decseq::fnv1a_word(
       decseq::pubsub::epoch_digest(membership, overlaps, &labels, graph,
                                    colocation, assignment),
-      next_draw);
-
-  // --- Legacy pipeline, differentially checked. ---
-  if (run_legacy) {
-    r.legacy_ran = true;
-    Rng legacy_rng(seed + 1);
-    const auto lc0 = Clock::now();
-    const auto legacy_labels =
-        decseq::placement::legacy_colocate_overlaps(overlaps, {}, legacy_rng);
-    r.legacy_colocate_ms = ms_since(lc0);
-    DECSEQ_CHECK_MSG(legacy_labels == labels,
-                     "co-location diverged from legacy at " << hosts
-                                                            << " hosts");
-
-    decseq::seqgraph::BuildOptions legacy_options;
-    legacy_options.strategy = decseq::seqgraph::BuildStrategy::kGreedyTree;
-    legacy_options.colocation_labels = &legacy_labels;
-    const auto lg0 = Clock::now();
-    const auto legacy_graph = decseq::seqgraph::legacy_build_sequencing_graph(
-        membership, overlaps, legacy_options);
-    r.legacy_graph_ms = ms_since(lg0);
-    DECSEQ_CHECK_MSG(legacy_graph.num_atoms() == graph.num_atoms(),
-                     "atom count diverged from legacy");
-    for (const GroupId g : graph.groups()) {
-      DECSEQ_CHECK_MSG(graph.path(g) == legacy_graph.path(g),
-                       "path diverged from legacy for group " << g);
-    }
-
-    const auto legacy_colocation =
-        decseq::placement::apply_labels(legacy_graph, legacy_labels);
-    const auto la0 = Clock::now();
-    const auto legacy_assignment = decseq::placement::legacy_assign_machines(
-        legacy_graph, legacy_colocation, membership, host_map, topo.graph, {},
-        legacy_rng);
-    r.legacy_assign_ms = ms_since(la0);
-    DECSEQ_CHECK_MSG(legacy_assignment.num_nodes() == assignment.num_nodes(),
-                     "sequencing node count diverged from legacy");
-    for (std::size_t n = 0; n < assignment.num_nodes(); ++n) {
-      const SeqNodeId id(static_cast<SeqNodeId::underlying_type>(n));
-      DECSEQ_CHECK_MSG(assignment.machine_of(id) ==
-                           legacy_assignment.machine_of(id),
-                       "machine diverged from legacy for node " << n);
-    }
-    DECSEQ_CHECK_MSG(next_draw == legacy_rng(),
-                     "RNG stream diverged from legacy at " << hosts
-                                                           << " hosts");
-  }
+      rng());
   return r;
 }
 
 void print_tier(const TierResult& r) {
   std::printf(
       "tier,%zu,groups,%zu,overlaps,%zu,atoms,%zu,overlap_ms,%.1f,"
-      "new_ms,%.1f,colocate,%.1f,graph,%.1f,assign,%.1f,"
-      "legacy_ms,%.1f,speedup,%.2f,rss_mb,%.1f,digest,%s\n",
-      r.hosts, r.groups, r.overlaps, r.atoms, r.overlap_ms, r.new_total_ms(),
-      r.new_colocate_ms, r.new_graph_ms, r.new_assign_ms,
-      r.legacy_ran ? r.legacy_total_ms() : 0.0,
-      r.legacy_ran && r.new_total_ms() > 0.0
-          ? r.legacy_total_ms() / r.new_total_ms()
-          : 0.0,
-      static_cast<double>(r.rss_after_new_bytes) / (1024.0 * 1024.0),
+      "compile_ms,%.1f,colocate,%.1f,graph,%.1f,assign,%.1f,rss_mb,%.1f,"
+      "digest,%s\n",
+      r.hosts, r.groups, r.overlaps, r.atoms, r.overlap_ms, r.compile_ms(),
+      r.colocate_ms, r.graph_ms, r.assign_ms,
+      static_cast<double>(r.rss_after_compile_bytes) / (1024.0 * 1024.0),
       decseq::bench::hex_digest(r.digest).c_str());
 }
 
@@ -252,36 +184,31 @@ int main(int argc, char** argv) {
   const auto topo =
       decseq::topology::generate_transit_stub(topo_params, topo_rng);
 
-  // `golden` is the tier's recorded digest at the default seed; another
-  // seed only prints its digests.
+  // `golden` is the tier's recorded digest at the default seed.
   struct Tier {
     std::size_t hosts;
-    bool legacy;
     bool assert_budgets;
     std::uint64_t golden;
   };
   std::vector<Tier> tiers;
   if (quick) {
-    tiers = {{1000, true, false, 0x1f884d8bb5462d2eULL},
-             {10000, true, true, 0x3f60426159d61934ULL}};
+    tiers = {{1000, false, 0x1f884d8bb5462d2eULL},
+             {10000, true, 0x3f60426159d61934ULL}};
   } else {
-    tiers = {{10000, true, false, 0x8339ed44b54dbaa3ULL},
-             {100000, true, true, 0xb0cfe17accccabebULL}};
-    if (full_tier) {
-      tiers.push_back({1000000, false, false, 0x0ad5c6752c7e7a65ULL});
-    }
+    tiers = {{10000, false, 0x8339ed44b54dbaa3ULL},
+             {100000, true, 0xb0cfe17accccabebULL}};
+    if (full_tier) tiers.push_back({1000000, false, 0x0ad5c6752c7e7a65ULL});
   }
 
   decseq::seqgraph::BuildScratch scratch;
   std::vector<TierResult> results;
-  const TierResult* asserted_tier = nullptr;
   for (const Tier& tier : tiers) {
     Rng host_rng(seed + 3);
     const auto host_map = decseq::topology::attach_hosts(
         topo, {.num_hosts = tier.hosts, .num_clusters = tier.hosts / 4},
         host_rng);
-    results.push_back(run_tier(tier.hosts, tier.hosts / 10, tier.legacy,
-                               topo, host_map, scratch, seed + 17));
+    results.push_back(run_tier(tier.hosts, tier.hosts / 10, topo, host_map,
+                               scratch, seed + 17));
     const TierResult& r = results.back();
     print_tier(r);
     DECSEQ_CHECK_MSG(seed != kDefaultSeed || r.digest == tier.golden,
@@ -290,38 +217,17 @@ int main(int argc, char** argv) {
                                      << hex_digest(tier.golden) << " at "
                                      << r.hosts << " hosts");
     if (tier.assert_budgets) {
-      asserted_tier = &r;
       DECSEQ_CHECK_MSG(
-          r.rss_after_new_bytes <= ceiling_mb * 1024 * 1024,
-          "peak RSS " << r.rss_after_new_bytes / (1024 * 1024)
+          r.rss_after_compile_bytes <= ceiling_mb * 1024 * 1024,
+          "peak RSS " << r.rss_after_compile_bytes / (1024 * 1024)
                       << " MiB exceeds the " << ceiling_mb
                       << " MiB ceiling after the " << r.hosts
                       << "-host compile");
-      DECSEQ_CHECK_MSG(r.new_total_ms() <= wall_budget_ms,
-                       "compile took " << r.new_total_ms()
-                                       << " ms, over the " << wall_budget_ms
-                                       << " ms budget at " << r.hosts
-                                       << " hosts");
+      DECSEQ_CHECK_MSG(r.compile_ms() <= wall_budget_ms,
+                       "compile took " << r.compile_ms() << " ms, over the "
+                                       << wall_budget_ms << " ms budget at "
+                                       << r.hosts << " hosts");
     }
-  }
-
-  // >= 5x over legacy at the largest tier both pipelines ran. Quick runs
-  // skip the assertion (not the measurement): at quick's micro sizes both
-  // pipelines finish in under a millisecond and the ratio is timer noise —
-  // the quantity is a property of the full tiers, where the legacy
-  // quadratics actually bind. CI's quick run asserts the RSS ceiling above.
-  const TierResult* largest_both = nullptr;
-  for (const TierResult& r : results) {
-    if (r.legacy_ran) largest_both = &r;
-  }
-  DECSEQ_CHECK(largest_both != nullptr);
-  if (!quick) {
-    DECSEQ_CHECK_MSG(
-        largest_both->legacy_total_ms() >= 5.0 * largest_both->new_total_ms(),
-        "only " << largest_both->legacy_total_ms() /
-                       largest_both->new_total_ms()
-                << "x over legacy at " << largest_both->hosts
-                << " hosts (need >= 5x)");
   }
 
   // --- BENCH_routing.json ---
@@ -338,37 +244,27 @@ int main(int argc, char** argv) {
        << "  \"quick\": " << (quick ? "true" : "false") << ",\n"
        << "  \"routers\": " << topo.graph.num_routers() << ",\n"
        << "  \"note\": \"one epoch compile per tier: overlap index, then "
-          "colocate+graph+assign (new = production CSR/arena pipeline, "
-          "legacy = retained map/set reference; identical output asserted "
-          "where both run). rss_after_new_mb is peak RSS measured before "
-          "the tier's legacy pipeline, so the ceiling binds the new code. "
-          "Wall times depend on the env block's core count.\",\n"
+          "colocate+graph+assign (compile_ms), the production pipeline. "
+          "digest is the tier's epoch digest, asserted against the "
+          "recorded one at the default seed. Wall times depend on the env "
+          "block's core count.\",\n"
        << "  \"ceiling_mb\": " << ceiling_mb << ",\n"
        << "  \"wall_budget_ms\": " << wall_budget_ms << ",\n"
-       << "  \"speedup_at_largest_shared_tier\": "
-       << (largest_both->new_total_ms() > 0.0
-               ? largest_both->legacy_total_ms() /
-                     largest_both->new_total_ms()
-               : 0.0)
-       << ",\n"
        << "  \"tiers\": [\n";
   for (std::size_t i = 0; i < results.size(); ++i) {
     const TierResult& r = results[i];
     json << "    {\"hosts\": " << r.hosts << ", \"groups\": " << r.groups
          << ", \"overlaps\": " << r.overlaps << ", \"atoms\": " << r.atoms
          << ", \"overlap_ms\": " << r.overlap_ms
-         << ", \"new_colocate_ms\": " << r.new_colocate_ms
-         << ", \"new_graph_ms\": " << r.new_graph_ms
-         << ", \"new_assign_ms\": " << r.new_assign_ms
-         << ", \"new_total_ms\": " << r.new_total_ms()
-         << ", \"legacy_ran\": " << (r.legacy_ran ? "true" : "false")
-         << ", \"legacy_colocate_ms\": " << r.legacy_colocate_ms
-         << ", \"legacy_graph_ms\": " << r.legacy_graph_ms
-         << ", \"legacy_assign_ms\": " << r.legacy_assign_ms
-         << ", \"legacy_total_ms\": " << r.legacy_total_ms()
-         << ", \"rss_after_new_mb\": "
-         << static_cast<double>(r.rss_after_new_bytes) / (1024.0 * 1024.0)
-         << ", \"digest\": \"" << hex_digest(r.digest) << "\"}" << (i + 1 < results.size() ? ",\n" : "\n");
+         << ", \"colocate_ms\": " << r.colocate_ms
+         << ", \"graph_ms\": " << r.graph_ms
+         << ", \"assign_ms\": " << r.assign_ms
+         << ", \"compile_ms\": " << r.compile_ms()
+         << ", \"rss_after_compile_mb\": "
+         << static_cast<double>(r.rss_after_compile_bytes) /
+                (1024.0 * 1024.0)
+         << ", \"digest\": \"" << hex_digest(r.digest) << "\"}"
+         << (i + 1 < results.size() ? ",\n" : "\n");
   }
   json << "  ]\n}\n";
   json.flush();
@@ -377,6 +273,5 @@ int main(int argc, char** argv) {
                  json_path != nullptr ? json_path : "BENCH_routing.json");
     return 1;
   }
-  (void)asserted_tier;
   return 0;
 }

@@ -5,24 +5,10 @@
 #include <type_traits>
 #include <utility>
 
-#include "common/bitset.h"
-
 namespace decseq::membership {
 
-OverlapIndex::OverlapIndex(const GroupMembership& membership,
-                           OverlapBuild mode) {
-  if (mode == OverlapBuild::kDeltaFromEmpty) {
-    const OverlapIndex empty;
-    build_delta(empty, membership, membership.live_groups());
-    release_build_state();
-    return;
-  }
-  by_group_.resize(membership.num_group_slots());
-  component_of_.assign(membership.num_group_slots(),
-                       std::numeric_limits<std::size_t>::max());
-  build_reference(membership);
-  build_adjacency_and_components(membership);
-}
+OverlapIndex::OverlapIndex(const GroupMembership& membership)
+    : OverlapIndex(OverlapIndex(), membership, membership.live_groups()) {}
 
 OverlapIndex::OverlapIndex(const OverlapIndex& previous,
                            const GroupMembership& membership,
@@ -130,33 +116,6 @@ void OverlapIndex::build_delta(Previous& previous,
               return x.second.value() < y.second.value();
             });
   build_adjacency_and_components(membership);
-}
-
-void OverlapIndex::build_reference(const GroupMembership& membership) {
-  const std::vector<GroupId> groups = membership.live_groups();
-
-  // Bitset per group: the pairwise scan is then word-parallel
-  // (O(G^2 * N/64)) and the member list is materialized only for actual
-  // double overlaps.
-  std::vector<DynamicBitset> member_bits;
-  member_bits.reserve(groups.size());
-  for (const GroupId g : groups) {
-    DynamicBitset bits(membership.num_nodes());
-    for (const NodeId m : membership.members(g)) bits.set(m.value());
-    member_bits.push_back(std::move(bits));
-  }
-
-  for (std::size_t i = 0; i < groups.size(); ++i) {
-    for (std::size_t j = i + 1; j < groups.size(); ++j) {
-      if (member_bits[i].intersection_count(member_bits[j]) < 2) continue;
-      std::vector<NodeId> shared;
-      for (const std::size_t bit :
-           member_bits[i].intersection_bits(member_bits[j])) {
-        shared.push_back(NodeId(static_cast<NodeId::underlying_type>(bit)));
-      }
-      overlaps_.push_back({groups[i], groups[j], std::move(shared)});
-    }
-  }
 }
 
 void OverlapIndex::build_adjacency_and_components(

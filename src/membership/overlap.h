@@ -32,32 +32,22 @@ struct Overlap {
   }
 };
 
-/// How the index is built.
-enum class OverlapBuild {
-  /// The delta build run from an empty index with every live group dirty:
-  /// each group counts its co-subscriptions over the inverted node→groups
-  /// index, skipping groups already counted, so cost is
-  /// O(Σ_node k_node²) on the co-subscription structure — independent of
-  /// the host universe — and shared-member lists are materialized only for
-  /// the confirmed double overlaps. Scales to 1M hosts × 100k groups.
-  kDeltaFromEmpty,
-  /// The original materialized pairwise product: one bitset per group,
-  /// every pair intersected — O(G² · N/64). Retained as the differential
-  /// oracle for tests and as the scale bench's reference.
-  kMaterializedReference,
-};
-
-/// Index over all double overlaps of a membership snapshot. Both build
-/// modes produce identical results (same overlaps in the same order, same
-/// shared-member lists, same components) — asserted by a differential
-/// property test.
+/// Index over all double overlaps of a membership snapshot: the overlaps
+/// in (first, second) order with sorted shared-member lists, each group's
+/// overlaps, and the components. Recorded digests pin it
+/// (pubsub/epoch_digest.h, tests/overlap_diff_test.cc).
 class OverlapIndex {
  public:
   /// An empty index over no groups: the previous index of a full build,
   /// and a target for rebuild_delta().
   OverlapIndex() = default;
-  explicit OverlapIndex(const GroupMembership& membership,
-                        OverlapBuild mode = OverlapBuild::kDeltaFromEmpty);
+  /// The full build: the delta below from an empty index with every live
+  /// group dirty. Each group counts its co-subscriptions over the inverted
+  /// node→groups index, skipping groups already counted, so cost is
+  /// O(Σ_node k_node²) on the co-subscription structure — independent of
+  /// the host universe — and shared-member lists are materialized only for
+  /// the confirmed double overlaps. Scales to 1M hosts × 100k groups.
+  explicit OverlapIndex(const GroupMembership& membership);
 
   /// Delta rebuild: recompute only the overlaps incident to `dirty` groups,
   /// carrying every other overlap over from `previous` verbatim (a group's
@@ -65,10 +55,8 @@ class OverlapIndex {
   /// membership does). `membership` is the post-change table; `previous`
   /// must have been built against the same table before the dirty groups
   /// changed. Produces an index identical to a fresh build — same overlaps
-  /// in the same order, same members, same components (asserted by a
-  /// differential test) — at cost O(E + Σ_{n ∈ members(dirty)} k_n). A
-  /// full build is this delta from an empty index with every live group
-  /// dirty.
+  /// in the same order, same members, same components — at cost
+  /// O(E + Σ_{n ∈ members(dirty)} k_n).
   OverlapIndex(const OverlapIndex& previous, const GroupMembership& membership,
                const std::vector<GroupId>& dirty);
 
@@ -110,8 +98,7 @@ class OverlapIndex {
   /// Component index of a group, or SIZE_MAX if it has no overlaps.
   [[nodiscard]] std::size_t component_of(GroupId g) const;
 
-  /// Build instrumentation (delta builds; zeros for the reference build).
-  /// Each co-subscription involving a dirty group is counted once, from
+  /// Build instrumentation. Each co-subscription involving a dirty group is counted once, from
   /// whichever of its two groups is counted first, so a full build reads
   /// pair_increments = Σ_node k_node·(k_node-1)/2 and candidate_pairs =
   /// the distinct co-subscribed group pairs.
@@ -128,7 +115,6 @@ class OverlapIndex {
   [[nodiscard]] std::size_t memory_bytes() const;
 
  private:
-  void build_reference(const GroupMembership& membership);
   /// The one delta implementation: `Previous` is `const OverlapIndex`
   /// (survivors are copied) or `OverlapIndex` (survivors are moved).
   template <typename Previous>

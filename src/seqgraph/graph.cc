@@ -1,10 +1,12 @@
 // CSR/flat-scratch implementation of the sequencing-graph build.
 //
-// The construction itself (affinity ordering, barycenter chain sort, local
-// search, greedy tree) is the same algorithm as seqgraph/legacy.cc — the
-// differential test pins bit-identical output — but every map/set has been
-// replaced by stamped flat arrays and pooled buffers (a BuildScratch), and
-// component layout is computed in parallel:
+// The construction (affinity ordering, barycenter chain sort, local
+// search, greedy tree) runs on stamped flat arrays and pooled buffers (a
+// BuildScratch), and component layout is computed in parallel. Its output
+// (atoms, tree-edge order, paths) is pinned by recorded epoch digests
+// (pubsub/epoch_digest.h, tests/routing_scale_test.cc), taken while the
+// original map/set builder still ran beside it and agreed; the tie rules
+// spelled out below are the ones those digests hold to.
 //
 //   - Layout of one overlap component is a pure function of the component's
 //     group list, its overlaps, and the options (no RNG, no global state),
@@ -83,9 +85,9 @@ struct ComponentLayout {
   bool tree = false;
   /// Overlap index of each atom, in emission order.
   std::vector<std::size_t> atom_overlaps;
-  /// Undirected tree edges (local, local) in the exact order the legacy
-  /// builder appended adjacency entries — tree_neighbors order is part of
-  /// the pinned output.
+  /// Undirected tree edges (local, local) in materialization order (see
+  /// the end of tree_layout) — tree_neighbors order is part of the pinned
+  /// output.
   std::vector<std::pair<std::uint32_t, std::uint32_t>> edges;
   /// Tree strategy: per-group full paths, in group layout order.
   std::vector<std::pair<GroupId, std::vector<std::uint32_t>>> tree_paths;
@@ -143,13 +145,12 @@ struct WorkerScratch {
   }
 };
 
-/// Greedy affinity ordering of one component's groups — same selection and
-/// tie rules as the legacy dense-matrix version (seed: max total mass,
-/// first-wins; step: strongest unplaced link from the tail scanning dense
-/// neighbor index ascending; fallback: the first placed dense index with
-/// any unplaced positive-weight neighbor, its max-weight first neighbor) —
-/// but on a per-component CSR adjacency, so a component never allocates
-/// O(n^2).
+/// Greedy affinity ordering of one component's groups, with these
+/// selection and tie rules (seed: max total mass, first-wins; step:
+/// strongest unplaced link from the tail scanning dense neighbor index
+/// ascending; fallback: the first placed dense index with any unplaced
+/// positive-weight neighbor, its max-weight first neighbor), on a
+/// per-component CSR adjacency, so a component never allocates O(n^2).
 void order_groups(const std::vector<GroupId>& component,
                   const OverlapIndex& overlaps, WorkerScratch& ws,
                   std::vector<GroupId>& out) {
@@ -160,8 +161,8 @@ void order_groups(const std::vector<GroupId>& component,
                          static_cast<std::uint32_t>(i));
   }
 
-  // CSR adjacency in dense indices, each row sorted by neighbor index so
-  // "first j with the maximum weight" matches the legacy ascending scan.
+  // CSR adjacency in dense indices, each row sorted by neighbor index, so
+  // "first j with the maximum weight" is the lowest such dense index.
   ws.adj.clear();
   ws.adj_off.resize(n + 1);
   for (std::size_t i = 0; i < n; ++i) {
@@ -421,8 +422,8 @@ bool try_tree_layout(const std::vector<GroupId>& component,
     out.tree_paths.emplace_back(g, ws.full_path);
   }
 
-  // Edges in the legacy materialization order: local index ascending,
-  // adjacency (link push) order, each undirected edge at its a < b visit.
+  // Edges in materialization order: local index ascending, adjacency (link
+  // push) order, each undirected edge at its a < b visit.
   out.edges.clear();
   for (std::uint32_t a = 0; a < num_locals; ++a) {
     for (const std::uint32_t b : ws.tree_adj[a]) {
@@ -470,9 +471,9 @@ void chain_layout(const std::vector<GroupId>& component,
   }
   if (options.colocation_labels != nullptr) {
     // Anchor each co-location cluster at the mean barycenter of its atoms.
-    // Sorting on (label, chain position) keeps each label's terms in chain
-    // order, so the double sums match the legacy map accumulation bit for
-    // bit.
+    // Sorting on (label, chain position) sums each label's terms in chain
+    // order; a double sum in another order can round differently and
+    // reorder the chain.
     ws.label_pairs.clear();
     for (std::size_t p = 0; p < ws.chain.size(); ++p) {
       ws.label_pairs.emplace_back(ws.chain[p].label,

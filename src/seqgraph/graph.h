@@ -163,16 +163,6 @@ class SequencingGraph {
       const membership::OverlapIndex& new_overlaps,
       const std::vector<GroupId>& dirty, const BuildOptions& options,
       DeltaBuildStats* stats);
-  friend SequencingGraph legacy_build_sequencing_graph(
-      const membership::GroupMembership& membership,
-      const membership::OverlapIndex& overlaps, const BuildOptions& options);
-  friend SequencingGraph legacy_build_sequencing_graph_delta(
-      const SequencingGraph& old_graph,
-      const membership::OverlapIndex& old_overlaps,
-      const membership::GroupMembership& membership,
-      const membership::OverlapIndex& new_overlaps,
-      const std::vector<GroupId>& dirty, const BuildOptions& options,
-      DeltaBuildStats* stats);
 
   std::vector<Atom> atoms_;
   std::vector<std::vector<AtomId>> paths_;  // indexed by GroupId slot
@@ -180,8 +170,7 @@ class SequencingGraph {
   std::vector<char> retired_;               // indexed by AtomId; empty => none
   /// The atoms not retired, ascending, so a delta walks the live graph
   /// rather than the retired history. Kept by the delta builder and
-  /// make_for_testing; the legacy reference builders, whose graphs are
-  /// only compared, leave it empty.
+  /// make_for_testing.
   std::vector<AtomId> live_;
   std::size_t num_overlap_atoms_ = 0;
   std::size_t num_retired_ = 0;
@@ -221,7 +210,7 @@ struct BuildOptions {
   /// Not owned; must outlive the build call.
   const std::vector<std::size_t>* colocation_labels = nullptr;
   /// Optional reusable compile scratch (see BuildScratch). Not owned; must
-  /// outlive the build call. The legacy reference builder ignores it.
+  /// outlive the build call.
   BuildScratch* scratch = nullptr;
 };
 
@@ -256,8 +245,9 @@ struct DeltaBuildStats {
 /// the groups whose membership changed (created, removed, joined, or left).
 /// For every group outside the affected closure the resulting path is
 /// *identical* — same AtomIds, same order — and for affected groups the
-/// layout equals the one a build from empty gives them (tested against the
-/// legacy builders in seqgraph/legacy.h).
+/// layout equals the one a build from empty gives them. The delta's output
+/// is pinned by recorded epoch digests (pubsub/epoch_digest.h,
+/// tests/routing_scale_test.cc).
 ///
 /// The old graph is consumed: the delta edits it in place (retire, remap,
 /// clear dropped path slots, append), so it allocates for the affected

@@ -171,6 +171,7 @@ TEST_F(EpochDigestMutation, MovingOneAtomToAnotherNodeMovesTheDigest) {
   const SeqNodeId to(static_cast<SeqNodeId::underlying_type>(
       (from.value() + 1) % num_nodes));
   auto& list = nodes[from.value()];
+  ASSERT_GE(list.size(), 2u) << "the move would leave node " << from << " empty";
   list.erase(std::find(list.begin(), list.end(), atom));
   nodes[to.value()].push_back(atom);
   node_of[0] = to;

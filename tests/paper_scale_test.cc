@@ -98,13 +98,12 @@ TEST(PaperScale, SuccinctMembershipEngineAtScale) {
        .selection = membership::MemberSelection::kUniform},
       rng);
 
-  const membership::OverlapIndex index(
-      membership, membership::OverlapBuild::kDeltaFromEmpty);
+  const membership::OverlapIndex index(membership);
   const auto& stats = index.build_stats();
 
   // Zipf(1) sizes: a handful of huge groups, a long tail of size-2 ones.
   // The build's work is bounded by per-node co-subscriptions, not by the
-  // G² pairwise product the reference performs.
+  // G² pairwise product.
   EXPECT_GT(index.num_overlaps(), 100u);
   EXPECT_LT(stats.pair_increments, hosts * 8)
       << "per-node co-subscription cost must stay near-linear in hosts";
