@@ -7,11 +7,10 @@
 // groups): 10k and 100k always; the 1M-host stretch tier only when
 // DECSEQ_SCALE_FULL=1. Each tier's compiled epoch is folded into one
 // digest (pubsub::epoch_digest with the labels, then the RNG's next
-// draw). At the default seed every tier's digest must equal the one
-// recorded when the legacy map/set pipeline still ran beside this one and
-// agreed with it; a mismatch fails the bench. Another seed prints its
-// digests and asserts none. The digest is the same for any layout thread
-// count.
+// draw). At the default seed every tier's digest must equal the recorded
+// one, which a map/set reference pipeline agreed with; a mismatch fails
+// the bench. Another seed prints its digests and asserts none. The digest
+// is the same for any layout thread count.
 //
 // Asserted (CI runs --quick; the full tiers gate local/nightly runs):
 //  * each tier's epoch digest, at the default seed.

@@ -6,10 +6,9 @@
 // DECSEQ_BENCH_JSON): 1M hosts × 100k Zipf(1) groups, the overlap build
 // (the delta from an empty index). Two things are asserted:
 //  * the overlap index's digest (pubsub::fold_overlaps), at the default
-//    seed and sizes, equals the recorded one, which a materialized
-//    O(G²·N/64) pairwise reference build agreed with (at 50k hosts it took
-//    6.06 s; EXPERIMENTS.md keeps its last timings). Other seeds and sizes
-//    print the digest and assert none.
+//    seed and sizes, equals the recorded one, which a pairwise reference
+//    build agreed with. Other seeds and sizes print the digest and assert
+//    none.
 //  * the peak-RSS memory ceiling, so CI catches space regressions, not
 //    just time ones.
 //

@@ -139,9 +139,8 @@ void colocate_overlaps(const OverlapIndex& overlaps,
     // --- Step 1: subset rule. A subset of the seed contains only seed
     //     members, so candidates come from the seed members' inverted
     //     lists; the subset test walks stamped member marks. Selected
-    //     candidates join the cluster in `order` position order, as a
-    //     full scan of `order` would visit them; the recorded digests pin
-    //     this order.
+    //     candidates join the seed's cluster after it, in `order`
+    //     position order; only the seed's place (first) reaches a label.
     sc.clustered.assign(n, 0);
     sc.member_mark.assign(index.node_limit, 0);
     sc.overlap_seen.assign(n, 0);
@@ -192,12 +191,11 @@ void colocate_overlaps(const OverlapIndex& overlaps,
   //     chosen member of the pivot cluster's defining overlap. The
   //     "co-located only once" restriction: merged clusters are final.
   //     Merge candidates (clusters with an overlap containing v) come from
-  //     v's inverted list, visited in cluster-index order, as a full scan
-  //     of the clusters would visit them. The RNG draws are one shuffle of
-  //     the clusters, then one pick per unmerged pivot in the shuffled
-  //     order; the recorded digests fold the next draw, so they pin this
-  //     sequence. Each merged set is one sequencing node, numbered in
-  //     visit order.
+  //     v's inverted list and all take the pivot's node. The RNG draws
+  //     are one shuffle of the clusters, then one pick per unmerged pivot
+  //     in the shuffled order; the recorded digests fold the next draw, so
+  //     they pin this sequence. Each merged set is one sequencing node,
+  //     numbered in visit order.
   labels.assign(n, 0);
   if (options.mode == ColocationMode::kFull) {
     sc.cluster_of.resize(n);

@@ -4,8 +4,7 @@
 // search, greedy tree) runs on stamped flat arrays and pooled buffers (a
 // BuildScratch), and component layout is computed in parallel. Its output
 // (atoms, tree-edge order, paths) is pinned by recorded epoch digests
-// (pubsub/epoch_digest.h, tests/routing_scale_test.cc), taken while the
-// original map/set builder still ran beside it and agreed; the tie rules
+// (pubsub/epoch_digest.h, tests/routing_scale_test.cc); the tie rules
 // spelled out below are the ones those digests hold to.
 //
 //   - Layout of one overlap component is a pure function of the component's
