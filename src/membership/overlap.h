@@ -98,10 +98,10 @@ class OverlapIndex {
   /// Component index of a group, or SIZE_MAX if it has no overlaps.
   [[nodiscard]] std::size_t component_of(GroupId g) const;
 
-  /// Build instrumentation. Each co-subscription involving a dirty group is counted once, from
-  /// whichever of its two groups is counted first, so a full build reads
-  /// pair_increments = Σ_node k_node·(k_node-1)/2 and candidate_pairs =
-  /// the distinct co-subscribed group pairs.
+  /// Build instrumentation. Each co-subscription involving a dirty group
+  /// is counted once, from whichever of its two groups is counted first,
+  /// so a full build reads pair_increments = Σ_node k_node·(k_node-1)/2
+  /// and candidate_pairs = the distinct co-subscribed group pairs.
   struct BuildStats {
     std::size_t candidate_pairs = 0;  ///< distinct co-subscribed pairs counted
     std::size_t pair_increments = 0;  ///< co-subscriptions counted

@@ -85,8 +85,8 @@ struct ComponentLayout {
   /// Overlap index of each atom, in emission order.
   std::vector<std::size_t> atom_overlaps;
   /// Undirected tree edges (local, local) in materialization order (see
-  /// the end of tree_layout) — tree_neighbors order is part of the pinned
-  /// output.
+  /// the end of try_tree_layout) — tree_neighbors order is part of the
+  /// pinned output.
   std::vector<std::pair<std::uint32_t, std::uint32_t>> edges;
   /// Tree strategy: per-group full paths, in group layout order.
   std::vector<std::pair<GroupId, std::vector<std::uint32_t>>> tree_paths;

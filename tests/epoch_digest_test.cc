@@ -72,12 +72,13 @@ class EpochDigestMutation : public ::testing::Test {
         placement::colocate_overlaps(overlaps, {}, rng);
     seqgraph::BuildOptions options;
     options.colocation_labels = &labels;
-    SequencingGraph graph = seqgraph::build_sequencing_graph(m, overlaps, options);
+    SequencingGraph graph =
+        seqgraph::build_sequencing_graph(m, overlaps, options);
     placement::Colocation colocation = placement::apply_labels(graph, labels);
     placement::Assignment assignment = placement::assign_machines(
         graph, colocation, m, hosts_, topo_.graph, {}, rng);
-    return {std::move(m),         std::move(overlaps),   std::move(labels),
-            std::move(graph),     std::move(colocation), std::move(assignment)};
+    return {std::move(m),     std::move(overlaps),   std::move(labels),
+            std::move(graph), std::move(colocation), std::move(assignment)};
   }
 
   Rng topo_rng_;
@@ -126,7 +127,9 @@ TEST_F(EpochDigestMutation, OneLabelMovesTheDigest) {
 TEST_F(EpochDigestMutation, SwappingTwoPathAtomsMovesTheDigest) {
   const Epoch base = compile(small_membership(), 1);
   std::vector<std::vector<AtomId>> paths(base.membership.num_group_slots());
-  for (const GroupId g : base.graph.groups()) paths[g.value()] = base.graph.path(g);
+  for (const GroupId g : base.graph.groups()) {
+    paths[g.value()] = base.graph.path(g);
+  }
   std::vector<std::vector<AtomId>> tree;
   for (const seqgraph::Atom& atom : base.graph.atoms()) {
     tree.push_back(base.graph.tree_neighbors(atom.id));
@@ -159,9 +162,9 @@ TEST_F(EpochDigestMutation, MovingOneAtomToAnotherNodeMovesTheDigest) {
   }
   const auto rebuilt = [&](std::vector<std::vector<AtomId>> n,
                            std::vector<SeqNodeId> of) {
+    const placement::Colocation colocation(std::move(n), std::move(of));
     return epoch_digest(base.membership, base.overlaps, &base.labels,
-                        base.graph, placement::Colocation(std::move(n), std::move(of)),
-                        base.assignment);
+                        base.graph, colocation, base.assignment);
   };
   ASSERT_EQ(rebuilt(nodes, node_of), base.digest());
 
@@ -171,7 +174,7 @@ TEST_F(EpochDigestMutation, MovingOneAtomToAnotherNodeMovesTheDigest) {
   const SeqNodeId to(static_cast<SeqNodeId::underlying_type>(
       (from.value() + 1) % num_nodes));
   auto& list = nodes[from.value()];
-  ASSERT_GE(list.size(), 2u) << "the move would leave node " << from << " empty";
+  ASSERT_GE(list.size(), 2u) << "the move would empty node " << from;
   list.erase(std::find(list.begin(), list.end(), atom));
   nodes[to.value()].push_back(atom);
   node_of[0] = to;
