@@ -66,9 +66,8 @@ struct MemberIndex {
 
 struct ColocationScratch::Impl {
   MemberIndex index;
-  /// Overlap indices, largest member set first, and each one's position.
+  /// Overlap indices, largest member set first.
   std::vector<std::size_t> order;
-  std::vector<std::uint32_t> pos_in_order;
   /// Step 1: clusters as one list of overlap indices, cluster c spanning
   /// [cluster_begin[c], cluster_begin[c + 1]), its defining (largest)
   /// overlap first.
@@ -77,13 +76,11 @@ struct ColocationScratch::Impl {
   std::vector<char> clustered;
   std::vector<std::uint32_t> member_mark;
   std::vector<std::uint32_t> overlap_seen;
-  std::vector<std::size_t> cand;
   /// Step 2.
   std::vector<std::uint32_t> cluster_of;
   std::vector<std::size_t> visit;
   std::vector<char> merged;
   std::vector<std::uint32_t> cluster_seen;
-  std::vector<std::uint32_t> merge_cand;
 };
 
 ColocationScratch::ColocationScratch() : impl_(std::make_unique<Impl>()) {}
@@ -121,10 +118,6 @@ void colocate_overlaps(const OverlapIndex& overlaps,
     if (sx != sy) return sx > sy;
     return x < y;
   });
-  sc.pos_in_order.resize(n);
-  for (std::size_t p = 0; p < n; ++p) {
-    sc.pos_in_order[order[p]] = static_cast<std::uint32_t>(p);
-  }
 
   const bool need_index = options.mode != ColocationMode::kNone && n > 0;
   const MemberIndex& index = sc.index;
@@ -139,13 +132,14 @@ void colocate_overlaps(const OverlapIndex& overlaps,
     // --- Step 1: subset rule. A subset of the seed contains only seed
     //     members, so candidates come from the seed members' inverted
     //     lists; the subset test walks stamped member marks. Selected
-    //     candidates join the seed's cluster after it, in `order`
-    //     position order; only the seed's place (first) reaches a label.
+    //     candidates join the seed's cluster after it, in the order the
+    //     lists meet them: every member of a cluster takes one label, and
+    //     step 2 pivots on the seed, so no other place reaches a label or
+    //     a draw.
     sc.clustered.assign(n, 0);
     sc.member_mark.assign(index.node_limit, 0);
     sc.overlap_seen.assign(n, 0);
     std::uint32_t gen = 0;
-    std::vector<std::size_t>& cand = sc.cand;
     for (const std::size_t seed : order) {
       if (sc.clustered[seed] != 0) continue;
       sc.cluster_begin.push_back(sc.cluster_items.size());
@@ -154,7 +148,6 @@ void colocate_overlaps(const OverlapIndex& overlaps,
       const auto& seed_members = overlaps.overlap(seed).members;
       ++gen;
       for (const NodeId v : seed_members) sc.member_mark[v.value()] = gen;
-      cand.clear();
       for (const NodeId v : seed_members) {
         index.for_each_overlap_of(v, [&](std::size_t other) {
           if (sc.overlap_seen[other] == gen) return;
@@ -165,16 +158,10 @@ void colocate_overlaps(const OverlapIndex& overlaps,
               std::all_of(members.begin(), members.end(), [&](NodeId m) {
                 return sc.member_mark[m.value()] == gen;
               });
-          if (subset) cand.push_back(other);
+          if (!subset) return;
+          sc.cluster_items.push_back(other);
+          sc.clustered[other] = 1;
         });
-      }
-      std::sort(cand.begin(), cand.end(),
-                [&](std::size_t x, std::size_t y) {
-                  return sc.pos_in_order[x] < sc.pos_in_order[y];
-                });
-      for (const std::size_t other : cand) {
-        sc.cluster_items.push_back(other);
-        sc.clustered[other] = 1;
       }
     }
   }
@@ -191,7 +178,8 @@ void colocate_overlaps(const OverlapIndex& overlaps,
   //     chosen member of the pivot cluster's defining overlap. The
   //     "co-located only once" restriction: merged clusters are final.
   //     Merge candidates (clusters with an overlap containing v) come from
-  //     v's inverted list and all take the pivot's node. The RNG draws
+  //     v's inverted list and all take the pivot's node, in whatever order
+  //     the list meets them. The RNG draws
   //     are one shuffle of the clusters, then one pick per unmerged pivot
   //     in the shuffled order; the recorded digests fold the next draw, so
   //     they pin this sequence. Each merged set is one sequencing node,
@@ -212,7 +200,6 @@ void colocate_overlaps(const OverlapIndex& overlaps,
     sc.merged.assign(num_clusters, 0);
     sc.cluster_seen.assign(num_clusters, 0);
     std::uint32_t gen = 0;
-    std::vector<std::uint32_t>& cand = sc.merge_cand;
     std::size_t node = 0;
     for (const std::size_t ci : visit) {
       if (sc.merged[ci] != 0) continue;
@@ -222,18 +209,14 @@ void colocate_overlaps(const OverlapIndex& overlaps,
           overlaps.overlap(sc.cluster_items[sc.cluster_begin[ci]]).members;
       const NodeId v = rng.pick(pivot_members);
       ++gen;
-      cand.clear();
       index.for_each_overlap_of(v, [&](std::size_t oi) {
         const std::uint32_t cj = sc.cluster_of[oi];
         if (sc.cluster_seen[cj] == gen) return;
         sc.cluster_seen[cj] = gen;
-        if (sc.merged[cj] == 0) cand.push_back(cj);
-      });
-      std::sort(cand.begin(), cand.end());
-      for (const std::uint32_t cj : cand) {
+        if (sc.merged[cj] != 0) return;
         sc.merged[cj] = 1;
         label_cluster(cj, node);
-      }
+      });
       ++node;
     }
   } else {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <set>
 #include <span>
+#include <vector>
 
 #include "common/rng.h"
 #include "membership/generators.h"
@@ -11,6 +12,7 @@
 #include "placement/colocation.h"
 #include "seqgraph/graph.h"
 #include "tests/test_util.h"
+#include "topology/graph.h"
 #include "topology/hosts.h"
 
 namespace decseq::placement {
@@ -210,6 +212,37 @@ TEST_F(AssignmentTest, SeqNodePathCollapsesColocatedAtoms) {
       EXPECT_NE(path[i], path[i + 1]);
     }
   }
+}
+
+TEST(Assignment, WalkTakesTheFirstOfEquallyCheapLinks) {
+  // Router 0's arcs, in link order: a 2 ms link to router 1, then two 1 ms
+  // links to routers 2 and 3. Every host attaches at router 0, so the
+  // first group seeds its ingress node there, and the walk places the next
+  // node of its path across the cheapest link. Two tie; nothing but the
+  // arc order decides, and the first one, to router 2, must win.
+  const std::vector<topology::Link> links = {
+      {RouterId(0), RouterId(1), 2.0},
+      {RouterId(0), RouterId(2), 1.0},
+      {RouterId(0), RouterId(3), 1.0},
+  };
+  const topology::Graph network(4, links);
+  const topology::HostMap hosts(std::vector<RouterId>(6, RouterId(0)),
+                                std::vector<std::size_t>(6, 0));
+  // Three pairwise overlaps, each atom on its own sequencing node, so
+  // every group's path crosses at least two nodes.
+  const auto b = build(test::make_membership(
+      6, {{0, 1, 2, 3}, {0, 1, 4, 5}, {2, 3, 4, 5}}));
+  Rng rng(18);
+  const Colocation c =
+      colocate_atoms(b.graph, b.overlaps, {.mode = ColocationMode::kNone}, rng);
+  const Assignment a =
+      assign_machines(b.graph, c, b.membership, hosts, network, {}, rng);
+  const GroupId first = b.graph.groups().front();
+  const auto path = seq_node_path(b.graph, c, first);
+  ASSERT_GE(path.size(), 2u);
+  EXPECT_EQ(a.machine_of(path[0]), RouterId(0));
+  EXPECT_EQ(a.machine_of(path[1]), RouterId(2))
+      << "the walk took a later link of equal delay";
 }
 
 TEST_F(AssignmentTest, SeedKeepsThePreviousIngressWhileAMemberAttaches) {
