@@ -10,6 +10,7 @@
 
 #include "common/check.h"
 #include "common/parse.h"
+#include "placement/colocation.h"
 #include "protocol/receiver.h"
 #include "pubsub/system.h"
 
@@ -122,6 +123,53 @@ std::vector<EdgeSpec> build_edge_table(const ClusterConfig& config) {
   return table;
 }
 
+std::vector<std::uint32_t> sequencing_node_ranks(
+    const ClusterConfig& config, const placement::Colocation& colocation) {
+  const std::uint32_t ranks = config.num_ranks;
+  DECSEQ_CHECK(ranks >= 1);
+  const std::size_t num_nodes = colocation.num_nodes();
+  std::vector<std::uint32_t> node_rank(num_nodes);
+  for (std::size_t n = 0; n < num_nodes; ++n) {
+    node_rank[n] = static_cast<std::uint32_t>(n % ranks);
+  }
+
+  // (node, group) once per pair: a path may visit a node twice.
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> visits;
+  constexpr std::uint32_t kNoGroup = std::numeric_limits<std::uint32_t>::max();
+  std::vector<std::uint32_t> last_group(num_nodes, kNoGroup);
+  for (std::size_t g = 0; g < config.groups.size(); ++g) {
+    for (const HopEntry& hop : config.groups[g].path) {
+      const std::uint32_t node = colocation.node_of(hop.atom).value();
+      if (last_group[node] == g) continue;
+      last_group[node] = static_cast<std::uint32_t>(g);
+      visits.emplace_back(node, static_cast<std::uint32_t>(g));
+    }
+  }
+  std::sort(visits.begin(), visits.end());
+
+  std::vector<std::uint32_t> votes(ranks, 0);
+  std::vector<std::uint32_t> voted;  // ranks with a vote for this node
+  for (std::size_t i = 0; i < visits.size();) {
+    const std::uint32_t node = visits[i].first;
+    for (; i < visits.size() && visits[i].first == node; ++i) {
+      for (const NodeId member : config.groups[visits[i].second].members) {
+        const std::uint32_t r = config.hosts[member.value()].rank;
+        if (votes[r]++ == 0) voted.push_back(r);
+      }
+    }
+    std::uint32_t best = 0;  // no vote at all is a tie over every rank
+    for (const std::uint32_t r : voted) {
+      if (votes[r] > votes[best] || (votes[r] == votes[best] && r < best)) {
+        best = r;
+      }
+    }
+    node_rank[node] = best;
+    for (const std::uint32_t r : voted) votes[r] = 0;
+    voted.clear();
+  }
+  return node_rank;
+}
+
 ClusterConfig build_cluster_config(const pubsub::PubSubSystem& system,
                                    std::uint32_t num_ranks,
                                    double retransmit_timeout_ms,
@@ -154,11 +202,14 @@ ClusterConfig build_cluster_config(const pubsub::PubSubSystem& system,
     GroupEntry& entry = config.groups[g];
     entry.members = membership.members(gid);
     for (const AtomId atom : graph.path(gid)) {
-      HopEntry hop;
-      hop.atom = atom;
-      hop.stamps = graph.atom(atom).stamps(gid);
-      hop.rank = colocation.node_of(atom).value() % num_ranks;
-      entry.path.push_back(hop);
+      entry.path.push_back({atom, graph.atom(atom).stamps(gid), 0});
+    }
+  }
+  const std::vector<std::uint32_t> node_rank =
+      sequencing_node_ranks(config, colocation);
+  for (GroupEntry& entry : config.groups) {
+    for (HopEntry& hop : entry.path) {
+      hop.rank = node_rank[colocation.node_of(hop.atom).value()];
     }
   }
   return config;

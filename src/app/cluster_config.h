@@ -15,6 +15,16 @@
 // suite compares delivery traces against: same topology seed, same graph,
 // same placement — the only difference is what carries the bytes.
 //
+// Rank map: host h runs on rank h mod R. Each sequencing node (a set of
+// colocated atoms, paper §3.4) runs on the rank that holds the most members
+// of the live groups whose paths visit it: each group counts once per node
+// and votes with its members on each rank, a tie goes to the lowest rank,
+// and a node on no live path keeps node mod R. This is §3.4's placement
+// beside the members at the daemon level: a path hop or a delivery that
+// stays on its rank is a function call, not a datagram. The rule lives in
+// the builder only; a loaded config takes every host and hop rank as
+// written.
+//
 // Edge numbering: every directed channel in the deployment gets a dense
 // EdgeId derived from the config alone (build_edge_table) — both ends
 // compute the same table, nothing is negotiated:
@@ -38,6 +48,9 @@
 #include "common/ids.h"
 #include "transport/transport.h"
 
+namespace decseq::placement {
+class Colocation;
+}
 namespace decseq::pubsub {
 class PubSubSystem;
 }
@@ -95,12 +108,19 @@ struct EdgeSpec {
     const ClusterConfig& config);
 
 /// Snapshot a live system's membership/graph/placement into a cluster
-/// config for `num_ranks` daemons. Atom rank = colocated sequencing node
-/// mod ranks; host rank = host id mod ranks.
+/// config for `num_ranks` daemons. Host rank = host id mod ranks; each
+/// atom runs on its sequencing node's rank from sequencing_node_ranks().
 [[nodiscard]] ClusterConfig build_cluster_config(
     const pubsub::PubSubSystem& system, std::uint32_t num_ranks,
     double retransmit_timeout_ms, std::uint32_t max_retransmits,
     std::uint64_t seed);
+
+/// The rank of each sequencing node of `colocation`, by the rule in the
+/// file header. Reads `config`'s rank count, host ranks, group members and
+/// path atoms (a group with an empty path is not live); ignores the hops'
+/// ranks.
+[[nodiscard]] std::vector<std::uint32_t> sequencing_node_ranks(
+    const ClusterConfig& config, const placement::Colocation& colocation);
 
 /// Bounds read_cluster_config enforces on outside input. The edge table has
 /// 2R + 2R^2 entries, about 2.1M at 1,024 ranks. Group slots and atom ids

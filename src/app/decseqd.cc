@@ -4,6 +4,7 @@
 #include <cstdarg>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <utility>
 
 #include "common/check.h"
@@ -37,6 +38,21 @@ constexpr std::uint64_t kU32Max = 0xffffffffULL;
 
 std::uint64_t atom_pair_key(AtomId from, AtomId to) {
   return static_cast<std::uint64_t>(from.value()) << 32 | to.value();
+}
+
+/// Bytes of the largest message the engine can encode carrying `stamps`
+/// stamps, in the codec's layout (protocol/codec.h): magic and version,
+/// every varint at its field's widest value, and an empty body, since the
+/// engine publishes none (its payload is the varint tag).
+std::size_t max_encoded_size(std::size_t stamps) {
+  using protocol::varint_size;
+  const std::size_t id = varint_size(MsgId::kInvalid);
+  const std::size_t seq = varint_size(std::numeric_limits<SeqNo>::max());
+  const std::size_t payload =
+      varint_size(std::numeric_limits<std::uint64_t>::max());
+  // id, group, sender, group seq, payload, stamp count, stamps, body size.
+  return 2 + 3 * id + seq + payload + varint_size(stamps) +
+         stamps * (id + seq) + varint_size(0);
 }
 
 }  // namespace
@@ -175,6 +191,27 @@ NodeEngine::NodeEngine(transport::Transport& transport,
     std::sort(ranks.begin(), ranks.end());
     ranks.erase(std::unique(ranks.begin(), ranks.end()), ranks.end());
   }
+
+  // Size the encode scratch once, for the largest message this rank can
+  // send: a publish carries no stamps, a forward or a distribution at most
+  // its group's stamping hops, and only groups with a hop here forward or
+  // distribute from here. Sized by whatever earlier sends happened to
+  // encode instead, a warm rank would allocate the first time a varint
+  // crossed a byte boundary or a longer path was routed through it.
+  std::size_t max_stamps = 0;
+  for (const GroupEntry& entry : config.groups) {
+    const auto& path = entry.path;
+    if (std::none_of(path.begin(), path.end(),
+                     [&](const HopEntry& hop) { return hop.rank == rank_; })) {
+      continue;
+    }
+    max_stamps = std::max<std::size_t>(
+        max_stamps, std::count_if(path.begin(), path.end(),
+                                  [](const HopEntry& hop) {
+                                    return hop.stamps;
+                                  }));
+  }
+  wire_.reserve(max_encoded_size(max_stamps));
 
   // Channels, one per edge-table entry touching this rank (control edges
   // belong to the Daemon; same-rank pairs are direct calls, no channel).

@@ -19,8 +19,9 @@
 //    (the daemon). The FIN flag travels in the frame header — the pinned
 //    message codec does not carry it — and is reattached on decode. A warm
 //    engine's hops are allocation-free: it encodes every outgoing message
-//    into one scratch buffer (the channel copies it into its own frame)
-//    and decodes arrivals in place from the channel's view of the
+//    into one scratch buffer, sized at construction for the largest
+//    message the rank can send (the channel copies it into its own
+//    frame), and decodes arrivals in place from the channel's view of the
 //    datagram into pooled payload blocks.
 //
 //  * Daemon — the process harness around a NodeEngine: UDP bootstrap
@@ -181,7 +182,9 @@ class NodeEngine {
   std::vector<std::unique_ptr<transport::SendChannel>> atom_out_store_;
   std::vector<std::unique_ptr<transport::RecvChannel>> recv_store_;
 
-  /// Encoding scratch for outgoing messages, reused by every send.
+  /// Encoding scratch for outgoing messages, reused by every send. Its
+  /// capacity is reserved at construction for the largest message the
+  /// rank can encode, so no send grows it.
   std::vector<std::uint8_t> wire_;
   Stats stats_;
 };

@@ -113,12 +113,13 @@ TEST(SystemAlloc, SteadyStatePublishDeliverIsAllocationFree) {
   EXPECT_EQ(system.deliveries().size(), 3 * deliveries_per_pass());
 }
 
-TEST(TransportAlloc, SteadyStatePublishDeliverIsAllocationFree) {
-  // The wire twin of the test above: the same four overlapping groups,
-  // compiled into three NodeEngine ranks over loss-free, jitter-free
-  // SimNet edges. Every cross-rank hop runs the message codec, the frame
-  // codec and its CRC, a reliable channel with its ack, and the fabric's
-  // datagram copy; once warm, none of it may touch the heap.
+/// The wire twin of the test above: the same four overlapping groups,
+/// compiled into three NodeEngine ranks over loss-free, jitter-free SimNet
+/// edges. Every cross-rank hop runs the message codec, the frame codec and
+/// its CRC, a reliable channel with its ack, and the fabric's datagram
+/// copy; once warm, none of it may touch the heap. Publishes take their
+/// ordinals, which are also their payload tags, from `first_ordinal` on.
+void expect_warm_wire_path_allocation_free(std::uint32_t first_ordinal) {
   PubSubSystem system(test::small_config(/*seed=*/7));
   const std::vector<Publish> schedule =
       replay_schedule(system.create_groups(kMembers));
@@ -154,7 +155,7 @@ TEST(TransportAlloc, SteadyStatePublishDeliverIsAllocationFree) {
               const transport::Origin& o) { set->handle(d, n, o); });
   }
 
-  std::uint32_t ordinal = 0;
+  std::uint32_t ordinal = first_ordinal;
   const auto run_pass = [&] {
     for (const Publish& p : schedule) {
       const std::uint32_t rank = config.hosts[p.sender.value()].rank;
@@ -181,6 +182,22 @@ TEST(TransportAlloc, SteadyStatePublishDeliverIsAllocationFree) {
         engines[r]->stats().forwarded + engines[r]->stats().distributed;
   }
   EXPECT_GT(cross_rank_sends, 0u) << "nothing crossed the wire";
+}
+
+TEST(TransportAlloc, SteadyStatePublishDeliverIsAllocationFree) {
+  expect_warm_wire_path_allocation_free(0);
+}
+
+TEST(TransportAlloc, FirstVarintWideningIsAllocationFree) {
+  // Ordinals and payload tags reach 2^14, where their varints grow from
+  // two bytes to three, halfway through the measured third pass. No
+  // earlier pass encoded a message that long, so a rank whose encode
+  // scratch was sized by the messages it had sent so far would grow it
+  // there.
+  const std::size_t per_pass = kRounds * kMembers.size();
+  const std::size_t before_crossing = 2 * per_pass + per_pass / 2;
+  expect_warm_wire_path_allocation_free(
+      static_cast<std::uint32_t>((std::size_t{1} << 14) - before_crossing));
 }
 
 using test::churn_batch;

@@ -568,21 +568,43 @@ Trace reference_trace(const std::vector<pubsub::Delivery>& deliveries) {
   return trace;
 }
 
-/// Replay a committed fuzz scenario on `num_ranks` NodeEngines over a
+/// How run_sim_cluster_conformance maps the scenario onto ranks and drives
+/// it.
+struct ClusterRun {
+  std::uint32_t ranks = 3;
+  /// Rewrite each hop's rank to its sequencing node mod ranks, in place of
+  /// build_cluster_config's rank rule. Nodes then land wherever their ids
+  /// put them, away from their members, so ingress, atom and distribution
+  /// edges all carry datagrams; the timing digests below were recorded
+  /// under this map and pin the channels, not the rule.
+  bool scatter = false;
+  /// A positive value replaces the lockstep drain: each op runs the
+  /// simulator only this long before the next is published, so several
+  /// messages share a channel and the reorder windows park and drain.
+  double overlap_ms = 0.0;
+};
+
+/// What one replay sent across ranks, per edge kind, and its timing digest.
+struct ClusterRunResult {
+  std::uint64_t timing_digest = 0;
+  std::uint64_t ingress_sends = 0;     ///< publishes to a remote ingress
+  std::uint64_t atom_sends = 0;        ///< hops to a remote atom
+  std::uint64_t distribute_sends = 0;  ///< fan-out to a remote member rank
+};
+
+/// Replay a committed fuzz scenario on `run.ranks` NodeEngines over a
 /// chaotic SimNet and require the per-receiver delivery traces to equal
 /// the in-memory PubSubSystem's on the same lockstep workload. Delivery
-/// order is loss-invariant by design, so `timing_digest`, if given,
-/// receives one FNV-1a digest of what loss does move: every delivery's
-/// time, every op's drain time, the fabric's datagram counts and each
-/// rank's accepted datagrams. A positive `overlap_ms` replaces the
-/// lockstep drain: each op runs the simulator only that long before the
-/// next is published, so several messages share a channel and the reorder
-/// windows park and drain. That order no longer matches the lockstep
+/// order is loss-invariant by design, so `result`, if given, receives one
+/// FNV-1a digest of what loss does move: every delivery's time, every
+/// op's drain time, the fabric's datagram counts and each rank's accepted
+/// datagrams. An overlapped replay's order no longer matches the lockstep
 /// reference, so it is folded into the digest instead of compared.
 void run_sim_cluster_conformance(const std::string& repro,
-                                 std::uint32_t num_ranks,
-                                 std::uint64_t* timing_digest = nullptr,
-                                 double overlap_ms = 0.0) {
+                                 const ClusterRun& run,
+                                 ClusterRunResult* result = nullptr) {
+  const std::uint32_t num_ranks = run.ranks;
+  const double overlap_ms = run.overlap_ms;
   const std::string path =
       std::string(DECSEQ_FUZZ_CORPUS_DIR) + "/" + repro;
   const fuzz::Scenario scenario = fuzz::load_repro(path);
@@ -590,9 +612,16 @@ void run_sim_cluster_conformance(const std::string& repro,
   ASSERT_FALSE(script.ops.empty());
 
   auto system = app::make_reference_system(script);
-  const app::ClusterConfig config = app::build_cluster_config(
+  app::ClusterConfig config = app::build_cluster_config(
       *system, num_ranks, /*retransmit_timeout_ms=*/5.0,
       /*max_retransmits=*/200, /*seed=*/1234);
+  if (run.scatter) {
+    for (app::GroupEntry& group : config.groups) {
+      for (app::HopEntry& hop : group.path) {
+        hop.rank = system->colocation().node_of(hop.atom).value() % num_ranks;
+      }
+    }
+  }
   const Trace expected =
       reference_trace(app::run_reference(script, *system));
 
@@ -635,8 +664,10 @@ void run_sim_cluster_conformance(const std::string& repro,
         });
   }
 
+  std::uint64_t ingress_sends = 0;
   for (const app::ScriptOp& op : script.ops) {
     const std::uint32_t rank = config.hosts[op.sender].rank;
+    if (config.groups[op.group].path.front().rank != rank) ++ingress_sends;
     engines[rank]->publish(op.ordinal, NodeId(op.sender), GroupId(op.group),
                            op.ordinal,
                            op.kind == app::ScriptOp::Kind::kTerminate);
@@ -661,58 +692,77 @@ void run_sim_cluster_conformance(const std::string& repro,
   digest = fnv1a_word(digest, net.datagrams_delivered());
   digest = fnv1a_word(digest, net.datagrams_dropped());
   for (const auto& set : sets) digest = fnv1a_word(digest, set->accepted());
-  if (timing_digest != nullptr) *timing_digest = digest;
 
   std::size_t delivered = 0;
-  std::size_t fins = 0;
+  ClusterRunResult sent{digest, ingress_sends, 0, 0};
   for (std::uint32_t r = 0; r < num_ranks; ++r) {
     EXPECT_EQ(sets[r]->rejected(), 0u) << "rank " << r;
     EXPECT_EQ(engines[r]->faulted_channels(), 0u) << "rank " << r;
     delivered += engines[r]->stats().delivered;
-    fins += engines[r]->stats().fins_delivered;
+    sent.atom_sends += engines[r]->stats().forwarded;
+    sent.distribute_sends += engines[r]->stats().distributed;
   }
+  if (result != nullptr) *result = sent;
   EXPECT_GT(delivered, 0u);
   if (overlap_ms == 0.0) {
     EXPECT_EQ(actual, expected);
   }
-  (void)fins;
 }
 
 TEST(SimCluster, ConformsOnCorpusSeed7ThreeRanks) {
-  run_sim_cluster_conformance("seed-7.repro", 3);
+  run_sim_cluster_conformance("seed-7.repro", {.ranks = 3});
 }
 
 TEST(SimCluster, ConformsOnCorpusSeed1FourRanks) {
-  run_sim_cluster_conformance("seed-1.repro", 4);
+  run_sim_cluster_conformance("seed-1.repro", {.ranks = 4});
 }
 
 TEST(SimCluster, ConformsOnHostileSeed2TwoRanks) {
-  run_sim_cluster_conformance("hostile-seed-2.repro", 2);
+  run_sim_cluster_conformance("hostile-seed-2.repro", {.ranks = 2});
 }
 
 TEST(SimCluster, ConformsOnWholeCorpus) {
   // Every committed scenario at 2, 3 and 4 ranks, under loss, duplication
   // and reordering jitter: the retransmit, duplicate and reorder-parking
-  // paths, each of which recycles buffers, run on every scenario.
+  // paths, each of which recycles buffers, run on every scenario. Both
+  // rank maps run: build_cluster_config's rule, which keeps sequencing
+  // nodes beside their members, and the scattered map. Across the corpus
+  // each must still send publishes, hops and fan-out across ranks, so no
+  // edge kind goes unexercised.
   const auto files = test::corpus_files();
   ASSERT_FALSE(files.empty()) << "empty corpus in " << DECSEQ_FUZZ_CORPUS_DIR;
-  for (const auto& file : files) {
-    const std::string name = file.filename().string();
-    for (const std::uint32_t ranks : {2u, 3u, 4u}) {
-      SCOPED_TRACE(name + " at " + std::to_string(ranks) + " ranks");
-      run_sim_cluster_conformance(name, ranks);
+  for (const bool scatter : {false, true}) {
+    const std::string map = scatter ? "scattered map" : "rank rule";
+    ClusterRunResult total;
+    for (const auto& file : files) {
+      const std::string name = file.filename().string();
+      for (const std::uint32_t ranks : {2u, 3u, 4u}) {
+        SCOPED_TRACE(name + " at " + std::to_string(ranks) + " ranks, " +
+                     map);
+        ClusterRunResult sent;
+        run_sim_cluster_conformance(
+            name, {.ranks = ranks, .scatter = scatter}, &sent);
+        total.ingress_sends += sent.ingress_sends;
+        total.atom_sends += sent.atom_sends;
+        total.distribute_sends += sent.distribute_sends;
+      }
     }
+    EXPECT_GT(total.ingress_sends, 0u) << map;
+    EXPECT_GT(total.atom_sends, 0u) << map;
+    EXPECT_GT(total.distribute_sends, 0u) << map;
   }
 }
 
 /// Timing digests of run_sim_cluster_conformance per corpus file at 2, 3
-/// and 4 ranks, in lockstep and with ops kOverlapMs apart. They pin the
-/// reliable channels' retransmit, reorder and ack paths (loss 0.1,
-/// duplication 0.05, 1 ms jitter, rto 5 ms), which the order check above
-/// cannot see; lockstep keeps one message per channel in flight, so only
-/// the overlapped replay parks and drains the reorder windows. Regenerate
-/// an entry only for a deliberate change of behaviour; a channel refactor
-/// must leave the table untouched.
+/// and 4 ranks, in lockstep and with ops kOverlapMs apart, on the
+/// scattered rank map. They pin the reliable channels' retransmit, reorder
+/// and ack paths (loss 0.1, duplication 0.05, 1 ms jitter, rto 5 ms),
+/// which the order check above cannot see; lockstep keeps one message per
+/// channel in flight, so only the overlapped replay parks and drains the
+/// reorder windows. The scattered map keeps them independent of
+/// build_cluster_config's rank rule. Regenerate an entry only for a
+/// deliberate change of behaviour; a channel refactor must leave the table
+/// untouched.
 constexpr double kOverlapMs = 0.01;
 struct TimingDigest {
   const char* file;
@@ -764,8 +814,11 @@ TEST(SimCluster, CorpusTimingMatchesGoldenDigests) {
       for (const std::uint32_t ranks : {2u, 3u, 4u}) {
         SCOPED_TRACE(name + " at " + std::to_string(ranks) + " ranks" +
                      (overlap_ms > 0.0 ? ", overlapped" : ", lockstep"));
-        std::uint64_t got = 0;
-        run_sim_cluster_conformance(name, ranks, &got, overlap_ms);
+        ClusterRunResult run;
+        run_sim_cluster_conformance(
+            name, {.ranks = ranks, .scatter = true, .overlap_ms = overlap_ms},
+            &run);
+        const std::uint64_t got = run.timing_digest;
         if (golden == nullptr) {
           ADD_FAILURE() << "no golden digest; got 0x" << std::hex << got;
           continue;
