@@ -574,9 +574,9 @@ struct ClusterRun {
   std::uint32_t ranks = 3;
   /// Rewrite each hop's rank to its sequencing node mod ranks, in place of
   /// build_cluster_config's rank rule. Nodes then land wherever their ids
-  /// put them, away from their members, so ingress, atom and distribution
-  /// edges all carry datagrams; the timing digests below were recorded
-  /// under this map and pin the channels, not the rule.
+  /// put them, whatever their members' ranks, so ingress, atom and
+  /// distribution edges all carry datagrams; the timing digests below were
+  /// recorded under this map and pin the channels, not the rule.
   bool scatter = false;
   /// A positive value replaces the lockstep drain: each op runs the
   /// simulator only this long before the next is published, so several
@@ -600,6 +600,7 @@ struct ClusterRunResult {
 /// op's drain time, the fabric's datagram counts and each rank's accepted
 /// datagrams. An overlapped replay's order no longer matches the lockstep
 /// reference, so it is folded into the digest instead of compared.
+/// `result` also receives the replay's cross-rank sends per edge kind.
 void run_sim_cluster_conformance(const std::string& repro,
                                  const ClusterRun& run,
                                  ClusterRunResult* result = nullptr) {
@@ -814,11 +815,11 @@ TEST(SimCluster, CorpusTimingMatchesGoldenDigests) {
       for (const std::uint32_t ranks : {2u, 3u, 4u}) {
         SCOPED_TRACE(name + " at " + std::to_string(ranks) + " ranks" +
                      (overlap_ms > 0.0 ? ", overlapped" : ", lockstep"));
-        ClusterRunResult run;
+        ClusterRunResult replay;
         run_sim_cluster_conformance(
             name, {.ranks = ranks, .scatter = true, .overlap_ms = overlap_ms},
-            &run);
-        const std::uint64_t got = run.timing_digest;
+            &replay);
+        const std::uint64_t got = replay.timing_digest;
         if (golden == nullptr) {
           ADD_FAILURE() << "no golden digest; got 0x" << std::hex << got;
           continue;
