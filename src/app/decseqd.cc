@@ -200,16 +200,13 @@ NodeEngine::NodeEngine(transport::Transport& transport,
   // crossed a byte boundary or a longer path was routed through it.
   std::size_t max_stamps = 0;
   for (const GroupEntry& entry : config.groups) {
-    const auto& path = entry.path;
-    if (std::none_of(path.begin(), path.end(),
-                     [&](const HopEntry& hop) { return hop.rank == rank_; })) {
-      continue;
+    std::size_t stamps = 0;
+    bool here = false;
+    for (const HopEntry& hop : entry.path) {
+      stamps += hop.stamps ? 1 : 0;
+      here = here || hop.rank == rank_;
     }
-    max_stamps = std::max<std::size_t>(
-        max_stamps, std::count_if(path.begin(), path.end(),
-                                  [](const HopEntry& hop) {
-                                    return hop.stamps;
-                                  }));
+    if (here) max_stamps = std::max(max_stamps, stamps);
   }
   wire_.reserve(max_encoded_size(max_stamps));
 
