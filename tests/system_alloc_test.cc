@@ -191,9 +191,8 @@ TEST(TransportAlloc, SteadyStatePublishDeliverIsAllocationFree) {
 TEST(TransportAlloc, FirstVarintWideningIsAllocationFree) {
   // Ordinals and payload tags reach 2^14, where their varints grow from
   // two bytes to three, halfway through the measured third pass. No
-  // earlier pass encoded a message that long, so a rank whose encode
-  // scratch was sized by the messages it had sent so far would grow it
-  // there.
+  // earlier pass encoded a message that long, so an encode scratch that
+  // grew with the messages sent so far could need more room there.
   const std::size_t per_pass = kRounds * kMembers.size();
   const std::size_t before_crossing = 2 * per_pass + per_pass / 2;
   expect_warm_wire_path_allocation_free(
