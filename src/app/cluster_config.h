@@ -21,9 +21,9 @@
 // and votes with its members on each rank, a tie goes to the lowest rank,
 // and a node on no live path keeps node mod R. This is §3.4's placement
 // beside the members at the daemon level: a path hop or a delivery that
-// stays on its rank is a function call, not a datagram. The rule lives in
-// the builder only; a loaded config takes every host and hop rank as
-// written.
+// stays on its rank is a function call, not a datagram. Only
+// build_cluster_config applies the rule; a loaded config takes every host
+// and hop rank as written.
 //
 // Edge numbering: every directed channel in the deployment gets a dense
 // EdgeId derived from the config alone (build_edge_table) — both ends
