@@ -128,10 +128,7 @@ std::vector<std::uint32_t> sequencing_node_ranks(
   const std::uint32_t ranks = config.num_ranks;
   DECSEQ_CHECK(ranks >= 1);
   const std::size_t num_nodes = colocation.num_nodes();
-  std::vector<std::uint32_t> node_rank(num_nodes);
-  for (std::size_t n = 0; n < num_nodes; ++n) {
-    node_rank[n] = static_cast<std::uint32_t>(n % ranks);
-  }
+  std::vector<std::uint32_t> node_rank(num_nodes, 0);
 
   // (node, group) once per pair: a path may visit a node twice.
   std::vector<std::pair<std::uint32_t, std::uint32_t>> visits;

@@ -18,12 +18,11 @@
 // Rank map: host h runs on rank h mod R. Each sequencing node (a set of
 // colocated atoms, paper §3.4) runs on the rank that holds the most members
 // of the live groups whose paths visit it: each group counts once per node
-// and votes with its members on each rank, a tie goes to the lowest rank,
-// and a node on no live path keeps node mod R. This is §3.4's placement
-// beside the members at the daemon level: a path hop or a delivery that
-// stays on its rank is a function call, not a datagram. Only
-// build_cluster_config applies the rule; a loaded config takes every host
-// and hop rank as written.
+// and votes with its members on each rank, and a tie goes to the lowest
+// rank. This is §3.4's placement beside the members at the daemon level: a
+// path hop or a delivery that stays on its rank is a function call, not a
+// datagram. Only build_cluster_config applies the rule; a loaded config
+// takes every host and hop rank as written.
 //
 // Edge numbering: every directed channel in the deployment gets a dense
 // EdgeId derived from the config alone (build_edge_table) — both ends

@@ -192,21 +192,16 @@ NodeEngine::NodeEngine(transport::Transport& transport,
     ranks.erase(std::unique(ranks.begin(), ranks.end()), ranks.end());
   }
 
-  // Size the encode scratch once, for the largest message this rank can
+  // Size the encode scratch once, for the largest message any rank can
   // send: a publish carries no stamps, a forward or a distribution at most
-  // its group's stamping hops, and only groups with a hop here forward or
-  // distribute from here. Sized by whatever earlier sends happened to
+  // its group's stamping hops. Sized by whatever earlier sends happened to
   // encode instead, a warm rank would allocate the first time a varint
   // crossed a byte boundary or a longer path was routed through it.
   std::size_t max_stamps = 0;
   for (const GroupEntry& entry : config.groups) {
     std::size_t stamps = 0;
-    bool here = false;
-    for (const HopEntry& hop : entry.path) {
-      stamps += hop.stamps ? 1 : 0;
-      here = here || hop.rank == rank_;
-    }
-    if (here) max_stamps = std::max(max_stamps, stamps);
+    for (const HopEntry& hop : entry.path) stamps += hop.stamps ? 1 : 0;
+    max_stamps = std::max(max_stamps, stamps);
   }
   wire_.reserve(max_encoded_size(max_stamps));
 

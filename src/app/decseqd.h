@@ -20,9 +20,9 @@
 //    message codec does not carry it — and is reattached on decode. A warm
 //    engine's hops are allocation-free: it encodes every outgoing message
 //    into one scratch buffer, sized at construction for the largest
-//    message the rank can send (the channel copies it into its own
-//    frame), and decodes arrivals in place from the channel's view of the
-//    datagram into pooled payload blocks.
+//    message any group's path can produce (the channel copies it into its
+//    own frame), and decodes arrivals in place from the channel's view of
+//    the datagram into pooled payload blocks.
 //
 //  * Daemon — the process harness around a NodeEngine: UDP bootstrap
 //    (JOIN to the coordinator until the PEERS address book arrives),
@@ -183,8 +183,8 @@ class NodeEngine {
   std::vector<std::unique_ptr<transport::RecvChannel>> recv_store_;
 
   /// Encoding scratch for outgoing messages, reused by every send. Its
-  /// capacity is reserved at construction for the largest message the
-  /// rank can encode, so no send grows it.
+  /// capacity is reserved at construction for the largest message any
+  /// group's path can produce, so no send grows it.
   std::vector<std::uint8_t> wire_;
   Stats stats_;
 };

@@ -1,7 +1,7 @@
 // The decseqd rank map (app/cluster_config.h): every sequencing node runs
 // on the rank holding the most members of the live groups whose paths
-// visit it, a tie goes to the lowest rank, and a node on no live path
-// keeps node mod ranks. Hand-built cases pin each clause; the paper
+// visit it, and a tie goes to the lowest rank. Hand-built cases pin each
+// clause; the paper
 // deployment checks the majority property on a compiled epoch; and the
 // text format keeps every rank the rule chose.
 #include <gtest/gtest.h>
@@ -24,12 +24,11 @@ AtomId A(unsigned a) { return AtomId(a); }
 
 TEST(ClusterConfigRanks, NodeTakesItsGroupsMajorityRank) {
   // Nine hosts, three per rank: hosts 0-2 on rank 0, 3-5 on rank 1, 6-8
-  // on rank 2. Sequencing node 0 holds atoms 0 and 1, node 1 atom 2 and
-  // node 2 atom 3.
+  // on rank 2. Sequencing node 0 holds atoms 0 and 1, node 1 atom 2.
   ClusterConfig config;
   config.num_ranks = 3;
   for (std::uint32_t h = 0; h < 9; ++h) config.hosts.push_back({h / 3, {}, {}});
-  config.groups.resize(4);
+  config.groups.resize(3);
   // Node 0: g0 brings two members on rank 2 and one on rank 1; g1 two on
   // rank 0 and one on rank 2. Rank 2 holds 3 of the 6, so the node runs
   // there. g1's path visits the node twice but counts once: counted per
@@ -37,18 +36,14 @@ TEST(ClusterConfigRanks, NodeTakesItsGroupsMajorityRank) {
   config.groups[0] = {{NodeId(6), NodeId(7), NodeId(3)}, {{A(0), true, 0}}};
   config.groups[1] = {{NodeId(0), NodeId(1), NodeId(8)},
                       {{A(0), true, 0}, {A(1), true, 0}}};
-  // Node 2: one member on rank 2 and one on rank 1, a tie, so the lower
-  // rank 1 takes it (2 mod 3 would be rank 2).
-  config.groups[2] = {{NodeId(7), NodeId(4)}, {{A(3), false, 0}}};
-  // A dead slot: members but no path, so no vote. Node 1 is on no live
-  // path and keeps 1 mod 3.
-  config.groups[3] = {{NodeId(0), NodeId(1), NodeId(2)}, {}};
+  // Node 1: one member on rank 2 and one on rank 1, a tie, so the lower
+  // rank 1 takes it.
+  config.groups[2] = {{NodeId(7), NodeId(4)}, {{A(2), false, 0}}};
 
   const placement::Colocation colocation(
-      {{A(0), A(1)}, {A(2)}, {A(3)}},
-      {SeqNodeId(0), SeqNodeId(0), SeqNodeId(1), SeqNodeId(2)});
+      {{A(0), A(1)}, {A(2)}}, {SeqNodeId(0), SeqNodeId(0), SeqNodeId(1)});
   EXPECT_EQ(sequencing_node_ranks(config, colocation),
-            (std::vector<std::uint32_t>{2, 1, 1}));
+            (std::vector<std::uint32_t>{2, 1}));
 }
 
 /// Sum over the distinct live groups visiting each sequencing node of their

@@ -119,14 +119,23 @@ TEST(SystemAlloc, SteadyStatePublishDeliverIsAllocationFree) {
 /// its CRC, a reliable channel with its ack, and the fabric's datagram
 /// copy; once warm, none of it may touch the heap. Publishes take their
 /// ordinals, which are also their payload tags, from `first_ordinal` on.
-void expect_warm_wire_path_allocation_free(std::uint32_t first_ordinal) {
+///
+/// build_cluster_config's rank rule puts every sequencing node of these
+/// groups on rank 0, so under it only publishes and fan-out cross ranks.
+/// With `scatter`, each hop's rank is its sequencing node mod ranks
+/// instead (test::scatter_hop_ranks): hops cross ranks too, and the pass
+/// also measures the forward encode, the atom channels and the atom
+/// receive path.
+void expect_warm_wire_path_allocation_free(std::uint32_t first_ordinal,
+                                           bool scatter) {
   PubSubSystem system(test::small_config(/*seed=*/7));
   const std::vector<Publish> schedule =
       replay_schedule(system.create_groups(kMembers));
   constexpr std::uint32_t kRanks = 3;
-  const app::ClusterConfig config = app::build_cluster_config(
+  app::ClusterConfig config = app::build_cluster_config(
       system, kRanks, /*retransmit_timeout_ms=*/50.0,
       /*max_retransmits=*/200, /*seed=*/1234);
+  if (scatter) test::scatter_hop_ranks(config, system.colocation());
 
   sim::Simulator sim;
   transport::SimNet net(sim, /*seed=*/99);
@@ -175,17 +184,24 @@ void expect_warm_wire_path_allocation_free(std::uint32_t first_ordinal) {
 
   EXPECT_EQ(allocs, 0u) << "wire-path publish→deliver steady state allocated";
   EXPECT_EQ(delivered, 3 * deliveries_per_pass());
-  std::uint64_t cross_rank_sends = 0;
+  std::uint64_t forwarded = 0;
+  std::uint64_t distributed = 0;
   for (std::uint32_t r = 0; r < kRanks; ++r) {
     EXPECT_EQ(sets[r]->rejected(), 0u) << "rank " << r;
-    cross_rank_sends +=
-        engines[r]->stats().forwarded + engines[r]->stats().distributed;
+    forwarded += engines[r]->stats().forwarded;
+    distributed += engines[r]->stats().distributed;
   }
-  EXPECT_GT(cross_rank_sends, 0u) << "nothing crossed the wire";
+  EXPECT_GT(distributed, 0u) << "no fan-out crossed the wire";
+  if (scatter) {
+    EXPECT_GT(forwarded, 0u) << "no hop crossed the wire";
+  }
 }
 
 TEST(TransportAlloc, SteadyStatePublishDeliverIsAllocationFree) {
-  expect_warm_wire_path_allocation_free(0);
+  for (const bool scatter : {false, true}) {
+    SCOPED_TRACE(scatter ? "scattered map" : "rank rule");
+    expect_warm_wire_path_allocation_free(0, scatter);
+  }
 }
 
 TEST(TransportAlloc, FirstVarintWideningIsAllocationFree) {
@@ -195,8 +211,12 @@ TEST(TransportAlloc, FirstVarintWideningIsAllocationFree) {
   // grew with the messages sent so far could need more room there.
   const std::size_t per_pass = kRounds * kMembers.size();
   const std::size_t before_crossing = 2 * per_pass + per_pass / 2;
-  expect_warm_wire_path_allocation_free(
-      static_cast<std::uint32_t>((std::size_t{1} << 14) - before_crossing));
+  for (const bool scatter : {false, true}) {
+    SCOPED_TRACE(scatter ? "scattered map" : "rank rule");
+    expect_warm_wire_path_allocation_free(
+        static_cast<std::uint32_t>((std::size_t{1} << 14) - before_crossing),
+        scatter);
+  }
 }
 
 using test::churn_batch;

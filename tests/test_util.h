@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "app/cluster_config.h"
 #include "common/ids.h"
 #include "common/rng.h"
 #include "common/zipf.h"
@@ -46,6 +47,19 @@ inline pubsub::SystemConfig small_config(std::uint64_t seed,
   config.hosts.num_hosts = num_hosts;
   config.hosts.num_clusters = num_clusters;
   return config;
+}
+
+/// Rewrite each hop's rank to its sequencing node mod the rank count, in
+/// place of build_cluster_config's rank rule. Nodes then land wherever
+/// their ids put them, whatever their members' ranks, so path hops cross
+/// ranks that the rule would keep together.
+inline void scatter_hop_ranks(app::ClusterConfig& config,
+                              const placement::Colocation& colocation) {
+  for (app::GroupEntry& group : config.groups) {
+    for (app::HopEntry& hop : group.path) {
+      hop.rank = colocation.node_of(hop.atom).value() % config.num_ranks;
+    }
+  }
 }
 
 /// Build a membership snapshot from group literal member lists.

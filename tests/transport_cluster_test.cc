@@ -73,6 +73,29 @@ std::string artifact_dir() {
   return dir != nullptr ? dir : "/tmp";
 }
 
+/// Sends one replay put on the wire between ranks, per edge kind.
+struct CrossRankSends {
+  std::uint64_t ingress = 0;     ///< publishes to a remote ingress
+  std::uint64_t atom = 0;        ///< hops to a remote atom
+  std::uint64_t distribute = 0;  ///< fan-out to a remote member rank
+};
+
+/// The value of `key` on the last shutdown line of a daemon log (a daemon
+/// appends to its log, and an artifact directory can hold an earlier run's
+/// lines). A log without that field fails the test and reads 0.
+std::uint64_t shutdown_counter(const std::string& log,
+                               const std::string& key) {
+  std::ifstream in(log);
+  std::string last;
+  for (std::string line; std::getline(in, line);) {
+    if (line.find("shutdown:") != std::string::npos) last = line;
+  }
+  const std::size_t at = last.find(" " + key + "=");
+  EXPECT_NE(at, std::string::npos) << key << " missing from " << log;
+  if (at == std::string::npos) return 0;
+  return std::stoull(last.substr(at + key.size() + 2));
+}
+
 /// The coordinator: spawns daemons, runs the bootstrap, drives the
 /// lockstep workload over control channels, and collects the traces.
 class ClusterHarness {
@@ -185,6 +208,9 @@ class ClusterHarness {
     const auto bytes = encode_command(command);
     const std::uint32_t rank = config_.hosts[op.sender].rank;
     cmd_out_[rank]->send(bytes.data(), bytes.size());
+    if (config_.groups[op.group].path.front().rank != rank) {
+      ++remote_ingress_ops_;
+    }
 
     const std::size_t expected = script_.groups[op.group].size();
     auto& count = op_events_[op.ordinal];
@@ -255,6 +281,20 @@ class ClusterHarness {
   }
 
   [[nodiscard]] const Trace& report_trace() const { return report_trace_; }
+
+  /// What the replay sent between ranks: the ops this harness handed to a
+  /// rank other than their group's ingress, and each rank's forwarded and
+  /// distributed counts from its log's shutdown line.
+  [[nodiscard]] CrossRankSends cross_rank_sends() const {
+    CrossRankSends sent;
+    sent.ingress = remote_ingress_ops_;
+    for (std::uint32_t r = 0; r < num_ranks_; ++r) {
+      const std::string log = dir_ + "/daemon-" + std::to_string(r) + ".log";
+      sent.atom += shutdown_counter(log, "forwarded");
+      sent.distribute += shutdown_counter(log, "distributed");
+    }
+    return sent;
+  }
 
  private:
   void on_join(const Frame& frame, const Origin& origin) {
@@ -330,6 +370,7 @@ class ClusterHarness {
   std::uint32_t joined_count_ = 0;
   std::uint32_t ready_ = 0;
   std::map<std::uint32_t, std::size_t> op_events_;
+  std::uint64_t remote_ingress_ops_ = 0;
   Trace report_trace_;
   std::vector<pid_t> pids_;
 };
@@ -377,10 +418,11 @@ std::size_t count_lines(const std::string& path, const std::string& needle) {
 
 /// With `bad_commands_to_rank0`, those payloads go to rank 0 after the
 /// bootstrap and before the first op; the rank must log and drop each one
-/// and go on serving the script.
+/// and go on serving the script. `sent`, if given, receives the replay's
+/// cross-rank sends per edge kind.
 void run_cluster_conformance(
     const std::string& repro, std::uint32_t num_ranks,
-    bool bad_commands_to_rank0 = false) {
+    CrossRankSends* sent = nullptr, bool bad_commands_to_rank0 = false) {
   ClusterHarness harness(repro, num_ranks);
   ASSERT_FALSE(harness.script().ops.empty());
   SCOPED_TRACE("artifacts in " + harness.dir());
@@ -417,21 +459,33 @@ void run_cluster_conformance(
   EXPECT_EQ(count_lines(log, "command dropped"), bad.size());
   EXPECT_EQ(count_lines(log, "commands_dropped=" + std::to_string(bad.size())),
             1u);
+  if (sent != nullptr) *sent = harness.cross_rank_sends();
 }
 
 TEST(TransportCluster, ConformsOnCorpusSeed7) {
-  run_cluster_conformance("seed-7.repro", /*num_ranks=*/4);
+  CrossRankSends sent;
+  run_cluster_conformance("seed-7.repro", /*num_ranks=*/4, &sent);
+  // Every path of seed-7 runs on one rank, under the rank rule and under
+  // node mod ranks alike, so only publishes and fan-out cross the wire.
+  EXPECT_GT(sent.ingress, 0u);
+  EXPECT_GT(sent.distribute, 0u);
 }
 
 TEST(TransportCluster, ConformsOnCorpusSeed1) {
-  run_cluster_conformance("seed-1.repro", /*num_ranks=*/4);
+  CrossRankSends sent;
+  run_cluster_conformance("seed-1.repro", /*num_ranks=*/4, &sent);
+  // The pinned scenario whose hops cross ranks under the rank rule: the
+  // UDP atom channels run here, beside the ingress and fan-out ones.
+  EXPECT_GT(sent.ingress, 0u);
+  EXPECT_GT(sent.atom, 0u);
+  EXPECT_GT(sent.distribute, 0u);
 }
 
 TEST(TransportCluster, RankDropsBadCommandsAndKeepsServing) {
   // Rank 0 gets four commands it cannot act on; each is logged, counted
   // and dropped, the rank exits cleanly at shutdown, and every trace still
   // matches the simulator.
-  run_cluster_conformance("seed-1.repro", /*num_ranks=*/4,
+  run_cluster_conformance("seed-1.repro", /*num_ranks=*/4, /*sent=*/nullptr,
                           /*bad_commands_to_rank0=*/true);
 }
 

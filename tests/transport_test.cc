@@ -573,10 +573,10 @@ Trace reference_trace(const std::vector<pubsub::Delivery>& deliveries) {
 struct ClusterRun {
   std::uint32_t ranks = 3;
   /// Rewrite each hop's rank to its sequencing node mod ranks, in place of
-  /// build_cluster_config's rank rule. Nodes then land wherever their ids
-  /// put them, whatever their members' ranks, so ingress, atom and
-  /// distribution edges all carry datagrams; the timing digests below were
-  /// recorded under this map and pin the channels, not the rule.
+  /// build_cluster_config's rank rule (test::scatter_hop_ranks), so
+  /// ingress, atom and distribution edges all carry datagrams; the timing
+  /// digests below were recorded under this map and pin the channels, not
+  /// the rule.
   bool scatter = false;
   /// A positive value replaces the lockstep drain: each op runs the
   /// simulator only this long before the next is published, so several
@@ -616,13 +616,7 @@ void run_sim_cluster_conformance(const std::string& repro,
   app::ClusterConfig config = app::build_cluster_config(
       *system, num_ranks, /*retransmit_timeout_ms=*/5.0,
       /*max_retransmits=*/200, /*seed=*/1234);
-  if (run.scatter) {
-    for (app::GroupEntry& group : config.groups) {
-      for (app::HopEntry& hop : group.path) {
-        hop.rank = system->colocation().node_of(hop.atom).value() % num_ranks;
-      }
-    }
-  }
+  if (run.scatter) test::scatter_hop_ranks(config, system->colocation());
   const Trace expected =
       reference_trace(app::run_reference(script, *system));
 
